@@ -30,6 +30,7 @@ import numpy as np
 from .corpus import SubwordIndex, Vocabulary
 from .dataset import TypeSystem
 from .errors import DataError, NumericError
+from .nn import sigmoid
 
 KIND_SKIP = "skip"
 KIND_SSKIP = "sskip"
@@ -53,7 +54,8 @@ class SgnsConfig:
     threads: int = 1
     table_size: int = NEGATIVE_TABLE_SIZE
     # pairs vectorized per update; within a batch updates use the same
-    # stale parameters, so keep it small relative to the vocabulary
+    # stale parameters and the updates of a row repeated in the batch are
+    # summed, so keep it small relative to the vocabulary
     batch_pairs: int = 256
 
     def __post_init__(self):
@@ -117,7 +119,7 @@ def save_embeddings(store: EmbeddingStore, path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(f"{len(store.tokens)} {store.dim}\n")
         for tok, row in zip(store.tokens, store.matrix):
-            fh.write(tok + " " + " ".join(repr(float(x)) for x in row) + "\n")
+            fh.write(tok + " " + " ".join(map(repr, row.tolist())) + "\n")
 
 
 def load_embeddings(path, kind: str = KIND_SKIP,
@@ -125,18 +127,26 @@ def load_embeddings(path, kind: str = KIND_SKIP,
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise DataError(f"{path}: bad embedding header")
-        count, dim = int(header[0]), int(header[1])
+        try:
+            count, dim = (int(x) for x in header)
+        except ValueError:
+            raise DataError(f"{path}: line 1: bad embedding header "
+                            f"{' '.join(header)!r}") from None
+        if count < 0 or dim < 1:
+            raise DataError(f"{path}: line 1: bad embedding header "
+                            f"{count} {dim}")
         tokens: list[str] = []
         matrix = np.empty((count, dim))
         for i in range(count):
             parts = fh.readline().rstrip("\n").split(" ")
             if len(parts) != dim + 1:
-                raise DataError(f"{path}: row {i + 2} has {len(parts) - 1} "
+                raise DataError(f"{path}: line {i + 2}: {len(parts) - 1} "
                                 f"values, expected {dim}")
             tokens.append(parts[0])
-            matrix[i] = [float(x) for x in parts[1:]]
+            try:
+                matrix[i] = [float(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise DataError(f"{path}: line {i + 2}: {exc}") from None
     return EmbeddingStore(kind=kind, dim=dim, tokens=tokens, matrix=matrix,
                           subwords=subwords)
 
@@ -183,37 +193,53 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -x)
 
 
+def _scatter_add(table: np.ndarray, rows: np.ndarray,
+                 vals: np.ndarray) -> None:
+    """``table[rows] += vals`` with the updates of repeated rows summed.
+
+    Time and memory grow with the batch, not with the table.
+    """
+    dim = table.shape[1]
+    uniq, inv = np.unique(rows, return_inverse=True)
+    flat = (inv[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(flat, weights=vals.ravel(), minlength=uniq.size * dim)
+    table[uniq] += sums.reshape(-1, dim)
+
+
 class _Composer:
-    """Maps center-token ids to input vectors, plain or ngram-averaged."""
+    """Maps center-token ids to input vectors, plain or ngram-averaged.
+
+    Ngram ids are in CSR layout: token ``t`` averages the ``w_in`` rows
+    ``indices[indptr[t]:indptr[t + 1]]``. Callers pass only centers that
+    have at least one ngram.
+    """
 
     def __init__(self, n_inputs: int, dim: int, rng: np.random.Generator,
-                 ngram_lists: list[np.ndarray] | None):
+                 indptr: np.ndarray | None = None,
+                 indices: np.ndarray | None = None):
         self.w_in = (rng.random((n_inputs, dim)) - 0.5) / dim
-        self.ngram_lists = ngram_lists
-
-    def trainable(self, token_id: int) -> bool:
-        if self.ngram_lists is None:
-            return True
-        return self.ngram_lists[token_id].size > 0
+        self.indptr = indptr
+        self.indices = indices
 
     def forward(self, centers: np.ndarray):
-        if self.ngram_lists is None:
+        if self.indptr is None:
             return self.w_in[centers], None
-        pieces = [self.ngram_lists[c] for c in centers]
-        lengths = np.array([p.size for p in pieces], dtype=np.int64)
-        flat = np.concatenate(pieces)
-        seg = np.repeat(np.arange(len(centers)), lengths)
-        v = np.zeros((len(centers), self.w_in.shape[1]))
-        np.add.at(v, seg, self.w_in[flat])
+        starts = self.indptr[centers]
+        lengths = self.indptr[centers + 1] - starts
+        offsets = np.cumsum(lengths) - lengths
+        flat = self.indices[np.repeat(starts - offsets, lengths)
+                            + np.arange(lengths.sum())]
+        v = np.add.reduceat(self.w_in[flat], offsets, axis=0)
         v /= lengths[:, None]
-        return v, (flat, seg, lengths)
+        return v, (flat, lengths)
 
     def backward(self, centers: np.ndarray, dv: np.ndarray, cache) -> None:
-        if self.ngram_lists is None:
-            np.add.at(self.w_in, centers, dv)
+        if self.indptr is None:
+            _scatter_add(self.w_in, centers, dv)
             return
-        flat, seg, lengths = cache
-        np.add.at(self.w_in, flat, dv[seg] / lengths[seg][:, None])
+        flat, lengths = cache
+        _scatter_add(self.w_in, flat,
+                     np.repeat(dv / lengths[:, None], lengths, axis=0))
 
 
 class _SgnsState:
@@ -222,14 +248,16 @@ class _SgnsState:
         self.vocab_size = len(vocab)
         self.blocks = 2 * cfg.window if cfg.positional else 1
         rng = np.random.default_rng(cfg.seed)
-        ngram_lists = None
-        n_inputs = self.vocab_size
-        if subwords is not None:
-            tokens = vocab.tokens
-            ngram_lists = [np.asarray(subwords.ngram_ids(t), dtype=np.int64)
-                           for t in tokens]
-            n_inputs = len(subwords)
-        self.composer = _Composer(n_inputs, cfg.dim, rng, ngram_lists)
+        if subwords is None:
+            self.composer = _Composer(self.vocab_size, cfg.dim, rng)
+        else:
+            ids = [subwords.ngram_ids(t) for t in vocab.tokens]
+            indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+            np.cumsum([len(x) for x in ids], out=indptr[1:])
+            indices = np.fromiter((i for x in ids for i in x),
+                                  dtype=np.int64, count=indptr[-1])
+            self.composer = _Composer(len(subwords), cfg.dim, rng,
+                                      indptr, indices)
         self.w_out = np.zeros((self.blocks * self.vocab_size, cfg.dim))
         self.table = _unigram_table(vocab, cfg.table_size)
 
@@ -262,10 +290,6 @@ def iter_context_pairs(ids: list[int], window: int, positional: bool,
             if j == i:
                 continue
             yield center, ids[j], _block_of(j - i, window, positional)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def _epoch_pairs(tok: np.ndarray, sent: np.ndarray, cfg: SgnsConfig,
@@ -353,15 +377,15 @@ def _train_chunk(tok: np.ndarray, sent: np.ndarray, state: _SgnsState,
         loss_sum -= _log_sigmoid(s_pos).sum()
         loss_sum -= (_log_sigmoid(-s_neg) * valid).sum()
 
-        g_pos = (1.0 - _sigmoid(s_pos)) * lr
-        g_neg = -_sigmoid(s_neg) * lr * valid
+        g_pos = (1.0 - sigmoid(s_pos)) * lr
+        g_neg = -sigmoid(s_neg) * lr * valid
 
         dv = g_pos[:, None] * u_pos + np.einsum("bk,bkd->bd", g_neg, u_neg)
         rows = np.concatenate([pos_rows, neg_rows.reshape(-1)])
         vals = np.concatenate([g_pos[:, None] * v,
                                (g_neg[:, :, None] * v[:, None, :])
                                .reshape(-1, dim)])
-        np.add.at(w_out, rows, vals)
+        _scatter_add(w_out, rows, vals)
         state.composer.backward(c, dv, cache)
     losses.append(loss_sum)
 
@@ -385,11 +409,9 @@ def _run_training(stream, vocab: Vocabulary, cfg: SgnsConfig,
         raise DataError("empty token stream")
     state = _SgnsState(vocab, cfg, subwords)
     tok, sent = _flatten(stream, vocab.index)
-    if state.composer.ngram_lists is None:
-        trainable_mask = None
-    else:
-        trainable_mask = np.array(
-            [lst.size > 0 for lst in state.composer.ngram_lists])
+    indptr = state.composer.indptr
+    # centers without indexed ngrams have no input vector to train
+    trainable_mask = None if indptr is None else np.diff(indptr) > 0
 
     for epoch in range(cfg.epochs):
         losses: list[float] = []

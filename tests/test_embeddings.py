@@ -3,10 +3,10 @@ import pytest
 
 from mulr.corpus import build_subword_index, build_vocabulary
 from mulr.dataset import TypeSystem
-from mulr.embeddings import (EmbeddingStore, SgnsConfig, cosine,
-                             iter_context_pairs, load_embeddings,
-                             save_embeddings, train_sgns, train_subword_sgns,
-                             type_cosine_vector)
+from mulr.embeddings import (EmbeddingStore, SgnsConfig, _scatter_add,
+                             _SgnsState, cosine, iter_context_pairs,
+                             load_embeddings, save_embeddings, train_sgns,
+                             train_subword_sgns, type_cosine_vector)
 from mulr.errors import DataError, NumericError
 from mulr.synthetic import generate_order_corpus, linear_probe_accuracy
 
@@ -83,6 +83,33 @@ class TestStoreIO:
         assert loaded.tokens == tokens
         np.testing.assert_array_equal(loaded.matrix, store.matrix)
 
+    def test_rows_match_per_value_repr(self, tmp_path):
+        n = 20
+        tokens = [f"t{i}" for i in range(n)]
+        matrix = np.random.default_rng(6).normal(size=(n, 3))
+        store = EmbeddingStore(kind="skip", dim=3, tokens=tokens,
+                               matrix=matrix)
+        path = tmp_path / "v.vec"
+        save_embeddings(store, path)
+        expected = [f"{n} 3"] + [
+            tok + " " + " ".join(repr(float(x)) for x in row)
+            for tok, row in zip(tokens, matrix)]
+        assert path.read_text(encoding="utf-8").splitlines() == expected
+        np.testing.assert_array_equal(load_embeddings(path).matrix, matrix)
+
+    def test_non_numeric_value_names_path_and_line(self, tmp_path):
+        path = tmp_path / "v.vec"
+        path.write_text("2 2\nfoo 0.1 0.2\nbar 0.1 abc\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"v\.vec: line 3"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("header", ["x 2", "1 2.5", "-1 2", "2"])
+    def test_bad_header_names_path_and_line(self, tmp_path, header):
+        path = tmp_path / "v.vec"
+        path.write_text(header + "\nfoo 0.1 0.2\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"v\.vec: line 1"):
+            load_embeddings(path)
+
     def test_nan_rejected(self):
         with pytest.raises(NumericError):
             EmbeddingStore(kind="skip", dim=2, tokens=["a"],
@@ -108,12 +135,19 @@ def cluster_corpus():
 
 
 class TestSgnsTraining:
-    def test_bit_identical_given_seed(self):
-        stream = [["a", "b", "c", "a", "b"]]
+    @pytest.mark.parametrize("kind", ["skip", "sskip", "subword"])
+    def test_bit_identical_given_seed(self, kind):
+        stream = [["a", "b", "c", "a", "b"], ["ab", "bc", "ca", "ab"]]
         vocab = build_vocabulary(stream, 1)
-        cfg = small_cfg(epochs=1)
-        s1 = train_sgns(stream, vocab, cfg)
-        s2 = train_sgns(stream, vocab, cfg)
+        cfg = small_cfg(epochs=1, threads=1, positional=kind == "sskip")
+        if kind == "subword":
+            index = build_subword_index(vocab, n_min=2, n_max=3, min_count=1)
+            s1 = train_subword_sgns(stream, vocab, index, cfg)
+            s2 = train_subword_sgns(stream, vocab, index, cfg)
+        else:
+            s1 = train_sgns(stream, vocab, cfg)
+            s2 = train_sgns(stream, vocab, cfg)
+        assert s1.kind == kind
         assert s1.tokens == s2.tokens
         np.testing.assert_array_equal(s1.matrix, s2.matrix)
 
@@ -161,6 +195,75 @@ class TestSgnsTraining:
         assert train_sgns(stream, vocab, small_cfg(positional=True)).kind \
             == "sskip"
         assert train_sgns(stream, vocab, small_cfg()).kind == "skip"
+
+
+class TestScatterAdd:
+    @staticmethod
+    def _check(rows, dim=5):
+        rng = np.random.default_rng(9)
+        table = rng.normal(size=(40, dim))
+        vals = rng.normal(size=(rows.size, dim))
+        expected = table.copy()
+        np.add.at(expected, rows, vals)
+        _scatter_add(table, rows, vals)
+        np.testing.assert_allclose(table, expected, rtol=1e-12, atol=0)
+
+    def test_zipf_rows_with_repeats(self):
+        rows = np.random.default_rng(4).zipf(1.5, size=3000) % 40
+        assert np.bincount(rows).max() > 100
+        self._check(rows)
+
+    def test_single_row_repeated(self):
+        self._check(np.full(257, 7))
+
+    def test_empty_rows(self):
+        self._check(np.zeros(0, dtype=np.int64))
+
+
+class TestComposer:
+    """The CSR subword composer against per-token ngram lists."""
+
+    @staticmethod
+    def _state():
+        sentences, _, _ = cluster_corpus()
+        vocab = build_vocabulary(sentences, 1)
+        index = build_subword_index(vocab, n_min=2, n_max=3, min_count=1)
+        state = _SgnsState(vocab, small_cfg(), index)
+        # non-zero rows everywhere so a misrouted update shows
+        state.composer.w_in += np.random.default_rng(2).normal(
+            size=state.composer.w_in.shape)
+        lists = [index.ngram_ids(t) for t in vocab.tokens]
+        centers = np.random.default_rng(3).integers(0, len(vocab), size=300)
+        return state, lists, centers
+
+    def test_forward_is_mean_of_ngram_rows(self):
+        state, lists, centers = self._state()
+        v, _ = state.composer.forward(centers)
+        expected = np.array([state.composer.w_in[lists[c]].mean(axis=0)
+                             for c in centers])
+        np.testing.assert_allclose(v, expected, rtol=1e-12, atol=1e-15)
+
+    def test_backward_matches_add_at_reference(self):
+        state, lists, centers = self._state()
+        _, cache = state.composer.forward(centers)
+        dv = np.random.default_rng(5).normal(size=(centers.size,
+                                                   state.composer.w_in.shape[1]))
+        flat = np.concatenate([lists[c] for c in centers])
+        lengths = np.array([len(lists[c]) for c in centers])
+        seg = np.repeat(np.arange(centers.size), lengths)
+        expected = state.composer.w_in.copy()
+        np.add.at(expected, flat, dv[seg] / lengths[seg][:, None])
+        state.composer.backward(centers, dv, cache)
+        np.testing.assert_allclose(state.composer.w_in, expected,
+                                   rtol=1e-12, atol=1e-15)
+
+    def test_token_without_indexed_ngrams_stays_finite(self):
+        stream = [["aa", "ab", "zq", "ab", "aa"]] + [["ab", "aa", "ba"]] * 20
+        vocab = build_vocabulary(stream, 1)
+        index = build_subword_index(vocab, n_min=2, n_max=3, min_count=2)
+        assert "zq" in vocab.index and not index.ngram_ids("zq")
+        store = train_subword_sgns(stream, vocab, index, small_cfg(epochs=2))
+        assert np.all(np.isfinite(store.matrix))
 
 
 class TestPairEnumeration:
