@@ -18,8 +18,7 @@ from .embeddings import (EmbeddingStore, SgnsConfig, cosine, load_embeddings,
                          save_embeddings, train_sgns, train_subword_sgns,
                          type_cosine_vector)
 from .levels import (Assembler, LevelSpec, RepresentationSpec, Resources,
-                     assemble, avg_des, bow_features, build_idf, nsl_features,
-                     wlr)
+                     avg_des, bow_features, build_idf, nsl_features, wlr)
 from .typer import (TrainConfig, TyperModel, calibrate_thresholds, load_model,
                     predict, save_model, train)
 from .metrics import (EvalReport, build_report, entity_macro_f1,

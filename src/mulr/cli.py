@@ -8,22 +8,21 @@ predict, evaluate, pipeline, report. Exit codes: 0 success, 1 usage,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import dataset as dataset_mod
-from .embeddings import (SgnsConfig, load_embeddings, save_embeddings,
-                         train_sgns, train_subword_sgns)
-from .corpus import build_subword_index, build_vocabulary
+from .embeddings import (SgnsConfig, save_embeddings, train_sgns,
+                         train_subword_sgns)
+from .corpus import build_subword_index
 from .errors import DataError, MulrError, NumericError
 from .metrics import build_report, significance_matrix
 from .pipeline import (PipelineRun, load_config, read_predictions,
-                       run_pipeline, save_descriptions)
+                       read_vocabulary, resolve_threads, run_pipeline,
+                       save_descriptions, write_predictions, write_tokens)
 from .synthetic import generate, generate_order_corpus, preset_spec
-from .typer import (calibrate_thresholds, load_model, predict_with_scores,
-                    save_model)
+from .typer import calibrate_thresholds, load_model, save_model
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,35 +67,22 @@ def _cmd_gen_synthetic(args) -> int:
 def _cmd_build_corpus(args) -> int:
     ts = dataset_mod.load_type_system(args.hierarchy)
     split = dataset_mod.load_dataset(args.dataset, ts)
-    annotated = corpus_mod.load_corpus(args.corpus)
-    notable = corpus_mod.load_notable(args.notable)
-    exclude = frozenset(e.id for e in split.test)
-    stream = corpus_mod.build_three_copy_corpus(annotated, notable, exclude)
-    with Path(args.out).open("w", encoding="utf-8") as fh:
-        for sent in stream:
-            fh.write(" ".join(sent) + "\n")
-    protected = sorted(set(notable) | set(notable.values())
-                       | {e.id for e in split.all_entities()})
     protected_path = Path(args.protected_out or
                           str(args.out) + ".protected.txt")
-    protected_path.write_text("\n".join(protected) + "\n", encoding="utf-8")
-    print(f"wrote {args.out} ({len(stream)} sentences) and {protected_path}")
+    count = write_tokens(corpus_mod.load_corpus(args.corpus),
+                         corpus_mod.load_notable(args.notable), split,
+                         args.out, protected_path)
+    print(f"wrote {args.out} ({count} sentences) and {protected_path}")
     return 0
 
 
 def _cmd_embed(args) -> int:
-    with Path(args.corpus).open(encoding="utf-8") as fh:
-        stream = [line.split() for line in fh if line.strip()]
-    protected = frozenset()
-    if args.protected:
-        protected = frozenset(
-            Path(args.protected).read_text(encoding="utf-8").split())
-    threads = int(os.environ.get("MULR_THREADS", args.threads))
-    vocab = build_vocabulary(stream, args.min_count, protected)
+    stream, vocab = read_vocabulary(args.corpus, args.protected,
+                                    args.min_count)
     cfg = SgnsConfig(dim=args.dim, negatives=args.neg, window=args.window,
                      epochs=args.epochs, learning_rate=args.lr,
                      seed=args.seed, positional=args.mode == "sskip",
-                     threads=threads)
+                     threads=resolve_threads(args.threads))
     if args.mode == "subword":
         index = build_subword_index(vocab, n_min=args.n_min, n_max=args.n_max,
                                     min_count=args.ngram_min_count)
@@ -115,8 +101,7 @@ def _cmd_train(args) -> int:
     run = PipelineRun(cfg)
     model = run.train_model()
     if args.out:
-        save_model(model, args.out, config_hash=run.model_key(),
-                   seed=cfg.seed)
+        save_model(model, args.out)
         print(f"wrote {args.out}")
     else:
         print(f"model cached at {run.artifacts['model']}")
@@ -131,7 +116,7 @@ def _cmd_calibrate(args) -> int:
                                ts)
     calibrate_thresholds(model, list(split.dev))
     out = args.out or args.model
-    save_model(model, out, seed=cfg.seed)
+    save_model(model, out)
     print(f"wrote {out}")
     return 0
 
@@ -139,11 +124,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     split = dataset_mod.load_dataset(args.entities, model.type_system)
-    with Path(args.out).open("w", encoding="utf-8") as fh:
-        for e in split.all_entities():
-            scored = predict_with_scores(model, e)
-            cell = ",".join(f"{t}:{s:.6f}" for t, s in scored)
-            fh.write(f"{e.id}\t{cell}\n")
+    write_predictions(model, split.all_entities(), args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -136,17 +136,26 @@ def load_embeddings(path, kind: str = KIND_SKIP,
             raise DataError(f"{path}: line 1: bad embedding header "
                             f"{count} {dim}")
         tokens: list[str] = []
+        seen: set[str] = set()
         matrix = np.empty((count, dim))
         for i in range(count):
             parts = fh.readline().rstrip("\n").split(" ")
             if len(parts) != dim + 1:
                 raise DataError(f"{path}: line {i + 2}: {len(parts) - 1} "
                                 f"values, expected {dim}")
+            if parts[0] in seen:
+                raise DataError(f"{path}: line {i + 2}: duplicate token "
+                                f"{parts[0]!r}")
+            seen.add(parts[0])
             tokens.append(parts[0])
             try:
                 matrix[i] = [float(x) for x in parts[1:]]
             except ValueError as exc:
                 raise DataError(f"{path}: line {i + 2}: {exc}") from None
+        for line_no, extra in enumerate(fh, start=count + 2):
+            if extra.strip():
+                raise DataError(f"{path}: line {line_no}: row past the "
+                                f"header's count of {count}")
     return EmbeddingStore(kind=kind, dim=dim, tokens=tokens, matrix=matrix,
                           subwords=subwords)
 

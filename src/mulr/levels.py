@@ -135,9 +135,6 @@ class RepresentationSpec:
         return cls(levels=tuple(LevelSpec(kind=k, options=dict(shared))
                                 for k in kinds))
 
-    def describe(self) -> str:
-        return ",".join(self.kinds)
-
 
 # ---------------------------------------------------------------------------
 # character matrices
@@ -587,25 +584,3 @@ class Assembler:
         if kind == "bow":
             return self.indexers["bow"].transform(bow_features(name))
         return self.indexers["nsl"].transform(nsl_features(name))
-
-
-def assemble(entity_id: str, name: str, spec: RepresentationSpec,
-             resources: Resources, clr_vector: np.ndarray | None = None,
-             flags: list[str] | None = None, assembler: Assembler | None = None,
-             ) -> np.ndarray:
-    """One entity's representation vector, levels concatenated in order.
-
-    ``clr_vector`` supplies the character-level slice when the spec
-    includes a character encoder (its parameters live with the typer).
-    """
-    asm = assembler if assembler is not None else Assembler(spec, resources)
-    parts = []
-    for lv in spec.levels:
-        if lv.kind in CLR_KINDS:
-            if clr_vector is None:
-                raise DataError("spec has a character level but no encoder "
-                                "output was supplied")
-            parts.append(np.asarray(clr_vector, dtype=float))
-        else:
-            parts.append(asm._level_vector(lv, entity_id, name, flags))
-    return np.concatenate(parts)

@@ -28,12 +28,15 @@ def _check_aligned(preds, golds):
         raise DataError(f"misaligned predictions: {len(preds)} vs {len(golds)}")
 
 
+def f1_from_counts(tp, fp, fn) -> float:
+    """F1 as ``2tp / (2tp + fp + fn)``; 1.0 when there are no decisions."""
+    denom = 2 * tp + fp + fn
+    return 2 * tp / denom if denom else 1.0
+
+
 def _set_f1(pred: set, gold: set) -> float:
-    if not pred and not gold:
-        return 1.0
-    tp = len(pred & gold)
-    denom = 2 * tp + len(pred - gold) + len(gold - pred)
-    return 2 * tp / denom if denom else 0.0
+    return f1_from_counts(len(pred & gold), len(pred - gold),
+                          len(gold - pred))
 
 
 def strict_accuracy(preds: list[set], golds: list[set]) -> float:
@@ -53,12 +56,9 @@ def micro_f1(preds: list[set], golds: list[set],
         tp += len(p & g)
         fp += len(p - g)
         fn += len(g - p)
-    if tp == fp == fn == 0:
-        if flags is not None:
-            flags.append("micro F1: no predictions and no golds, 1.0 by convention")
-        return 1.0
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
+    if tp == fp == fn == 0 and flags is not None:
+        flags.append("micro F1: no predictions and no golds, 1.0 by convention")
+    return f1_from_counts(tp, fp, fn)
 
 
 def entity_macro_f1(preds: list[set], golds: list[set]) -> float:
@@ -79,11 +79,7 @@ def per_type_f1(preds: list[set], golds: list[set],
         tp = sum(1 for p, g in zip(preds, golds) if t in p and t in g)
         fp = sum(1 for p, g in zip(preds, golds) if t in p and t not in g)
         fn = sum(1 for p, g in zip(preds, golds) if t not in p and t in g)
-        if tp + fn == 0:
-            out[t] = None
-            continue
-        denom = 2 * tp + fp + fn
-        out[t] = 2 * tp / denom if denom else 0.0
+        out[t] = None if tp + fn == 0 else f1_from_counts(tp, fp, fn)
     return out
 
 

@@ -1,13 +1,23 @@
 """End-to-end experiment pipeline with per-stage disk caching.
 
 Stages: three-copy corpus -> embeddings -> typer training -> threshold
-calibration -> prediction -> evaluation report. Every artifact is keyed by
-a hash of the configuration slice and upstream artifacts that produced it,
-so reruns with a warm cache load instead of recomputing, and several
-configurations sharing an output directory share their embedding caches.
-Artifacts that have a free-form format embed the config hash and seed in a
-header line; the fixed-format embedding files carry them in a sidecar
-``.meta.json``.
+calibration -> prediction -> evaluation report. Each artifact's cache key
+hashes its stage's configuration slice and the keys of the artifacts it
+reads, so a change upstream reaches every key below it:
+
+    input   SHA-256 of the corpus, dataset, hierarchy and notable files
+    tokens  input key                          tokens-*.txt, protected-*.txt
+    stores  tokens key, [embeddings] or [subword] with seed and threads
+                                               <mode>-*.vec, subword-*.vec
+    model   input key, keys of the stores the levels read, SHA-256 of the
+            descriptions file, [representation], [train], seed   model-*.bin
+    preds, report  model key                   preds-*.tsv, report-*.tsv
+
+Warm reruns load instead of recomputing, and configurations sharing an
+output directory share their token and embedding caches. Free-form
+artifacts carry the config hash and seed in a header line, embedding files
+in a sidecar ``.meta.json``. The CLI runs its stages through the same
+functions.
 
 Configuration files are flat ``key = value`` INI text with sections
 ``[paths]``, ``[representation]``, ``[embeddings]``, ``[subword]``,
@@ -30,11 +40,16 @@ from .embeddings import (EmbeddingStore, SgnsConfig, KIND_SKIP, KIND_SSKIP,
                          load_embeddings, save_embeddings, train_sgns,
                          train_subword_sgns)
 from .errors import DataError, MulrError
-from .corpus import build_subword_index, build_vocabulary
+from .corpus import Vocabulary, build_subword_index, build_vocabulary
 from .levels import RepresentationSpec, Resources, build_idf
 from .metrics import EvalReport, build_report
-from .typer import (TrainConfig, calibrate_thresholds, load_model,
-                    predict_with_scores, save_model, train)
+from .typer import (TrainConfig, TyperModel, calibrate_thresholds,
+                    load_model, predict_with_scores, save_model, train)
+
+
+# levels that read the main (skip/sskip) store and the subword store
+MAIN_STORE_KINDS = frozenset({"elr", "tc", "wwlr", "avg-des"})
+SUBWORD_STORE_KINDS = frozenset({"swlr"})
 
 
 @dataclass
@@ -54,6 +69,16 @@ class ExperimentConfig:
     train: dict = field(default_factory=dict)
     seed: int = 1
     threads: int = 1
+
+    def main_min_count(self) -> int:
+        return self.sgns.get("min_count", 100)
+
+    def subword_counts(self) -> tuple[int, int, int, int]:
+        """(min_count, n_min, n_max, ngram_min_count) of the subword store."""
+        sub = self.subword
+        return (sub.get("min_count", self.main_min_count()),
+                sub.get("n_min", 3), sub.get("n_max", 6),
+                sub.get("ngram_min_count", 5))
 
     def sgns_config(self) -> SgnsConfig:
         opts = dict(self.sgns)
@@ -80,30 +105,47 @@ class ExperimentConfig:
 _INT_KEYS = {"dim", "negatives", "window", "epochs", "min_count", "n_min",
              "n_max", "ngram_min_count", "batch_size", "patience",
              "table_size", "batch_pairs", "padded_len", "char_dim",
-             "feature_maps", "hidden_dim", "top_k"}
+             "feature_maps", "hidden_dim", "top_k", "hidden_units", "seed",
+             "threads"}
 _FLOAT_KEYS = {"learning_rate"}
 _BOOL_KEYS = {"dynamic_window"}
 
 
-def _coerce(key: str, value: str):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
+def _coerce(key: str, value: str, where: str):
+    """``value`` as the type ``key`` takes; ``where`` names it in errors."""
+    try:
+        if key in _INT_KEYS:
+            return int(value)
+        if key in _FLOAT_KEYS:
+            return float(value)
+        if key == "widths":
+            lo, _, hi = value.partition("-")
+            if hi:
+                return tuple(range(int(lo), int(hi) + 1))
+            return tuple(int(x) for x in value.split(","))
+    except ValueError:
+        raise DataError(f"{where}: bad value {value!r}") from None
     if key in _BOOL_KEYS:
         return value.strip().lower() in ("1", "true", "yes", "on")
-    if key == "widths":
-        lo, _, hi = value.partition("-")
-        if hi:
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(x) for x in value.split(","))
     return value
+
+
+def resolve_threads(threads: int) -> int:
+    """The SGNS thread count: ``threads`` (``[run] threads`` or
+    ``--threads``) unless a non-empty ``MULR_THREADS`` overrides it."""
+    env = os.environ.get("MULR_THREADS")
+    if env:
+        return _coerce("threads", env, "environment variable MULR_THREADS")
+    return threads
 
 
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     parser = configparser.ConfigParser()
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
     if not read:
         raise DataError(f"cannot read config {path}")
     if "paths" not in parser:
@@ -118,11 +160,14 @@ def load_config(path) -> ExperimentConfig:
         p = Path(value)
         return p if p.is_absolute() else base / p
 
-    rep = parser["representation"] if "representation" in parser else {}
-    level_options = {k: _coerce(k, v) for k, v in rep.items()
-                     if k not in ("levels", "hidden_units")}
-    run = parser["run"] if "run" in parser else {}
-    cfg = ExperimentConfig(
+    def _section(name) -> dict:
+        items = parser[name].items() if name in parser else ()
+        return {k: _coerce(k, v, f"{path}: {name}.{k}") for k, v in items}
+
+    rep = _section("representation")
+    sgns = _section("embeddings")
+    run = _section("run")
+    return ExperimentConfig(
         corpus_path=_p(paths["corpus"]),
         dataset_path=_p(paths["dataset"]),
         hierarchy_path=_p(paths["hierarchy"]),
@@ -130,24 +175,16 @@ def load_config(path) -> ExperimentConfig:
         out_dir=_p(paths["out_dir"]),
         descriptions_path=_p(paths["descriptions"])
         if "descriptions" in paths else None,
-        levels=rep.get("levels", "elr"),
-        level_options=level_options,
-        hidden_units=int(rep["hidden_units"]) if "hidden_units" in rep else None,
-        embed_mode=parser.get("embeddings", "mode", fallback=KIND_SSKIP),
-        sgns={k: _coerce(k, v) for k, v in
-              (parser["embeddings"] if "embeddings" in parser else {}).items()
-              if k != "mode"},
-        subword={k: _coerce(k, v) for k, v in
-                 (parser["subword"] if "subword" in parser else {}).items()},
-        train={k: _coerce(k, v) for k, v in
-               (parser["train"] if "train" in parser else {}).items()},
-        seed=int(run.get("seed", 1)),
-        threads=int(run.get("threads", 1)),
+        levels=rep.pop("levels", "elr"),
+        hidden_units=rep.pop("hidden_units", None),
+        level_options=rep,
+        embed_mode=sgns.pop("mode", KIND_SSKIP),
+        sgns=sgns,
+        subword=_section("subword"),
+        train=_section("train"),
+        seed=run.get("seed", 1),
+        threads=resolve_threads(run.get("threads", 1)),
     )
-    env_threads = os.environ.get("MULR_THREADS")
-    if env_threads:
-        cfg.threads = int(env_threads)
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +208,10 @@ def _meta_path(path: Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
-def _write_meta(path: Path, key: str, seed: int, extra: dict | None = None) -> None:
-    meta = {"key": key, "seed": seed}
-    if extra:
-        meta.update(extra)
+def _write_meta(path: Path, key: str, seed: int) -> None:
     _meta_path(path).write_text(
-        json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8")
+        json.dumps({"key": key, "seed": seed}, sort_keys=True,
+                   separators=(",", ":")) + "\n", encoding="utf-8")
 
 
 def _cached(path: Path, key: str) -> bool:
@@ -220,7 +254,6 @@ class PipelineRun:
         self.out = Path(cfg.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.artifacts: dict[str, Path] = {}
-        self._stage = "setup"
 
         def _setup():
             self.type_system = dataset_mod.load_type_system(cfg.hierarchy_path)
@@ -234,9 +267,10 @@ class PipelineRun:
         self._input_key = _key(
             _file_sha(cfg.corpus_path), _file_sha(cfg.dataset_path),
             _file_sha(cfg.hierarchy_path), _file_sha(cfg.notable_path))
+        self._descriptions_sha = (_file_sha(cfg.descriptions_path)
+                                  if cfg.descriptions_path else None)
 
     def _run_stage(self, name: str, fn):
-        self._stage = name
         try:
             return fn()
         except MulrError as exc:
@@ -260,71 +294,52 @@ class PipelineRun:
         protected_path = self.out / f"protected-{key}.txt"
         if _cached(tokens_path, key) and _cached(protected_path, key):
             return tokens_path, protected_path
-        annotated = corpus_mod.load_corpus(self.cfg.corpus_path)
-        exclude = frozenset(e.id for e in self.split.test)
-        stream = corpus_mod.build_three_copy_corpus(annotated, self.notable,
-                                                    exclude)
-        with tokens_path.open("w", encoding="utf-8") as fh:
-            for sent in stream:
-                fh.write(" ".join(sent) + "\n")
-        protected = sorted(set(self.notable) | set(self.notable.values())
-                           | {e.id for e in self.split.all_entities()})
-        protected_path.write_text("\n".join(protected) + "\n",
-                                  encoding="utf-8")
+        write_tokens(corpus_mod.load_corpus(self.cfg.corpus_path),
+                     self.notable, self.split, tokens_path, protected_path)
         _write_meta(tokens_path, key, self.cfg.seed)
         _write_meta(protected_path, key, self.cfg.seed)
         return tokens_path, protected_path
 
     # embeddings -----------------------------------------------------------
 
-    def _read_tokens(self, path: Path) -> list[list[str]]:
-        with path.open(encoding="utf-8") as fh:
-            return [line.split() for line in fh if line.strip()]
+    def main_store_key(self) -> str:
+        cfg = self.cfg
+        return _key("embed", self.tokens_key(), cfg.embed_mode,
+                    cfg.main_min_count(), vars(cfg.sgns_config()))
+
+    def subword_store_key(self) -> str:
+        return _key("subword", self.tokens_key(), *self.cfg.subword_counts(),
+                    vars(self.cfg.subword_config()))
 
     def build_main_store(self) -> EmbeddingStore:
         cfg = self.cfg
         sg = cfg.sgns_config()
-        min_count = cfg.sgns.get("min_count", 100)
-        key = _key("embed", self.tokens_key(), cfg.embed_mode, min_count,
-                   vars(sg))
+        key = self.main_store_key()
         path = self.out / f"{cfg.embed_mode}-{key}.vec"
         kind = KIND_SSKIP if sg.positional else KIND_SKIP
         if _cached(path, key):
             return load_embeddings(path, kind=kind)
-        tokens_path, protected_path = self.build_tokens()
-        stream = self._read_tokens(tokens_path)
-        protected = frozenset(
-            protected_path.read_text(encoding="utf-8").split())
-        vocab = build_vocabulary(stream, min_count, protected)
+        stream, vocab = read_vocabulary(*self.build_tokens(),
+                                        cfg.main_min_count())
         store = train_sgns(stream, vocab, sg)
         save_embeddings(store, path)
-        _write_meta(path, key, cfg.seed, {"mode": cfg.embed_mode})
+        _write_meta(path, key, cfg.seed)
         self.artifacts["embeddings"] = path
         return store
 
     def build_subword_store(self) -> EmbeddingStore:
         cfg = self.cfg
-        sg = cfg.subword_config()
-        min_count = cfg.subword.get(
-            "min_count", cfg.sgns.get("min_count", 100))
-        n_min = cfg.subword.get("n_min", 3)
-        n_max = cfg.subword.get("n_max", 6)
-        ngram_min = cfg.subword.get("ngram_min_count", 5)
-        key = _key("subword", self.tokens_key(), min_count, n_min, n_max,
-                   ngram_min, vars(sg))
+        min_count, n_min, n_max, ngram_min = cfg.subword_counts()
+        key = self.subword_store_key()
         path = self.out / f"subword-{key}.vec"
-        tokens_path, protected_path = self.build_tokens()
-        stream = self._read_tokens(tokens_path)
-        protected = frozenset(
-            protected_path.read_text(encoding="utf-8").split())
-        vocab = build_vocabulary(stream, min_count, protected)
+        stream, vocab = read_vocabulary(*self.build_tokens(), min_count)
         index = build_subword_index(vocab, n_min=n_min, n_max=n_max,
                                     min_count=ngram_min)
         if _cached(path, key):
             return load_embeddings(path, kind="subword", subwords=index)
-        store = train_subword_sgns(stream, vocab, index, sg)
+        store = train_subword_sgns(stream, vocab, index, cfg.subword_config())
         save_embeddings(store, path)
-        _write_meta(path, key, cfg.seed, {"mode": "subword"})
+        _write_meta(path, key, cfg.seed)
         self.artifacts["subword_embeddings"] = path
         return store
 
@@ -332,14 +347,12 @@ class PipelineRun:
 
     def build_resources(self, spec: RepresentationSpec) -> Resources:
         kinds = set(spec.kinds)
-        need_main = kinds & {"elr", "tc", "wwlr", "avg-des"}
-        need_subword = "swlr" in kinds
         word_store = entity_store = subword_store = None
-        if need_main:
+        if kinds & MAIN_STORE_KINDS:
             main = self._run_stage("embed", self.build_main_store)
             word_store = main
             entity_store = main
-        if need_subword:
+        if kinds & SUBWORD_STORE_KINDS:
             subword_store = self._run_stage("embed-subword",
                                             self.build_subword_store)
         idf = None
@@ -356,17 +369,21 @@ class PipelineRun:
 
     def model_key(self) -> str:
         cfg = self.cfg
-        return _key("model", self.tokens_key(), cfg.levels,
-                    sorted(cfg.level_options.items()), cfg.hidden_units,
-                    cfg.embed_mode, sorted(cfg.sgns.items()),
-                    sorted(cfg.subword.items()), sorted(cfg.train.items()),
-                    cfg.seed)
+        kinds = set(cfg.representation().kinds)
+        stores = {}
+        if kinds & MAIN_STORE_KINDS:
+            stores["main"] = self.main_store_key()
+        if kinds & SUBWORD_STORE_KINDS:
+            stores["subword"] = self.subword_store_key()
+        return _key("model", self._input_key, stores, self._descriptions_sha,
+                    cfg.levels, sorted(cfg.level_options.items()),
+                    cfg.hidden_units, sorted(cfg.train.items()), cfg.seed)
 
     def train_model(self):
         key = self.model_key()
         path = self.out / f"model-{key}.bin"
+        self.artifacts["model"] = path
         if _cached(path, key):
-            self.artifacts["model"] = path
             return load_model(path)
         spec = self.cfg.representation()
         resources = self.build_resources(spec)
@@ -376,9 +393,9 @@ class PipelineRun:
         self._run_stage(
             "calibrate", lambda: calibrate_thresholds(model,
                                                       list(self.split.dev)))
-        save_model(model, path, config_hash=key, seed=self.cfg.seed)
+        model.config_hash, model.seed = key, self.cfg.seed
+        save_model(model, path)
         _write_meta(path, key, self.cfg.seed)
-        self.artifacts["model"] = path
         return model
 
     # predictions ----------------------------------------------------------
@@ -386,21 +403,14 @@ class PipelineRun:
     def predict_test(self) -> Path:
         key = _key("preds", self.model_key())
         path = self.out / f"preds-{key}.tsv"
+        self.artifacts["predictions"] = path
         if _cached(path, key):
-            self.artifacts["predictions"] = path
             return path
         model = self.train_model()
-
-        def _go():
-            with path.open("w", encoding="utf-8") as fh:
-                fh.write(f"# config={key} seed={self.cfg.seed}\n")
-                for e in self.split.test:
-                    scored = predict_with_scores(model, e)
-                    cell = ",".join(f"{t}:{s:.6f}" for t, s in scored)
-                    fh.write(f"{e.id}\t{cell}\n")
-        self._run_stage("predict", _go)
+        self._run_stage("predict", lambda: write_predictions(
+            model, self.split.test, path,
+            header=f"# config={key} seed={self.cfg.seed}\n"))
         _write_meta(path, key, self.cfg.seed)
-        self.artifacts["predictions"] = path
         return path
 
     # report ---------------------------------------------------------------
@@ -425,7 +435,55 @@ class PipelineRun:
         return report
 
 
+# ---------------------------------------------------------------------------
+# stage functions shared with the CLI
+
+
+def write_tokens(annotated: corpus_mod.AnnotatedCorpus,
+                 notable: dict[str, str], split: dataset_mod.DatasetSplit,
+                 tokens_path, protected_path) -> int:
+    """Write the three-copy stream (test entities keep their surface words
+    in the type copy) and the protected tokens: notable entities and types
+    and every dataset entity. Returns the stream's sentence count."""
+    exclude = frozenset(e.id for e in split.test)
+    stream = corpus_mod.build_three_copy_corpus(annotated, notable, exclude)
+    with Path(tokens_path).open("w", encoding="utf-8") as fh:
+        for sent in stream:
+            fh.write(" ".join(sent) + "\n")
+    protected = sorted(set(notable) | set(notable.values())
+                       | {e.id for e in split.all_entities()})
+    Path(protected_path).write_text("\n".join(protected) + "\n",
+                                    encoding="utf-8")
+    return len(stream)
+
+
+def read_vocabulary(tokens_path, protected_path,
+                    min_count: int) -> tuple[list[list[str]], Vocabulary]:
+    """A token file's sentences and their vocabulary; the tokens listed in
+    ``protected_path``, when given, are kept below ``min_count``."""
+    with Path(tokens_path).open(encoding="utf-8") as fh:
+        stream = [line.split() for line in fh if line.strip()]
+    protected = frozenset()
+    if protected_path:
+        protected = frozenset(
+            Path(protected_path).read_text(encoding="utf-8").split())
+    return stream, build_vocabulary(stream, min_count, protected)
+
+
+def write_predictions(model: TyperModel, entities, path,
+                      header: str = "") -> None:
+    """One ``id<TAB>type:score,...`` line per entity after ``header``: the
+    types scoring above their thresholds, by descending score."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(header)
+        for e in entities:
+            cell = ",".join(f"{t}:{s:.6f}"
+                            for t, s in predict_with_scores(model, e))
+            fh.write(f"{e.id}\t{cell}\n")
+
+
 def read_predictions(path) -> dict[str, set]:
+    """Entity id to predicted type set, from a ``write_predictions`` file."""
     out: dict[str, set] = {}
     with Path(path).open(encoding="utf-8") as fh:
         for raw in fh:
@@ -448,18 +506,3 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[EvalReport, dict[str, Path]]:
     run = PipelineRun(cfg)
     report = run.evaluate()
     return report, dict(run.artifacts)
-
-
-def dump_features(entities, names, spec: RepresentationSpec,
-                  resources: Resources, path) -> None:
-    """Debug dump: one row per (entity, level) with the level's values."""
-    from .levels import Assembler
-    asm = Assembler(spec, resources)
-    if any(k in ("bow", "nsl") for k in spec.kinds):
-        asm.fit(list(names))
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for eid, name in zip(entities, names):
-            for lv in spec.levels:
-                vec = asm._level_vector(lv, eid, name, None)
-                values = " ".join(f"{x:.6f}" for x in vec)
-                fh.write(f"{eid}\t{lv.kind}\t{len(vec)}\t{values}\n")

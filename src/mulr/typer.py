@@ -33,7 +33,8 @@ from .errors import DataError, NumericError
 from .levels import (Assembler, CharVocab, ClrEncoder, FeatureIndexer,
                      LevelSpec, RepresentationSpec, Resources,
                      build_char_vocab, default_hidden_units)
-from .nn import AdaGrad, Dense, relu, sigmoid
+from .metrics import f1_from_counts
+from .nn import AdaGrad, Dense, bce_loss, relu, sigmoid
 
 PROVISIONAL_THRESHOLD = 0.5
 
@@ -79,6 +80,9 @@ class TyperModel:
         self.thresholds = np.full(n_types, PROVISIONAL_THRESHOLD)
         self.flags: list[str] = []
         self.dev_metric: float | None = None
+        # identity written into the model file by ``save_model``
+        self.config_hash = ""
+        self.seed = 0
         self._h_pre = None
 
     # -- parameter plumbing ------------------------------------------------
@@ -179,9 +183,7 @@ class TyperModel:
 
 def predict(model: TyperModel, entity: EntityRecord) -> set[str]:
     """Types whose probability strictly exceeds the calibrated threshold."""
-    p = model.score_entity(entity)
-    return {t for i, t in enumerate(model.type_system.types)
-            if p[i] > model.thresholds[i]}
+    return {t for t, _ in predict_with_scores(model, entity)}
 
 
 def predict_with_scores(model: TyperModel,
@@ -190,16 +192,6 @@ def predict_with_scores(model: TyperModel,
     chosen = [(t, float(p[i])) for i, t in enumerate(model.type_system.types)
               if p[i] > model.thresholds[i]]
     return sorted(chosen, key=lambda ts: (-ts[1], ts[0]))
-
-
-def _micro_f1_arrays(pred: np.ndarray, gold: np.ndarray) -> float:
-    tp = float(np.sum(pred * gold))
-    fp = float(np.sum(pred * (1.0 - gold)))
-    fn = float(np.sum((1.0 - pred) * gold))
-    denom = 2 * tp + fp + fn
-    if denom == 0.0:
-        return 1.0
-    return 2 * tp / denom
 
 
 def train_instances(split: DatasetSplit) -> list[tuple[EntityRecord, str]]:
@@ -252,16 +244,13 @@ def train(split: DatasetSplit, spec: RepresentationSpec, resources: Resources,
                               None if char_ids is None else char_ids[rows])
             p = model.forward(x)
             m = labels[rows]
-            q = np.clip(p, 1e-7, 1.0 - 1e-7)
-            epoch_loss += float(-np.sum(m * np.log(q)
-                                        + (1.0 - m) * np.log(1.0 - q)))
+            epoch_loss += bce_loss(p, m)
             model.zero_grad()
             model.backward_from_probs(p, m)
             opt.step(model.params(), model.grad_dict())
         if dev_frozen is not None:
             dev_p = model.forward(model.compose(dev_frozen, dev_ids))
-            metric = _micro_f1_arrays(
-                (dev_p > PROVISIONAL_THRESHOLD).astype(float), dev_gold)
+            metric = threshold_f1(dev_p, dev_gold, PROVISIONAL_THRESHOLD)
         else:
             metric = -epoch_loss
         if on_epoch_end is not None:
@@ -279,12 +268,12 @@ def train(split: DatasetSplit, spec: RepresentationSpec, resources: Resources,
 
 def threshold_f1(scores: np.ndarray, labels: np.ndarray,
                  theta: float) -> float:
-    """F1 of the strict-greater-than decision at ``theta`` for one type."""
+    """F1 of the strict-greater-than decision at ``theta``, pooled over
+    every score (one type's column, or a whole entity-by-type matrix)."""
     pred = scores > theta
-    tp = float(np.sum(pred * labels))
-    denom = 2 * tp + float(np.sum(pred * (1 - labels))) \
-        + float(np.sum((~pred) * labels))
-    return 2 * tp / denom if denom > 0 else 1.0
+    return f1_from_counts(float(np.sum(pred * labels)),
+                          float(np.sum(pred * (1 - labels))),
+                          float(np.sum((~pred) * labels)))
 
 
 def calibrate_from_scores(scores: np.ndarray, gold: np.ndarray,
@@ -366,8 +355,10 @@ def _store_from_meta(meta, matrix) -> EmbeddingStore | None:
                           subwords=subwords)
 
 
-def save_model(model: TyperModel, path, config_hash: str = "",
-               seed: int = 0) -> None:
+def save_model(model: TyperModel, path, config_hash: str | None = None,
+               seed: int | None = None) -> None:
+    """Write the model file; ``config_hash`` and ``seed`` default to the
+    model's own (those of the file it was loaded from, if any)."""
     res = model.resources
     arrays: dict[str, np.ndarray] = {"thresholds": model.thresholds}
     arrays.update(model.params())
@@ -379,8 +370,9 @@ def save_model(model: TyperModel, path, config_hash: str = "",
         if store is not None:
             arrays[f"store.{label}"] = store.matrix
     meta = {
-        "config_hash": config_hash,
-        "seed": seed,
+        "config_hash": model.config_hash if config_hash is None
+        else config_hash,
+        "seed": model.seed if seed is None else seed,
         "levels": [{"kind": lv.kind,
                     "options": {k: list(v) if isinstance(v, tuple) else v
                                 for k, v in sorted(lv.options.items())}}
@@ -463,4 +455,6 @@ def load_model(path) -> TyperModel:
         arr[...] = arrays[name]
     model.thresholds = arrays["thresholds"]
     model.flags = list(meta["flags"])
+    model.config_hash = meta["config_hash"]
+    model.seed = meta["seed"]
     return model

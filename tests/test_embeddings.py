@@ -110,6 +110,23 @@ class TestStoreIO:
         with pytest.raises(DataError, match=r"v\.vec: line 1"):
             load_embeddings(path)
 
+    def test_row_past_count_names_path_and_line(self, tmp_path):
+        path = tmp_path / "v.vec"
+        path.write_text("1 2\nfoo 0.1 0.2\n\nbar 0.3 0.4\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"v\.vec: line 4: row past"):
+            load_embeddings(path)
+
+    def test_trailing_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "v.vec"
+        path.write_text("1 2\nfoo 0.1 0.2\n\n\n", encoding="utf-8")
+        assert load_embeddings(path).tokens == ["foo"]
+
+    def test_duplicate_token_names_path_and_line(self, tmp_path):
+        path = tmp_path / "v.vec"
+        path.write_text("2 2\na 0.1 0.2\na 0.3 0.4\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"v\.vec: line 3: duplicate"):
+            load_embeddings(path)
+
     def test_nan_rejected(self):
         with pytest.raises(NumericError):
             EmbeddingStore(kind="skip", dim=2, tokens=["a"],

@@ -6,7 +6,7 @@ from mulr.dataset import TypeSystem
 from mulr.embeddings import EmbeddingStore
 from mulr.errors import DataError
 from mulr.levels import (Assembler, CharVocab, ClrEncoder, FeatureIndexer,
-                         LevelSpec, RepresentationSpec, Resources, assemble,
+                         LevelSpec, RepresentationSpec, Resources,
                          avg_des, bow_features, build_char_vocab, build_idf,
                          char_lookup, default_cnn_bank, default_hidden_units,
                          nsl_features, wlr)
@@ -282,7 +282,7 @@ class TestAssemble:
     def test_elr_plus_tc_dimension(self):
         res = self._resources()
         spec = RepresentationSpec.parse("elr,tc")
-        v = assemble("m.1", "alpha", spec, res)
+        v = Assembler(spec, res).frozen_vector("m.1", "alpha")
         assert v.shape == (3 + 2,)
         np.testing.assert_allclose(v[:3], [1.0, 0.0, 0.0])
         np.testing.assert_allclose(v[3:], [1.0, 0.0])
@@ -291,7 +291,7 @@ class TestAssemble:
         res = self._resources()
         spec = RepresentationSpec.parse("wwlr")
         np.testing.assert_array_equal(
-            assemble("m.1", "alpha beta", spec, res),
+            Assembler(spec, res).frozen_vector("m.1", "alpha beta"),
             wlr("alpha beta", res.word_store))
 
     def test_layout_records_order(self):
@@ -305,7 +305,7 @@ class TestAssemble:
         res = self._resources()
         spec = RepresentationSpec.parse("elr")
         with pytest.raises(DataError, match="m.404"):
-            assemble("m.404", "alpha", spec, res)
+            Assembler(spec, res).frozen_vector("m.404", "alpha")
 
     def test_dimension_is_sum_over_all_level_subsets(self):
         import itertools

@@ -1,0 +1,198 @@
+import pytest
+
+from mulr import pipeline, synthetic
+from mulr.corpus import save_corpus, save_notable
+from mulr.dataset import save_dataset, save_type_system
+from mulr.errors import DataError
+from mulr.pipeline import PipelineRun, load_config, run_pipeline
+
+INPUTS = {"corpus": "corpus.txt", "dataset": "dataset.tsv",
+          "hierarchy": "hierarchy.tsv", "notable": "notable.tsv",
+          "descriptions": "descriptions.tsv"}
+
+SECTIONS = {
+    "embeddings": {"dim": "8", "epochs": "1", "min_count": "1"},
+    "subword": {"ngram_min_count": "1"},
+    "train": {"epochs": "3", "batch_size": "16"},
+    "run": {"seed": "1"},
+}
+
+
+def write_experiment(root, seed=1, n_types=4, per_type=12):
+    """Write a tiny ``mixed`` set with descriptions under ``root``."""
+    root.mkdir(parents=True, exist_ok=True)
+    spec = synthetic.preset_spec("mixed", seed=seed, n_types=n_types,
+                                 entities_per_type=per_type)
+    spec.sentence_cap = 2
+    spec.suffix_signal = 1.0
+    spec.with_descriptions = True
+    data = synthetic.generate(spec)
+    save_corpus(data.corpus, root / INPUTS["corpus"])
+    save_dataset(data.split, root / INPUTS["dataset"])
+    save_type_system(data.type_system, root / INPUTS["hierarchy"])
+    save_notable(data.notable, root / INPUTS["notable"])
+    pipeline.save_descriptions(data.descriptions,
+                               root / INPUTS["descriptions"])
+
+
+def write_config(root, levels="elr,swlr,tc,avg-des", name="exp.ini",
+                 **overrides):
+    """Config over the files of ``write_experiment``; ``overrides`` maps a
+    section name to the keys it replaces or adds."""
+    sections = {k: dict(v) for k, v in SECTIONS.items()}
+    sections["representation"] = {"levels": levels}
+    for section, values in overrides.items():
+        sections.setdefault(section, {}).update(values)
+    lines = ["[paths]"]
+    lines += [f"{key} = {fname}" for key, fname in INPUTS.items()]
+    lines.append("out_dir = cache")
+    for section, values in sections.items():
+        lines.append(f"[{section}]")
+        lines += [f"{k} = {v}" for k, v in values.items()]
+    path = root / name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def experiment(tmp_path, monkeypatch):
+    monkeypatch.delenv("MULR_THREADS", raising=False)
+    write_experiment(tmp_path)
+    return tmp_path
+
+
+def model_key(config_path) -> str:
+    return PipelineRun(load_config(config_path)).model_key()
+
+
+class TestModelKey:
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_changes_with_each_input_file(self, experiment, name):
+        config = write_config(experiment)
+        before = model_key(config)
+        with (experiment / INPUTS[name]).open("a", encoding="utf-8") as fh:
+            fh.write("\n")
+        assert model_key(config) != before
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("embeddings", "dim", "9"),
+        ("embeddings", "mode", "skip"),
+        ("embeddings", "min_count", "2"),
+        ("subword", "n_max", "5"),
+        ("representation", "hidden_units", "7"),
+        ("representation", "levels", "elr,swlr,tc"),
+        ("train", "epochs", "4"),
+        ("run", "seed", "2"),
+        ("run", "threads", "2"),
+    ])
+    def test_changes_with_each_config_section(self, experiment, section, key,
+                                              value):
+        before = model_key(write_config(experiment))
+        after = model_key(write_config(experiment, **{section: {key: value}}))
+        assert after != before
+
+    def test_changes_with_mulr_threads(self, experiment, monkeypatch):
+        config = write_config(experiment)
+        before = model_key(config)
+        monkeypatch.setenv("MULR_THREADS", "2")
+        assert model_key(config) != before
+
+    def test_subword_section_ignored_without_swlr(self, experiment):
+        before = model_key(write_config(experiment, levels="elr"))
+        after = model_key(write_config(experiment, levels="elr",
+                                       subword={"n_max": "5", "dim": "9"}))
+        assert after == before
+
+    def test_embedding_sections_ignored_without_stores(self, experiment,
+                                                        monkeypatch):
+        before = model_key(write_config(experiment, levels="clr-cnn"))
+        monkeypatch.setenv("MULR_THREADS", "2")
+        after = model_key(write_config(experiment, levels="clr-cnn",
+                                       embeddings={"dim": "9"}))
+        assert after == before
+
+    def test_store_keys_chain_the_tokens_key(self, experiment):
+        run = PipelineRun(load_config(write_config(experiment)))
+        main, sub = run.main_store_key(), run.subword_store_key()
+        with (experiment / INPUTS["notable"]).open("a") as fh:
+            fh.write("\n")
+        rerun = PipelineRun(load_config(write_config(experiment)))
+        assert rerun.tokens_key() != run.tokens_key()
+        assert rerun.main_store_key() != main
+        assert rerun.subword_store_key() != sub
+
+
+class TestRunPipeline:
+    def test_rewritten_descriptions_retrain_the_model(self, experiment):
+        cfg = load_config(write_config(experiment))
+        _, first = run_pipeline(cfg)
+        path = experiment / INPUTS["descriptions"]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("".join(f"{ln.split(chr(9))[0]}\tnothing here\n"
+                                for ln in lines), encoding="utf-8")
+        _, second = run_pipeline(cfg)
+        assert second["model"] != first["model"]
+        assert second["model"].exists()
+
+    def test_warm_rerun_retrains_nothing(self, experiment, monkeypatch):
+        cfg = load_config(write_config(experiment))
+        _, cold = run_pipeline(cfg)
+        report = cold["report_tsv"].read_bytes()
+
+        def _fail(*args, **kwargs):
+            raise AssertionError("warm rerun recomputed an artifact")
+
+        for name in ("train", "train_sgns", "train_subword_sgns",
+                     "predict_with_scores"):
+            monkeypatch.setattr(pipeline, name, _fail)
+        monkeypatch.setattr(pipeline.corpus_mod, "build_three_copy_corpus",
+                            _fail)
+        _, warm = run_pipeline(cfg)
+        assert warm["predictions"] == cold["predictions"]
+        assert warm["report_tsv"].read_bytes() == report
+
+    def test_artifact_names(self, experiment):
+        _, artifacts = run_pipeline(load_config(write_config(experiment)))
+        for name in ("model", "predictions", "report_tsv"):
+            assert artifacts[name].exists()
+
+    def test_avg_des_without_descriptions_is_data_error(self, experiment):
+        cfg = load_config(write_config(experiment, levels="elr,avg-des"))
+        cfg.descriptions_path = None
+        with pytest.raises(DataError, match="descriptions"):
+            run_pipeline(cfg)
+
+
+class TestLoadConfig:
+    @pytest.mark.parametrize("section,key,value", [
+        ("embeddings", "dim", "ten"),
+        ("run", "threads", "one"),
+        ("run", "seed", "1.5"),
+        ("representation", "hidden_units", "x"),
+        ("representation", "widths", "2-x"),
+        ("train", "learning_rate", "fast"),
+    ])
+    def test_bad_value_names_file_and_key(self, experiment, section, key,
+                                          value):
+        config = write_config(experiment, **{section: {key: value}})
+        with pytest.raises(DataError, match=rf"exp\.ini: {section}\.{key}"):
+            load_config(config)
+
+    def test_duplicate_section_is_data_error(self, experiment):
+        config = write_config(experiment)
+        config.write_text(config.read_text() + "[run]\nseed = 2\n")
+        with pytest.raises(DataError, match="exp.ini"):
+            load_config(config)
+
+    @pytest.mark.parametrize("env,expected", [(None, 3), ("", 3), ("2", 2)])
+    def test_threads_then_environment(self, experiment, monkeypatch, env,
+                                      expected):
+        if env is not None:
+            monkeypatch.setenv("MULR_THREADS", env)
+        cfg = load_config(write_config(experiment, run={"threads": "3"}))
+        assert cfg.threads == expected
+
+    def test_bad_mulr_threads(self, experiment, monkeypatch):
+        monkeypatch.setenv("MULR_THREADS", "x")
+        with pytest.raises(DataError, match="MULR_THREADS"):
+            load_config(write_config(experiment))
