@@ -30,7 +30,7 @@ import numpy as np
 from .corpus import SubwordIndex, Vocabulary
 from .dataset import TypeSystem
 from .errors import DataError, NumericError
-from .nn import sigmoid
+from .nn import scatter_add, sigmoid
 
 KIND_SKIP = "skip"
 KIND_SSKIP = "sskip"
@@ -97,6 +97,17 @@ class EmbeddingStore:
     def get(self, token: str) -> np.ndarray | None:
         i = self.index.get(token)
         return None if i is None else self.matrix[i]
+
+    def rows(self, tokens, label: str) -> np.ndarray:
+        """Matrix row of each token; a missing one is a ``DataError`` that
+        names it as a ``label``."""
+        out = np.empty(len(tokens), dtype=np.int64)
+        for k, token in enumerate(tokens):
+            i = self.index.get(token)
+            if i is None:
+                raise DataError(f"no {label} embedding for {token!r}")
+            out[k] = i
+        return out
 
     def word_vector(self, word: str, flags: list[str] | None = None) -> np.ndarray | None:
         """Vector for a word; subword stores compose it from ngram pieces.
@@ -173,19 +184,24 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
+def type_cosine_matrix(entity_ids, store: EmbeddingStore,
+                       ts: TypeSystem) -> np.ndarray:
+    """Cosine of each entity vector against every type vector: one row per
+    entity, one column per type in type order. Zero vectors give 0."""
+    entities = _unit_rows(store.matrix[store.rows(entity_ids, "entity")])
+    types = _unit_rows(store.matrix[store.rows(ts.types, "type")])
+    return np.clip(entities @ types.T, -1.0, 1.0)
+
+
 def type_cosine_vector(entity_id: str, store: EmbeddingStore,
                        ts: TypeSystem) -> np.ndarray:
     """Cosine of the entity vector against every type vector, in type order."""
-    ev = store.get(entity_id)
-    if ev is None:
-        raise DataError(f"no embedding for entity {entity_id!r}")
-    out = np.empty(len(ts))
-    for i, t in enumerate(ts.types):
-        tv = store.get(t)
-        if tv is None:
-            raise DataError(f"no embedding for type {t!r}")
-        out[i] = cosine(ev, tv)
-    return out
+    return type_cosine_matrix([entity_id], store, ts)[0]
+
+
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    return np.divide(m, norms, out=np.zeros_like(m), where=norms > 0.0)
 
 
 def _unigram_table(vocab: Vocabulary, size: int) -> np.ndarray:
@@ -200,19 +216,6 @@ def _unigram_table(vocab: Vocabulary, size: int) -> np.ndarray:
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -x)
-
-
-def _scatter_add(table: np.ndarray, rows: np.ndarray,
-                 vals: np.ndarray) -> None:
-    """``table[rows] += vals`` with the updates of repeated rows summed.
-
-    Time and memory grow with the batch, not with the table.
-    """
-    dim = table.shape[1]
-    uniq, inv = np.unique(rows, return_inverse=True)
-    flat = (inv[:, None] * dim + np.arange(dim)).ravel()
-    sums = np.bincount(flat, weights=vals.ravel(), minlength=uniq.size * dim)
-    table[uniq] += sums.reshape(-1, dim)
 
 
 class _Composer:
@@ -244,11 +247,11 @@ class _Composer:
 
     def backward(self, centers: np.ndarray, dv: np.ndarray, cache) -> None:
         if self.indptr is None:
-            _scatter_add(self.w_in, centers, dv)
+            scatter_add(self.w_in, centers, dv)
             return
         flat, lengths = cache
-        _scatter_add(self.w_in, flat,
-                     np.repeat(dv / lengths[:, None], lengths, axis=0))
+        scatter_add(self.w_in, flat,
+                    np.repeat(dv / lengths[:, None], lengths, axis=0))
 
 
 class _SgnsState:
@@ -394,7 +397,7 @@ def _train_chunk(tok: np.ndarray, sent: np.ndarray, state: _SgnsState,
         vals = np.concatenate([g_pos[:, None] * v,
                                (g_neg[:, :, None] * v[:, None, :])
                                .reshape(-1, dim)])
-        _scatter_add(w_out, rows, vals)
+        scatter_add(w_out, rows, vals)
         state.composer.backward(c, dv, cache)
     losses.append(loss_sum)
 

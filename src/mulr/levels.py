@@ -28,9 +28,9 @@ import numpy as np
 
 from .corpus import SubwordIndex
 from .dataset import TypeSystem, name_words
-from .embeddings import EmbeddingStore, type_cosine_vector
+from .embeddings import EmbeddingStore, type_cosine_matrix
 from .errors import DataError, NumericError
-from .nn import ConvMaxPool, Lstm
+from .nn import ConvMaxPool, Lstm, scatter_add
 
 DEFAULT_PADDED_LENGTH = 40
 DEFAULT_TOP_K_DESCRIPTION_WORDS = 20
@@ -291,8 +291,8 @@ class ClrEncoder:
             dE = dxs_rev[:, ::-1]
             dE_fwd, _ = self.net.backward(dout[:, :h] + dh0)
             dE = dE + dE_fwd
-        np.add.at(self.grads["char_table"], ids.reshape(-1),
-                  dE.reshape(-1, self.char_dim))
+        scatter_add(self.grads["char_table"], ids.reshape(-1),
+                    dE.reshape(-1, self.char_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -542,34 +542,51 @@ class Assembler:
 
     def frozen_vector(self, entity_id: str, name: str,
                       flags: list[str] | None = None) -> np.ndarray:
-        """Concatenation of all frozen levels; character levels contribute
-        a zero slice to keep the layout stable."""
+        """One instance's row of ``frozen_matrix``."""
+        return self.frozen_matrix([(entity_id, name)], flags)[0]
+
+    def frozen_matrix(self, instances,
+                      flags: list[str] | None = None) -> np.ndarray:
+        """Concatenation of all frozen levels, one row per (entity id, name)
+        instance; character levels take no columns, the typer inserts the
+        encoder output there.
+
+        ``elr`` and ``tc`` are built as blocks over all instances; the
+        per-name levels run in one instance-major loop, so ``flags`` gets
+        their notes in instance order, levels in spec order within each.
+        """
         if not self._fitted:
             raise DataError("assembler not fitted on training names")
-        parts = []
-        for lv in self.spec.levels:
-            parts.append(self._level_vector(lv, entity_id, name, flags))
-        return np.concatenate(parts)
+        dims = [self.level_dim(lv, clr_dim=0) for lv in self.spec.levels]
+        offsets = np.cumsum([0] + dims)
+        out = np.empty((len(instances), offsets[-1]))
+        ids = [eid for eid, _ in instances]
+        per_name = []
+        for lv, lo, hi in zip(self.spec.levels, offsets[:-1], offsets[1:]):
+            if lv.kind in ("elr", "tc"):
+                out[:, lo:hi] = self._entity_block(lv.kind, ids)
+            elif lv.kind not in CLR_KINDS:
+                per_name.append((lv, lo, hi))
+        for row, (eid, name) in enumerate(instances):
+            for lv, lo, hi in per_name:
+                out[row, lo:hi] = self._level_vector(lv, eid, name, flags)
+        return out
+
+    def _entity_block(self, kind: str, entity_ids: list[str]) -> np.ndarray:
+        store = self._require(self.resources.entity_store, "entity")
+        if kind == "elr":
+            return store.matrix[store.rows(entity_ids, "entity")]
+        return type_cosine_matrix(entity_ids, store,
+                                  self.resources.type_system)
 
     def _level_vector(self, lv: LevelSpec, entity_id: str, name: str,
                       flags: list[str] | None) -> np.ndarray:
         kind = lv.kind
         res = self.resources
-        if kind in CLR_KINDS:
-            return np.zeros(0)  # filled by the trainable encoder
         if kind == "wwlr":
             return wlr(name, self._require(res.word_store, "word"), flags)
         if kind == "swlr":
             return wlr(name, self._require(res.subword_store, "subword"), flags)
-        if kind == "elr":
-            store = self._require(res.entity_store, "entity")
-            v = store.get(entity_id)
-            if v is None:
-                raise DataError(f"no entity embedding for {entity_id!r}")
-            return v
-        if kind == "tc":
-            store = self._require(res.entity_store, "entity")
-            return type_cosine_vector(entity_id, store, res.type_system)
         if kind == "avg-des":
             store = self._require(res.word_store, "word")
             desc = (res.descriptions or {}).get(entity_id)

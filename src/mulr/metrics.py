@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dataset import DatasetSplit, EntityRecord, TypeSystem, slice_entities
 from .errors import DataError
 
@@ -28,9 +30,15 @@ def _check_aligned(preds, golds):
         raise DataError(f"misaligned predictions: {len(preds)} vs {len(golds)}")
 
 
-def f1_from_counts(tp, fp, fn) -> float:
-    """F1 as ``2tp / (2tp + fp + fn)``; 1.0 when there are no decisions."""
+def f1_from_counts(tp, fp, fn):
+    """F1 as ``2tp / (2tp + fp + fn)``; 1.0 when there are no decisions.
+
+    Counts are numbers, or equal-shape arrays for elementwise F1.
+    """
     denom = 2 * tp + fp + fn
+    if np.ndim(denom):
+        return np.divide(2 * tp, denom, out=np.ones(np.shape(denom)),
+                         where=denom != 0)
     return 2 * tp / denom if denom else 1.0
 
 

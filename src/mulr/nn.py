@@ -39,6 +39,19 @@ def bce_loss(p: np.ndarray, m: np.ndarray) -> float:
     return float(-np.sum(m * np.log(q) + (1.0 - m) * np.log(1.0 - q)))
 
 
+def scatter_add(table: np.ndarray, rows: np.ndarray,
+                vals: np.ndarray) -> None:
+    """``table[rows] += vals`` with the updates of repeated rows summed.
+
+    Time and memory grow with the batch, not with the table.
+    """
+    dim = table.shape[1]
+    uniq, inv = np.unique(rows, return_inverse=True)
+    flat = (inv[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(flat, weights=vals.ravel(), minlength=uniq.size * dim)
+    table[uniq] += sums.reshape(-1, dim)
+
+
 def _uniform(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
 
@@ -144,7 +157,7 @@ class ConvMaxPool:
                            for w, _ in self.widths})
 
     def forward(self, C: np.ndarray) -> np.ndarray:
-        C = np.asarray(C, dtype=float)
+        C = np.ascontiguousarray(C, dtype=float)
         squeeze = C.ndim == 2
         if squeeze:
             C = C[None]
@@ -153,17 +166,24 @@ class ConvMaxPool:
                                f"widest filter {self.max_width}")
         if C.shape[2] != self.d_in:
             raise NumericError(f"expected row size {self.d_in}, got {C.shape[2]}")
+        B, l, d = C.shape
         pooled = []
         cache = {"C_shape": C.shape, "per_width": {}}
-        for w, _ in self.widths:
+        for w, count in self.widths:
+            # im2col: cols[b, p, k * d + j] = C[b, p + k, j], a view of C
             windows = np.lib.stride_tricks.sliding_window_view(C, w, axis=1)
-            # windows[b, p, d, k] = C[b, p + k, d]
-            pre = np.einsum("bpdk,fkd->bpf", windows, self.filters[w])
-            pre += self.biases[w]
-            act = relu(pre)
-            arg = act.argmax(axis=1)
-            pooled.append(np.take_along_axis(act, arg[:, None, :], axis=1)[:, 0, :])
-            cache["per_width"][w] = (windows, pre, arg)
+            P = l - w + 1
+            cols = windows.swapaxes(2, 3).reshape(B, P, w * d)
+            H = self.filters[w].reshape(count, w * d)
+            # filter-major (count, B, P), so pooling reduces a contiguous axis
+            pre_t = (H @ cols.reshape(B * P, w * d).T).reshape(count, B, P)
+            pre_t += self.biases[w][:, None, None]
+            # first position of the largest preactivation; the rectifier is
+            # monotone, so this is also where the pooled activation sits
+            arg = pre_t.argmax(axis=2)
+            top = np.take_along_axis(pre_t, arg[:, :, None], axis=2)[:, :, 0]
+            pooled.append(relu(top).T)
+            cache["per_width"][w] = (cols, pre_t.transpose(1, 2, 0), arg.T)
         self._cache = cache
         out = np.concatenate(pooled, axis=1)
         return out[0] if squeeze else out
@@ -176,20 +196,25 @@ class ConvMaxPool:
         B, l, d = cache["C_shape"]
         dC = np.zeros((B, l, d))
         col = 0
-        rows = np.arange(B)[:, None]
         for w, count in self.widths:
-            windows, pre, arg = cache["per_width"][w]
-            g = dout[:, col:col + count]
+            cols, pre, arg = cache["per_width"][w]
+            P = pre.shape[1]
+            g = dout[:, col:col + count].T
             col += count
-            picked = np.take_along_axis(pre, arg[:, None, :], axis=1)[:, 0, :]
-            g = g * (picked > 0.0)
-            sel = windows[rows, arg]                      # (B, F, d, w)
-            self.grads[f"H{w}"] += np.einsum("bf,bfdk->fkd", g, sel)
-            self.grads[f"b{w}"] += g.sum(axis=0)
-            # scatter g * H back onto the argmax window rows
-            contrib = g[:, :, None, None] * self.filters[w][None]  # (B,F,w,d)
-            row_idx = arg[:, :, None] + np.arange(w)[None, None, :]
-            np.add.at(dC, (np.arange(B)[:, None, None], row_idx), contrib)
+            # filter-major again, as forward computed them
+            pre_t, arg_t = pre.transpose(2, 0, 1), arg.T[:, :, None]
+            g = g * (np.take_along_axis(pre_t, arg_t, axis=2)[:, :, 0] > 0.0)
+            # the pooled gradient lands on each filter's argmax position
+            G = np.zeros((count, B, P))
+            np.put_along_axis(G, arg_t, g[:, :, None], axis=2)
+            G = G.reshape(count, B * P)
+            H = self.filters[w].reshape(count, w * d)
+            self.grads[f"H{w}"] += (G @ cols.reshape(B * P, w * d)
+                                    ).reshape(count, w, d)
+            self.grads[f"b{w}"] += g.sum(axis=1)
+            dcols = (G.T @ H).reshape(B, P, w, d)
+            for k in range(w):
+                dC[:, k:k + P] += dcols[:, :, k]
         return dC[0] if squeeze else dC
 
 

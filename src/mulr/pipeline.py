@@ -379,10 +379,12 @@ class PipelineRun:
                     cfg.levels, sorted(cfg.level_options.items()),
                     cfg.hidden_units, sorted(cfg.train.items()), cfg.seed)
 
+    def model_path(self) -> Path:
+        return self.out / f"model-{self.model_key()}.bin"
+
     def train_model(self):
         key = self.model_key()
-        path = self.out / f"model-{key}.bin"
-        self.artifacts["model"] = path
+        path = self.artifacts["model"] = self.model_path()
         if _cached(path, key):
             return load_model(path)
         spec = self.cfg.representation()
@@ -405,6 +407,8 @@ class PipelineRun:
         path = self.out / f"preds-{key}.tsv"
         self.artifacts["predictions"] = path
         if _cached(path, key):
+            # named, not loaded: a warm run needs only the predictions
+            self.artifacts["model"] = self.model_path()
             return path
         model = self.train_model()
         self._run_stage("predict", lambda: write_predictions(
@@ -474,11 +478,12 @@ def write_predictions(model: TyperModel, entities, path,
                       header: str = "") -> None:
     """One ``id<TAB>type:score,...`` line per entity after ``header``: the
     types scoring above their thresholds, by descending score."""
+    entities = list(entities)
+    scored = predict_with_scores(model, entities)
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(header)
-        for e in entities:
-            cell = ",".join(f"{t}:{s:.6f}"
-                            for t, s in predict_with_scores(model, e))
+        for e, chosen in zip(entities, scored):
+            cell = ",".join(f"{t}:{s:.6f}" for t, s in chosen)
             fh.write(f"{e.id}\t{cell}\n")
 
 

@@ -63,6 +63,10 @@ class SyntheticSpec:
     patterns: tuple[TypePattern, ...] | None = None
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        """``DataError`` unless every size and fraction is in range."""
         if self.n_types < 1 or self.entities_per_type < 1:
             raise DataError("need at least one type and one entity per type")
         if self.sentence_cap < 1:
@@ -145,6 +149,7 @@ def _validate_patterns(patterns) -> None:
 
 def generate(spec: SyntheticSpec) -> SyntheticData:
     """Build corpus, dataset split, type system and notable-type mapping."""
+    spec.validate()  # fields may have been set after construction
     rng = np.random.default_rng(spec.seed)
     patterns = spec.patterns or _default_patterns(spec, rng)
     if len(patterns) != spec.n_types:

@@ -3,11 +3,12 @@ import pytest
 
 from mulr.corpus import build_subword_index, build_vocabulary
 from mulr.dataset import TypeSystem
-from mulr.embeddings import (EmbeddingStore, SgnsConfig, _scatter_add,
-                             _SgnsState, cosine, iter_context_pairs,
-                             load_embeddings, save_embeddings, train_sgns,
-                             train_subword_sgns, type_cosine_vector)
+from mulr.embeddings import (EmbeddingStore, SgnsConfig, _SgnsState, cosine,
+                             iter_context_pairs, load_embeddings,
+                             save_embeddings, train_sgns, train_subword_sgns,
+                             type_cosine_matrix, type_cosine_vector)
 from mulr.errors import DataError, NumericError
+from mulr.nn import scatter_add
 from mulr.synthetic import generate_order_corpus, linear_probe_accuracy
 
 
@@ -67,6 +68,42 @@ class TestTypeCosine:
         ts = TypeSystem(types=("t1", "t2"), parent={})
         np.testing.assert_allclose(type_cosine_vector("m.1", store, ts),
                                    [0.0, 0.0])
+
+
+class TestTypeCosineMatrix:
+    """The entity-by-type block against the scalar ``cosine``."""
+
+    @staticmethod
+    def _store():
+        rng = np.random.default_rng(8)
+        tokens = ["m.0", "m.1", "m.zero", "t1", "t2", "t3"]
+        matrix = rng.normal(size=(len(tokens), 5))
+        matrix[2] = 0.0  # a zero entity vector
+        matrix[4] = -3.0 * matrix[0]  # an antipodal type
+        return EmbeddingStore(kind="skip", dim=5, tokens=tokens,
+                              matrix=matrix)
+
+    def test_matches_scalar_cosine(self):
+        store = self._store()
+        ts = TypeSystem(types=("t1", "t2", "t3"), parent={})
+        ids = ["m.0", "m.zero", "m.1", "m.0"]
+        got = type_cosine_matrix(ids, store, ts)
+        expected = [[cosine(store.get(e), store.get(t)) for t in ts.types]
+                    for e in ids]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        assert np.all(got[1] == 0.0)
+        assert np.all(np.abs(got) <= 1.0)
+        np.testing.assert_allclose(type_cosine_vector("m.1", store, ts),
+                                   got[2], rtol=0, atol=1e-12)
+
+    def test_missing_type_errors_with_name(self):
+        ts = TypeSystem(types=("t1", "t9"), parent={})
+        with pytest.raises(DataError, match="t9"):
+            type_cosine_matrix(["m.0"], self._store(), ts)
+
+    def test_no_entities_gives_empty_rows(self):
+        ts = TypeSystem(types=("t1", "t2"), parent={})
+        assert type_cosine_matrix([], self._store(), ts).shape == (0, 2)
 
 
 class TestStoreIO:
@@ -222,7 +259,7 @@ class TestScatterAdd:
         vals = rng.normal(size=(rows.size, dim))
         expected = table.copy()
         np.add.at(expected, rows, vals)
-        _scatter_add(table, rows, vals)
+        scatter_add(table, rows, vals)
         np.testing.assert_allclose(table, expected, rtol=1e-12, atol=0)
 
     def test_zipf_rows_with_repeats(self):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from numpy.lib.stride_tricks import sliding_window_view
+
 from mulr.errors import NumericError
 from mulr.nn import (AdaGrad, ConvMaxPool, Dense, Lstm, bce_loss, grad_check,
                      relu, sigmoid)
@@ -75,6 +77,67 @@ class TestConvMaxPool:
         net = ConvMaxPool([(4, 1)], d_in=2, rng=rng)
         with pytest.raises(NumericError, match="shorter"):
             net.forward(np.ones((3, 2)))
+
+
+def conv_reference(net: ConvMaxPool, C: np.ndarray, dout: np.ndarray):
+    """The einsum forward and the einsum / ``np.add.at`` backward that the
+    im2col kernel replaced: (output, parameter gradients, input gradient)."""
+    B, l, d = C.shape
+    pooled, grads = [], {}
+    dC = np.zeros_like(C)
+    col = 0
+    rows = np.arange(B)[:, None]
+    for w, count in net.widths:
+        windows = sliding_window_view(C, w, axis=1)
+        # windows[b, p, d, k] = C[b, p + k, d]
+        pre = np.einsum("bpdk,fkd->bpf", windows, net.filters[w])
+        pre += net.biases[w]
+        act = relu(pre)
+        arg = act.argmax(axis=1)
+        pooled.append(np.take_along_axis(act, arg[:, None, :], axis=1)[:, 0, :])
+        g = dout[:, col:col + count]
+        col += count
+        picked = np.take_along_axis(pre, arg[:, None, :], axis=1)[:, 0, :]
+        g = g * (picked > 0.0)
+        sel = windows[rows, arg]                      # (B, F, d, w)
+        grads[f"H{w}"] = np.einsum("bf,bfdk->fkd", g, sel)
+        grads[f"b{w}"] = g.sum(axis=0)
+        contrib = g[:, :, None, None] * net.filters[w][None]  # (B,F,w,d)
+        row_idx = arg[:, :, None] + np.arange(w)[None, None, :]
+        np.add.at(dC, (np.arange(B)[:, None, None], row_idx), contrib)
+    return np.concatenate(pooled, axis=1), grads, dC
+
+
+class TestConvMaxPoolReference:
+    @pytest.mark.parametrize("case", ["random", "padded", "dead filters"])
+    def test_forward_and_backward_match_einsum_oracle(self, case):
+        rng = np.random.default_rng(21)
+        net = ConvMaxPool([(1, 3), (2, 4), (3, 2), (5, 3)], d_in=4, rng=rng)
+        C = rng.normal(size=(6, 9, 4))
+        if case == "padded":
+            C[:, 5:] = C[0, 0]  # identical trailing rows tie positions
+        if case == "dead filters":
+            for w, _ in net.widths:
+                net.biases[w][0] = -50.0  # no positive preactivation
+        dout = rng.normal(size=(6, net.out_dim))
+        ref_out, ref_grads, ref_dC = conv_reference(net, C, dout)
+        out = net.forward(C)
+        net.zero_grad()
+        dC = net.backward(dout)
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dC, ref_dC, rtol=0, atol=1e-12)
+        for name, g in ref_grads.items():
+            np.testing.assert_allclose(net.grads[name], g, rtol=0,
+                                       atol=1e-12)
+
+    def test_unbatched_input_is_one_row(self):
+        rng = np.random.default_rng(22)
+        net = ConvMaxPool([(2, 3), (4, 2)], d_in=3, rng=rng)
+        C = rng.normal(size=(7, 3))
+        dout = rng.normal(size=net.out_dim)
+        ref_out, _, ref_dC = conv_reference(net, C[None], dout[None])
+        np.testing.assert_allclose(net.forward(C), ref_out[0], atol=1e-12)
+        np.testing.assert_allclose(net.backward(dout), ref_dC[0], atol=1e-12)
 
 
 class TestLstm:

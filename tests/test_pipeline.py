@@ -148,6 +148,7 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline.corpus_mod, "build_three_copy_corpus",
                             _fail)
         _, warm = run_pipeline(cfg)
+        assert warm["model"] == cold["model"]
         assert warm["predictions"] == cold["predictions"]
         assert warm["report_tsv"].read_bytes() == report
 

@@ -1,17 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from mulr.corpus import build_subword_index, build_vocabulary
 from mulr.dataset import DatasetSplit, EntityRecord, TypeSystem
-from mulr.embeddings import EmbeddingStore
+from mulr.embeddings import EmbeddingStore, SgnsConfig, train_subword_sgns
 from mulr.errors import DataError
-from mulr.levels import (Assembler, LevelSpec, RepresentationSpec, Resources,
-                         default_hidden_units)
+from mulr.levels import (Assembler, ClrEncoder, LevelSpec,
+                         RepresentationSpec, Resources, avg_des,
+                         build_char_vocab, build_idf, default_hidden_units,
+                         wlr)
 from mulr.nn import grad_check, relu
-from mulr.typer import (TrainConfig, TyperModel, calibrate_from_scores,
-                        calibrate_thresholds, load_model, predict,
-                        predict_with_scores, save_model, threshold_f1, train)
+from mulr.typer import (SCORE_BATCH, TrainConfig, TyperModel,
+                        calibrate_from_scores, calibrate_thresholds,
+                        load_model, predict, predict_with_scores, save_model,
+                        threshold_f1, train)
 
 
 def indicator_problem(n_per_type=12, dim=6, noise=0.05, seed=0,
@@ -159,6 +164,94 @@ class TestTraining:
         assert sum(1 for e, _ in insts if e.id == multi.id) == 3
 
 
+def instance_names(n):
+    """Distinct multi-word names over a small alphabet."""
+    rng = np.random.default_rng(6)
+    words = ["alpha", "beta", "gamma", "delta", "eps", "zq", "xy"]
+    return [" ".join(rng.choice(words, size=1 + i % 3)) + f" n{i}"
+            for i in range(n)]
+
+
+def subword_resources(res, names):
+    sentences = [name.split() for name in names]
+    vocab = build_vocabulary(sentences, 1)
+    index = build_subword_index(vocab, n_min=2, n_max=3, min_count=1)
+    cfg = SgnsConfig(dim=6, negatives=2, window=1, epochs=1,
+                     learning_rate=0.05, seed=0, table_size=1000,
+                     batch_pairs=8)
+    store = train_subword_sgns(sentences, vocab, index, cfg)
+    return dataclasses.replace(res, subword_store=store)
+
+
+def untrained_model(spec, res, names, hidden=7):
+    rng = np.random.default_rng(3)
+    asm = Assembler(spec, res).fit(names)
+    clr = None
+    if spec.clr_level is not None:
+        clr = ClrEncoder(spec.clr_level, build_char_vocab(names, 1), rng,
+                         combo_kinds=spec.kinds)
+    return TyperModel(spec, res, asm, clr, hidden, rng)
+
+
+CLR_OPTIONS = {"padded_len": 12, "char_dim": 4, "widths": (1, 3),
+               "feature_maps": 3, "hidden_dim": 5}
+
+
+class TestScoresFor:
+    """Chunked scoring against one instance per forward pass."""
+
+    @pytest.mark.parametrize("levels", [
+        "elr,clr-forward,tc", "elr,clr-cnn,tc", "elr,clr-lstm,tc",
+        "elr,clr-bilstm,tc", "swlr", "nsl"])
+    def test_chunks_match_row_by_row(self, levels):
+        split, res = indicator_problem()
+        entities = split.all_entities()
+        names = instance_names(SCORE_BATCH + 21)
+        insts = [(entities[i % len(entities)].id, name)
+                 for i, name in enumerate(names)]
+        if levels == "swlr":
+            res = subword_resources(res, names)
+        model = untrained_model(RepresentationSpec.parse(levels, CLR_OPTIONS),
+                                res, names)
+        batched = model.scores_for(insts)
+        rows = np.vstack([model.scores_for([inst]) for inst in insts])
+        assert batched.shape == (len(insts), len(res.type_system))
+        np.testing.assert_allclose(batched, rows, rtol=0, atol=1e-12)
+
+    def test_no_instances_give_no_rows(self):
+        split, res = indicator_problem()
+        model = untrained_model(
+            RepresentationSpec.parse("elr,clr-cnn,tc", CLR_OPTIONS), res,
+            ["abc"])
+        assert model.scores_for([]).shape == (0, 2)
+        assert predict_with_scores(model, []) == []
+
+    def test_flags_in_instance_order(self):
+        """``swlr,avg-des`` notes match the per-instance level loop."""
+        split, res = indicator_problem()
+        names = ["alpha beta", "qqq", "gamma", "qq qqq", "beta"]
+        res = subword_resources(res, ["alpha beta gamma"] * 3)
+        entities = split.all_entities()
+        descriptions = {entities[0].id: ["ta", "tb", "ta"],
+                        entities[2].id: ["nothing", "usable"]}
+        res = dataclasses.replace(res, descriptions=descriptions,
+                                  idf=build_idf(descriptions))
+        insts = [(entities[i].id, name) for i, name in enumerate(names)]
+        model = untrained_model(RepresentationSpec.parse("swlr,avg-des"),
+                                res, names)
+        model.frozen_matrix(insts)
+        expected = []
+        for eid, name in insts:
+            wlr(name, res.subword_store, expected)
+            if eid in descriptions:
+                avg_des(descriptions[eid], res.idf, res.word_store,
+                        flags=expected)
+            else:
+                expected.append(f"no description for {eid!r}")
+        assert model.flags == expected
+        assert len(expected) == 6
+
+
 def _pool_margins_ok(net, margin=1e-3):
     """True when no max-pool decision can flip under a tiny perturbation.
 
@@ -254,6 +347,27 @@ def brute_force_best_f1(scores, labels):
     return best
 
 
+def calibrate_reference(scores, gold):
+    """The per-candidate loop the sweep replaced: ascending midpoint
+    candidates, then 0.5, each scored by ``threshold_f1``; the first
+    maximizer wins."""
+    thresholds = np.full(scores.shape[1], 0.5)
+    for t in range(scores.shape[1]):
+        y = gold[:, t]
+        if y.sum() == 0:
+            continue
+        s = scores[:, t]
+        edges = np.concatenate([[0.0], np.unique(s), [1.0]])
+        candidates = list((edges[:-1] + edges[1:]) / 2.0) + [0.5]
+        best_f1, best_theta = -1.0, 0.5
+        for theta in candidates:
+            f1 = threshold_f1(s, y, theta)
+            if f1 > best_f1:
+                best_f1, best_theta = f1, theta
+        thresholds[t] = best_theta
+    return thresholds
+
+
 class TestCalibration:
     def test_fixture_midpoint_55(self):
         scores = np.array([[0.9], [0.8], [0.3]])
@@ -289,6 +403,34 @@ class TestCalibration:
             assert achieved == pytest.approx(
                 brute_force_best_f1(scores[:, 0], gold[:, 0]))
 
+    @pytest.mark.parametrize("scores,gold", [
+        # tied scores, across and within classes, with 0 and 1 present
+        ([[0.7, 0.2], [0.7, 0.2], [0.3, 0.9], [0.3, 0.0], [0.9, 1.0],
+          [0.3, 0.2]],
+         [[1, 0], [0, 1], [1, 1], [0, 0], [1, 1], [1, 0]]),
+        # a score of exactly 0.5
+        ([[0.5, 0.5], [0.5, 0.2], [0.2, 0.8], [0.8, 0.5]],
+         [[1, 0], [1, 1], [0, 1], [1, 0]]),
+        # all scores equal
+        ([[0.4, 0.5, 0.6]] * 5,
+         [[1, 0, 1], [0, 1, 1], [1, 0, 1], [0, 0, 1], [0, 1, 1]]),
+    ], ids=["ties", "exactly-half", "all-equal"])
+    def test_matches_reference_loop_on_edge_cases(self, scores, gold):
+        scores = np.array(scores, dtype=float)
+        gold = np.array(gold, dtype=float)
+        np.testing.assert_array_equal(calibrate_from_scores(scores, gold),
+                                      calibrate_reference(scores, gold))
+
+    def test_matches_reference_loop_on_random_ties(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n = int(rng.integers(1, 50))
+            scores = np.round(rng.random((n, 3)), 1)
+            gold = (rng.random((n, 3)) < 0.4).astype(float)
+            np.testing.assert_array_equal(
+                calibrate_from_scores(scores, gold),
+                calibrate_reference(scores, gold))
+
     def test_calibrated_at_least_fixed_half(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -316,7 +458,8 @@ class TestPredict:
         asm = Assembler(spec, res).fit(["x"])
         model = TyperModel(spec, res, asm, None, 2, np.random.default_rng(0))
         model.thresholds = np.asarray(thresholds, dtype=float)
-        model.score_entity = lambda e: np.asarray(scores, dtype=float)
+        model.scores_for = lambda insts: np.tile(
+            np.asarray(scores, dtype=float), (len(insts), 1))
         return model
 
     def test_all_half_scores_predict_nothing(self):
@@ -339,8 +482,8 @@ class TestPredict:
     def test_scores_sorted_descending(self):
         model = self._model_with_scores([0.7, 0.9], [0.5, 0.5])
         e = EntityRecord(id="m.0", names=("x",), gold_types=frozenset())
-        scored = predict_with_scores(model, e)
-        assert [t for t, _ in scored] == ["tb", "ta"]
+        scored = predict_with_scores(model, [e, e])
+        assert scored == [[("tb", 0.9), ("ta", 0.7)]] * 2
 
 
 class TestSerialization:
@@ -358,9 +501,10 @@ class TestSerialization:
         path = tmp_path / "model.bin"
         save_model(model, path, config_hash="abc", seed=1)
         loaded = load_model(path)
+        pairs = [(e.id, e.names[0]) for e in split.test]
+        np.testing.assert_allclose(loaded.scores_for(pairs),
+                                   model.scores_for(pairs), atol=1e-12)
         for e in split.test:
-            np.testing.assert_allclose(loaded.score_entity(e),
-                                       model.score_entity(e), atol=1e-12)
             assert predict(loaded, e) == predict(model, e)
 
     def test_save_is_deterministic(self, tmp_path):
