@@ -15,12 +15,11 @@ from .corpus import (AnnotatedCorpus, Mention, SubwordIndex, Vocabulary,
                      build_subword_index, build_three_copy_corpus,
                      build_vocabulary, extract_subwords, tokenize)
 from .embeddings import (EmbeddingStore, SgnsConfig, cosine, load_embeddings,
-                         save_embeddings, train_sgns, train_subword_sgns,
-                         type_cosine_vector)
+                         save_embeddings, train_sgns, train_subword_sgns)
 from .levels import (Assembler, LevelSpec, RepresentationSpec, Resources,
                      avg_des, bow_features, build_idf, nsl_features, wlr)
 from .typer import (TrainConfig, TyperModel, calibrate_thresholds, load_model,
-                    predict, save_model, train)
+                    predict_with_scores, save_model, train)
 from .metrics import (EvalReport, build_report, entity_macro_f1,
                       equal_proportions_test, micro_f1, strict_accuracy,
                       type_macro_f1)

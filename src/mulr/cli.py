@@ -16,7 +16,7 @@ from . import dataset as dataset_mod
 from .embeddings import (SgnsConfig, save_embeddings, train_sgns,
                          train_subword_sgns)
 from .corpus import build_subword_index
-from .errors import DataError, MulrError, NumericError
+from .errors import DataError, MulrError, NumericError, ParseError
 from .metrics import build_report, significance_matrix
 from .pipeline import (PipelineRun, load_config, read_predictions,
                        read_vocabulary, resolve_threads, run_pipeline,
@@ -159,26 +159,48 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    results = []
-    for path in args.reports:
-        rows = {}
-        counts = {}
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
-            if not raw.strip() or raw.startswith("#"):
-                continue
-            sl, metric, value = raw.split("\t")
+def _read_report(path) -> tuple[dict, dict]:
+    """(metric values, counts) from a report TSV of ``mulr evaluate``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    rows = {}
+    counts = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip() or raw.startswith("#"):
+            continue
+        fields = raw.split("\t")
+        if len(fields) != 3:
+            raise ParseError(path, line_no,
+                             f"{len(fields)} tab-separated fields, expected 3")
+        sl, metric, value = fields
+        try:
             if metric == "count":
                 counts[sl] = int(value)
             elif metric == "correct_count":
                 counts["__correct"] = int(value)
             else:
                 rows[(sl, metric)] = float(value)
+        except ValueError:
+            raise ParseError(path, line_no,
+                             f"non-numeric value {value!r}") from None
+    return rows, counts
+
+
+def _cmd_report(args) -> int:
+    results = []
+    for path in args.reports:
+        rows, counts = _read_report(path)
         name = Path(path).stem
         print(f"== {name} ==")
         for sl in ("all", "head", "tail", "known", "unknown"):
-            if (sl, "accuracy") not in rows:
+            present = [(sl, m) in rows
+                       for m in ("accuracy", "micro_f1", "entity_macro_f1")]
+            if not any(present):
                 continue
+            if not all(present):
+                raise DataError(f"{path}: slice {sl!r} lacks a metric row")
             print(f"{sl:10s} n={counts.get(sl, 0):6d} "
                   f"acc={rows[(sl, 'accuracy')]:.3f} "
                   f"mic={rows[(sl, 'micro_f1')]:.3f} "

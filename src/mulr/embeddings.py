@@ -109,19 +109,17 @@ class EmbeddingStore:
             out[k] = i
         return out
 
-    def word_vector(self, word: str, flags: list[str] | None = None) -> np.ndarray | None:
+    def word_vector(self, word: str) -> np.ndarray | None:
         """Vector for a word; subword stores compose it from ngram pieces.
 
         Returns None for a plain store that does not know the word. For a
         subword store a word whose every ngram is unindexed yields the zero
-        vector and a flag.
+        vector.
         """
         if self.kind != KIND_SUBWORD:
             return self.get(word)
         ids = self.subwords.ngram_ids(word)
         if not ids:
-            if flags is not None:
-                flags.append(f"no indexed ngrams for {word!r}")
             return np.zeros(self.dim)
         return self.matrix[ids].mean(axis=0)
 
@@ -191,12 +189,6 @@ def type_cosine_matrix(entity_ids, store: EmbeddingStore,
     entities = _unit_rows(store.matrix[store.rows(entity_ids, "entity")])
     types = _unit_rows(store.matrix[store.rows(ts.types, "type")])
     return np.clip(entities @ types.T, -1.0, 1.0)
-
-
-def type_cosine_vector(entity_id: str, store: EmbeddingStore,
-                       ts: TypeSystem) -> np.ndarray:
-    """Cosine of the entity vector against every type vector, in type order."""
-    return type_cosine_matrix([entity_id], store, ts)[0]
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:

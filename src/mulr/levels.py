@@ -182,14 +182,6 @@ def build_char_vocab(names, min_count: int = CHAR_MIN_COUNT) -> CharVocab:
     return CharVocab(chars=tuple(kept))
 
 
-def char_lookup(name: str, table: np.ndarray, vocab: CharVocab,
-                padded_len: int, flags: list[str] | None = None) -> np.ndarray:
-    """Character matrix for a name: one embedding row per padded position."""
-    if not name and flags is not None:
-        flags.append("empty name")
-    return table[vocab.ids(name, padded_len)]
-
-
 class ClrEncoder:
     """Trainable character-level sub-network: embedding table plus encoder.
 
@@ -260,8 +252,6 @@ class ClrEncoder:
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
         """Encode a batch of character id rows to (batch, out_dim)."""
-        if ids.ndim == 1:
-            ids = ids[None]
         self._ids = ids
         E = self.table[ids]  # (B, l, d_c)
         if self.kind == "clr-forward":
@@ -539,11 +529,6 @@ class Assembler:
         if store is None:
             raise DataError(f"representation needs the {label} embedding store")
         return store
-
-    def frozen_vector(self, entity_id: str, name: str,
-                      flags: list[str] | None = None) -> np.ndarray:
-        """One instance's row of ``frozen_matrix``."""
-        return self.frozen_matrix([(entity_id, name)], flags)[0]
 
     def frozen_matrix(self, instances,
                       flags: list[str] | None = None) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Numeric kernels with hand-written backward passes.
 
-All kernels are batch-first: an input of shape (batch, ...) produces an
-output of shape (batch, ...). Layers cache what their backward pass needs;
-backward accumulates parameter gradients into ``.grads`` and returns the
-gradient with respect to the layer input. Parameters initialize uniformly
-in [-0.05, 0.05] from the caller's generator.
+All kernels take batches only: every input has a leading batch axis,
+even for one example, and every output keeps it. Layers cache what their
+backward pass needs; backward accumulates parameter gradients into
+``.grads`` and returns the gradient with respect to the layer input.
+Parameters initialize uniformly in [-0.05, 0.05] from the caller's
+generator.
 
 No gradient clipping anywhere; the LSTM has no peephole connections; the
 rectifier's subgradient at zero is zero.
@@ -99,13 +100,8 @@ class Dense:
         return x @ self.W.T + self.b
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x = self._x
-        if x.ndim == 1:
-            self.grads["W"] += np.outer(dy, x)
-            self.grads["b"] += dy
-        else:
-            self.grads["W"] += dy.T @ x
-            self.grads["b"] += dy.sum(axis=0)
+        self.grads["W"] += dy.T @ self._x
+        self.grads["b"] += dy.sum(axis=0)
         return dy @ self.W
 
 
@@ -158,15 +154,12 @@ class ConvMaxPool:
 
     def forward(self, C: np.ndarray) -> np.ndarray:
         C = np.ascontiguousarray(C, dtype=float)
-        squeeze = C.ndim == 2
-        if squeeze:
-            C = C[None]
-        if C.shape[1] < self.max_width:
-            raise NumericError(f"input length {C.shape[1]} shorter than "
-                               f"widest filter {self.max_width}")
-        if C.shape[2] != self.d_in:
-            raise NumericError(f"expected row size {self.d_in}, got {C.shape[2]}")
         B, l, d = C.shape
+        if l < self.max_width:
+            raise NumericError(f"input length {l} shorter than "
+                               f"widest filter {self.max_width}")
+        if d != self.d_in:
+            raise NumericError(f"expected row size {self.d_in}, got {d}")
         pooled = []
         cache = {"C_shape": C.shape, "per_width": {}}
         for w, count in self.widths:
@@ -185,13 +178,9 @@ class ConvMaxPool:
             pooled.append(relu(top).T)
             cache["per_width"][w] = (cols, pre_t.transpose(1, 2, 0), arg.T)
         self._cache = cache
-        out = np.concatenate(pooled, axis=1)
-        return out[0] if squeeze else out
+        return np.concatenate(pooled, axis=1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        squeeze = dout.ndim == 1
-        if squeeze:
-            dout = dout[None]
         cache = self._cache
         B, l, d = cache["C_shape"]
         dC = np.zeros((B, l, d))
@@ -215,7 +204,7 @@ class ConvMaxPool:
             dcols = (G.T @ H).reshape(B, P, w, d)
             for k in range(w):
                 dC[:, k:k + P] += dcols[:, :, k]
-        return dC[0] if squeeze else dC
+        return dC
 
 
 class Lstm:
@@ -252,24 +241,20 @@ class Lstm:
         for g in self.grads.values():
             g[...] = 0.0
 
-    def forward(self, xs: np.ndarray, h0: np.ndarray | None = None,
-                c0: np.ndarray | None = None):
+    def forward(self, xs: np.ndarray, h0: np.ndarray | None = None):
         """Run the recurrence; returns (all hidden states, last state).
 
         ``xs`` has shape (batch, steps, in_dim); the state sequence has
-        shape (batch, steps, hidden).
+        shape (batch, steps, hidden). The cell state starts at zero.
         """
         xs = np.asarray(xs, dtype=float)
-        squeeze = xs.ndim == 2
-        if squeeze:
-            xs = xs[None]
         B, steps, d = xs.shape
         if steps == 0:
             raise NumericError("empty input sequence")
         if d != self.in_dim:
             raise NumericError(f"lstm expected input dim {self.in_dim}, got {d}")
         h = np.zeros((B, self.hidden)) if h0 is None else np.array(h0, dtype=float)
-        c = np.zeros((B, self.hidden)) if c0 is None else np.array(c0, dtype=float)
+        c = np.zeros((B, self.hidden))
         hs = np.zeros((B, steps, self.hidden))
         cache = []
         H = self.hidden
@@ -285,24 +270,16 @@ class Lstm:
             cache.append((xs[:, t], h, c, i, f, o, g, tanh_c))
             h, c = h_new, c_new
             hs[:, t] = h
-        self._cache = (cache, c)
-        if squeeze:
-            return hs[0], h[0]
+        self._cache = cache
         return hs, h
 
-    def backward(self, dh_last: np.ndarray,
-                 dhs: np.ndarray | None = None):
-        """Backpropagate from the last state (and optionally every state).
+    def backward(self, dh_last: np.ndarray):
+        """Backpropagate from the last state.
 
         Returns (dxs, dh0): gradients for the inputs and the initial hidden
         state, the latter feeding the coupled bidirectional variant.
         """
-        cache, _ = self._cache
-        squeeze = dh_last.ndim == 1
-        if squeeze:
-            dh_last = dh_last[None]
-            if dhs is not None:
-                dhs = dhs[None]
+        cache = self._cache
         steps = len(cache)
         B = dh_last.shape[0]
         H = self.hidden
@@ -310,8 +287,6 @@ class Lstm:
         dh = dh_last.copy()
         dc = np.zeros((B, H))
         for t in range(steps - 1, -1, -1):
-            if dhs is not None and t < steps - 1:
-                dh = dh + dhs[:, t]
             x_t, h_prev, c_prev, i, f, o, g, tanh_c = cache[t]
             do = dh * tanh_c
             dc = dc + dh * o * (1.0 - tanh_c ** 2)
@@ -328,8 +303,6 @@ class Lstm:
             self.grads["b"] += dz.sum(axis=0)
             dxs[:, t] = dz @ self.Wx
             dh = dz @ self.Wh
-        if squeeze:
-            return dxs[0], dh[0]
         return dxs, dh
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from .corpus import AnnotatedCorpus, Mention
 from .dataset import DatasetSplit, EntityRecord, TypeSystem
 from .errors import DataError
-from .nn import AdaGrad, Dense, sigmoid
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -364,23 +363,3 @@ def generate_order_corpus(n_per_class: int = 120, occurrences: int = 30,
     shuffle = rng.permutation(len(sentences))
     return [sentences[i] for i in shuffle], a_ids, b_ids
 
-
-def linear_probe_accuracy(x_train: np.ndarray, y_train: np.ndarray,
-                          x_test: np.ndarray, y_test: np.ndarray,
-                          epochs: int = 300, seed: int = 0) -> float:
-    """Accuracy of a logistic-regression probe on frozen features."""
-    mean = x_train.mean(axis=0)
-    scale = x_train.std(axis=0) + 1e-8
-    xtr = (x_train - mean) / scale
-    xte = (x_test - mean) / scale
-    rng = np.random.default_rng(seed)
-    dense = Dense.initialize(xtr.shape[1], 1, rng)
-    opt = AdaGrad(learning_rate=0.5)
-    y = y_train.reshape(-1, 1).astype(float)
-    for _ in range(epochs):
-        p = sigmoid(dense.forward(xtr))
-        dense.zero_grad()
-        dense.backward((p - y) / len(y))
-        opt.step(dense.params(), dense.grads)
-    pred = sigmoid(dense.forward(xte)).reshape(-1) > 0.5
-    return float(np.mean(pred == y_test.astype(bool)))

@@ -25,6 +25,8 @@ little-endian bytes.
 from __future__ import annotations
 
 import json
+import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +36,7 @@ import numpy as np
 from .corpus import SubwordIndex
 from .dataset import DatasetSplit, EntityRecord, TypeSystem
 from .embeddings import EmbeddingStore, KIND_SUBWORD
-from .errors import DataError, NumericError
+from .errors import DataError, MulrError
 from .levels import (Assembler, CharVocab, ClrEncoder, FeatureIndexer,
                      LevelSpec, RepresentationSpec, Resources,
                      build_char_vocab, default_hidden_units)
@@ -134,18 +136,10 @@ class TyperModel:
                               axis=1)
 
     def forward(self, v: np.ndarray) -> np.ndarray:
-        """Probability vector(s) for assembled representation(s)."""
-        v = np.asarray(v, dtype=float)
-        squeeze = v.ndim == 1
-        if squeeze:
-            v = v[None]
-        if v.shape[1] != self.input_dim:
-            raise NumericError(f"typer expected dim {self.input_dim}, "
-                               f"got {v.shape[1]}")
+        """One probability row per row of assembled representations."""
         h_pre = self.w_in.forward(v)
         self._h_pre = h_pre
-        p = sigmoid(self.w_out.forward(relu(h_pre)))
-        return p[0] if squeeze else p
+        return sigmoid(self.w_out.forward(relu(h_pre)))
 
     def backward_from_probs(self, p: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Gradient pass for mean-over-batch summed-over-types BCE."""
@@ -161,8 +155,12 @@ class TyperModel:
 
     # -- inference ---------------------------------------------------------
 
-    def frozen_matrix(self, instances: list[tuple[str, str]]) -> np.ndarray:
-        return self.assembler.frozen_matrix(instances, self.flags)
+    def frozen_matrix(self, instances: list[tuple[str, str]],
+                      flags: list[str] | None = None) -> np.ndarray:
+        """Frozen level rows for (entity id, name) instances. Level notes
+        go to ``flags`` when given: ``train`` passes ``model.flags``, so
+        scoring a loaded model leaves the model unchanged."""
+        return self.assembler.frozen_matrix(instances, flags)
 
     def char_matrix(self, instances) -> np.ndarray | None:
         if self.clr is None:
@@ -188,11 +186,6 @@ class TyperModel:
             for t in gold:
                 out[row, index[t]] = 1.0
         return out
-
-
-def predict(model: TyperModel, entity: EntityRecord) -> set[str]:
-    """Types whose probability strictly exceeds the calibrated threshold."""
-    return {t for t, _ in predict_with_scores(model, [entity])[0]}
 
 
 def predict_with_scores(model: TyperModel, entities: Sequence[EntityRecord]
@@ -236,12 +229,13 @@ def train(split: DatasetSplit, spec: RepresentationSpec, resources: Resources,
     model = TyperModel(spec, resources, assembler, clr, hidden, rng)
 
     pairs = [(e.id, name) for e, name in insts]
-    frozen = model.frozen_matrix(pairs)
+    frozen = model.frozen_matrix(pairs, model.flags)
     char_ids = model.char_matrix(pairs)
     labels = model.label_matrix([e for e, _ in insts])
 
     dev_pairs = [(e.id, e.names[0]) for e in split.dev]
-    dev_frozen = model.frozen_matrix(dev_pairs) if dev_pairs else None
+    dev_frozen = (model.frozen_matrix(dev_pairs, model.flags)
+                  if dev_pairs else None)
     dev_ids = model.char_matrix(dev_pairs) if dev_pairs else None
     dev_gold = model.label_matrix(list(split.dev)) if dev_pairs else None
 
@@ -331,15 +325,20 @@ def calibrate_from_scores(scores: np.ndarray, gold: np.ndarray,
 
 def calibrate_thresholds(model: TyperModel,
                          dev: list[EntityRecord]) -> np.ndarray:
-    """Calibrate the model's per-type thresholds on the dev entities."""
+    """Calibrate the model's per-type thresholds on the dev entities.
+
+    Notes the model already records are not added again, so calibrating
+    twice on the same entities leaves the model as one call does.
+    """
     if not dev:
         raise DataError("no dev entities to calibrate on")
     pairs = [(e.id, e.names[0]) for e in dev]
     scores = model.scores_for(pairs)
     gold = model.label_matrix(list(dev))
+    notes: list[str] = []
     model.thresholds = calibrate_from_scores(
-        scores, gold, flags=model.flags,
-        type_names=model.type_system.types)
+        scores, gold, flags=notes, type_names=model.type_system.types)
+    model.flags.extend(n for n in notes if n not in model.flags)
     return model.thresholds
 
 
@@ -423,19 +422,42 @@ def save_model(model: TyperModel, path, config_hash: str | None = None,
 
 
 def load_model(path) -> TyperModel:
+    """Read a model file. Any malformed content, including a truncated or
+    overlong file and arrays that do not fit the spec, is a ``DataError``
+    that names the path."""
     with Path(path).open("rb") as fh:
-        magic = fh.readline().decode("utf-8").rstrip("\n")
-        if magic != _MAGIC:
-            raise DataError(f"{path}: not a model file")
-        meta = json.loads(fh.readline().decode("utf-8"))
-        arrays: dict[str, np.ndarray] = {}
-        for name, shape in meta["arrays"]:
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise DataError(f"{path}: truncated array {name!r}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        try:
+            if fh.readline() != (_MAGIC + "\n").encode("utf-8"):
+                raise DataError("not a model file")
+            meta = json.loads(fh.readline().decode("utf-8"))
+            arrays = _read_arrays(fh, meta["arrays"])
+            return _model_from_meta(meta, arrays)
+        except KeyError as exc:
+            raise DataError(f"{path}: missing model field {exc}") from None
+        except (MulrError, ValueError, TypeError, AttributeError) as exc:
+            raise DataError(f"{path}: {exc}") from None
 
+
+def _read_arrays(fh, manifest) -> dict[str, np.ndarray]:
+    """The manifest's arrays; their sizes must add up to the rest of the
+    file, which is checked before anything is read."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape in manifest:
+        if not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise DataError(f"bad shape {shape!r} for array {name!r}")
+        size = 8 * math.prod(shape)
+        if size > left:
+            raise DataError(f"truncated array {name!r}")
+        left -= size
+        arrays[name] = np.frombuffer(fh.read(size),
+                                     dtype="<f8").reshape(shape).copy()
+    if left:
+        raise DataError(f"{left} bytes after the last array")
+    return arrays
+
+
+def _model_from_meta(meta: dict, arrays: dict[str, np.ndarray]) -> TyperModel:
     ts = TypeSystem(types=tuple(meta["types"]), parent=dict(meta["parent"]))
     stores = {}
     for label in ("word", "subword", "entity"):
@@ -468,9 +490,17 @@ def load_model(path) -> TyperModel:
                          combo_kinds=spec.kinds)
     model = TyperModel(spec, resources, assembler, clr,
                        meta["hidden_units"], rng)
-    for name, arr in model.params().items():
+    targets = {"thresholds": model.thresholds, **model.params()}
+    for name, arr in targets.items():
+        if name not in arrays:
+            raise DataError(f"no array {name!r} in the manifest")
+        if arrays[name].shape != arr.shape:
+            raise DataError(f"array {name!r} has shape "
+                            f"{arrays[name].shape}, the spec builds "
+                            f"{arr.shape}")
+        if not np.all(np.isfinite(arrays[name])):
+            raise DataError(f"non-finite values in array {name!r}")
         arr[...] = arrays[name]
-    model.thresholds = arrays["thresholds"]
     model.flags = list(meta["flags"])
     model.config_hash = meta["config_hash"]
     model.seed = meta["seed"]

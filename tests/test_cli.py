@@ -1,4 +1,11 @@
+import contextlib
+import io
+import json
+import math
+import struct
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mulr import cli
 from mulr.dataset import load_dataset, load_type_system
@@ -60,6 +67,30 @@ def write_config(root, name, dim=8, seed=1, threads=1):
     (root / name).write_text(CONFIG.format(dim=dim, seed=seed,
                                            threads=threads), encoding="utf-8")
     return root / name
+
+
+@pytest.fixture(scope="module")
+def noted_model(synth, tmp_path_factory):
+    """The tiny set with its first dev entity renamed to words the corpus
+    never has, and a ``wwlr,elr`` model file trained on it: training and
+    calibration both meet a dev name without word vectors."""
+    root = tmp_path_factory.mktemp("noted")
+    for name in ("corpus.txt", "notable.tsv", "hierarchy.tsv"):
+        (root / name).write_bytes((synth / name).read_bytes())
+    lines = (synth / "dataset.tsv").read_text().splitlines()
+    row = lines.index("#dev") + 1
+    fields = lines[row].split("\t")
+    fields[1] = "zzqx qxzz"
+    lines[row] = "\t".join(fields)
+    (root / "dataset.tsv").write_text("\n".join(lines) + "\n")
+    config = write_config(root, "exp.ini")
+    config.write_text(config.read_text().replace("elr,swlr,tc", "wwlr,elr"))
+    model = root / "model.bin"
+    assert cli.main(["train", "--config", str(config),
+                     "--out", str(model)]) == 0
+    assert load_model(model).flags == [
+        "no word vectors for name 'zzqx qxzz'"]
+    return config, model
 
 
 def build_corpus(synth, out):
@@ -218,3 +249,135 @@ class TestExitCodes:
         assert cli.main(["embed", *EMBED, str(tokens),
                          str(tmp_path / "out.vec")]) == 2
         assert "MULR_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row,where", [
+        ("all\taccuracy", "report.tsv:2: 2 tab-separated fields"),
+        ("all\taccuracy\thigh", "report.tsv:2: non-numeric value 'high'"),
+    ])
+    def test_malformed_report_row_exits_2(self, tmp_path, capsys, row,
+                                          where):
+        report = tmp_path / "report.tsv"
+        report.write_text(f"all\tcount\t3\n{row}\n", encoding="utf-8")
+        assert cli.main(["report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mulr: ") and where in err
+        assert "Traceback" not in err
+
+
+def _array_at(meta: dict, name: str) -> tuple[int, int, int]:
+    """(manifest index, byte offset, byte size) of one array's payload."""
+    offset = 0
+    for i, (entry, shape) in enumerate(meta["arrays"]):
+        size = 8 * math.prod(shape)
+        if entry == name:
+            return i, offset, size
+        offset += size
+    raise AssertionError(f"no array {name!r}")
+
+
+def _corrupt(case: str, data: bytes) -> bytes:
+    magic, line, payload = data.split(b"\n", 2)
+    meta = json.loads(line)
+    if case == "not-utf8":
+        line = b"\xff\xfe" + line
+    elif case == "bad-json":
+        line = line[:-1]
+    elif case == "missing-key":
+        del meta["hidden_units"]
+    elif case == "missing-array":
+        i, offset, size = _array_at(meta, "w_in.b")
+        del meta["arrays"][i]
+        payload = payload[:offset] + payload[offset + size:]
+    elif case == "shape":
+        meta["hidden_units"] += 1
+    elif case == "trailing":
+        payload += bytes(8)
+    elif case == "nan":
+        _, offset, _ = _array_at(meta, "w_in.W")
+        payload = (payload[:offset] + struct.pack("<d", math.nan)
+                   + payload[offset + 8:])
+    if case not in ("not-utf8", "bad-json"):
+        line = json.dumps(meta).encode()
+    return b"\n".join([magic, line, payload])
+
+
+class TestModelFileErrors:
+    """``mulr predict`` on a damaged model file: exit 2, one ``mulr:``
+    line naming the file, no traceback."""
+
+    @pytest.mark.parametrize("case,message", [
+        ("not-utf8", "utf-8"),
+        ("bad-json", "Expecting"),
+        ("missing-key", "missing model field 'hidden_units'"),
+        ("missing-array", "no array 'w_in.b' in the manifest"),
+        ("shape", "array 'w_in.W' has shape"),
+        ("trailing", "8 bytes after the last array"),
+        ("nan", "non-finite values in array 'w_in.W'"),
+    ])
+    def test_damaged_model_exits_2(self, synth, pipeline_run, tmp_path,
+                                   capsys, case, message):
+        _, artifacts = pipeline_run
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(_corrupt(case, artifacts["model"].read_bytes()))
+        assert cli.main(["predict", "--model", str(bad),
+                         "--entities", str(synth / "dataset.tsv"),
+                         "--out", str(tmp_path / "p.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"mulr: {bad}: ") and message in err
+        assert "Traceback" not in err
+
+
+class TestModelFlags:
+    def test_calibrate_rewrites_its_own_output_unchanged(self, noted_model,
+                                                         tmp_path):
+        config, model = noted_model
+        once, twice = tmp_path / "once.bin", tmp_path / "twice.bin"
+        for source, out in ((model, once), (once, twice)):
+            assert cli.main(["calibrate", "--config", str(config),
+                             "--model", str(source),
+                             "--out", str(out)]) == 0
+        assert once.read_bytes() == model.read_bytes()
+        assert twice.read_bytes() == once.read_bytes()
+
+    def test_predict_leaves_model_flags(self, synth, noted_model, tmp_path,
+                                        monkeypatch):
+        _, model = noted_model
+        loaded = []
+
+        def load(path):
+            loaded.append(load_model(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_model", load)
+        assert cli.main(["predict", "--model", str(model),
+                         "--entities", str(synth / "dataset.tsv"),
+                         "--out", str(tmp_path / "p.tsv")]) == 0
+        assert loaded[0].flags == load_model(model).flags
+
+
+@pytest.fixture(scope="module")
+def report_file(pipeline_run, tmp_path_factory):
+    """The pipeline's report bytes and a scratch path to write variants."""
+    _, artifacts = pipeline_run
+    return (artifacts["report_tsv"].read_bytes(),
+            tmp_path_factory.mktemp("fuzz") / "report.tsv")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_report_reader_fuzz(report_file, data):
+    """A truncated or byte-flipped report exits 0 or 2, never raises."""
+    original, path = report_file
+    cut = data.draw(st.one_of(st.just(len(original)),
+                              st.integers(0, len(original))), label="cut")
+    damaged = bytearray(original[:cut])
+    flips = data.draw(st.lists(st.tuples(st.integers(0, max(cut - 1, 0)),
+                                         st.integers(1, 255)), max_size=4),
+                      label="flips")
+    for pos, mask in flips:
+        if pos < len(damaged):
+            damaged[pos] ^= mask
+    path.write_bytes(bytes(damaged))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["report", str(path)]) in (0, 2)

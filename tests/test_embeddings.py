@@ -6,10 +6,10 @@ from mulr.dataset import TypeSystem
 from mulr.embeddings import (EmbeddingStore, SgnsConfig, _SgnsState, cosine,
                              iter_context_pairs, load_embeddings,
                              save_embeddings, train_sgns, train_subword_sgns,
-                             type_cosine_matrix, type_cosine_vector)
+                             type_cosine_matrix)
 from mulr.errors import DataError, NumericError
-from mulr.nn import scatter_add
-from mulr.synthetic import generate_order_corpus, linear_probe_accuracy
+from mulr.nn import AdaGrad, Dense, scatter_add, sigmoid
+from mulr.synthetic import generate_order_corpus
 
 
 def small_cfg(**kw):
@@ -48,7 +48,7 @@ class TestTypeCosine:
 
     def test_components_ordered_by_type(self):
         ts = TypeSystem(types=("person", "city"), parent={})
-        tc = type_cosine_vector("m.1", self._store(), ts)
+        tc = type_cosine_matrix(["m.1"], self._store(), ts)[0]
         assert tc.shape == (2,)
         assert tc[0] == pytest.approx(1.0)
         assert tc[1] == pytest.approx(0.0)
@@ -56,7 +56,7 @@ class TestTypeCosine:
     def test_missing_entity_errors_with_id(self):
         ts = TypeSystem(types=("person",), parent={})
         with pytest.raises(DataError, match="m.404"):
-            type_cosine_vector("m.404", self._store(), ts)
+            type_cosine_matrix(["m.404"], self._store(), ts)
 
     def test_orthogonal_entity_gives_zero_vector(self):
         tokens = ["m.1", "t1", "t2"]
@@ -66,8 +66,8 @@ class TestTypeCosine:
         store = EmbeddingStore(kind="skip", dim=3, tokens=tokens,
                                matrix=matrix)
         ts = TypeSystem(types=("t1", "t2"), parent={})
-        np.testing.assert_allclose(type_cosine_vector("m.1", store, ts),
-                                   [0.0, 0.0])
+        np.testing.assert_allclose(type_cosine_matrix(["m.1"], store, ts),
+                                   [[0.0, 0.0]])
 
 
 class TestTypeCosineMatrix:
@@ -93,8 +93,8 @@ class TestTypeCosineMatrix:
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         assert np.all(got[1] == 0.0)
         assert np.all(np.abs(got) <= 1.0)
-        np.testing.assert_allclose(type_cosine_vector("m.1", store, ts),
-                                   got[2], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(type_cosine_matrix(["m.1"], store, ts),
+                                   got[2:3], rtol=0, atol=1e-12)
 
     def test_missing_type_errors_with_name(self):
         ts = TypeSystem(types=("t1", "t9"), parent={})
@@ -417,12 +417,31 @@ class TestSubwordTraining:
         vec = store.word_vector("ca9")
         assert np.any(vec)
 
-    def test_no_indexed_ngrams_zero_vector_flagged(self):
+    def test_no_indexed_ngrams_zero_vector(self):
         store, _ = self._train()
-        flags = []
-        vec = store.word_vector("ZZZZ", flags=flags)
+        vec = store.word_vector("ZZZZ")
         np.testing.assert_array_equal(vec, np.zeros(store.dim))
-        assert flags and "ZZZZ" in flags[0]
+
+
+def linear_probe_accuracy(x_train: np.ndarray, y_train: np.ndarray,
+                          x_test: np.ndarray, y_test: np.ndarray,
+                          epochs: int = 300, seed: int = 0) -> float:
+    """Accuracy of a logistic-regression probe on frozen features."""
+    mean = x_train.mean(axis=0)
+    scale = x_train.std(axis=0) + 1e-8
+    xtr = (x_train - mean) / scale
+    xte = (x_test - mean) / scale
+    rng = np.random.default_rng(seed)
+    dense = Dense.initialize(xtr.shape[1], 1, rng)
+    opt = AdaGrad(learning_rate=0.5)
+    y = y_train.reshape(-1, 1).astype(float)
+    for _ in range(epochs):
+        p = sigmoid(dense.forward(xtr))
+        dense.zero_grad()
+        dense.backward((p - y) / len(y))
+        opt.step(dense.params(), dense.grads)
+    pred = sigmoid(dense.forward(xte)).reshape(-1) > 0.5
+    return float(np.mean(pred == y_test.astype(bool)))
 
 
 class TestOrderAwareness:

@@ -8,7 +8,7 @@ from mulr.errors import DataError
 from mulr.levels import (Assembler, CharVocab, ClrEncoder, FeatureIndexer,
                          LevelSpec, RepresentationSpec, Resources,
                          avg_des, bow_features, build_char_vocab, build_idf,
-                         char_lookup, default_cnn_bank, default_hidden_units,
+                         default_cnn_bank, default_hidden_units,
                          nsl_features, wlr)
 
 
@@ -50,13 +50,10 @@ class TestCharMatrix:
         ids = vocab.ids("aZ", 5)
         assert ids[2] == vocab.UNK
 
-    def test_empty_name_flagged_but_valid(self):
+    def test_empty_name_valid(self):
         vocab = CharVocab(chars=("a",))
-        table = np.arange(vocab.size * 2, dtype=float).reshape(vocab.size, 2)
-        flags = []
-        C = char_lookup("", table, vocab, 4, flags=flags)
-        assert C.shape == (4, 2)
-        assert flags
+        ids = vocab.ids("", 4)
+        assert ids.tolist() == [vocab.START, vocab.END, vocab.PAD, vocab.PAD]
 
     def test_char_vocab_min_count(self):
         names = ["aaaaa", "b"]
@@ -97,8 +94,8 @@ class TestClrEncoders:
         rng = np.random.default_rng(1)
         bank = ConvMaxPool([(2, 3), (4, 4)], d_in=3, rng=rng)
         assert bank.out_dim == 7
-        out = bank.forward(rng.normal(size=(12, 3)))
-        assert out.shape == (7,)
+        out = bank.forward(rng.normal(size=(1, 12, 3)))
+        assert out.shape == (1, 7)
 
     def test_lstm_and_bilstm_dims(self):
         enc, vocab = self._encoder("clr-lstm", padded_len=8, char_dim=4,
@@ -282,7 +279,7 @@ class TestAssemble:
     def test_elr_plus_tc_dimension(self):
         res = self._resources()
         spec = RepresentationSpec.parse("elr,tc")
-        v = Assembler(spec, res).frozen_vector("m.1", "alpha")
+        v = Assembler(spec, res).frozen_matrix([("m.1", "alpha")])[0]
         assert v.shape == (3 + 2,)
         np.testing.assert_allclose(v[:3], [1.0, 0.0, 0.0])
         np.testing.assert_allclose(v[3:], [1.0, 0.0])
@@ -291,7 +288,7 @@ class TestAssemble:
         res = self._resources()
         spec = RepresentationSpec.parse("wwlr")
         np.testing.assert_array_equal(
-            Assembler(spec, res).frozen_vector("m.1", "alpha beta"),
+            Assembler(spec, res).frozen_matrix([("m.1", "alpha beta")])[0],
             wlr("alpha beta", res.word_store))
 
     def test_layout_records_order(self):
@@ -305,7 +302,7 @@ class TestAssemble:
         res = self._resources()
         spec = RepresentationSpec.parse("elr")
         with pytest.raises(DataError, match="m.404"):
-            Assembler(spec, res).frozen_vector("m.404", "alpha")
+            Assembler(spec, res).frozen_matrix([("m.404", "alpha")])
 
     def test_dimension_is_sum_over_all_level_subsets(self):
         import itertools
@@ -317,8 +314,8 @@ class TestAssemble:
                 spec = RepresentationSpec.parse(",".join(combo))
                 asm = Assembler(spec, res).fit(names)
                 dims = dict(asm.layout())
-                v = asm.frozen_vector("m.1", "alpha beta")
-                assert v.shape == (sum(dims.values()),)
+                v = asm.frozen_matrix([("m.1", "alpha beta")])
+                assert v.shape == (1, sum(dims.values()))
 
     def test_duplicate_level_rejected(self):
         with pytest.raises(DataError, match="duplicate"):

@@ -13,23 +13,23 @@ from mulr.nn import (AdaGrad, ConvMaxPool, Dense, Lstm, bce_loss, grad_check,
 class TestDense:
     def test_identity(self):
         layer = Dense(np.eye(3), np.zeros(3))
-        x = np.array([1.0, -2.0, 3.0])
+        x = np.array([[1.0, -2.0, 3.0]])
         np.testing.assert_array_equal(layer.forward(x), x)
 
     def test_zero_weights_bias_only(self):
         layer = Dense(np.zeros((2, 3)), np.array([5.0, -1.0]))
-        np.testing.assert_array_equal(layer.forward(np.ones(3)),
-                                      [5.0, -1.0])
+        np.testing.assert_array_equal(layer.forward(np.ones((1, 3))),
+                                      [[5.0, -1.0]])
 
     def test_hand_multiplication(self):
         layer = Dense(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2))
-        np.testing.assert_array_equal(layer.forward(np.array([1.0, 1.0])),
-                                      [3.0, 7.0])
+        np.testing.assert_array_equal(layer.forward(np.array([[1.0, 1.0]])),
+                                      [[3.0, 7.0]])
 
     def test_shape_mismatch(self):
         layer = Dense(np.eye(3), np.zeros(3))
         with pytest.raises(NumericError):
-            layer.forward(np.ones(4))
+            layer.forward(np.ones((1, 4)))
 
 
 class TestConvMaxPool:
@@ -45,8 +45,8 @@ class TestConvMaxPool:
         net = ConvMaxPool([(2, 1)], d_in=3, rng=rng)
         net.filters[2][...] = 0.0
         net.biases[2][...] = 0.0
-        out = net.forward(np.ones((5, 3)))
-        np.testing.assert_array_equal(out, [0.0])
+        out = net.forward(np.ones((1, 5, 3)))
+        np.testing.assert_array_equal(out, [[0.0]])
 
     def test_translation_invariance_of_detected_pattern(self):
         # one filter matching a unique column pattern; everywhere else the
@@ -63,7 +63,7 @@ class TestConvMaxPool:
         for pos in range(0, 7):
             C = np.tile(pad_col, (8, 1))
             C[pos:pos + 2] = pattern
-            outputs.append(net.forward(C)[0])
+            outputs.append(net.forward(C[None])[0, 0])
         assert all(o == outputs[0] for o in outputs)
         assert outputs[0] > 0
 
@@ -76,7 +76,7 @@ class TestConvMaxPool:
         rng = np.random.default_rng(0)
         net = ConvMaxPool([(4, 1)], d_in=2, rng=rng)
         with pytest.raises(NumericError, match="shorter"):
-            net.forward(np.ones((3, 2)))
+            net.forward(np.ones((1, 3, 2)))
 
 
 def conv_reference(net: ConvMaxPool, C: np.ndarray, dout: np.ndarray):
@@ -130,15 +130,6 @@ class TestConvMaxPoolReference:
             np.testing.assert_allclose(net.grads[name], g, rtol=0,
                                        atol=1e-12)
 
-    def test_unbatched_input_is_one_row(self):
-        rng = np.random.default_rng(22)
-        net = ConvMaxPool([(2, 3), (4, 2)], d_in=3, rng=rng)
-        C = rng.normal(size=(7, 3))
-        dout = rng.normal(size=net.out_dim)
-        ref_out, _, ref_dC = conv_reference(net, C[None], dout[None])
-        np.testing.assert_allclose(net.forward(C), ref_out[0], atol=1e-12)
-        np.testing.assert_allclose(net.backward(dout), ref_dC[0], atol=1e-12)
-
 
 class TestLstm:
     def test_gated_off_cell_is_silent(self):
@@ -169,7 +160,7 @@ class TestLstm:
         d, h, steps = 4, 3, 6
         cell = Lstm.initialize(d, h, rng)
         xs = rng.normal(size=(steps, d))
-        _, last = cell.forward(xs)
+        _, last = cell.forward(xs[None])
 
         # independent re-implementation of the recurrence
         def sig(v):
@@ -181,7 +172,7 @@ class TestLstm:
             i, f, o, g = z[:h], z[h:2 * h], z[2 * h:3 * h], z[3 * h:]
             cc = sig(f) * cc + sig(i) * np.tanh(g)
             hh = sig(o) * np.tanh(cc)
-        np.testing.assert_allclose(last, hh, atol=1e-12)
+        np.testing.assert_allclose(last[0], hh, atol=1e-12)
 
 
 class TestBce:
@@ -272,8 +263,8 @@ class TestGradCheck:
         rng = np.random.default_rng(10)
         for trial in range(5):
             layer = Dense.initialize(6, 4, rng)
-            x = rng.normal(size=6)
-            m = (rng.random(4) < 0.5).astype(float)
+            x = rng.normal(size=(1, 6))
+            m = (rng.random((1, 4)) < 0.5).astype(float)
 
             def loss_fn():
                 return bce_loss(sigmoid(layer.forward(x)), m)

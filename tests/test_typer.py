@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mulr.corpus import build_subword_index, build_vocabulary
 from mulr.dataset import DatasetSplit, EntityRecord, TypeSystem
 from mulr.embeddings import EmbeddingStore, SgnsConfig, train_subword_sgns
-from mulr.errors import DataError
+from mulr.errors import DataError, NumericError
 from mulr.levels import (Assembler, ClrEncoder, LevelSpec,
                          RepresentationSpec, Resources, avg_des,
                          build_char_vocab, build_idf, default_hidden_units,
@@ -15,7 +16,7 @@ from mulr.levels import (Assembler, ClrEncoder, LevelSpec,
 from mulr.nn import grad_check, relu
 from mulr.typer import (SCORE_BATCH, TrainConfig, TyperModel,
                         calibrate_from_scores, calibrate_thresholds,
-                        load_model, predict, predict_with_scores, save_model,
+                        load_model, predict_with_scores, save_model,
                         threshold_f1, train)
 
 
@@ -73,7 +74,7 @@ class TestForward:
         model = self._tiny_model()
         for arr in model.params().values():
             arr[...] = 0.0
-        p = model.forward(np.ones(model.input_dim))
+        p = model.forward(np.ones((1, model.input_dim)))
         np.testing.assert_allclose(p, 0.5)
 
     def test_hand_arithmetic_one_hidden_unit(self):
@@ -85,19 +86,19 @@ class TestForward:
         model.w_in.b[...] = [0.1]
         model.w_out.W[...] = [[0.5], [-0.4]]
         model.w_out.b[...] = [0.2, -0.1]
-        p = model.forward(np.array([1.0, 0.5]))
+        p = model.forward(np.array([[1.0, 0.5]]))
         h = 0.3 * 1.0 - 0.2 * 0.5 + 0.1
         exp1 = 1.0 / (1.0 + math.exp(-(0.5 * h + 0.2)))
         exp2 = 1.0 / (1.0 + math.exp(-(-0.4 * h - 0.1)))
-        np.testing.assert_allclose(p, [exp1, exp2], atol=1e-12)
+        np.testing.assert_allclose(p, [[exp1, exp2]], atol=1e-12)
 
     def test_default_hidden_units_for_single_elr(self):
         assert default_hidden_units(("elr",)) == 400
 
     def test_dim_mismatch_errors(self):
         model = self._tiny_model()
-        with pytest.raises(Exception):
-            model.forward(np.ones(model.input_dim + 1))
+        with pytest.raises(NumericError):
+            model.forward(np.ones((1, model.input_dim + 1)))
 
 
 class TestTraining:
@@ -193,6 +194,31 @@ def untrained_model(spec, res, names, hidden=7):
     return TyperModel(spec, res, asm, clr, hidden, rng)
 
 
+def noted_model():
+    """An ``swlr,avg-des`` model whose five instances raise six level
+    notes: names without subword vectors and entities without a usable
+    description."""
+    split, res = indicator_problem()
+    names = ["alpha beta", "qqq", "gamma", "qq qqq", "beta"]
+    res = subword_resources(res, ["alpha beta gamma"] * 3)
+    entities = split.all_entities()
+    descriptions = {entities[0].id: ["ta", "tb", "ta"],
+                    entities[2].id: ["nothing", "usable"]}
+    res = dataclasses.replace(res, descriptions=descriptions,
+                              idf=build_idf(descriptions))
+    insts = [(entities[i].id, name) for i, name in enumerate(names)]
+    model = untrained_model(RepresentationSpec.parse("swlr,avg-des"),
+                            res, names)
+    return model, insts
+
+
+def model_entities(model, insts):
+    """One entity per instance, named by it, of the model's first type."""
+    first = model.type_system.types[0]
+    return [EntityRecord(id=eid, names=(name,), gold_types=frozenset({first}))
+            for eid, name in insts]
+
+
 CLR_OPTIONS = {"padded_len": 12, "char_dim": 4, "widths": (1, 3),
                "feature_maps": 3, "hidden_dim": 5}
 
@@ -228,28 +254,26 @@ class TestScoresFor:
 
     def test_flags_in_instance_order(self):
         """``swlr,avg-des`` notes match the per-instance level loop."""
-        split, res = indicator_problem()
-        names = ["alpha beta", "qqq", "gamma", "qq qqq", "beta"]
-        res = subword_resources(res, ["alpha beta gamma"] * 3)
-        entities = split.all_entities()
-        descriptions = {entities[0].id: ["ta", "tb", "ta"],
-                        entities[2].id: ["nothing", "usable"]}
-        res = dataclasses.replace(res, descriptions=descriptions,
-                                  idf=build_idf(descriptions))
-        insts = [(entities[i].id, name) for i, name in enumerate(names)]
-        model = untrained_model(RepresentationSpec.parse("swlr,avg-des"),
-                                res, names)
-        model.frozen_matrix(insts)
+        model, insts = noted_model()
+        model.frozen_matrix(insts, model.flags)
+        res = model.resources
         expected = []
         for eid, name in insts:
             wlr(name, res.subword_store, expected)
-            if eid in descriptions:
-                avg_des(descriptions[eid], res.idf, res.word_store,
+            if eid in res.descriptions:
+                avg_des(res.descriptions[eid], res.idf, res.word_store,
                         flags=expected)
             else:
                 expected.append(f"no description for {eid!r}")
         assert model.flags == expected
         assert len(expected) == 6
+
+    def test_scoring_leaves_flags_unchanged(self):
+        model, insts = noted_model()
+        model.flags = ["kept"]
+        model.scores_for(insts)
+        predict_with_scores(model, model_entities(model, insts))
+        assert model.flags == ["kept"]
 
 
 def _pool_margins_ok(net, margin=1e-3):
@@ -442,6 +466,18 @@ class TestCalibration:
                 assert threshold_f1(scores[:, t], gold[:, t], thresholds[t]) \
                     >= threshold_f1(scores[:, t], gold[:, t], 0.5) - 1e-12
 
+    def test_calibrating_twice_equals_once(self):
+        model, insts = noted_model()
+        model.flags = ["kept"]
+        dev = model_entities(model, insts)  # no dev positives for 'tb'
+        once = calibrate_thresholds(model, dev).copy()
+        flags = list(model.flags)
+        twice = calibrate_thresholds(model, dev)
+        assert flags == ["kept", "no dev positives for type 'tb'; "
+                                 "threshold 0.5"]
+        assert model.flags == flags
+        np.testing.assert_array_equal(twice, once)
+
     def test_model_level_calibration(self):
         split, res = indicator_problem()
         model = train(split, RepresentationSpec.parse("elr"), res,
@@ -449,6 +485,11 @@ class TestCalibration:
         thresholds = calibrate_thresholds(model, list(split.dev))
         assert thresholds.shape == (2,)
         assert np.all((thresholds > 0) & (thresholds < 1))
+
+
+def predict(model, entity):
+    """Types above threshold for one entity."""
+    return {t for t, _ in predict_with_scores(model, [entity])[0]}
 
 
 class TestPredict:
@@ -504,8 +545,8 @@ class TestSerialization:
         pairs = [(e.id, e.names[0]) for e in split.test]
         np.testing.assert_allclose(loaded.scores_for(pairs),
                                    model.scores_for(pairs), atol=1e-12)
-        for e in split.test:
-            assert predict(loaded, e) == predict(model, e)
+        assert predict_with_scores(loaded, split.test) \
+            == predict_with_scores(model, split.test)
 
     def test_save_is_deterministic(self, tmp_path):
         split, res = indicator_problem()
@@ -515,3 +556,44 @@ class TestSerialization:
         save_model(model, p1, config_hash="h", seed=1)
         save_model(model, p2, config_hash="h", seed=1)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """A small saved ``elr,clr-cnn,tc`` model's bytes, where its metadata
+    line lies in them, and a scratch path to write variants."""
+    split, res = indicator_problem()
+    spec = RepresentationSpec(levels=(
+        LevelSpec("elr"),
+        LevelSpec("clr-cnn", options={"padded_len": 8, "char_dim": 3,
+                                      "widths": (1, 2), "feature_maps": 2}),
+        LevelSpec("tc"),
+    ))
+    model = train(split, spec, res, quick_cfg(epochs=2))
+    path = tmp_path_factory.mktemp("fuzz") / "model.bin"
+    save_model(model, path, config_hash="h", seed=1)
+    data = path.read_bytes()
+    start = data.index(b"\n") + 1
+    return data, (start, data.index(b"\n", start)), path
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_model_fuzz(saved_model, data):
+    """A truncated model file, or one with bytes of its metadata line
+    flipped, loads or raises a package error, nothing else."""
+    original, (lo, hi), path = saved_model
+    cut = data.draw(st.one_of(st.just(len(original)),
+                              st.integers(0, len(original))), label="cut")
+    damaged = bytearray(original[:cut])
+    flips = data.draw(st.lists(st.tuples(st.integers(lo, hi - 1),
+                                         st.integers(1, 255)), max_size=4),
+                      label="flips")
+    for pos, mask in flips:
+        if pos < len(damaged):
+            damaged[pos] ^= mask
+    path.write_bytes(bytes(damaged))
+    try:
+        load_model(path)
+    except (DataError, NumericError):
+        pass
