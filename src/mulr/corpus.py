@@ -175,6 +175,9 @@ def load_notable(path) -> dict[str, str]:
             fields = line.split("\t")
             if len(fields) != 2:
                 raise ParseError(path, line_no, "expected entity_id<TAB>type_id")
+            if fields[0] in notable:
+                raise ParseError(path, line_no,
+                                 f"duplicate entity id {fields[0]!r}")
             notable[fields[0]] = fields[1]
     return notable
 

@@ -30,7 +30,7 @@ import numpy as np
 from .corpus import SubwordIndex, Vocabulary
 from .dataset import TypeSystem
 from .errors import DataError, NumericError
-from .nn import scatter_add, sigmoid
+from .nn import csr_take, scatter_add, sigmoid
 
 KIND_SKIP = "skip"
 KIND_SSKIP = "sskip"
@@ -228,12 +228,9 @@ class _Composer:
     def forward(self, centers: np.ndarray):
         if self.indptr is None:
             return self.w_in[centers], None
-        starts = self.indptr[centers]
-        lengths = self.indptr[centers + 1] - starts
-        offsets = np.cumsum(lengths) - lengths
-        flat = self.indices[np.repeat(starts - offsets, lengths)
-                            + np.arange(lengths.sum())]
-        v = np.add.reduceat(self.w_in[flat], offsets, axis=0)
+        flat_ptr, flat = csr_take(self.indptr, self.indices, centers)
+        lengths = np.diff(flat_ptr)
+        v = np.add.reduceat(self.w_in[flat], flat_ptr[:-1], axis=0)
         v /= lengths[:, None]
         return v, (flat, lengths)
 

@@ -11,11 +11,13 @@ Levels
 * ``tc``: cosine of the entity embedding against every type embedding.
 * ``avg-des``: average embedding of the top-k tf-idf words of the entity's
   KB description.
-* ``bow`` / ``nsl``: sparse binary name features (words; ngram/shape/length).
+* ``bow`` / ``nsl``: sparse binary name features (words; ngram/shape/length),
+  carried as CSR feature-id lists, not dense rows.
 
 A representation is the concatenation of the requested levels in the given
 order; the layout (level, dimension) pairs are recorded so a classifier is
-never applied across layouts.
+never applied across layouts. ``Assembler.frozen_matrix`` builds the dense
+levels; the sparse levels' ids come from ``Assembler.feature_rows``.
 """
 
 from __future__ import annotations
@@ -390,6 +392,9 @@ def nsl_features(name: str, n_max: int = 5) -> dict[str, int]:
     return feats
 
 
+SPARSE_FEATURES = {"bow": bow_features, "nsl": nsl_features}
+
+
 class FeatureIndexer:
     """Stable index over sparse feature names seen during fitting."""
 
@@ -405,14 +410,6 @@ class FeatureIndexer:
 
     def __len__(self) -> int:
         return len(self.index)
-
-    def transform(self, fd: dict[str, int]) -> np.ndarray:
-        out = np.zeros(len(self.index))
-        for name in fd:
-            i = self.index.get(name)
-            if i is not None:
-                out[i] = 1.0
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +479,7 @@ class Assembler:
 
     The character level, if present, is a hole in the layout filled by the
     typer's trainable encoder. ``fit`` freezes the sparse feature indexers
-    on the training instances.
+    on the training instances; ``feature_rows`` maps names through them.
     """
 
     def __init__(self, spec: RepresentationSpec, resources: Resources):
@@ -493,12 +490,9 @@ class Assembler:
 
     def fit(self, train_names: list[str]) -> "Assembler":
         for kind in self.spec.kinds:
-            if kind == "bow":
-                self.indexers["bow"] = FeatureIndexer().fit(
-                    bow_features(n) for n in train_names)
-            elif kind == "nsl":
-                self.indexers["nsl"] = FeatureIndexer().fit(
-                    nsl_features(n) for n in train_names)
+            if kind in SPARSE_KINDS:
+                self.indexers[kind] = FeatureIndexer().fit(
+                    SPARSE_FEATURES[kind](n) for n in train_names)
         self._fitted = True
         return self
 
@@ -532,9 +526,9 @@ class Assembler:
 
     def frozen_matrix(self, instances,
                       flags: list[str] | None = None) -> np.ndarray:
-        """Concatenation of all frozen levels, one row per (entity id, name)
-        instance; character levels take no columns, the typer inserts the
-        encoder output there.
+        """Concatenation of the dense frozen levels, one row per (entity id,
+        name) instance; character levels take no columns, the typer inserts
+        the encoder output there, and sparse levels take none either.
 
         ``elr`` and ``tc`` are built as blocks over all instances; the
         per-name levels run in one instance-major loop, so ``flags`` gets
@@ -542,7 +536,8 @@ class Assembler:
         """
         if not self._fitted:
             raise DataError("assembler not fitted on training names")
-        dims = [self.level_dim(lv, clr_dim=0) for lv in self.spec.levels]
+        dims = [0 if lv.kind in SPARSE_KINDS else
+                self.level_dim(lv, clr_dim=0) for lv in self.spec.levels]
         offsets = np.cumsum([0] + dims)
         out = np.empty((len(instances), offsets[-1]))
         ids = [eid for eid, _ in instances]
@@ -550,12 +545,37 @@ class Assembler:
         for lv, lo, hi in zip(self.spec.levels, offsets[:-1], offsets[1:]):
             if lv.kind in ("elr", "tc"):
                 out[:, lo:hi] = self._entity_block(lv.kind, ids)
-            elif lv.kind not in CLR_KINDS:
+            elif lv.kind not in CLR_KINDS + SPARSE_KINDS:
                 per_name.append((lv, lo, hi))
         for row, (eid, name) in enumerate(instances):
             for lv, lo, hi in per_name:
                 out[row, lo:hi] = self._level_vector(lv, eid, name, flags)
         return out
+
+    def feature_rows(self, instances) -> tuple[np.ndarray, np.ndarray]:
+        """The ``bow``/``nsl`` feature ids of each instance's name, as CSR
+        rows (indptr, indices); features unseen in fitting are dropped.
+
+        The sparse levels share one id space, in spec order: a level's ids
+        are offset by the sizes of the sparse levels before it, so ids
+        number the sparse columns of the layout in order.
+        """
+        if not self._fitted:
+            raise DataError("assembler not fitted on training names")
+        levels, offset = [], 0
+        for kind in self.spec.kinds:
+            if kind in SPARSE_KINDS:
+                index = self.indexers[kind].index
+                levels.append((SPARSE_FEATURES[kind], index, offset))
+                offset += len(index)
+        indptr, indices = [0], []
+        for _, name in instances:
+            for features, index, base in levels:
+                indices.extend(base + index[f] for f in features(name)
+                               if f in index)
+            indptr.append(len(indices))
+        return (np.array(indptr, dtype=np.int64),
+                np.array(indices, dtype=np.int64))
 
     def _entity_block(self, kind: str, entity_ids: list[str]) -> np.ndarray:
         store = self._require(self.resources.entity_store, "entity")
@@ -572,17 +592,12 @@ class Assembler:
             return wlr(name, self._require(res.word_store, "word"), flags)
         if kind == "swlr":
             return wlr(name, self._require(res.subword_store, "subword"), flags)
-        if kind == "avg-des":
-            store = self._require(res.word_store, "word")
-            desc = (res.descriptions or {}).get(entity_id)
-            if desc is None:
-                if flags is not None:
-                    flags.append(f"no description for {entity_id!r}")
-                return np.zeros(store.dim)
-            k = int(lv.opt("top_k", DEFAULT_TOP_K_DESCRIPTION_WORDS))
-            return avg_des(desc, res.idf or {}, store, k=k, flags=flags)
-        if kind not in self.indexers:
-            raise DataError("assembler not fitted on training names")
-        if kind == "bow":
-            return self.indexers["bow"].transform(bow_features(name))
-        return self.indexers["nsl"].transform(nsl_features(name))
+        # avg-des
+        store = self._require(res.word_store, "word")
+        desc = (res.descriptions or {}).get(entity_id)
+        if desc is None:
+            if flags is not None:
+                flags.append(f"no description for {entity_id!r}")
+            return np.zeros(store.dim)
+        k = int(lv.opt("top_k", DEFAULT_TOP_K_DESCRIPTION_WORDS))
+        return avg_des(desc, res.idf or {}, store, k=k, flags=flags)

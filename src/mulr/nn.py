@@ -7,11 +7,18 @@ backward pass needs; backward accumulates parameter gradients into
 Parameters initialize uniformly in [-0.05, 0.05] from the caller's
 generator.
 
+``SparseLinear`` maps binary feature rows, given as CSR id lists, through a
+table of shape (features, out). Its gradient covers only the table rows the
+batch touched, and ``AdaGrad.step_rows`` updates only those rows, which is
+exact: AdaGrad leaves an entry whose gradient is zero as it was.
+
 No gradient clipping anywhere; the LSTM has no peephole connections; the
 rectifier's subgradient at zero is zero.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,7 +60,7 @@ def scatter_add(table: np.ndarray, rows: np.ndarray,
     table[uniq] += sums.reshape(-1, dim)
 
 
-def _uniform(rng: np.random.Generator, shape) -> np.ndarray:
+def init_uniform(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
 
 
@@ -74,7 +81,8 @@ class Dense:
 
     @classmethod
     def initialize(cls, in_dim: int, out_dim: int, rng: np.random.Generator):
-        return cls(_uniform(rng, (out_dim, in_dim)), _uniform(rng, (out_dim,)))
+        return cls(init_uniform(rng, (out_dim, in_dim)),
+                   init_uniform(rng, (out_dim,)))
 
     @property
     def in_dim(self) -> int:
@@ -105,6 +113,58 @@ class Dense:
         return dy @ self.W
 
 
+def csr_take(indptr: np.ndarray, indices: np.ndarray,
+             rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` of the CSR rows (indptr, indices), in that order."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    out_ptr = np.concatenate([[0], np.cumsum(counts)])
+    picks = np.repeat(starts - out_ptr[:-1], counts) + np.arange(out_ptr[-1])
+    return out_ptr, indices[picks]
+
+
+class SparseLinear:
+    """Linear map of binary feature rows: row b maps to the sum of the
+    table rows ``W[j]`` over its feature ids j; ``W`` has shape
+    (features, out).
+
+    Rows come as CSR id lists (``indptr``, ``indices``). Forward compacts
+    the batch to its distinct features U and multiplies a (batch, |U|) 0/1
+    matrix by ``W[U]``. Backward sets the gradient of those rows only:
+    ``rows`` holds U, sorted, and ``grad`` one gradient row per entry.
+    """
+
+    def __init__(self, W: np.ndarray):
+        W = np.ascontiguousarray(W, dtype=float)
+        if W.ndim != 2:
+            raise NumericError(f"sparse table must be 2-D, got {W.shape}")
+        if not np.all(np.isfinite(W)):
+            raise NumericError("non-finite sparse table")
+        self.W = W
+        self.zero_grad()
+        self._X = None
+        self._U = None
+
+    def zero_grad(self) -> None:
+        self.rows = np.zeros(0, dtype=np.int64)
+        self.grad = np.zeros((0, self.W.shape[1]))
+
+    def forward(self, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        batch = len(indptr) - 1
+        U, col = np.unique(indices, return_inverse=True)
+        if U.size and (U[0] < 0 or U[-1] >= self.W.shape[0]):
+            raise NumericError(f"feature id outside the {self.W.shape[0]}-row "
+                               f"table")
+        X = np.zeros((batch, U.size))
+        X[np.repeat(np.arange(batch), np.diff(indptr)), col] = 1.0
+        self._X, self._U = X, U
+        return X @ self.W[U]
+
+    def backward(self, dy: np.ndarray) -> None:
+        self.rows = self._U
+        self.grad = self._X.T @ dy
+
+
 class ConvMaxPool:
     """Narrow 1-D convolution over a character matrix, max-pooled per filter.
 
@@ -124,9 +184,9 @@ class ConvMaxPool:
                 raise NumericError("filter count must be positive")
         self.widths = list(widths)
         self.d_in = d_in
-        self.filters = {w: _uniform(rng, (count, w, d_in))
+        self.filters = {w: init_uniform(rng, (count, w, d_in))
                         for w, count in widths}
-        self.biases = {w: _uniform(rng, (count,)) for w, count in widths}
+        self.biases = {w: init_uniform(rng, (count,)) for w, count in widths}
         self.grads = {}
         self.zero_grad()
         self._cache = None
@@ -226,9 +286,9 @@ class Lstm:
 
     @classmethod
     def initialize(cls, in_dim: int, hidden: int, rng: np.random.Generator):
-        return cls(_uniform(rng, (4 * hidden, in_dim)),
-                   _uniform(rng, (4 * hidden, hidden)),
-                   _uniform(rng, (4 * hidden,)))
+        return cls(init_uniform(rng, (4 * hidden, in_dim)),
+                   init_uniform(rng, (4 * hidden, hidden)),
+                   init_uniform(rng, (4 * hidden,)))
 
     @property
     def in_dim(self) -> int:
@@ -307,12 +367,19 @@ class Lstm:
 
 
 class AdaGrad:
-    """Per-coordinate adaptive step: acc += g^2; p -= lr * g / (sqrt(acc) + eps)."""
+    """Per-coordinate adaptive step: acc += g^2; p -= lr * g / (sqrt(acc) + eps).
+
+    ``step`` and ``step_rows`` run the formula's IEEE operations in its
+    order, so they agree bit for bit. Both work in two scratch buffers kept
+    across calls, since a fresh gradient-sized temporary that large is
+    mapped and page-faulted anew on every call.
+    """
 
     def __init__(self, learning_rate: float = 0.01, eps: float = 1e-8):
         self.learning_rate = learning_rate
         self.eps = eps
         self.acc: dict[str, np.ndarray] = {}
+        self._scratch = np.empty(0)
 
     def step(self, params: dict[str, np.ndarray],
              grads: dict[str, np.ndarray]) -> None:
@@ -320,10 +387,51 @@ class AdaGrad:
             g = grads[name]
             if g.shape != p.shape:
                 raise NumericError(f"gradient shape mismatch for {name!r}")
-            if name not in self.acc:
-                self.acc[name] = np.zeros_like(p)
-            self.acc[name] += g * g
-            p -= self.learning_rate * g / (np.sqrt(self.acc[name]) + self.eps)
+            acc = self._acc(name, p)
+            buf, den = self._buffers(g.shape)
+            np.multiply(g, g, out=buf)
+            acc += buf
+            np.sqrt(acc, out=den)
+            p -= self._scaled(g, den, buf)
+
+    def step_rows(self, name: str, p: np.ndarray, rows: np.ndarray,
+                  g: np.ndarray) -> None:
+        """``step`` on the distinct rows ``rows`` of ``p`` only; ``g`` has
+        one gradient row per entry of ``rows``."""
+        if g.shape != (len(rows),) + p.shape[1:]:
+            raise NumericError(f"gradient shape mismatch for {name!r}")
+        acc = self._acc(name, p)
+        buf, picked = self._buffers(g.shape)
+        np.multiply(g, g, out=buf)
+        np.take(acc, rows, axis=0, out=picked, mode="clip")
+        picked += buf
+        acc[rows] = picked
+        np.sqrt(picked, out=picked)
+        self._scaled(g, picked, buf)
+        np.take(p, rows, axis=0, out=picked, mode="clip")
+        picked -= buf
+        p[rows] = picked
+
+    def _acc(self, name: str, p: np.ndarray) -> np.ndarray:
+        if name not in self.acc:
+            self.acc[name] = np.zeros_like(p)
+        return self.acc[name]
+
+    def _buffers(self, shape) -> tuple[np.ndarray, np.ndarray]:
+        n = math.prod(shape)
+        if self._scratch.size < 2 * n:
+            self._scratch = np.empty(2 * n)
+        return (self._scratch[:n].reshape(shape),
+                self._scratch[n:2 * n].reshape(shape))
+
+    def _scaled(self, g: np.ndarray, den: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+        """lr * g / (den + eps) into ``out``, with ``den`` = sqrt(acc)
+        overwritten."""
+        den += self.eps
+        np.multiply(self.learning_rate, g, out=out)
+        out /= den
+        return out
 
 
 def grad_check(loss_fn, params: dict[str, np.ndarray],

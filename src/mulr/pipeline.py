@@ -39,7 +39,7 @@ from . import dataset as dataset_mod
 from .embeddings import (EmbeddingStore, SgnsConfig, KIND_SKIP, KIND_SSKIP,
                          load_embeddings, save_embeddings, train_sgns,
                          train_subword_sgns)
-from .errors import DataError, MulrError
+from .errors import DataError, MulrError, ParseError
 from .corpus import Vocabulary, build_subword_index, build_vocabulary
 from .levels import RepresentationSpec, Resources, build_idf
 from .metrics import EvalReport, build_report
@@ -227,11 +227,14 @@ def _cached(path: Path, key: str) -> bool:
 def load_descriptions(path) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {}
     with Path(path).open(encoding="utf-8") as fh:
-        for raw in fh:
+        for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
             ent_id, _, text = line.partition("\t")
+            if ent_id in out:
+                raise ParseError(path, line_no,
+                                 f"duplicate entity id {ent_id!r}")
             out[ent_id] = corpus_mod.tokenize(text)
     return out
 
@@ -491,11 +494,16 @@ def read_predictions(path) -> dict[str, set]:
     """Entity id to predicted type set, from a ``write_predictions`` file."""
     out: dict[str, set] = {}
     with Path(path).open(encoding="utf-8") as fh:
-        for raw in fh:
+        for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
             ent_id, _, cell = line.partition("\t")
+            if not ent_id:
+                raise ParseError(path, line_no, "empty entity id")
+            if ent_id in out:
+                raise ParseError(path, line_no,
+                                 f"duplicate entity id {ent_id!r}")
             types = set()
             if cell:
                 for item in cell.split(","):

@@ -1,11 +1,15 @@
 """Multi-label entity typer: one-hidden-layer MLP over the representation.
 
 The probability vector for an entity is ``sigmoid(W_out relu(W_in v(e)))``
-with one output unit per type. Training minimizes binary cross entropy
-summed over types and averaged over the minibatch, with AdaGrad updates.
-Word-, entity- and type-level inputs stay frozen; only the MLP and the
-character-level encoder receive gradients. After each epoch the dev micro
-F1 at threshold 0.5 decides the checkpoint to keep; training stops once
+with one output unit per type. ``W_in`` is held in two parts: a dense layer
+over the dense levels (with the character encoder's output in its hole),
+and a feature table with one row per ``bow``/``nsl`` feature, summed over
+the features a name has. Training minimizes binary cross entropy summed
+over types and averaged over the minibatch, with AdaGrad updates; each
+step updates only the table rows its batch touched, which AdaGrad makes
+exact. Word-, entity- and type-level inputs stay frozen; only the MLP and
+the character-level encoder receive gradients. After each epoch the dev
+micro F1 at threshold 0.5 decides the checkpoint to keep; training stops once
 ``patience`` epochs pass without a new best.
 
 Decision thresholds are calibrated per type on dev scores and applied with
@@ -19,7 +23,10 @@ Model files are self-contained: layout, MLP and encoder parameters, sparse
 feature indexes, thresholds, and the frozen embedding stores the spec
 needs. Layout: magic line ``MULR-MODEL 1``, a JSON metadata line (ints and
 strings only), then the named float64 arrays in manifest order, raw
-little-endian bytes.
+little-endian bytes. A spec with ``bow`` or ``nsl`` stores the feature
+table as ``features.W``, of shape (features, hidden units), and
+``w_in.W`` then covers the dense levels only; other specs have no
+``features.W``.
 """
 
 from __future__ import annotations
@@ -37,16 +44,18 @@ from .corpus import SubwordIndex
 from .dataset import DatasetSplit, EntityRecord, TypeSystem
 from .embeddings import EmbeddingStore, KIND_SUBWORD
 from .errors import DataError, MulrError
-from .levels import (Assembler, CharVocab, ClrEncoder, FeatureIndexer,
-                     LevelSpec, RepresentationSpec, Resources,
+from .levels import (SPARSE_KINDS, Assembler, CharVocab, ClrEncoder,
+                     FeatureIndexer, LevelSpec, RepresentationSpec, Resources,
                      build_char_vocab, default_hidden_units)
 from .metrics import f1_from_counts
-from .nn import AdaGrad, Dense, bce_loss, relu, sigmoid
+from .nn import (AdaGrad, Dense, SparseLinear, bce_loss, csr_take,
+                 init_uniform, relu, sigmoid)
 
 PROVISIONAL_THRESHOLD = 0.5
 # instances per scoring pass: it bounds the memory of a chunk's dense level
 # rows, and scoring time is flat (within 15%) for chunks of 64 to 512
 SCORE_BATCH = 256
+FEATURE_TABLE = "features.W"
 
 
 @dataclass
@@ -66,7 +75,12 @@ class TrainConfig:
 
 
 class TyperModel:
-    """MLP with a frozen multi-level input and a trainable character slice."""
+    """MLP with a frozen multi-level input and a trainable character slice.
+
+    ``input_dim`` is the full layout width, sparse levels included; the
+    dense layer ``w_in`` takes the dense levels and ``features`` (None
+    without ``bow``/``nsl``) holds the sparse levels' columns as table rows.
+    """
 
     def __init__(self, spec: RepresentationSpec, resources: Resources,
                  assembler: Assembler, clr: ClrEncoder | None,
@@ -83,9 +97,17 @@ class TyperModel:
         for lv, (_, dim) in zip(spec.levels, self.layout):
             if lv is spec.clr_level:
                 break
-            self.clr_offset += dim
+            if lv.kind not in SPARSE_KINDS:
+                self.clr_offset += dim
         n_types = len(self.type_system)
-        self.w_in = Dense.initialize(self.input_dim, hidden_units, rng)
+        # one draw over the full layout width, as one dense first layer
+        # takes it; the sparse levels' columns become the table's rows
+        sparse = np.repeat([k in SPARSE_KINDS for k, _ in self.layout],
+                           [d for _, d in self.layout])
+        W = init_uniform(rng, (hidden_units, self.input_dim))
+        self.w_in = Dense(np.ascontiguousarray(W[:, ~sparse]),
+                          init_uniform(rng, (hidden_units,)))
+        self.features = SparseLinear(W.T[sparse]) if sparse.any() else None
         self.w_out = Dense.initialize(hidden_units, n_types, rng)
         self.thresholds = np.full(n_types, PROVISIONAL_THRESHOLD)
         self.flags: list[str] = []
@@ -98,13 +120,19 @@ class TyperModel:
     # -- parameter plumbing ------------------------------------------------
 
     def params(self) -> dict[str, np.ndarray]:
+        """Every trained parameter, by its array name in the model file."""
         out = {"w_in.W": self.w_in.W, "w_in.b": self.w_in.b,
                "w_out.W": self.w_out.W, "w_out.b": self.w_out.b}
+        if self.features is not None:
+            out[FEATURE_TABLE] = self.features.W
         if self.clr is not None:
             out.update({f"clr.{k}": v for k, v in self.clr.params().items()})
         return out
 
     def grad_dict(self) -> dict[str, np.ndarray]:
+        """Full gradients of every parameter but the feature table, whose
+        gradient covers only the rows the last batch touched
+        (``features.rows`` and ``features.grad``)."""
         out = {"w_in.W": self.w_in.grads["W"], "w_in.b": self.w_in.grads["b"],
                "w_out.W": self.w_out.grads["W"], "w_out.b": self.w_out.grads["b"]}
         if self.clr is not None:
@@ -114,8 +142,20 @@ class TyperModel:
     def zero_grad(self) -> None:
         self.w_in.zero_grad()
         self.w_out.zero_grad()
+        if self.features is not None:
+            self.features.zero_grad()
         if self.clr is not None:
             self.clr.zero_grad()
+
+    def step(self, opt: AdaGrad) -> None:
+        """One optimizer step from the last backward pass: the feature
+        table on its touched rows, everything else in full."""
+        grads = self.grad_dict()
+        params = self.params()
+        opt.step({k: params[k] for k in grads}, grads)
+        if self.features is not None:
+            opt.step_rows(FEATURE_TABLE, self.features.W, self.features.rows,
+                          self.features.grad)
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params().items()}
@@ -135,9 +175,12 @@ class TyperModel:
         return np.concatenate([frozen[:, :pos], clr_out, frozen[:, pos:]],
                               axis=1)
 
-    def forward(self, v: np.ndarray) -> np.ndarray:
-        """One probability row per row of assembled representations."""
+    def forward(self, v: np.ndarray, feats=None) -> np.ndarray:
+        """One probability row per row of composed dense levels ``v``;
+        ``feats`` holds the same rows' feature ids from ``feature_rows``."""
         h_pre = self.w_in.forward(v)
+        if self.features is not None:
+            h_pre += self.features.forward(*feats)
         self._h_pre = h_pre
         return sigmoid(self.w_out.forward(relu(h_pre)))
 
@@ -148,6 +191,8 @@ class TyperModel:
         dh = self.w_out.backward(dz)
         dh = dh * (self._h_pre > 0.0)
         dv = self.w_in.backward(dh)
+        if self.features is not None:
+            self.features.backward(dh)
         if self.clr is not None:
             pos = self.clr_offset
             self.clr.backward(dv[:, pos:pos + self.clr.out_dim])
@@ -162,6 +207,13 @@ class TyperModel:
         scoring a loaded model leaves the model unchanged."""
         return self.assembler.frozen_matrix(instances, flags)
 
+    def feature_rows(self, instances) -> tuple[np.ndarray, np.ndarray] | None:
+        """CSR ``bow``/``nsl`` feature ids (indptr, indices) of the
+        instances' names, or None when the model has no feature table."""
+        if self.features is None:
+            return None
+        return self.assembler.feature_rows(instances)
+
     def char_matrix(self, instances) -> np.ndarray | None:
         if self.clr is None:
             return None
@@ -175,7 +227,8 @@ class TyperModel:
             chunk = instances[start:start + SCORE_BATCH]
             x = self.compose(self.frozen_matrix(chunk),
                              self.char_matrix(chunk))
-            out[start:start + len(chunk)] = self.forward(x)
+            out[start:start + len(chunk)] = self.forward(
+                x, self.feature_rows(chunk))
         return out
 
     def label_matrix(self, entities_or_instances) -> np.ndarray:
@@ -230,12 +283,14 @@ def train(split: DatasetSplit, spec: RepresentationSpec, resources: Resources,
 
     pairs = [(e.id, name) for e, name in insts]
     frozen = model.frozen_matrix(pairs, model.flags)
+    feats = model.feature_rows(pairs)
     char_ids = model.char_matrix(pairs)
     labels = model.label_matrix([e for e, _ in insts])
 
     dev_pairs = [(e.id, e.names[0]) for e in split.dev]
     dev_frozen = (model.frozen_matrix(dev_pairs, model.flags)
                   if dev_pairs else None)
+    dev_feats = model.feature_rows(dev_pairs) if dev_pairs else None
     dev_ids = model.char_matrix(dev_pairs) if dev_pairs else None
     dev_gold = model.label_matrix(list(split.dev)) if dev_pairs else None
 
@@ -251,14 +306,16 @@ def train(split: DatasetSplit, spec: RepresentationSpec, resources: Resources,
             rows = perm[start:start + cfg.batch_size]
             x = model.compose(frozen[rows],
                               None if char_ids is None else char_ids[rows])
-            p = model.forward(x)
+            p = model.forward(x, None if feats is None
+                              else csr_take(*feats, rows))
             m = labels[rows]
             epoch_loss += bce_loss(p, m)
             model.zero_grad()
             model.backward_from_probs(p, m)
-            opt.step(model.params(), model.grad_dict())
+            model.step(opt)
         if dev_frozen is not None:
-            dev_p = model.forward(model.compose(dev_frozen, dev_ids))
+            dev_p = model.forward(model.compose(dev_frozen, dev_ids),
+                                  dev_feats)
             metric = threshold_f1(dev_p, dev_gold, PROVISIONAL_THRESHOLD)
         else:
             metric = -epoch_loss
@@ -461,8 +518,11 @@ def _model_from_meta(meta: dict, arrays: dict[str, np.ndarray]) -> TyperModel:
     ts = TypeSystem(types=tuple(meta["types"]), parent=dict(meta["parent"]))
     stores = {}
     for label in ("word", "subword", "entity"):
+        name = f"store.{label}"
+        if meta["stores"][label] is not None and name not in arrays:
+            raise DataError(f"no array {name!r} in the manifest")
         stores[label] = _store_from_meta(meta["stores"][label],
-                                         arrays.get(f"store.{label}"))
+                                         arrays.get(name))
     idf = None
     if meta["idf"] is not None:
         idf = {w: float(x) for w, x in meta["idf"].items()}

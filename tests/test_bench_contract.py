@@ -11,11 +11,14 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mulr.corpus import build_vocabulary
+from mulr.dataset import TypeSystem
 from mulr.embeddings import (SgnsConfig, save_embeddings, train_sgns,
                              train_subword_sgns)
+from mulr.levels import Assembler, RepresentationSpec, Resources
 from mulr.nn import AdaGrad, ConvMaxPool, Dense, Lstm
 from mulr.typer import (TyperModel, calibrate_from_scores, save_model,
                         train)
@@ -85,3 +88,17 @@ READ_BY_NAME = [
                          ids=[fn.__qualname__ for fn, _ in READ_BY_NAME])
 def test_traced_parameter_names(fn, names):
     assert set(names) <= set(inspect.signature(fn).parameters)
+
+
+def test_input_dim_counts_sparse_levels():
+    """The tracer's ``levels.input_dim`` reads ``TyperModel.input_dim``, and
+    the ``nn.dense_*`` and ``nn.adagrad_step_ms`` kernels size their Dense
+    from it: it stays the full layout width, sparse levels included, though
+    their columns live in the feature table."""
+    res = Resources(type_system=TypeSystem(types=("t",), parent={}))
+    spec = RepresentationSpec.parse("nsl")
+    assembler = Assembler(spec, res).fit(["Alpha beta", "gamma"])
+    model = TyperModel(spec, res, assembler, None, 4,
+                       np.random.default_rng(0))
+    assert model.input_dim == sum(d for _, d in model.layout)
+    assert model.input_dim == len(assembler.indexers["nsl"]) > 0

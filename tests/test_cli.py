@@ -250,6 +250,48 @@ class TestExitCodes:
                          str(tmp_path / "out.vec")]) == 2
         assert "MULR_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body,where", [
+        ("m.1\tA:0.900000\nm.2\t\nm.1\t\n",
+         "preds.tsv:3: duplicate entity id 'm.1'"),
+        ("m.1\tA:0.900000\n\tA:0.800000\n", "preds.tsv:2: empty entity id"),
+    ], ids=["duplicate-id", "empty-id"])
+    def test_malformed_predictions_exit_2(self, synth, tmp_path, capsys,
+                                          body, where):
+        preds = tmp_path / "preds.tsv"
+        preds.write_text(body, encoding="utf-8")
+        assert cli.main(["evaluate", "--preds", str(preds),
+                         "--dataset", str(synth / "dataset.tsv"),
+                         "--hierarchy", str(synth / "hierarchy.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["notable.tsv", "descriptions.tsv"])
+    def test_duplicate_entity_id_exits_2(self, synth, tmp_path, capsys,
+                                         name):
+        """A second line for one entity id fails the load, rather than
+        silently replacing the first."""
+        for part in ("corpus.txt", "notable.tsv", "dataset.tsv",
+                     "hierarchy.tsv"):
+            (tmp_path / part).write_bytes((synth / part).read_bytes())
+        first = (synth / "notable.tsv").read_text().splitlines()[0]
+        eid = first.split("\t")[0]
+        config = write_config(tmp_path, "exp.ini")
+        if name == "notable.tsv":
+            lines = (synth / "notable.tsv").read_text().splitlines()
+            (tmp_path / name).write_text("\n".join(lines + [first]) + "\n")
+            line_no = len(lines) + 1
+        else:
+            (tmp_path / name).write_text(f"{eid}\tone text\n"
+                                         f"{eid}\tanother text\n")
+            line_no = 2
+            config.write_text(config.read_text().replace(
+                "[paths]\n", "[paths]\ndescriptions = descriptions.tsv\n"))
+        assert cli.main(["train", "--config", str(config),
+                         "--out", str(tmp_path / "model.bin")]) == 2
+        err = capsys.readouterr().err
+        assert f"{name}:{line_no}: duplicate entity id {eid!r}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("row,where", [
         ("all\taccuracy", "report.tsv:2: 2 tab-separated fields"),
         ("all\taccuracy\thigh", "report.tsv:2: non-numeric value 'high'"),
@@ -284,8 +326,9 @@ def _corrupt(case: str, data: bytes) -> bytes:
         line = line[:-1]
     elif case == "missing-key":
         del meta["hidden_units"]
-    elif case == "missing-array":
-        i, offset, size = _array_at(meta, "w_in.b")
+    elif case in ("missing-array", "missing-store"):
+        name = "w_in.b" if case == "missing-array" else "store.entity"
+        i, offset, size = _array_at(meta, name)
         del meta["arrays"][i]
         payload = payload[:offset] + payload[offset + size:]
     elif case == "shape":
@@ -310,6 +353,7 @@ class TestModelFileErrors:
         ("bad-json", "Expecting"),
         ("missing-key", "missing model field 'hidden_units'"),
         ("missing-array", "no array 'w_in.b' in the manifest"),
+        ("missing-store", "no array 'store.entity' in the manifest"),
         ("shape", "array 'w_in.W' has shape"),
         ("trailing", "8 bytes after the last array"),
         ("nan", "non-finite values in array 'w_in.W'"),

@@ -227,8 +227,32 @@ class TestSparseFeatures:
 
     def test_indexer_ignores_unseen(self):
         ix = FeatureIndexer().fit([{"a": 1, "b": 1}])
-        vec = ix.transform({"a": 1, "z": 1})
-        assert vec.tolist() == [1.0, 0.0]
+        assert ix.index == {"a": 0, "b": 1}
+        res = Resources(type_system=TypeSystem(types=("t",), parent={}))
+        asm = Assembler(RepresentationSpec.parse("bow"), res).fit(["a b"])
+        indptr, indices = asm.feature_rows([("m.1", "a z"), ("m.2", "z")])
+        index = asm.indexers["bow"].index
+        assert indptr.tolist() == [0, 2, 2]
+        assert sorted(indices) == sorted([index["w=a"], index["wl=a"]])
+
+    def test_feature_ids_offset_by_earlier_sparse_levels(self):
+        """``bow`` and ``nsl`` share one id space in spec order, and the
+        ids number the sparse columns of the layout."""
+        res = Resources(type_system=TypeSystem(types=("t",), parent={}))
+        names = ["Alpha beta", "gamma"]
+        for text in ("bow,nsl", "nsl,bow"):
+            asm = Assembler(RepresentationSpec.parse(text), res).fit(names)
+            indptr, indices = asm.feature_rows([("m.1", "Alpha beta")])
+            sizes = dict(asm.layout())
+            expected, base = [], 0
+            for kind in text.split(","):
+                feats = (bow_features if kind == "bow" else nsl_features)(
+                    "Alpha beta")
+                expected += [base + asm.indexers[kind].index[f]
+                             for f in feats]
+                base += sizes[kind]
+            assert indptr.tolist() == [0, len(expected)]
+            assert sorted(indices) == sorted(expected)
 
 
 class TestAvgDes:
@@ -315,7 +339,11 @@ class TestAssemble:
                 asm = Assembler(spec, res).fit(names)
                 dims = dict(asm.layout())
                 v = asm.frozen_matrix([("m.1", "alpha beta")])
-                assert v.shape == (1, sum(dims.values()))
+                dense = sum(d for k, d in dims.items()
+                            if k not in ("bow", "nsl"))
+                assert v.shape == (1, dense)
+                _, ids = asm.feature_rows([("m.1", "alpha beta")])
+                assert np.all(ids < sum(dims.values()) - dense)
 
     def test_duplicate_level_rejected(self):
         with pytest.raises(DataError, match="duplicate"):

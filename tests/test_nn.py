@@ -6,8 +6,8 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from mulr.errors import NumericError
-from mulr.nn import (AdaGrad, ConvMaxPool, Dense, Lstm, bce_loss, grad_check,
-                     relu, sigmoid)
+from mulr.nn import (AdaGrad, ConvMaxPool, Dense, Lstm, SparseLinear,
+                     bce_loss, csr_take, grad_check, relu, sigmoid)
 
 
 class TestDense:
@@ -30,6 +30,46 @@ class TestDense:
         layer = Dense(np.eye(3), np.zeros(3))
         with pytest.raises(NumericError):
             layer.forward(np.ones((1, 4)))
+
+
+class TestSparseLinear:
+    def test_rows_sum_table_rows(self):
+        W = np.arange(12.0).reshape(4, 3)
+        layer = SparseLinear(W)
+        out = layer.forward(np.array([0, 2, 2, 3]), np.array([0, 2, 2]))
+        np.testing.assert_array_equal(out, [W[0] + W[2], np.zeros(3), W[2]])
+
+    def test_backward_leaves_touched_rows_only(self):
+        """A feature shared by rows gets the sum of their gradients, once."""
+        layer = SparseLinear(np.zeros((6, 2)))
+        layer.forward(np.array([0, 2, 4]), np.array([4, 1, 1, 3]))
+        dy = np.array([[1.0, 2.0], [10.0, 20.0]])
+        layer.backward(dy)
+        assert layer.rows.tolist() == [1, 3, 4]
+        np.testing.assert_array_equal(layer.grad,
+                                      [dy[0] + dy[1], dy[1], dy[0]])
+
+    def test_empty_batch(self):
+        layer = SparseLinear(np.ones((3, 2)))
+        assert layer.forward(np.array([0]), np.zeros(0, int)).shape == (0, 2)
+        layer.backward(np.zeros((0, 2)))
+        assert layer.rows.size == 0 and layer.grad.shape == (0, 2)
+
+    def test_id_outside_table(self):
+        layer = SparseLinear(np.ones((3, 2)))
+        with pytest.raises(NumericError):
+            layer.forward(np.array([0, 1]), np.array([3]))
+
+    def test_csr_take_matches_row_loop(self):
+        rng = np.random.default_rng(0)
+        lengths = rng.integers(0, 4, size=9)
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        indices = rng.integers(0, 20, size=indptr[-1])
+        rows = rng.permutation(9)[:6]
+        out_ptr, out_idx = csr_take(indptr, indices, rows)
+        expected = [indices[indptr[r]:indptr[r + 1]].tolist() for r in rows]
+        assert [out_idx[a:b].tolist() for a, b
+                in zip(out_ptr[:-1], out_ptr[1:])] == expected
 
 
 class TestConvMaxPool:
@@ -227,6 +267,42 @@ class TestAdaGrad:
         second = -p["w"][0] - first
         assert second == pytest.approx(0.1 / math.sqrt(2), rel=1e-6)
 
+    def test_step_equals_one_line_formula(self):
+        rng = np.random.default_rng(1)
+        params = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=5)}
+        ref = {k: v.copy() for k, v in params.items()}
+        ref_acc = {k: rng.random(v.shape) for k, v in params.items()}
+        opt = AdaGrad(learning_rate=0.3)
+        opt.acc = {k: v.copy() for k, v in ref_acc.items()}
+        for _ in range(3):
+            grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+            opt.step(params, grads)
+            for k, g in grads.items():
+                ref_acc[k] += g * g
+                ref[k] -= 0.3 * g / (np.sqrt(ref_acc[k]) + 1e-8)
+        for k in params:
+            assert np.array_equal(params[k], ref[k])
+            assert np.array_equal(opt.acc[k], ref_acc[k])
+
+    def test_step_rows_equals_step(self):
+        """Given a gradient that is zero outside ``rows``, updating only
+        those rows is the full step, bit for bit."""
+        rng = np.random.default_rng(2)
+        p_full = rng.normal(size=(10, 4))
+        p_rows = p_full.copy()
+        full, sparse = AdaGrad(learning_rate=0.2), AdaGrad(learning_rate=0.2)
+        acc = rng.random((10, 4))
+        full.acc["t"], sparse.acc["t"] = acc.copy(), acc.copy()
+        for _ in range(3):
+            rows = np.sort(rng.choice(10, size=4, replace=False))
+            g = rng.normal(size=(4, 4))
+            g_full = np.zeros((10, 4))
+            g_full[rows] = g
+            full.step({"t": p_full}, {"t": g_full})
+            sparse.step_rows("t", p_rows, rows, g)
+            assert np.array_equal(p_rows, p_full)
+            assert np.array_equal(sparse.acc["t"], full.acc["t"])
+
     def test_steps_non_increasing_for_constant_gradient(self):
         p = {"w": np.array([0.0])}
         opt = AdaGrad(learning_rate=0.05)
@@ -274,6 +350,23 @@ class TestGradCheck:
             layer.backward(p - m)
             err = grad_check(loss_fn, layer.params(), layer.grads, rng=rng)
             assert err < 1e-4
+
+    def test_sparse_linear(self):
+        rng = np.random.default_rng(12)
+        layer = SparseLinear(rng.normal(size=(7, 3)))
+        indptr, indices = np.array([0, 3, 3, 5]), np.array([0, 4, 6, 4, 2])
+        m = (rng.random((3, 3)) < 0.5).astype(float)
+
+        def loss_fn():
+            return bce_loss(sigmoid(layer.forward(indptr, indices)), m)
+
+        p = sigmoid(layer.forward(indptr, indices))
+        layer.backward(p - m)
+        analytic = np.zeros_like(layer.W)
+        analytic[layer.rows] = layer.grad
+        err = grad_check(loss_fn, {"W": layer.W}, {"W": analytic}, rng=rng,
+                         max_samples_per_param=21)
+        assert err < 1e-4
 
     def test_conv_maxpool(self):
         rng = np.random.default_rng(11)

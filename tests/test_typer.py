@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,15 +11,15 @@ from mulr.corpus import build_subword_index, build_vocabulary
 from mulr.dataset import DatasetSplit, EntityRecord, TypeSystem
 from mulr.embeddings import EmbeddingStore, SgnsConfig, train_subword_sgns
 from mulr.errors import DataError, NumericError
-from mulr.levels import (Assembler, ClrEncoder, LevelSpec,
+from mulr.levels import (SPARSE_FEATURES, Assembler, ClrEncoder, LevelSpec,
                          RepresentationSpec, Resources, avg_des,
                          build_char_vocab, build_idf, default_hidden_units,
                          wlr)
-from mulr.nn import grad_check, relu
-from mulr.typer import (SCORE_BATCH, TrainConfig, TyperModel,
+from mulr.nn import AdaGrad, Dense, grad_check, relu, sigmoid
+from mulr.typer import (FEATURE_TABLE, SCORE_BATCH, TrainConfig, TyperModel,
                         calibrate_from_scores, calibrate_thresholds,
                         load_model, predict_with_scores, save_model,
-                        threshold_f1, train)
+                        threshold_f1, train, train_instances)
 
 
 def indicator_problem(n_per_type=12, dim=6, noise=0.05, seed=0,
@@ -274,6 +276,236 @@ class TestScoresFor:
         model.scores_for(insts)
         predict_with_scores(model, model_entities(model, insts))
         assert model.flags == ["kept"]
+
+
+# ---------------------------------------------------------------------------
+# the dense reference for bow/nsl: 0/1 rows in the layout columns and one
+# Dense over the full input, as the typer computed before the feature table
+
+
+def transform(indexer, features) -> np.ndarray:
+    """Dense 0/1 row of a name's indexed features; unseen ones are
+    dropped."""
+    out = np.zeros(len(indexer))
+    for name in features:
+        i = indexer.index.get(name)
+        if i is not None:
+            out[i] = 1.0
+    return out
+
+
+def dense_input(model, insts) -> np.ndarray:
+    """Full-width input rows, every level in its layout columns."""
+    composed = model.compose(model.frozen_matrix(insts),
+                             model.char_matrix(insts))
+    blocks, col = [], 0
+    for kind, dim in model.layout:
+        if kind in SPARSE_FEATURES:
+            ix = model.assembler.indexers[kind]
+            blocks.append(np.array(
+                [transform(ix, SPARSE_FEATURES[kind](name))
+                 for _, name in insts]).reshape(len(insts), dim))
+        else:
+            blocks.append(composed[:, col:col + dim])
+            col += dim
+    return np.concatenate(blocks, axis=1)
+
+
+def sparse_columns(model) -> np.ndarray:
+    return np.concatenate([np.full(dim, kind in SPARSE_FEATURES)
+                           for kind, dim in model.layout])
+
+
+def dense_w_in(model) -> Dense:
+    """The first layer as one Dense over the full layout width."""
+    sparse = sparse_columns(model)
+    W = np.empty((model.w_in.out_dim, model.input_dim))
+    W[:, ~sparse] = model.w_in.W
+    if model.features is not None:
+        W[:, sparse] = model.features.W.T
+    return Dense(W, model.w_in.b.copy())
+
+
+def clr_columns(model) -> slice:
+    kinds = [kind for kind, _ in model.layout]
+    lo = sum(dim for _, dim in model.layout[:kinds.index(model.clr.kind)])
+    return slice(lo, lo + model.clr.out_dim)
+
+
+def dense_pass(model, w_in, insts, labels):
+    """Probabilities, then gradients into ``w_in`` and the model's other
+    layers, by the dense path."""
+    x = dense_input(model, insts)
+    h = w_in.forward(x)
+    p = sigmoid(model.w_out.forward(relu(h)))
+    model.zero_grad()
+    w_in.zero_grad()
+    dh = model.w_out.backward((p - labels) / len(insts)) * (h > 0.0)
+    dv = w_in.backward(dh)
+    if model.clr is not None:
+        model.clr.backward(dv[:, clr_columns(model)])
+    return p
+
+
+def dense_grads(model, w_in) -> dict[str, np.ndarray]:
+    return dict(model.grad_dict(), **{"w_in.W": w_in.grads["W"],
+                                      "w_in.b": w_in.grads["b"]})
+
+
+def table_grad(model) -> np.ndarray:
+    """The table's row gradient as a full array; its rows must be
+    distinct, so a merged duplicate cannot hide in a sum."""
+    rows = model.features.rows
+    assert np.array_equal(rows, np.unique(rows))
+    out = np.zeros_like(model.features.W)
+    out[rows] = model.features.grad
+    return out
+
+
+SPARSE_SPECS = ["nsl", "bow,nsl", "clr-cnn,nsl", "elr,nsl,tc"]
+
+
+def sparse_fixture(levels, n=40):
+    """An untrained model on ``levels`` fitted on the first half of the
+    names, the instances (the rest have unseen features, the last an
+    empty name with none) and random labels."""
+    split, res = indicator_problem()
+    entities = split.all_entities()
+    names = instance_names(n - 1) + [""]
+    insts = [(entities[i % len(entities)].id, name)
+             for i, name in enumerate(names)]
+    model = untrained_model(RepresentationSpec.parse(levels, CLR_OPTIONS),
+                            res, names[:n // 2])
+    labels = (np.random.default_rng(5).random(
+        (n, len(res.type_system))) < 0.5).astype(float)
+    return model, insts, labels
+
+
+class TestFeatureTable:
+    """The feature table against the dense reference."""
+
+    @pytest.mark.parametrize("levels", SPARSE_SPECS)
+    def test_scores_match_dense_reference(self, levels):
+        model, insts, labels = sparse_fixture(levels)
+        ref = copy.deepcopy(model)
+        expected = dense_pass(ref, dense_w_in(ref), insts, labels)
+        np.testing.assert_allclose(model.scores_for(insts), expected,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("levels", SPARSE_SPECS)
+    def test_gradients_match_dense_reference(self, levels):
+        model, insts, labels = sparse_fixture(levels)
+        ref = copy.deepcopy(model)
+        w_in = dense_w_in(ref)
+        dense_pass(ref, w_in, insts, labels)
+        expected = dense_grads(ref, w_in)
+        p = model.forward(model.compose(model.frozen_matrix(insts),
+                                        model.char_matrix(insts)),
+                          model.feature_rows(insts))
+        model.zero_grad()
+        model.backward_from_probs(p, labels)
+        _, ids = model.feature_rows(insts)
+        np.testing.assert_array_equal(model.features.rows, np.unique(ids))
+        sparse = sparse_columns(model)
+        got = dict(model.grad_dict())
+        got["w_in.W"] = np.empty_like(expected["w_in.W"])
+        got["w_in.W"][:, ~sparse] = model.w_in.grads["W"]
+        got["w_in.W"][:, sparse] = table_grad(model).T
+        assert got.keys() == expected.keys()
+        for name, g in expected.items():
+            np.testing.assert_allclose(got[name], g, rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    def test_name_without_features_gets_only_the_bias(self):
+        model, _, _ = sparse_fixture("nsl")
+        empty = [("m.000", "")]
+        indptr, indices = model.feature_rows(empty)
+        assert indptr.tolist() == [0, 0] and indices.size == 0
+        model.forward(model.frozen_matrix(empty), (indptr, indices))
+        np.testing.assert_array_equal(model._h_pre, model.w_in.b[None])
+
+    def test_empty_batch(self):
+        model, _, _ = sparse_fixture("clr-cnn,nsl")
+        assert model.scores_for([]).shape == (0, 2)
+
+    def test_input_dim_is_full_layout_width(self):
+        model, _, _ = sparse_fixture("elr,nsl,tc")
+        n_features = model.features.W.shape[0]
+        assert model.input_dim == sum(d for _, d in model.layout)
+        assert model.w_in.in_dim == model.input_dim - n_features
+        assert n_features == dict(model.layout)["nsl"]
+
+    def test_starting_weights_are_one_dense_draw(self):
+        """The split first layer starts from the draw a full-width Dense
+        takes, so training starts where the dense typer did."""
+        model, _, _ = sparse_fixture("elr,nsl,tc")
+        # ``untrained_model`` builds from default_rng(3), 7 hidden units
+        reference = Dense.initialize(model.input_dim, 7,
+                                     np.random.default_rng(3))
+        np.testing.assert_array_equal(dense_w_in(model).W, reference.W)
+        np.testing.assert_array_equal(model.w_in.b, reference.b)
+
+
+def dense_train(split, spec, res, cfg):
+    """``train``'s loop on the dense path, without its checkpoints; returns
+    the model (first layer unused) and its full-width first layer."""
+    insts = train_instances(split)
+    rng = np.random.default_rng(cfg.seed)
+    names = [name for _, name in insts]
+    assembler = Assembler(spec, res).fit(names)
+    clr = ClrEncoder(spec.clr_level, build_char_vocab(names), rng,
+                     combo_kinds=spec.kinds)
+    model = TyperModel(spec, res, assembler, clr, cfg.hidden_units, rng)
+    w_in = dense_w_in(model)
+    pairs = [(e.id, name) for e, name in insts]
+    labels = model.label_matrix([e for e, _ in insts])
+    opt = AdaGrad(learning_rate=cfg.learning_rate)
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(len(insts))
+        for start in range(0, len(insts), cfg.batch_size):
+            rows = perm[start:start + cfg.batch_size]
+            dense_pass(model, w_in, [pairs[r] for r in rows], labels[rows])
+            grads = dense_grads(model, w_in)
+            params = dict(model.params(), **{"w_in.W": w_in.W,
+                                             "w_in.b": w_in.b})
+            params.pop(FEATURE_TABLE)
+            opt.step(params, grads)
+    return model, w_in
+
+
+class TestTrainFeatureTable:
+    def test_two_epochs_match_dense_training(self):
+        split, res = indicator_problem(n_per_type=20)
+        names = iter(instance_names(40))
+        split = DatasetSplit(*(
+            tuple(dataclasses.replace(e, names=(next(names),)) for e in part)
+            for part in (split.train, split.dev, split.test)))
+        spec = RepresentationSpec.parse("clr-cnn,nsl", CLR_OPTIONS)
+        cfg = quick_cfg(epochs=2, learning_rate=0.05)
+        dev_f1 = []
+        model = train(split, spec, res, cfg,
+                      on_epoch_end=lambda e, loss, m: dev_f1.append(m))
+        assert dev_f1[1] > dev_f1[0]  # so the last epoch is the checkpoint
+        ref, w_in = dense_train(split, spec, res, cfg)
+        sparse = sparse_columns(model)
+        np.testing.assert_allclose(model.w_in.W, w_in.W[:, ~sparse],
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(model.features.W, w_in.W[:, sparse].T,
+                                   rtol=0, atol=1e-9)
+        for name, value in ref.params().items():
+            if not name.startswith(("w_in.", FEATURE_TABLE)):
+                np.testing.assert_allclose(model.params()[name], value,
+                                           rtol=0, atol=1e-9, err_msg=name)
+        insts = [(e.id, e.names[0]) for e in split.test]
+        expected = dense_pass(ref, w_in, insts,
+                              ref.label_matrix(list(split.test)))
+        np.testing.assert_allclose(model.scores_for(insts), expected,
+                                   rtol=0, atol=1e-9)
+        types = model.type_system.types
+        assert [{t for t, _ in row}
+                for row in predict_with_scores(model, split.test)] == [
+            {types[i] for i in np.flatnonzero(row > 0.5)}
+            for row in expected]
 
 
 def _pool_margins_ok(net, margin=1e-3):
@@ -547,6 +779,22 @@ class TestSerialization:
                                    model.scores_for(pairs), atol=1e-12)
         assert predict_with_scores(loaded, split.test) \
             == predict_with_scores(model, split.test)
+
+    def test_round_trip_nsl_model(self, tmp_path):
+        """The table is stored once, under its own name, and a reloaded
+        model scores the same."""
+        model, insts, _ = sparse_fixture("elr,nsl,tc")
+        path = tmp_path / "model.bin"
+        save_model(model, path, config_hash="h", seed=1)
+        loaded = load_model(path)
+        np.testing.assert_array_equal(loaded.features.W, model.features.W)
+        np.testing.assert_array_equal(loaded.scores_for(insts),
+                                      model.scores_for(insts))
+        manifest = dict(json.loads(path.read_bytes().split(b"\n")[1])
+                        ["arrays"])
+        assert manifest[FEATURE_TABLE] == list(model.features.W.shape)
+        assert manifest["w_in.W"] == [7, model.input_dim
+                                      - model.features.W.shape[0]]
 
     def test_save_is_deterministic(self, tmp_path):
         split, res = indicator_problem()
