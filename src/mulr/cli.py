@@ -17,6 +17,7 @@ from .embeddings import (SgnsConfig, save_embeddings, train_sgns,
                          train_subword_sgns)
 from .corpus import build_subword_index
 from .errors import DataError, MulrError, NumericError, ParseError
+from .fileio import text_lines
 from .metrics import build_report, significance_matrix
 from .pipeline import (PipelineRun, load_config, read_predictions,
                        read_vocabulary, resolve_threads, run_pipeline,
@@ -161,13 +162,9 @@ def _cmd_pipeline(args) -> int:
 
 def _read_report(path) -> tuple[dict, dict]:
     """(metric values, counts) from a report TSV of ``mulr evaluate``."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     rows = {}
     counts = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in text_lines(path):
         if not raw.strip() or raw.startswith("#"):
             continue
         fields = raw.split("\t")

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DataError, ParseError
+from .fileio import text_lines
 
 _MENTION_RE = re.compile(r"\[\[([^|\[\]]+)\|([^\[\]]*)\]\]")
 _PUNCT = set(string.punctuation)
@@ -89,18 +90,16 @@ def parse_corpus_line(line: str) -> tuple[list[str], list[Mention]]:
 def load_corpus(path) -> AnnotatedCorpus:
     path = Path(path)
     sentences, mentions = [], []
-    with path.open(encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            try:
-                toks, ms = parse_corpus_line(line)
-            except DataError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-            if toks:
-                sentences.append(toks)
-                mentions.append(ms)
+    for line_no, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            toks, ms = parse_corpus_line(line)
+        except DataError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
+        if toks:
+            sentences.append(toks)
+            mentions.append(ms)
     return AnnotatedCorpus(sentences=sentences, mentions=mentions)
 
 
@@ -167,18 +166,16 @@ def build_three_copy_corpus(
 def load_notable(path) -> dict[str, str]:
     path = Path(path)
     notable: dict[str, str] = {}
-    with path.open(encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(path, line_no, "expected entity_id<TAB>type_id")
-            if fields[0] in notable:
-                raise ParseError(path, line_no,
-                                 f"duplicate entity id {fields[0]!r}")
-            notable[fields[0]] = fields[1]
+    for line_no, line in text_lines(path):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ParseError(path, line_no, "expected entity_id<TAB>type_id")
+        if fields[0] in notable:
+            raise ParseError(path, line_no,
+                             f"duplicate entity id {fields[0]!r}")
+        notable[fields[0]] = fields[1]
     return notable
 
 

@@ -17,9 +17,11 @@ rows exactly one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from .errors import DataError, ParseError
+from .fileio import text_lines
 
 HEAD_MIN_FREQUENCY = 100  # head: frequency strictly greater
 TAIL_MAX_FREQUENCY = 5    # tail: frequency strictly smaller
@@ -50,8 +52,9 @@ class TypeSystem:
         for t in self.types:
             self.ancestors(t)  # raises on cycles
 
-    @property
+    @cached_property
     def index(self) -> dict[str, int]:
+        """Position of each type; built once, so treat it as read-only."""
         return {t: i for i, t in enumerate(self.types)}
 
     def __len__(self) -> int:
@@ -169,22 +172,20 @@ def load_type_system(path) -> TypeSystem:
     path = Path(path)
     types: list[str] = []
     parent: dict[str, str] = {}
-    with path.open(encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) > 2:
-                raise ParseError(path, line_no, "expected at most two columns")
-            child = fields[0].strip()
-            if not child:
-                raise ParseError(path, line_no, "empty type name")
-            if child in types:
-                raise ParseError(path, line_no, f"duplicate type {child!r}")
-            types.append(child)
-            if len(fields) == 2 and fields[1].strip():
-                parent[child] = fields[1].strip()
+    for line_no, line in text_lines(path):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) > 2:
+            raise ParseError(path, line_no, "expected at most two columns")
+        child = fields[0].strip()
+        if not child:
+            raise ParseError(path, line_no, "empty type name")
+        if child in types:
+            raise ParseError(path, line_no, f"duplicate type {child!r}")
+        types.append(child)
+        if len(fields) == 2 and fields[1].strip():
+            parent[child] = fields[1].strip()
     if not types:
         raise DataError(f"{path}: no types")
     return TypeSystem(types=tuple(types), parent=parent)
@@ -207,43 +208,41 @@ def load_dataset(path, types: TypeSystem) -> DatasetSplit:
     path = Path(path)
     parts: dict[str, list[EntityRecord]] = {"#train": [], "#dev": [], "#test": []}
     section = None
-    with path.open(encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.strip() in _SECTIONS:
-                section = line.strip()
-                continue
-            if line.startswith("#"):
-                continue
-            if section is None:
-                raise ParseError(path, line_no, "row before any section marker")
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ParseError(path, line_no,
-                                 f"expected 4 tab-separated fields, got {len(fields)}")
-            ent_id, names_field, types_field, freq_field = fields
-            if not ent_id.strip():
-                raise ParseError(path, line_no, "empty entity id")
-            names = tuple(n for n in names_field.split("|") if n.strip())
-            if not names:
-                raise ParseError(path, line_no, "no names")
-            gold = frozenset(t.strip() for t in types_field.split(",") if t.strip())
-            for t in gold:
-                if t not in types:
-                    raise ParseError(path, line_no, f"unknown type {t!r}")
-            try:
-                freq = int(freq_field)
-            except ValueError:
-                raise ParseError(path, line_no,
-                                 f"bad frequency {freq_field!r}") from None
-            try:
-                rec = EntityRecord(id=ent_id, names=names, gold_types=gold,
-                                   corpus_frequency=freq)
-            except DataError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-            parts[section].append(rec)
+    for line_no, line in text_lines(path):
+        if not line.strip():
+            continue
+        if line.strip() in _SECTIONS:
+            section = line.strip()
+            continue
+        if line.startswith("#"):
+            continue
+        if section is None:
+            raise ParseError(path, line_no, "row before any section marker")
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ParseError(path, line_no,
+                             f"expected 4 tab-separated fields, got {len(fields)}")
+        ent_id, names_field, types_field, freq_field = fields
+        if not ent_id.strip():
+            raise ParseError(path, line_no, "empty entity id")
+        names = tuple(n for n in names_field.split("|") if n.strip())
+        if not names:
+            raise ParseError(path, line_no, "no names")
+        gold = frozenset(t.strip() for t in types_field.split(",") if t.strip())
+        for t in gold:
+            if t not in types:
+                raise ParseError(path, line_no, f"unknown type {t!r}")
+        try:
+            freq = int(freq_field)
+        except ValueError:
+            raise ParseError(path, line_no,
+                             f"bad frequency {freq_field!r}") from None
+        try:
+            rec = EntityRecord(id=ent_id, names=names, gold_types=gold,
+                               corpus_frequency=freq)
+        except DataError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
+        parts[section].append(rec)
     if not any(parts.values()):
         raise DataError(f"{path}: no entities")
     return DatasetSplit(train=tuple(parts["#train"]),

@@ -8,6 +8,10 @@ Three trainers share one update loop:
 * subword: the center token's input vector is the average of its character
   ngram vectors, so vectors can be composed for words never indexed.
 
+Pairs come ordered by center position, so within a minibatch a center's
+pairs form runs. For subword, each run's vector is composed once, and its
+pairs' gradients are summed before the one update of its ngram rows.
+
 Negative samples are drawn from the unigram distribution raised to 0.75 via
 a precomputed sampling table. The learning rate decays linearly to 1e-4 of
 its initial value over all epochs. Single-threaded training is bit
@@ -15,13 +19,18 @@ deterministic under a fixed seed; with more threads, sentence chunks update
 the shared parameters without synchronization and only statistical
 properties are reproducible.
 
-Embedding text format: first line ``count dim``, then one ``token v1 .. vd``
-row per token.
+Embedding text format (``save_embeddings``, ``mulr embed --out``): first
+line ``count dim``, then one ``token v1 .. vd`` row per token. The
+pipeline caches stores as array files instead (``save_store``, see
+``fileio``): magic line ``MULR-STORE 1``, a JSON line with ``kind``, ``dim``
+and ``tokens``, then the matrix as raw little-endian float64.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +39,7 @@ import numpy as np
 from .corpus import SubwordIndex, Vocabulary
 from .dataset import TypeSystem
 from .errors import DataError, NumericError
+from .fileio import data_errors, read_array_file, text_lines, write_array_file
 from .nn import csr_take, scatter_add, sigmoid
 
 KIND_SKIP = "skip"
@@ -39,6 +49,7 @@ KIND_SUBWORD = "subword"
 NEGATIVE_TABLE_SIZE = 1_000_000
 UNIGRAM_POWER = 0.75
 MIN_LR_FRACTION = 1e-4
+STORE_MAGIC = "MULR-STORE 1"
 
 
 @dataclass
@@ -134,8 +145,8 @@ def save_embeddings(store: EmbeddingStore, path) -> None:
 def load_embeddings(path, kind: str = KIND_SKIP,
                     subwords: SubwordIndex | None = None) -> EmbeddingStore:
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        header = fh.readline().split()
+    with closing(text_lines(path)) as lines:
+        header = next(lines, (1, ""))[1].split()
         try:
             count, dim = (int(x) for x in header)
         except ValueError:
@@ -148,7 +159,7 @@ def load_embeddings(path, kind: str = KIND_SKIP,
         seen: set[str] = set()
         matrix = np.empty((count, dim))
         for i in range(count):
-            parts = fh.readline().rstrip("\n").split(" ")
+            parts = next(lines, (i + 2, ""))[1].split(" ")
             if len(parts) != dim + 1:
                 raise DataError(f"{path}: line {i + 2}: {len(parts) - 1} "
                                 f"values, expected {dim}")
@@ -161,12 +172,40 @@ def load_embeddings(path, kind: str = KIND_SKIP,
                 matrix[i] = [float(x) for x in parts[1:]]
             except ValueError as exc:
                 raise DataError(f"{path}: line {i + 2}: {exc}") from None
-        for line_no, extra in enumerate(fh, start=count + 2):
+        for line_no, extra in lines:
             if extra.strip():
                 raise DataError(f"{path}: line {line_no}: row past the "
                                 f"header's count of {count}")
     return EmbeddingStore(kind=kind, dim=dim, tokens=tokens, matrix=matrix,
                           subwords=subwords)
+
+
+def save_store(store: EmbeddingStore, path) -> None:
+    """Write ``store`` as an array file, its matrix as array ``matrix``."""
+    write_array_file(path, STORE_MAGIC,
+                     {"kind": store.kind, "dim": store.dim,
+                      "tokens": store.tokens}, {"matrix": store.matrix})
+
+
+def load_store(path, kind: str,
+               subwords: SubwordIndex | None = None) -> EmbeddingStore:
+    """Read a ``save_store`` file holding a ``kind`` store. Any malformed
+    content, including a duplicate token or a non-finite value, is a
+    ``DataError`` that names the path."""
+    with data_errors(path, "store"):
+        meta, arrays = read_array_file(path, STORE_MAGIC)
+        if meta["kind"] != kind:
+            raise DataError(f"a {meta['kind']!r} store, expected {kind!r}")
+        tokens, dim = meta["tokens"], meta["dim"]
+        if not (isinstance(tokens, list) and isinstance(dim, int)
+                and all(isinstance(t, str) for t in tokens)):
+            raise DataError("tokens must be a list of strings and dim an "
+                            "integer")
+        if len(set(tokens)) != len(tokens):
+            dup = next(t for t, n in Counter(tokens).items() if n > 1)
+            raise DataError(f"duplicate token {dup!r}")
+        return EmbeddingStore(kind=kind, dim=dim, tokens=tokens,
+                              matrix=arrays["matrix"], subwords=subwords)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -202,8 +241,12 @@ def _unigram_table(vocab: Vocabulary, size: int) -> np.ndarray:
     weights **= UNIGRAM_POWER
     cumulative = np.cumsum(weights)
     cumulative /= cumulative[-1]
-    targets = (np.arange(size) + 0.5) / size
-    return np.searchsorted(cumulative, targets).astype(np.int64)
+    # in place: the table is large, and its temporaries set the peak
+    # memory of a training run
+    targets = np.arange(size, dtype=float)
+    targets += 0.5
+    targets /= size
+    return np.searchsorted(cumulative, targets)
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -215,7 +258,9 @@ class _Composer:
 
     Ngram ids are in CSR layout: token ``t`` averages the ``w_in`` rows
     ``indices[indptr[t]:indptr[t + 1]]``. Callers pass only centers that
-    have at least one ngram.
+    have at least one ngram. An ngram-averaged vector is composed once per
+    run of equal centers, and ``backward`` sums a run's gradients before
+    spreading them over its ngram rows.
     """
 
     def __init__(self, n_inputs: int, dim: int, rng: np.random.Generator,
@@ -228,17 +273,21 @@ class _Composer:
     def forward(self, centers: np.ndarray):
         if self.indptr is None:
             return self.w_in[centers], None
-        flat_ptr, flat = csr_take(self.indptr, self.indices, centers)
+        starts = np.flatnonzero(
+            np.concatenate([[True], centers[1:] != centers[:-1]]))
+        flat_ptr, flat = csr_take(self.indptr, self.indices, centers[starts])
         lengths = np.diff(flat_ptr)
         v = np.add.reduceat(self.w_in[flat], flat_ptr[:-1], axis=0)
         v /= lengths[:, None]
-        return v, (flat, lengths)
+        runs = np.diff(np.append(starts, centers.size))
+        return np.repeat(v, runs, axis=0), (starts, flat, lengths)
 
     def backward(self, centers: np.ndarray, dv: np.ndarray, cache) -> None:
         if self.indptr is None:
             scatter_add(self.w_in, centers, dv)
             return
-        flat, lengths = cache
+        starts, flat, lengths = cache
+        dv = np.add.reduceat(dv, starts, axis=0)
         scatter_add(self.w_in, flat,
                     np.repeat(dv / lengths[:, None], lengths, axis=0))
 
@@ -452,7 +501,7 @@ def train_sgns(stream: list[list[str]], vocab: Vocabulary, cfg: SgnsConfig,
     state = _run_training(stream, vocab, cfg, None, on_epoch_end)
     kind = KIND_SSKIP if cfg.positional else KIND_SKIP
     return EmbeddingStore(kind=kind, dim=cfg.dim, tokens=vocab.tokens,
-                          matrix=state.composer.w_in.copy())
+                          matrix=state.composer.w_in)
 
 
 def train_subword_sgns(stream: list[list[str]], vocab: Vocabulary,
@@ -471,4 +520,4 @@ def train_subword_sgns(stream: list[list[str]], vocab: Vocabulary,
     for g, i in subwords.index.items():
         grams[i] = g
     return EmbeddingStore(kind=KIND_SUBWORD, dim=cfg.dim, tokens=grams,
-                          matrix=state.composer.w_in.copy(), subwords=subwords)
+                          matrix=state.composer.w_in, subwords=subwords)

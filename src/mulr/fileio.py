@@ -1,0 +1,95 @@
+"""File layouts that several loaders share.
+
+Text files are UTF-8, read with universal newlines. ``text_lines`` yields
+their lines with line numbers, and a line that is not valid UTF-8 is a
+``ParseError`` naming the path and line.
+
+Array files (the model file and the pipeline's cached embedding stores)
+are a magic line, one JSON metadata line whose ``arrays`` entry lists
+``[name, shape]`` pairs in name order, then each listed array as raw
+little-endian float64 bytes, in that order and nothing after them.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+
+from .errors import DataError, MulrError, ParseError
+
+
+def text_lines(path):
+    """Yield (line number, line without its newline) for a UTF-8 text file."""
+    # undecodable bytes become lone surrogates, which valid UTF-8 never
+    # yields, so a line that fails to encode back is the one to report
+    with Path(path).open(encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(path, line_no,
+                                     "not valid UTF-8") from None
+            yield line_no, line.rstrip("\n")
+
+
+def write_array_file(path, magic: str, meta: dict,
+                     arrays: dict[str, np.ndarray]) -> None:
+    """Write ``meta`` plus the ``arrays`` manifest, then the arrays' bytes."""
+    meta = {**meta, "arrays": [[name, list(arr.shape)]
+                               for name, arr in sorted(arrays.items())]}
+    with Path(path).open("wb") as fh:
+        fh.write((magic + "\n").encode("utf-8"))
+        fh.write((json.dumps(meta, sort_keys=True, ensure_ascii=False,
+                             separators=(",", ":")) + "\n").encode("utf-8"))
+        for name, _ in meta["arrays"]:
+            # the buffer is written as it is: no bytes copy of the array
+            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8"))
+
+
+def read_array_file(path, magic: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The metadata and arrays of an array file. Call it inside
+    ``data_errors`` to turn malformed content into a ``DataError``."""
+    with Path(path).open("rb") as fh:
+        if fh.readline() != (magic + "\n").encode("utf-8"):
+            raise DataError(f"first line is not {magic!r}")
+        meta = json.loads(fh.readline().decode("utf-8"))
+        return meta, _read_arrays(fh, meta["arrays"])
+
+
+def _read_arrays(fh, manifest) -> dict[str, np.ndarray]:
+    """The manifest's arrays; their sizes must add up to the rest of the
+    file, which is checked before anything is read."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape in manifest:
+        if not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise DataError(f"bad shape {shape!r} for array {name!r}")
+        size = 8 * math.prod(shape)
+        if size > left:
+            raise DataError(f"truncated array {name!r}")
+        left -= size
+        arr = np.empty(shape, dtype="<f8")
+        if fh.readinto(arr.reshape(-1)) != size:
+            raise DataError(f"truncated array {name!r}")
+        arrays[name] = arr
+    if left:
+        raise DataError(f"{left} bytes after the last array")
+    return arrays
+
+
+@contextmanager
+def data_errors(path, what: str):
+    """Re-raise what malformed ``what`` content raises as a ``DataError``
+    that names ``path``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DataError(f"{path}: missing {what} field {exc}") from None
+    except (MulrError, ValueError, TypeError, AttributeError) as exc:
+        raise DataError(f"{path}: {exc}") from None

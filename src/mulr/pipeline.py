@@ -8,16 +8,22 @@ reads, so a change upstream reaches every key below it:
     input   SHA-256 of the corpus, dataset, hierarchy and notable files
     tokens  input key                          tokens-*.txt, protected-*.txt
     stores  tokens key, [embeddings] or [subword] with seed and threads
-                                               <mode>-*.vec, subword-*.vec
+                                               <mode>-*.store, subword-*.store
     model   input key, keys of the stores the levels read, SHA-256 of the
             descriptions file, [representation], [train], seed   model-*.bin
     preds, report  model key                   preds-*.tsv, report-*.tsv
 
 Warm reruns load instead of recomputing, and configurations sharing an
 output directory share their token and embedding caches. Free-form
-artifacts carry the config hash and seed in a header line, embedding files
-in a sidecar ``.meta.json``. The CLI runs its stages through the same
-functions.
+artifacts carry the config hash and seed in a header line, the other
+artifacts in a sidecar ``.meta.json``. The CLI runs its stages through the
+same functions.
+
+Stores are cached as array files in the model file's layout
+(``embeddings.save_store``): magic line ``MULR-STORE 1``, a JSON line with
+the store's ``kind``, ``dim`` and ``tokens``, then the matrix as raw
+little-endian float64. ``mulr embed --out`` writes the word2vec text format
+instead.
 
 Configuration files are flat ``key = value`` INI text with sections
 ``[paths]``, ``[representation]``, ``[embeddings]``, ``[subword]``,
@@ -37,9 +43,10 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import dataset as dataset_mod
 from .embeddings import (EmbeddingStore, SgnsConfig, KIND_SKIP, KIND_SSKIP,
-                         load_embeddings, save_embeddings, train_sgns,
+                         KIND_SUBWORD, load_store, save_store, train_sgns,
                          train_subword_sgns)
 from .errors import DataError, MulrError, ParseError
+from .fileio import text_lines
 from .corpus import Vocabulary, build_subword_index, build_vocabulary
 from .levels import RepresentationSpec, Resources, build_idf
 from .metrics import EvalReport, build_report
@@ -143,14 +150,18 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path, encoding="utf-8")
+        text = "\n".join(line for _, line in text_lines(path))
+    except OSError:
+        raise DataError(f"cannot read config {path}") from None
+    try:
+        parser.read_string(text, source=str(path))
+        # values interpolate when read, so read them all here
+        sections = {name: dict(parser[name]) for name in parser.sections()}
     except configparser.Error as exc:
         raise DataError(f"{path}: {exc}") from None
-    if not read:
-        raise DataError(f"cannot read config {path}")
-    if "paths" not in parser:
+    if "paths" not in sections:
         raise DataError(f"{path}: missing [paths] section")
-    paths = parser["paths"]
+    paths = sections["paths"]
     for key in ("corpus", "dataset", "hierarchy", "notable", "out_dir"):
         if key not in paths:
             raise DataError(f"{path}: missing paths.{key}")
@@ -161,8 +172,8 @@ def load_config(path) -> ExperimentConfig:
         return p if p.is_absolute() else base / p
 
     def _section(name) -> dict:
-        items = parser[name].items() if name in parser else ()
-        return {k: _coerce(k, v, f"{path}: {name}.{k}") for k, v in items}
+        return {k: _coerce(k, v, f"{path}: {name}.{k}")
+                for k, v in sections.get(name, {}).items()}
 
     rep = _section("representation")
     sgns = _section("embeddings")
@@ -220,22 +231,19 @@ def _cached(path: Path, key: str) -> bool:
         return False
     try:
         return json.loads(meta.read_text(encoding="utf-8")).get("key") == key
-    except (json.JSONDecodeError, OSError):
+    except (ValueError, AttributeError, OSError):
         return False
 
 
 def load_descriptions(path) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {}
-    with Path(path).open(encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            ent_id, _, text = line.partition("\t")
-            if ent_id in out:
-                raise ParseError(path, line_no,
-                                 f"duplicate entity id {ent_id!r}")
-            out[ent_id] = corpus_mod.tokenize(text)
+    for line_no, line in text_lines(path):
+        if not line.strip() or line.startswith("#"):
+            continue
+        ent_id, _, text = line.partition("\t")
+        if ent_id in out:
+            raise ParseError(path, line_no, f"duplicate entity id {ent_id!r}")
+        out[ent_id] = corpus_mod.tokenize(text)
     return out
 
 
@@ -318,14 +326,14 @@ class PipelineRun:
         cfg = self.cfg
         sg = cfg.sgns_config()
         key = self.main_store_key()
-        path = self.out / f"{cfg.embed_mode}-{key}.vec"
+        path = self.out / f"{cfg.embed_mode}-{key}.store"
         kind = KIND_SSKIP if sg.positional else KIND_SKIP
         if _cached(path, key):
-            return load_embeddings(path, kind=kind)
+            return load_store(path, kind)
         stream, vocab = read_vocabulary(*self.build_tokens(),
                                         cfg.main_min_count())
         store = train_sgns(stream, vocab, sg)
-        save_embeddings(store, path)
+        save_store(store, path)
         _write_meta(path, key, cfg.seed)
         self.artifacts["embeddings"] = path
         return store
@@ -334,14 +342,14 @@ class PipelineRun:
         cfg = self.cfg
         min_count, n_min, n_max, ngram_min = cfg.subword_counts()
         key = self.subword_store_key()
-        path = self.out / f"subword-{key}.vec"
+        path = self.out / f"subword-{key}.store"
         stream, vocab = read_vocabulary(*self.build_tokens(), min_count)
         index = build_subword_index(vocab, n_min=n_min, n_max=n_max,
                                     min_count=ngram_min)
         if _cached(path, key):
-            return load_embeddings(path, kind="subword", subwords=index)
+            return load_store(path, KIND_SUBWORD, subwords=index)
         store = train_subword_sgns(stream, vocab, index, cfg.subword_config())
-        save_embeddings(store, path)
+        save_store(store, path)
         _write_meta(path, key, cfg.seed)
         self.artifacts["subword_embeddings"] = path
         return store
@@ -468,12 +476,12 @@ def read_vocabulary(tokens_path, protected_path,
                     min_count: int) -> tuple[list[list[str]], Vocabulary]:
     """A token file's sentences and their vocabulary; the tokens listed in
     ``protected_path``, when given, are kept below ``min_count``."""
-    with Path(tokens_path).open(encoding="utf-8") as fh:
-        stream = [line.split() for line in fh if line.strip()]
+    stream = [line.split() for _, line in text_lines(tokens_path)
+              if line.strip()]
     protected = frozenset()
     if protected_path:
-        protected = frozenset(
-            Path(protected_path).read_text(encoding="utf-8").split())
+        protected = frozenset(tok for _, line in text_lines(protected_path)
+                              for tok in line.split())
     return stream, build_vocabulary(stream, min_count, protected)
 
 
@@ -493,24 +501,21 @@ def write_predictions(model: TyperModel, entities, path,
 def read_predictions(path) -> dict[str, set]:
     """Entity id to predicted type set, from a ``write_predictions`` file."""
     out: dict[str, set] = {}
-    with Path(path).open(encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            ent_id, _, cell = line.partition("\t")
-            if not ent_id:
-                raise ParseError(path, line_no, "empty entity id")
-            if ent_id in out:
-                raise ParseError(path, line_no,
-                                 f"duplicate entity id {ent_id!r}")
-            types = set()
-            if cell:
-                for item in cell.split(","):
-                    t, _, _score = item.partition(":")
-                    if t:
-                        types.add(t)
-            out[ent_id] = types
+    for line_no, line in text_lines(path):
+        if not line.strip() or line.startswith("#"):
+            continue
+        ent_id, _, cell = line.partition("\t")
+        if not ent_id:
+            raise ParseError(path, line_no, "empty entity id")
+        if ent_id in out:
+            raise ParseError(path, line_no, f"duplicate entity id {ent_id!r}")
+        types = set()
+        if cell:
+            for item in cell.split(","):
+                t, _, _score = item.partition(":")
+                if t:
+                    types.add(t)
+        out[ent_id] = types
     return out
 
 

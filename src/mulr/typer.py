@@ -31,19 +31,17 @@ table as ``features.W``, of shape (features, hidden units), and
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .corpus import SubwordIndex
 from .dataset import DatasetSplit, EntityRecord, TypeSystem
 from .embeddings import EmbeddingStore, KIND_SUBWORD
-from .errors import DataError, MulrError
+from .errors import DataError
+from .fileio import data_errors, read_array_file, write_array_file
 from .levels import (SPARSE_KINDS, Assembler, CharVocab, ClrEncoder,
                      FeatureIndexer, LevelSpec, RepresentationSpec, Resources,
                      build_char_vocab, default_hidden_units)
@@ -296,7 +294,7 @@ def train(split: DatasetSplit, spec: RepresentationSpec, resources: Resources,
 
     opt = AdaGrad(learning_rate=cfg.learning_rate)
     n = len(insts)
-    best_metric = -1.0
+    best_metric = -math.inf
     best_epoch = 0
     best_snap = model.snapshot()
     for epoch in range(cfg.epochs):
@@ -464,54 +462,18 @@ def save_model(model: TyperModel, path, config_hash: str | None = None,
         if res.descriptions is not None else None,
         "idf": None,
         "flags": list(model.flags),
-        "arrays": [[name, list(arr.shape)]
-                   for name, arr in sorted(arrays.items())],
     }
     if res.idf is not None:
         meta["idf"] = {w: repr(x) for w, x in sorted(res.idf.items())}
-    with Path(path).open("wb") as fh:
-        fh.write((_MAGIC + "\n").encode("utf-8"))
-        fh.write((json.dumps(meta, sort_keys=True, ensure_ascii=False,
-                             separators=(",", ":")) + "\n").encode("utf-8"))
-        for name, _ in meta["arrays"]:
-            fh.write(np.ascontiguousarray(arrays[name],
-                                          dtype="<f8").tobytes())
+    write_array_file(path, _MAGIC, meta, arrays)
 
 
 def load_model(path) -> TyperModel:
     """Read a model file. Any malformed content, including a truncated or
     overlong file and arrays that do not fit the spec, is a ``DataError``
     that names the path."""
-    with Path(path).open("rb") as fh:
-        try:
-            if fh.readline() != (_MAGIC + "\n").encode("utf-8"):
-                raise DataError("not a model file")
-            meta = json.loads(fh.readline().decode("utf-8"))
-            arrays = _read_arrays(fh, meta["arrays"])
-            return _model_from_meta(meta, arrays)
-        except KeyError as exc:
-            raise DataError(f"{path}: missing model field {exc}") from None
-        except (MulrError, ValueError, TypeError, AttributeError) as exc:
-            raise DataError(f"{path}: {exc}") from None
-
-
-def _read_arrays(fh, manifest) -> dict[str, np.ndarray]:
-    """The manifest's arrays; their sizes must add up to the rest of the
-    file, which is checked before anything is read."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in manifest:
-        if not all(isinstance(n, int) and n >= 0 for n in shape):
-            raise DataError(f"bad shape {shape!r} for array {name!r}")
-        size = 8 * math.prod(shape)
-        if size > left:
-            raise DataError(f"truncated array {name!r}")
-        left -= size
-        arrays[name] = np.frombuffer(fh.read(size),
-                                     dtype="<f8").reshape(shape).copy()
-    if left:
-        raise DataError(f"{left} bytes after the last array")
-    return arrays
+    with data_errors(path, "model"):
+        return _model_from_meta(*read_array_file(path, _MAGIC))
 
 
 def _model_from_meta(meta: dict, arrays: dict[str, np.ndarray]) -> TyperModel:

@@ -425,3 +425,98 @@ def test_report_reader_fuzz(report_file, data):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["report", str(path)]) in (0, 2)
+
+
+BUILD = ("build-corpus --corpus {r}/corpus.txt --notable {r}/notable.tsv "
+         "--dataset {r}/dataset.tsv --hierarchy {r}/hierarchy.tsv "
+         "--out {r}/tokens.txt")
+EVALUATE = ("evaluate --preds {r}/preds.tsv --dataset {r}/dataset.tsv "
+            "--hierarchy {r}/hierarchy.tsv")
+# file each property damages, and a command that reads it
+UTF8_CASES = {
+    "corpus": ("corpus.txt", BUILD),
+    "notable": ("notable.tsv", BUILD),
+    "hierarchy": ("hierarchy.tsv", EVALUATE),
+    "dataset": ("dataset.tsv", EVALUATE),
+    "predictions": ("preds.tsv", EVALUATE),
+    # an unknown level stops the run right after set-up has read the file
+    "descriptions": ("descriptions.tsv",
+                     "train --config {r}/des.ini --levels none"),
+    "config": ("exp.ini", "calibrate --config {r}/exp.ini "
+               "--model {r}/model.bin --out {r}/out.bin"),
+}
+
+
+@pytest.fixture(scope="module")
+def text_inputs(synth, pipeline_run, tmp_path_factory):
+    """A copy of the tiny set with predictions, a model, descriptions and
+    a config naming them: every text file a command reads."""
+    root = tmp_path_factory.mktemp("text")
+    for name in ("corpus.txt", "dataset.tsv", "hierarchy.tsv", "notable.tsv"):
+        (root / name).write_bytes((synth / name).read_bytes())
+    _, artifacts = pipeline_run
+    (root / "preds.tsv").write_bytes(artifacts["predictions"].read_bytes())
+    (root / "model.bin").write_bytes(artifacts["model"].read_bytes())
+    ids = [line.split("\t")[0] for line in
+           (synth / "dataset.tsv").read_text().splitlines()
+           if line and not line.startswith("#")]
+    (root / "descriptions.tsv").write_text(
+        "".join(f"{eid}\ta described entity\n" for eid in ids))
+    write_config(root, "exp.ini")
+    config = write_config(root, "des.ini").read_text()
+    (root / "des.ini").write_text(config.replace(
+        "out_dir = cache", "descriptions = descriptions.tsv\nout_dir = cache"))
+    return root
+
+
+@pytest.mark.parametrize("loader", sorted(UTF8_CASES))
+def test_undecodable_line_is_named(text_inputs, loader, capsys):
+    name, command = UTF8_CASES[loader]
+    path = text_inputs / name
+    original = path.read_bytes()
+    lines = original.split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"\n".join(lines))
+    try:
+        assert cli.main([a.format(r=text_inputs)
+                         for a in command.split()]) == 2
+    finally:
+        path.write_bytes(original)
+    assert f"{path}:3: not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("loader", sorted(UTF8_CASES))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_damaged_text_exits_0_or_2(text_inputs, loader, data):
+    """A truncated or byte-flipped input file exits 0 or 2 and never
+    raises; one that is not valid UTF-8 exits 2 naming the file."""
+    name, command = UTF8_CASES[loader]
+    path = text_inputs / name
+    original = path.read_bytes()
+    cut = data.draw(st.one_of(st.just(len(original)),
+                              st.integers(0, len(original))), label="cut")
+    damaged = bytearray(original[:cut])
+    flips = data.draw(st.lists(st.tuples(st.integers(0, max(cut - 1, 0)),
+                                         st.integers(1, 255)), max_size=4),
+                      label="flips")
+    for pos, mask in flips:
+        if pos < len(damaged):
+            damaged[pos] ^= mask
+    try:
+        damaged.decode("utf-8")
+        undecodable = False
+    except UnicodeDecodeError:
+        undecodable = True
+    path.write_bytes(bytes(damaged))
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = cli.main([a.format(r=text_inputs) for a in command.split()])
+    finally:
+        path.write_bytes(original)
+    assert rc in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if undecodable:
+        assert rc == 2 and str(path) in err.getvalue()

@@ -37,6 +37,12 @@ class TestTypeSystem:
         assert ts.ancestors("politician") == ["person"]
         assert ts.ancestors("person") == []
 
+    def test_index_is_built_once(self, ts):
+        assert ts.index is ts.index
+        assert ts.index == {t: i for i, t in enumerate(ts.types)}
+        assert "hospital" in ts and "nope" not in ts
+        assert make_ts(ts.types, ts.parent) == ts
+
     def test_hierarchy_file_round_trip(self, tmp_path, ts):
         path = tmp_path / "hier.tsv"
         save_type_system(ts, path)

@@ -1,14 +1,20 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mulr import cli, embeddings
 from mulr.corpus import build_subword_index, build_vocabulary
 from mulr.dataset import TypeSystem
-from mulr.embeddings import (EmbeddingStore, SgnsConfig, _SgnsState, cosine,
-                             iter_context_pairs, load_embeddings,
-                             save_embeddings, train_sgns, train_subword_sgns,
+from mulr.embeddings import (MIN_LR_FRACTION, STORE_MAGIC, EmbeddingStore,
+                             SgnsConfig, _epoch_pairs, _log_sigmoid,
+                             _SgnsState, cosine, iter_context_pairs,
+                             load_embeddings, load_store, save_embeddings,
+                             save_store, train_sgns, train_subword_sgns,
                              type_cosine_matrix)
-from mulr.errors import DataError, NumericError
-from mulr.nn import AdaGrad, Dense, scatter_add, sigmoid
+from mulr.errors import DataError, NumericError, ParseError
+from mulr.nn import AdaGrad, Dense, csr_take, scatter_add, sigmoid
 from mulr.synthetic import generate_order_corpus
 
 
@@ -169,6 +175,151 @@ class TestStoreIO:
             EmbeddingStore(kind="skip", dim=2, tokens=["a"],
                            matrix=np.array([[np.nan, 1.0]]))
 
+    def test_undecodable_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "v.vec"
+        path.write_bytes(b"2 2\na 0.1 0.2\nb\xff 0.3 0.4\n")
+        with pytest.raises(ParseError, match=r"v\.vec:3: not valid UTF-8"):
+            load_embeddings(path)
+
+
+def raw_store_bytes(meta: dict, payload: bytes) -> bytes:
+    return (STORE_MAGIC.encode() + b"\n" + json.dumps(meta).encode()
+            + b"\n" + payload)
+
+
+class TestRawStore:
+    @staticmethod
+    def _store(kind="skip"):
+        tokens = ["alpha", "m.1", "bühne", "<ab>"]
+        matrix = np.random.default_rng(4).normal(size=(4, 3))
+        return EmbeddingStore(kind=kind, dim=3, tokens=tokens, matrix=matrix)
+
+    @pytest.mark.parametrize("kind", ["skip", "sskip"])
+    def test_round_trip_exact(self, tmp_path, kind):
+        store = self._store(kind)
+        save_store(store, tmp_path / "s.store")
+        loaded = load_store(tmp_path / "s.store", kind)
+        assert (loaded.kind, loaded.dim) == (kind, 3)
+        assert loaded.tokens == store.tokens
+        np.testing.assert_array_equal(loaded.matrix, store.matrix)
+
+    def test_subword_store_keeps_the_given_index(self, tmp_path):
+        stream = [["ab", "abc", "bc"]] * 3
+        vocab = build_vocabulary(stream, 1)
+        index = build_subword_index(vocab, n_min=2, n_max=3, min_count=1)
+        store = train_subword_sgns(stream, vocab, index, small_cfg(epochs=1))
+        save_store(store, tmp_path / "s.store")
+        loaded = load_store(tmp_path / "s.store", "subword", subwords=index)
+        np.testing.assert_array_equal(loaded.matrix, store.matrix)
+        np.testing.assert_array_equal(loaded.word_vector("abd"),
+                                      store.word_vector("abd"))
+
+    def test_layout(self, tmp_path):
+        store = self._store()
+        save_store(store, tmp_path / "s.store")
+        magic, meta, payload = (tmp_path / "s.store").read_bytes().split(
+            b"\n", 2)
+        assert magic == STORE_MAGIC.encode()
+        assert json.loads(meta) == {"kind": "skip", "dim": 3,
+                                    "tokens": store.tokens,
+                                    "arrays": [["matrix", [4, 3]]]}
+        assert payload == store.matrix.astype("<f8").tobytes()
+
+    META = {"kind": "skip", "dim": 2, "tokens": ["a", "b"],
+            "arrays": [["matrix", [2, 2]]]}
+    GOOD = np.arange(4, dtype="<f8").tobytes()
+
+    @pytest.mark.parametrize("content,message", [
+        (b"MULR-MODEL 1\n{}\n", "first line"),
+        (STORE_MAGIC.encode() + b"\n{not json\n", "Expecting"),
+        (raw_store_bytes({k: v for k, v in META.items() if k != "tokens"},
+                         GOOD), "missing store field 'tokens'"),
+        (raw_store_bytes({**META, "kind": "sskip"}, GOOD), "expected 'skip'"),
+        (raw_store_bytes(META, GOOD[:-1]), "truncated"),
+        (raw_store_bytes(META, GOOD + b"\0" * 8), "8 bytes after"),
+        (raw_store_bytes(META, np.array([0.0, np.inf, 1.0, 2.0]).tobytes()),
+         "non-finite"),
+        (raw_store_bytes({**META, "tokens": ["a", "a"]}, GOOD),
+         "duplicate token 'a'"),
+        (raw_store_bytes({**META, "dim": 3}, GOOD), "does not match"),
+        (raw_store_bytes({**META, "tokens": ["a", 2]}, GOOD), "strings"),
+    ])
+    def test_malformed_is_data_error_naming_path(self, tmp_path, content,
+                                                 message):
+        path = tmp_path / "s.store"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=message) as info:
+            load_store(path, "skip")
+        assert str(path) in str(info.value)
+
+
+@pytest.fixture(scope="module")
+def saved_store(tmp_path_factory):
+    """A saved store's bytes, where its metadata line lies in them, and a
+    scratch path to write variants."""
+    path = tmp_path_factory.mktemp("fuzz") / "s.store"
+    save_store(TestRawStore._store(), path)
+    data = path.read_bytes()
+    start = data.index(b"\n") + 1
+    return data, (start, data.index(b"\n", start)), path
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_load_store_fuzz(saved_store, data):
+    """A truncated store file, or one with bytes of its metadata line
+    flipped, loads or raises a ``DataError``, nothing else."""
+    original, (lo, hi), path = saved_store
+    cut = data.draw(st.one_of(st.just(len(original)),
+                              st.integers(0, len(original))), label="cut")
+    damaged = bytearray(original[:cut])
+    flips = data.draw(st.lists(st.tuples(st.integers(lo, hi - 1),
+                                         st.integers(1, 255)), max_size=4),
+                      label="flips")
+    for pos, mask in flips:
+        if pos < len(damaged):
+            damaged[pos] ^= mask
+    path.write_bytes(bytes(damaged))
+    try:
+        load_store(path, "skip")
+    except DataError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def saved_vec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "v.vec"
+    save_embeddings(TestRawStore._store(), path)
+    return path.read_bytes(), path
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_load_embeddings_fuzz(saved_vec, data):
+    """A truncated or byte-flipped text store loads or raises a
+    ``DataError``; undecodable bytes are a ``ParseError`` naming the path."""
+    original, path = saved_vec
+    cut = data.draw(st.integers(0, len(original)), label="cut")
+    damaged = bytearray(original[:cut])
+    flips = data.draw(st.lists(st.tuples(st.integers(0, max(cut - 1, 0)),
+                                         st.integers(1, 255)), max_size=4),
+                      label="flips")
+    for pos, mask in flips:
+        if pos < len(damaged):
+            damaged[pos] ^= mask
+    path.write_bytes(bytes(damaged))
+    try:
+        damaged.decode("utf-8")
+        undecodable = False
+    except UnicodeDecodeError:
+        undecodable = True
+    try:
+        load_embeddings(path)
+    except DataError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert not undecodable
+
 
 def cluster_corpus():
     """Two word families with disjoint context inventories."""
@@ -249,6 +400,133 @@ class TestSgnsTraining:
         assert train_sgns(stream, vocab, small_cfg(positional=True)).kind \
             == "sskip"
         assert train_sgns(stream, vocab, small_cfg()).kind == "skip"
+
+
+def reference_train_chunk(tok, sent, state, cfg, seed, lr_span, losses,
+                          trainable_mask):
+    """``_train_chunk`` pair by pair: every pair composes its own center
+    vector and spreads its own gradient over the center's rows."""
+    rng = np.random.default_rng(seed)
+    comp = state.composer
+    w_out, table, vocab_size = state.w_out, state.table, state.vocab_size
+    centers, contexts, blocks = _epoch_pairs(tok, sent, cfg, rng)
+    if trainable_mask is not None:
+        keep = trainable_mask[centers]
+        centers, contexts, blocks = centers[keep], contexts[keep], blocks[keep]
+    total = centers.size
+    loss_sum = 0.0
+    frac0, frac1 = lr_span
+    for start in range(0, total, cfg.batch_pairs):
+        c = centers[start:start + cfg.batch_pairs]
+        t = contexts[start:start + cfg.batch_pairs]
+        blk = blocks[start:start + cfg.batch_pairs]
+        progress = frac0 + (frac1 - frac0) * (start / total)
+        lr = cfg.learning_rate * max(MIN_LR_FRACTION, 1.0 - progress)
+        neg = table[rng.integers(0, len(table), size=(c.size, cfg.negatives))]
+        valid = neg != t[:, None]
+        if comp.indptr is None:
+            v = comp.w_in[c]
+        else:
+            flat_ptr, flat = csr_take(comp.indptr, comp.indices, c)
+            lengths = np.diff(flat_ptr)
+            v = np.add.reduceat(comp.w_in[flat], flat_ptr[:-1], axis=0)
+            v /= lengths[:, None]
+        pos_rows = blk * vocab_size + t
+        u_pos = w_out[pos_rows]
+        neg_rows = blk[:, None] * vocab_size + neg
+        u_neg = w_out[neg_rows]
+        s_pos = np.einsum("bd,bd->b", v, u_pos)
+        s_neg = np.einsum("bd,bkd->bk", v, u_neg)
+        loss_sum -= _log_sigmoid(s_pos).sum()
+        loss_sum -= (_log_sigmoid(-s_neg) * valid).sum()
+        g_pos = (1.0 - sigmoid(s_pos)) * lr
+        g_neg = -sigmoid(s_neg) * lr * valid
+        dv = g_pos[:, None] * u_pos + np.einsum("bk,bkd->bd", g_neg, u_neg)
+        scatter_add(w_out, np.concatenate([pos_rows, neg_rows.reshape(-1)]),
+                    np.concatenate([g_pos[:, None] * v,
+                                    (g_neg[:, :, None] * v[:, None, :])
+                                    .reshape(-1, cfg.dim)]))
+        if comp.indptr is None:
+            scatter_add(comp.w_in, c, dv)
+        else:
+            scatter_add(comp.w_in, flat,
+                        np.repeat(dv / lengths[:, None], lengths, axis=0))
+    losses.append(loss_sum)
+
+
+def repeated_heads_stream():
+    """Sentences where ``a`` heads several separate runs of one batch."""
+    rng = np.random.default_rng(12)
+    words = ["a", "bb", "a", "cd", "a", "a", "ef", "bb"]
+    return [[words[int(i)] for i in rng.integers(0, len(words), 9)]
+            for _ in range(40)]
+
+
+def max_runs_of_one_center(stream, vocab, cfg) -> int:
+    """Most runs one center id heads within one batch of the first epoch."""
+    tok = np.array([vocab.index[t] for s in stream for t in s])
+    sent = np.repeat(np.arange(len(stream)), [len(s) for s in stream])
+    centers, _, _ = _epoch_pairs(tok, sent, cfg,
+                                 np.random.default_rng(cfg.seed))
+    most = 0
+    for start in range(0, centers.size, cfg.batch_pairs):
+        c = centers[start:start + cfg.batch_pairs]
+        heads = c[np.concatenate([[True], c[1:] != c[:-1]])]
+        most = max(most, int(np.bincount(heads).max()))
+    return most
+
+
+class TestRunsMatchPerPairReference:
+    """Composing each run of a center once agrees with the per-pair loop."""
+
+    @staticmethod
+    def _train(kind, stream, cfg):
+        vocab = build_vocabulary(stream, 1)
+        if kind == "subword":
+            index = build_subword_index(vocab, n_min=2, n_max=3, min_count=1)
+            return train_subword_sgns(stream, vocab, index, cfg)
+        return train_sgns(stream, vocab, cfg)
+
+    @pytest.mark.parametrize("kind", ["skip", "sskip", "subword"])
+    @pytest.mark.parametrize("corpus", ["clusters", "repeated_heads"])
+    def test_trained_matrix_matches(self, monkeypatch, kind, corpus):
+        stream = (cluster_corpus()[0] if corpus == "clusters"
+                  else repeated_heads_stream())
+        cfg = small_cfg(epochs=2, positional=kind == "sskip")
+        assert max_runs_of_one_center(
+            stream, build_vocabulary(stream, 1), cfg) >= 2
+        fast = self._train(kind, stream, cfg)
+        monkeypatch.setattr(embeddings, "_train_chunk", reference_train_chunk)
+        ref = self._train(kind, stream, cfg)
+        assert fast.tokens == ref.tokens
+        if kind == "subword":
+            np.testing.assert_allclose(fast.matrix, ref.matrix, rtol=0,
+                                       atol=1e-12)
+        else:  # a plain center vector is one row: nothing is regrouped
+            np.testing.assert_array_equal(fast.matrix, ref.matrix)
+
+    @pytest.mark.parametrize("mode", ["skip", "sskip", "subword"])
+    def test_cli_embed_output(self, tmp_path, monkeypatch, capsys, mode):
+        """``mulr embed --out`` writes the reference's text: byte for byte
+        where the update is unchanged, to 1e-12 for subword."""
+        corpus = tmp_path / "tokens.txt"
+        corpus.write_text("".join(" ".join(s) + "\n"
+                                  for s in repeated_heads_stream()),
+                          encoding="utf-8")
+        args = ["embed", "--mode", mode, "--dim", "8", "--epochs", "2",
+                "--min-count", "1", "--neg", "3", "--window", "2",
+                "--n-min", "2", "--n-max", "3", "--ngram-min-count", "1",
+                str(corpus)]
+        assert cli.main(args + [str(tmp_path / "fast.vec")]) == 0
+        monkeypatch.setattr(embeddings, "_train_chunk", reference_train_chunk)
+        assert cli.main(args + [str(tmp_path / "ref.vec")]) == 0
+        fast, ref = tmp_path / "fast.vec", tmp_path / "ref.vec"
+        if mode == "subword":
+            a, b = load_embeddings(fast), load_embeddings(ref)
+            assert a.tokens == b.tokens
+            np.testing.assert_allclose(a.matrix, b.matrix, rtol=0, atol=1e-12)
+        else:
+            assert fast.read_bytes() == ref.read_bytes()
 
 
 class TestScatterAdd:

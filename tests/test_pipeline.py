@@ -152,6 +152,29 @@ class TestRunPipeline:
         assert warm["predictions"] == cold["predictions"]
         assert warm["report_tsv"].read_bytes() == report
 
+    def test_changed_train_section_reuses_cached_stores(self, experiment,
+                                                        monkeypatch):
+        run_pipeline(load_config(write_config(experiment)))
+        stores = sorted((experiment / "cache").glob("*.store"))
+        assert len(stores) == 2
+        assert all(p.read_bytes().startswith(b"MULR-STORE 1\n")
+                   for p in stores)
+        changed = write_config(experiment, name="changed.ini",
+                               train={"epochs": "2"})
+        cold_cfg = load_config(changed)
+        cold_cfg.out_dir = experiment / "cold"
+        _, cold = run_pipeline(cold_cfg)
+
+        def _fail(*args, **kwargs):
+            raise AssertionError("a cached store was retrained")
+
+        for name in ("train_sgns", "train_subword_sgns"):
+            monkeypatch.setattr(pipeline, name, _fail)
+        _, warm = run_pipeline(load_config(changed))
+        assert sorted((experiment / "cache").glob("*.store")) == stores
+        assert warm["predictions"].read_bytes() \
+            == cold["predictions"].read_bytes()
+
     def test_artifact_names(self, experiment):
         _, artifacts = run_pipeline(load_config(write_config(experiment)))
         for name in ("model", "predictions", "report_tsv"):
@@ -177,6 +200,11 @@ class TestLoadConfig:
                                           value):
         config = write_config(experiment, **{section: {key: value}})
         with pytest.raises(DataError, match=rf"exp\.ini: {section}\.{key}"):
+            load_config(config)
+
+    def test_bad_interpolation_is_data_error(self, experiment):
+        config = write_config(experiment, train={"epochs": "3%x"})
+        with pytest.raises(DataError, match=r"exp\.ini: '%' must be"):
             load_config(config)
 
     def test_duplicate_section_is_data_error(self, experiment):

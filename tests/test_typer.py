@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mulr import typer
 from mulr.corpus import build_subword_index, build_vocabulary
 from mulr.dataset import DatasetSplit, EntityRecord, TypeSystem
 from mulr.embeddings import EmbeddingStore, SgnsConfig, train_subword_sgns
@@ -116,6 +117,31 @@ class TestTraining:
         f1 = 2 * tp / (2 * tp + np.sum(pred * (1 - gold))
                        + np.sum((1 - pred) * gold))
         assert f1 == 1.0
+
+    def test_empty_dev_keeps_the_lowest_loss_epoch(self, monkeypatch):
+        """Without dev entities the checkpoint is the lowest-loss epoch,
+        also when every epoch's summed loss is above 1."""
+        made, weights, losses = [], [], []
+
+        class Recording(TyperModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.initial = self.w_in.W.copy()
+                made.append(self)
+
+        def on_epoch_end(epoch, loss, metric):
+            weights.append(made[-1].w_in.W.copy())
+            losses.append(loss)
+
+        monkeypatch.setattr(typer, "TyperModel", Recording)
+        split, res = indicator_problem()
+        model = train(dataclasses.replace(split, dev=()),
+                      RepresentationSpec.parse("elr"), res,
+                      quick_cfg(epochs=5), on_epoch_end=on_epoch_end)
+        assert len(losses) == 5 and min(losses) > 1.0
+        assert not np.array_equal(model.w_in.W, model.initial)
+        np.testing.assert_array_equal(model.w_in.W,
+                                      weights[int(np.argmin(losses))])
 
     def test_deterministic_given_seed(self):
         split, res = indicator_problem()
