@@ -207,6 +207,7 @@ def load_dataset(path, types: TypeSystem) -> DatasetSplit:
     """Parse the sectioned entity TSV; every named type must exist."""
     path = Path(path)
     parts: dict[str, list[EntityRecord]] = {"#train": [], "#dev": [], "#test": []}
+    seen: set[str] = set()
     section = None
     for line_no, line in text_lines(path):
         if not line.strip():
@@ -225,6 +226,9 @@ def load_dataset(path, types: TypeSystem) -> DatasetSplit:
         ent_id, names_field, types_field, freq_field = fields
         if not ent_id.strip():
             raise ParseError(path, line_no, "empty entity id")
+        if ent_id in seen:
+            raise ParseError(path, line_no, f"duplicate entity id {ent_id!r}")
+        seen.add(ent_id)
         names = tuple(n for n in names_field.split("|") if n.strip())
         if not names:
             raise ParseError(path, line_no, "no names")

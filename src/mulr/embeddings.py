@@ -23,7 +23,8 @@ Embedding text format (``save_embeddings``, ``mulr embed --out``): first
 line ``count dim``, then one ``token v1 .. vd`` row per token. The
 pipeline caches stores as array files instead (``save_store``, see
 ``fileio``): magic line ``MULR-STORE 1``, a JSON line with ``kind``, ``dim``
-and ``tokens``, then the matrix as raw little-endian float64.
+and ``tokens`` (``store_meta``), then the matrix as raw little-endian
+float64. The model file keeps its stores with the same metadata.
 """
 
 from __future__ import annotations
@@ -180,11 +181,45 @@ def load_embeddings(path, kind: str = KIND_SKIP,
                           subwords=subwords)
 
 
+def store_meta(store: EmbeddingStore) -> dict:
+    """The JSON metadata of a store in an array file: ``kind``, ``dim``,
+    ``tokens`` and, for a subword store, ``ngram_bounds``."""
+    meta = {"kind": store.kind, "dim": store.dim, "tokens": store.tokens}
+    if store.subwords is not None:
+        meta["ngram_bounds"] = [store.subwords.n_min, store.subwords.n_max]
+    return meta
+
+
+def store_from_meta(meta: dict, matrix: np.ndarray, kinds,
+                    subwords: SubwordIndex | None = None) -> EmbeddingStore:
+    """The store ``meta`` describes, over ``matrix``, of one of ``kinds``;
+    a subword store without ``subwords`` rebuilds its ngram index from
+    ``tokens`` and ``ngram_bounds``. Call it inside ``data_errors``."""
+    kind, tokens, dim = meta["kind"], meta["tokens"], meta["dim"]
+    if kind not in kinds:
+        raise DataError(f"a {kind!r} store, expected "
+                        f"{' or '.join(map(repr, kinds))}")
+    if not (isinstance(tokens, list) and isinstance(dim, int)
+            and all(isinstance(t, str) for t in tokens)):
+        raise DataError("tokens must be a list of strings and dim an "
+                        "integer")
+    if len(set(tokens)) != len(tokens):
+        dup = next(t for t, n in Counter(tokens).items() if n > 1)
+        raise DataError(f"duplicate token {dup!r}")
+    if kind == KIND_SUBWORD and subwords is None:
+        n_min, n_max = meta["ngram_bounds"]
+        if not (isinstance(n_min, int) and isinstance(n_max, int)):
+            raise DataError("ngram_bounds must be two integers")
+        subwords = SubwordIndex(index={g: i for i, g in enumerate(tokens)},
+                                n_min=n_min, n_max=n_max)
+    return EmbeddingStore(kind=kind, dim=dim, tokens=tokens, matrix=matrix,
+                          subwords=subwords)
+
+
 def save_store(store: EmbeddingStore, path) -> None:
     """Write ``store`` as an array file, its matrix as array ``matrix``."""
-    write_array_file(path, STORE_MAGIC,
-                     {"kind": store.kind, "dim": store.dim,
-                      "tokens": store.tokens}, {"matrix": store.matrix})
+    write_array_file(path, STORE_MAGIC, store_meta(store),
+                     {"matrix": store.matrix})
 
 
 def load_store(path, kind: str,
@@ -194,18 +229,7 @@ def load_store(path, kind: str,
     ``DataError`` that names the path."""
     with data_errors(path, "store"):
         meta, arrays = read_array_file(path, STORE_MAGIC)
-        if meta["kind"] != kind:
-            raise DataError(f"a {meta['kind']!r} store, expected {kind!r}")
-        tokens, dim = meta["tokens"], meta["dim"]
-        if not (isinstance(tokens, list) and isinstance(dim, int)
-                and all(isinstance(t, str) for t in tokens)):
-            raise DataError("tokens must be a list of strings and dim an "
-                            "integer")
-        if len(set(tokens)) != len(tokens):
-            dup = next(t for t, n in Counter(tokens).items() if n > 1)
-            raise DataError(f"duplicate token {dup!r}")
-        return EmbeddingStore(kind=kind, dim=dim, tokens=tokens,
-                              matrix=arrays["matrix"], subwords=subwords)
+        return store_from_meta(meta, arrays["matrix"], (kind,), subwords)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -22,15 +22,16 @@ levels; the sparse levels' ids come from ``Assembler.feature_rows``.
 
 from __future__ import annotations
 
+import itertools
 import math
-import string
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .corpus import SubwordIndex
+from .corpus import _PUNCT
 from .dataset import TypeSystem, name_words
-from .embeddings import EmbeddingStore, type_cosine_matrix
+from .embeddings import (KIND_SKIP, KIND_SSKIP, KIND_SUBWORD, EmbeddingStore,
+                         type_cosine_matrix)
 from .errors import DataError, NumericError
 from .nn import ConvMaxPool, Lstm, scatter_add
 
@@ -41,6 +42,13 @@ CHAR_MIN_COUNT = 5
 CLR_KINDS = ("clr-forward", "clr-cnn", "clr-lstm", "clr-bilstm")
 SPARSE_KINDS = ("bow", "nsl")
 LEVEL_KINDS = CLR_KINDS + SPARSE_KINDS + ("wwlr", "swlr", "elr", "tc", "avg-des")
+
+# The store each embedding level reads. The three-copy corpus trains words,
+# entity ids and type ids into one skip-gram space, the main store; subword
+# vectors have a store of their own. Each store holds one of its kinds.
+LEVEL_STORES = {"wwlr": "main", "avg-des": "main", "elr": "main",
+                "tc": "main", "swlr": "subword"}
+STORE_KINDS = {"main": (KIND_SKIP, KIND_SSKIP), "subword": (KIND_SUBWORD,)}
 
 # character embedding sizes per encoder variant
 CLR_CHAR_DIMS = {"clr-forward": 15, "clr-cnn": 10, "clr-lstm": 70,
@@ -72,6 +80,12 @@ _HIDDEN_UNITS = {
     frozenset({"elr", "swlr", "clr-cnn", "tc", "avg-des"}): 1000,
 }
 DEFAULT_HIDDEN_UNITS = 400
+
+
+def stores_read(spec: "RepresentationSpec") -> tuple[str, ...]:
+    """The stores the spec's levels read, ``main`` before ``subword``."""
+    read = {LEVEL_STORES.get(kind) for kind in spec.kinds}
+    return tuple(label for label in STORE_KINDS if label in read)
 
 
 def default_hidden_units(kinds) -> int:
@@ -291,6 +305,17 @@ class ClrEncoder:
 # word level
 
 
+def _usable_vectors(words, store: EmbeddingStore):
+    """The non-zero vectors of ``words`` in order, each looked up verbatim
+    and then lowercased; words with neither are skipped."""
+    for w in words:
+        v = store.word_vector(w)
+        if v is None:
+            v = store.word_vector(w.lower())
+        if v is not None and np.any(v):
+            yield v
+
+
 def wlr(name: str, store: EmbeddingStore,
         flags: list[str] | None = None) -> np.ndarray:
     """Mean of the available name-word vectors.
@@ -299,14 +324,7 @@ def wlr(name: str, store: EmbeddingStore,
     stores compose out-of-vocabulary words from their ngrams. If no word
     contributes, the zero vector is returned and a flag recorded.
     """
-    words = name_words(name)
-    vecs = []
-    for w in words:
-        v = store.word_vector(w)
-        if v is None:
-            v = store.word_vector(w.lower())
-        if v is not None and np.any(v):
-            vecs.append(v)
+    vecs = list(_usable_vectors(name_words(name), store))
     if not vecs:
         if flags is not None:
             flags.append(f"no word vectors for name {name!r}")
@@ -325,9 +343,6 @@ def bow_features(name: str) -> dict[str, int]:
         feats[f"w={tok}"] = 1
         feats[f"wl={tok.lower()}"] = 1
     return feats
-
-
-_PUNCT = set(string.punctuation)
 
 
 def _shape_char(ch: str) -> str:
@@ -442,15 +457,7 @@ def avg_des(description: list[str], idf: dict[str, float],
     for w in description:
         tf[w] = tf.get(w, 0) + 1
     ranked = sorted(tf, key=lambda w: (-tf[w] * idf.get(w, 0.0), w))
-    vecs = []
-    for w in ranked:
-        if len(vecs) == k:
-            break
-        v = store.word_vector(w)
-        if v is None:
-            v = store.word_vector(w.lower())
-        if v is not None and np.any(v):
-            vecs.append(v)
+    vecs = list(itertools.islice(_usable_vectors(ranked, store), k))
     if not vecs:
         if flags is not None:
             flags.append("no usable description words")
@@ -464,14 +471,28 @@ def avg_des(description: list[str], idf: dict[str, float],
 
 @dataclass
 class Resources:
-    """Everything frozen that levels may need."""
+    """Everything frozen that levels may need.
+
+    ``main_store`` (skip or sskip) holds words, entity ids and type ids in
+    one space and serves ``wwlr``, ``avg-des``, ``elr`` and ``tc``;
+    ``subword_store`` serves ``swlr`` (``LEVEL_STORES``). A store no
+    level reads may be None.
+    """
 
     type_system: TypeSystem
-    word_store: EmbeddingStore | None = None
+    main_store: EmbeddingStore | None = None
     subword_store: EmbeddingStore | None = None
-    entity_store: EmbeddingStore | None = None
     descriptions: dict[str, list[str]] | None = None
     idf: dict[str, float] | None = None
+
+    def store(self, label: str) -> EmbeddingStore:
+        """The ``main`` or ``subword`` store; a missing one is a
+        ``DataError``."""
+        store = getattr(self, f"{label}_store")
+        if store is None:
+            raise DataError(f"representation needs the {label} embedding "
+                            f"store")
+        return store
 
 
 class Assembler:
@@ -498,31 +519,21 @@ class Assembler:
 
     def level_dim(self, level: LevelSpec, clr_dim: int | None = None) -> int:
         kind = level.kind
-        res = self.resources
         if kind in CLR_KINDS:
             if clr_dim is None:
                 raise NumericError("character level dimension not supplied")
             return clr_dim
-        if kind == "wwlr":
-            return self._require(res.word_store, "word").dim
-        if kind == "swlr":
-            return self._require(res.subword_store, "subword").dim
-        if kind == "elr":
-            return self._require(res.entity_store, "entity").dim
         if kind == "tc":
-            return len(res.type_system)
-        if kind == "avg-des":
-            return self._require(res.word_store, "word").dim
-        return len(self.indexers[kind])
+            return len(self.resources.type_system)
+        if kind in SPARSE_KINDS:
+            return len(self.indexers[kind])
+        return self._store(kind).dim
 
     def layout(self, clr_dim: int | None = None) -> list[tuple[str, int]]:
         return [(lv.kind, self.level_dim(lv, clr_dim)) for lv in self.spec.levels]
 
-    @staticmethod
-    def _require(store, label):
-        if store is None:
-            raise DataError(f"representation needs the {label} embedding store")
-        return store
+    def _store(self, kind: str) -> EmbeddingStore:
+        return self.resources.store(LEVEL_STORES[kind])
 
     def frozen_matrix(self, instances,
                       flags: list[str] | None = None) -> np.ndarray:
@@ -578,7 +589,7 @@ class Assembler:
                 np.array(indices, dtype=np.int64))
 
     def _entity_block(self, kind: str, entity_ids: list[str]) -> np.ndarray:
-        store = self._require(self.resources.entity_store, "entity")
+        store = self._store(kind)
         if kind == "elr":
             return store.matrix[store.rows(entity_ids, "entity")]
         return type_cosine_matrix(entity_ids, store,
@@ -586,14 +597,10 @@ class Assembler:
 
     def _level_vector(self, lv: LevelSpec, entity_id: str, name: str,
                       flags: list[str] | None) -> np.ndarray:
-        kind = lv.kind
+        store = self._store(lv.kind)
+        if lv.kind != "avg-des":
+            return wlr(name, store, flags)
         res = self.resources
-        if kind == "wwlr":
-            return wlr(name, self._require(res.word_store, "word"), flags)
-        if kind == "swlr":
-            return wlr(name, self._require(res.subword_store, "subword"), flags)
-        # avg-des
-        store = self._require(res.word_store, "word")
         desc = (res.descriptions or {}).get(entity_id)
         if desc is None:
             if flags is not None:

@@ -9,8 +9,10 @@ reads, so a change upstream reaches every key below it:
     tokens  input key                          tokens-*.txt, protected-*.txt
     stores  tokens key, [embeddings] or [subword] with seed and threads
                                                <mode>-*.store, subword-*.store
-    model   input key, keys of the stores the levels read, SHA-256 of the
-            descriptions file, [representation], [train], seed   model-*.bin
+    model   model format (``typer.MODEL_MAGIC``), input key, keys of the
+            stores the levels read (``levels.stores_read``: main, subword),
+            SHA-256 of the descriptions file, [representation], [train],
+            seed                                model-*.bin
     preds, report  model key                   preds-*.tsv, report-*.tsv
 
 Warm reruns load instead of recomputing, and configurations sharing an
@@ -21,9 +23,9 @@ same functions.
 
 Stores are cached as array files in the model file's layout
 (``embeddings.save_store``): magic line ``MULR-STORE 1``, a JSON line with
-the store's ``kind``, ``dim`` and ``tokens``, then the matrix as raw
-little-endian float64. ``mulr embed --out`` writes the word2vec text format
-instead.
+the store's ``kind``, ``dim`` and ``tokens`` (and a subword store's
+``ngram_bounds``), then the matrix as raw little-endian float64.
+``mulr embed --out`` writes the word2vec text format instead.
 
 Configuration files are flat ``key = value`` INI text with sections
 ``[paths]``, ``[representation]``, ``[embeddings]``, ``[subword]``,
@@ -48,15 +50,11 @@ from .embeddings import (EmbeddingStore, SgnsConfig, KIND_SKIP, KIND_SSKIP,
 from .errors import DataError, MulrError, ParseError
 from .fileio import text_lines
 from .corpus import Vocabulary, build_subword_index, build_vocabulary
-from .levels import RepresentationSpec, Resources, build_idf
+from .levels import RepresentationSpec, Resources, build_idf, stores_read
 from .metrics import EvalReport, build_report
-from .typer import (TrainConfig, TyperModel, calibrate_thresholds,
-                    load_model, predict_with_scores, save_model, train)
-
-
-# levels that read the main (skip/sskip) store and the subword store
-MAIN_STORE_KINDS = frozenset({"elr", "tc", "wwlr", "avg-des"})
-SUBWORD_STORE_KINDS = frozenset({"swlr"})
+from .typer import (MODEL_MAGIC, TrainConfig, TyperModel,
+                    calibrate_thresholds, load_model, predict_with_scores,
+                    save_model, train)
 
 
 @dataclass
@@ -357,38 +355,30 @@ class PipelineRun:
     # resources ------------------------------------------------------------
 
     def build_resources(self, spec: RepresentationSpec) -> Resources:
-        kinds = set(spec.kinds)
-        word_store = entity_store = subword_store = None
-        if kinds & MAIN_STORE_KINDS:
-            main = self._run_stage("embed", self.build_main_store)
-            word_store = main
-            entity_store = main
-        if kinds & SUBWORD_STORE_KINDS:
-            subword_store = self._run_stage("embed-subword",
-                                            self.build_subword_store)
+        stages = {"main": ("embed", self.build_main_store),
+                  "subword": ("embed-subword", self.build_subword_store)}
+        stores = {f"{label}_store": self._run_stage(*stages[label])
+                  for label in stores_read(spec)}
         idf = None
-        if "avg-des" in kinds:
+        if "avg-des" in spec.kinds:
             if self.descriptions is None:
                 raise DataError("avg-des level needs a descriptions file")
             idf = build_idf(self.descriptions)
-        return Resources(type_system=self.type_system, word_store=word_store,
-                         subword_store=subword_store,
-                         entity_store=entity_store,
-                         descriptions=self.descriptions, idf=idf)
+        return Resources(type_system=self.type_system,
+                         descriptions=self.descriptions, idf=idf, **stores)
 
     # model ----------------------------------------------------------------
 
     def model_key(self) -> str:
         cfg = self.cfg
-        kinds = set(cfg.representation().kinds)
-        stores = {}
-        if kinds & MAIN_STORE_KINDS:
-            stores["main"] = self.main_store_key()
-        if kinds & SUBWORD_STORE_KINDS:
-            stores["subword"] = self.subword_store_key()
-        return _key("model", self._input_key, stores, self._descriptions_sha,
-                    cfg.levels, sorted(cfg.level_options.items()),
-                    cfg.hidden_units, sorted(cfg.train.items()), cfg.seed)
+        store_keys = {"main": self.main_store_key,
+                      "subword": self.subword_store_key}
+        stores = {label: store_keys[label]()
+                  for label in stores_read(cfg.representation())}
+        return _key("model", MODEL_MAGIC, self._input_key, stores,
+                    self._descriptions_sha, cfg.levels,
+                    sorted(cfg.level_options.items()), cfg.hidden_units,
+                    sorted(cfg.train.items()), cfg.seed)
 
     def model_path(self) -> Path:
         return self.out / f"model-{self.model_key()}.bin"

@@ -21,12 +21,15 @@ prediction both score all their entities through it in one call.
 
 Model files are self-contained: layout, MLP and encoder parameters, sparse
 feature indexes, thresholds, and the frozen embedding stores the spec
-needs. Layout: magic line ``MULR-MODEL 1``, a JSON metadata line (ints and
+reads. Layout: magic line ``MULR-MODEL 2``, a JSON metadata line (ints and
 strings only), then the named float64 arrays in manifest order, raw
-little-endian bytes. A spec with ``bow`` or ``nsl`` stores the feature
-table as ``features.W``, of shape (features, hidden units), and
-``w_in.W`` then covers the dense levels only; other specs have no
-``features.W``.
+little-endian bytes. Each store the levels read (``stores_read``) is
+written once, as array ``store.main`` or ``store.subword`` and its
+``store_meta`` under that label in ``stores``; ``MULR-MODEL 1`` files,
+which held the main store twice, do not load. A spec with ``bow`` or
+``nsl`` stores the feature table as ``features.W``, of shape (features,
+hidden units), and ``w_in.W`` then covers the dense levels only; other
+specs have no ``features.W``.
 """
 
 from __future__ import annotations
@@ -37,14 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import SubwordIndex
 from .dataset import DatasetSplit, EntityRecord, TypeSystem
-from .embeddings import EmbeddingStore, KIND_SUBWORD
+from .embeddings import store_from_meta, store_meta
 from .errors import DataError
 from .fileio import data_errors, read_array_file, write_array_file
-from .levels import (SPARSE_KINDS, Assembler, CharVocab, ClrEncoder,
-                     FeatureIndexer, LevelSpec, RepresentationSpec, Resources,
-                     build_char_vocab, default_hidden_units)
+from .levels import (SPARSE_KINDS, STORE_KINDS, Assembler, CharVocab,
+                     ClrEncoder, FeatureIndexer, LevelSpec,
+                     RepresentationSpec, Resources, build_char_vocab,
+                     default_hidden_units, stores_read)
 from .metrics import f1_from_counts
 from .nn import (AdaGrad, Dense, SparseLinear, bce_loss, csr_take,
                  init_uniform, relu, sigmoid)
@@ -400,30 +403,7 @@ def calibrate_thresholds(model: TyperModel,
 # ---------------------------------------------------------------------------
 # serialization
 
-_MAGIC = "MULR-MODEL 1"
-
-
-def _store_meta(store: EmbeddingStore | None):
-    if store is None:
-        return None
-    meta = {"kind": store.kind, "dim": store.dim, "tokens": store.tokens}
-    if store.subwords is not None:
-        meta["ngram_bounds"] = [store.subwords.n_min, store.subwords.n_max]
-    return meta
-
-
-def _store_from_meta(meta, matrix) -> EmbeddingStore | None:
-    if meta is None:
-        return None
-    subwords = None
-    if meta["kind"] == KIND_SUBWORD:
-        n_min, n_max = meta["ngram_bounds"]
-        subwords = SubwordIndex(
-            index={g: i for i, g in enumerate(meta["tokens"])},
-            n_min=n_min, n_max=n_max)
-    return EmbeddingStore(kind=meta["kind"], dim=meta["dim"],
-                          tokens=list(meta["tokens"]), matrix=matrix,
-                          subwords=subwords)
+MODEL_MAGIC = "MULR-MODEL 2"
 
 
 def save_model(model: TyperModel, path, config_hash: str | None = None,
@@ -433,13 +413,8 @@ def save_model(model: TyperModel, path, config_hash: str | None = None,
     res = model.resources
     arrays: dict[str, np.ndarray] = {"thresholds": model.thresholds}
     arrays.update(model.params())
-    stores = {}
-    for label, store in (("word", res.word_store),
-                         ("subword", res.subword_store),
-                         ("entity", res.entity_store)):
-        stores[label] = _store_meta(store)
-        if store is not None:
-            arrays[f"store.{label}"] = store.matrix
+    stores = {label: res.store(label) for label in stores_read(model.spec)}
+    arrays.update({f"store.{k}": store.matrix for k, store in stores.items()})
     meta = {
         "config_hash": model.config_hash if config_hash is None
         else config_hash,
@@ -456,7 +431,7 @@ def save_model(model: TyperModel, path, config_hash: str | None = None,
         "clr_kind": model.clr.kind if model.clr else None,
         "indexers": {k: sorted(ix.index, key=ix.index.get)
                      for k, ix in model.assembler.indexers.items()},
-        "stores": stores,
+        "stores": {k: store_meta(store) for k, store in stores.items()},
         "descriptions": {k: v for k, v in
                          sorted((res.descriptions or {}).items())}
         if res.descriptions is not None else None,
@@ -465,7 +440,7 @@ def save_model(model: TyperModel, path, config_hash: str | None = None,
     }
     if res.idf is not None:
         meta["idf"] = {w: repr(x) for w, x in sorted(res.idf.items())}
-    write_array_file(path, _MAGIC, meta, arrays)
+    write_array_file(path, MODEL_MAGIC, meta, arrays)
 
 
 def load_model(path) -> TyperModel:
@@ -473,30 +448,28 @@ def load_model(path) -> TyperModel:
     overlong file and arrays that do not fit the spec, is a ``DataError``
     that names the path."""
     with data_errors(path, "model"):
-        return _model_from_meta(*read_array_file(path, _MAGIC))
+        return _model_from_meta(*read_array_file(path, MODEL_MAGIC))
 
 
 def _model_from_meta(meta: dict, arrays: dict[str, np.ndarray]) -> TyperModel:
     ts = TypeSystem(types=tuple(meta["types"]), parent=dict(meta["parent"]))
-    stores = {}
-    for label in ("word", "subword", "entity"):
-        name = f"store.{label}"
-        if meta["stores"][label] is not None and name not in arrays:
-            raise DataError(f"no array {name!r} in the manifest")
-        stores[label] = _store_from_meta(meta["stores"][label],
-                                         arrays.get(name))
-    idf = None
-    if meta["idf"] is not None:
-        idf = {w: float(x) for w, x in meta["idf"].items()}
-    resources = Resources(type_system=ts, word_store=stores["word"],
-                          subword_store=stores["subword"],
-                          entity_store=stores["entity"],
-                          descriptions=meta["descriptions"], idf=idf)
     spec = RepresentationSpec(levels=tuple(
         LevelSpec(kind=lv["kind"],
                   options={k: tuple(v) if isinstance(v, list) else v
                            for k, v in lv["options"].items()})
         for lv in meta["levels"]))
+    stores = {}
+    for label in stores_read(spec):
+        name = f"store.{label}"
+        if name not in arrays:
+            raise DataError(f"no array {name!r} in the manifest")
+        stores[f"{label}_store"] = store_from_meta(
+            meta["stores"][label], arrays[name], STORE_KINDS[label])
+    idf = None
+    if meta["idf"] is not None:
+        idf = {w: float(x) for w, x in meta["idf"].items()}
+    resources = Resources(type_system=ts, descriptions=meta["descriptions"],
+                          idf=idf, **stores)
     assembler = Assembler(spec, resources)
     for kind, names in meta["indexers"].items():
         ix = FeatureIndexer()

@@ -292,6 +292,25 @@ class TestExitCodes:
         assert f"{name}:{line_no}: duplicate entity id {eid!r}" in err
         assert "Traceback" not in err
 
+    def test_entity_id_in_two_sections_exits_2(self, synth, tmp_path,
+                                               capsys):
+        """A train entity's id repeated under ``#test`` fails the load at
+        the repeat, naming the dataset file and line."""
+        for part in ("corpus.txt", "notable.tsv", "hierarchy.tsv"):
+            (tmp_path / part).write_bytes((synth / part).read_bytes())
+        lines = (synth / "dataset.tsv").read_text().splitlines()
+        train_row = lines[lines.index("#train") + 1]
+        lines.insert(lines.index("#test") + 1, train_row)
+        (tmp_path / "dataset.tsv").write_text("\n".join(lines) + "\n")
+        line_no = lines.index("#test") + 2
+        config = write_config(tmp_path, "exp.ini")
+        assert cli.main(["train", "--config", str(config),
+                         "--out", str(tmp_path / "model.bin")]) == 2
+        err = capsys.readouterr().err
+        eid = train_row.split("\t")[0]
+        assert f"dataset.tsv:{line_no}: duplicate entity id {eid!r}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("row,where", [
         ("all\taccuracy", "report.tsv:2: 2 tab-separated fields"),
         ("all\taccuracy\thigh", "report.tsv:2: non-numeric value 'high'"),
@@ -327,10 +346,15 @@ def _corrupt(case: str, data: bytes) -> bytes:
     elif case == "missing-key":
         del meta["hidden_units"]
     elif case in ("missing-array", "missing-store"):
-        name = "w_in.b" if case == "missing-array" else "store.entity"
+        name = "w_in.b" if case == "missing-array" else "store.main"
         i, offset, size = _array_at(meta, name)
         del meta["arrays"][i]
         payload = payload[:offset] + payload[offset + size:]
+    elif case == "repeated-token":
+        tokens = meta["stores"]["main"]["tokens"]
+        tokens[1] = tokens[0]
+    elif case == "store-kind":
+        meta["stores"]["main"]["kind"] = "subword"
     elif case == "shape":
         meta["hidden_units"] += 1
     elif case == "trailing":
@@ -353,7 +377,9 @@ class TestModelFileErrors:
         ("bad-json", "Expecting"),
         ("missing-key", "missing model field 'hidden_units'"),
         ("missing-array", "no array 'w_in.b' in the manifest"),
-        ("missing-store", "no array 'store.entity' in the manifest"),
+        ("missing-store", "no array 'store.main' in the manifest"),
+        ("repeated-token", "duplicate token"),
+        ("store-kind", "a 'subword' store, expected 'skip' or 'sskip'"),
         ("shape", "array 'w_in.W' has shape"),
         ("trailing", "8 bytes after the last array"),
         ("nan", "non-finite values in array 'w_in.W'"),

@@ -9,7 +9,7 @@ from mulr.levels import (Assembler, CharVocab, ClrEncoder, FeatureIndexer,
                          LevelSpec, RepresentationSpec, Resources,
                          avg_des, bow_features, build_char_vocab, build_idf,
                          default_cnn_bank, default_hidden_units,
-                         nsl_features, wlr)
+                         nsl_features, stores_read, wlr)
 
 
 def word_store(vectors: dict[str, list[float]]) -> EmbeddingStore:
@@ -290,15 +290,16 @@ class TestAvgDes:
 
 class TestAssemble:
     def _resources(self):
+        """One main store: words, entity ids and type ids in one space."""
         ts = TypeSystem(types=("t1", "t2"), parent={})
-        entity_store = EmbeddingStore(
-            kind="sskip", dim=3, tokens=["m.1", "t1", "t2"],
-            matrix=np.array([[1.0, 0.0, 0.0],
+        main = EmbeddingStore(
+            kind="sskip", dim=3, tokens=["alpha", "beta", "m.1", "t1", "t2"],
+            matrix=np.array([[1.0, 2.0, 0.0],
+                             [3.0, 4.0, 0.0],
+                             [1.0, 0.0, 0.0],
                              [1.0, 0.0, 0.0],
                              [0.0, 1.0, 0.0]]))
-        return Resources(type_system=ts, word_store=word_store(
-            {"alpha": [1.0, 2.0], "beta": [3.0, 4.0]}),
-            entity_store=entity_store)
+        return Resources(type_system=ts, main_store=main)
 
     def test_elr_plus_tc_dimension(self):
         res = self._resources()
@@ -313,7 +314,33 @@ class TestAssemble:
         spec = RepresentationSpec.parse("wwlr")
         np.testing.assert_array_equal(
             Assembler(spec, res).frozen_matrix([("m.1", "alpha beta")])[0],
-            wlr("alpha beta", res.word_store))
+            wlr("alpha beta", res.main_store))
+
+    def test_word_and_entity_levels_read_the_main_store(self):
+        res = self._resources()
+        asm = Assembler(RepresentationSpec.parse("wwlr,elr,avg-des"), res)
+        assert asm.layout() == [("wwlr", 3), ("elr", 3), ("avg-des", 3)]
+        v = asm.frozen_matrix([("m.1", "alpha")])[0]
+        np.testing.assert_array_equal(v[:6], [1.0, 2.0, 0.0, 1.0, 0.0, 0.0])
+
+    def test_missing_store_is_named(self):
+        ts = TypeSystem(types=("t1",), parent={})
+        for levels, label in (("elr", "main"), ("swlr", "subword")):
+            asm = Assembler(RepresentationSpec.parse(levels),
+                            Resources(type_system=ts))
+            with pytest.raises(DataError, match=f"the {label} embedding"):
+                asm.layout()
+
+    @pytest.mark.parametrize("levels,stores", [
+        ("clr-cnn,nsl,bow", ()),
+        ("elr,clr-cnn,tc", ("main",)),
+        ("wwlr", ("main",)),
+        ("avg-des", ("main",)),
+        ("swlr", ("subword",)),
+        ("swlr,elr,tc", ("main", "subword")),
+    ])
+    def test_stores_read(self, levels, stores):
+        assert stores_read(RepresentationSpec.parse(levels)) == stores
 
     def test_layout_records_order(self):
         res = self._resources()

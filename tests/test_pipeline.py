@@ -97,6 +97,14 @@ class TestModelKey:
         monkeypatch.setenv("MULR_THREADS", "2")
         assert model_key(config) != before
 
+    def test_changes_with_the_model_format(self, experiment, monkeypatch):
+        """A cache written in another model format is never read as this
+        one: the run retrains instead."""
+        config = write_config(experiment)
+        before = model_key(config)
+        monkeypatch.setattr(pipeline, "MODEL_MAGIC", "MULR-MODEL 0")
+        assert model_key(config) != before
+
     def test_subword_section_ignored_without_swlr(self, experiment):
         before = model_key(write_config(experiment, levels="elr"))
         after = model_key(write_config(experiment, levels="elr",

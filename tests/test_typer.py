@@ -54,7 +54,7 @@ def indicator_problem(n_per_type=12, dim=6, noise=0.05, seed=0,
     split = DatasetSplit(train=tuple(records["train"]),
                          dev=tuple(records["dev"]),
                          test=tuple(records["test"]))
-    res = Resources(type_system=ts, entity_store=store, word_store=store)
+    res = Resources(type_system=ts, main_store=store)
     return split, res
 
 
@@ -170,9 +170,9 @@ class TestTraining:
 
     def test_frozen_stores_unchanged_by_training(self):
         split, res = indicator_problem()
-        before = res.entity_store.matrix.tobytes()
+        before = res.main_store.matrix.tobytes()
         train(split, RepresentationSpec.parse("elr,tc"), res, quick_cfg(epochs=4))
-        assert res.entity_store.matrix.tobytes() == before
+        assert res.main_store.matrix.tobytes() == before
 
     def test_no_train_instances_errors(self):
         split, res = indicator_problem()
@@ -289,7 +289,7 @@ class TestScoresFor:
         for eid, name in insts:
             wlr(name, res.subword_store, expected)
             if eid in res.descriptions:
-                avg_des(res.descriptions[eid], res.idf, res.word_store,
+                avg_des(res.descriptions[eid], res.idf, res.main_store,
                         flags=expected)
             else:
                 expected.append(f"no description for {eid!r}")
@@ -821,6 +821,43 @@ class TestSerialization:
         assert manifest[FEATURE_TABLE] == list(model.features.W.shape)
         assert manifest["w_in.W"] == [7, model.input_dim
                                       - model.features.W.shape[0]]
+
+    @pytest.mark.parametrize("levels,stores", [
+        ("elr,clr-cnn,tc", ["main"]),
+        ("elr,swlr,tc", ["main", "subword"]),
+        ("swlr,avg-des", ["main", "subword"]),
+        ("swlr", ["subword"]),
+        ("clr-cnn,nsl", []),
+    ])
+    def test_each_store_read_is_written_once(self, tmp_path, levels, stores):
+        split, res = indicator_problem()
+        entities = split.all_entities()
+        names = instance_names(12)
+        insts = [(entities[i].id, name) for i, name in enumerate(names)]
+        res = subword_resources(res, names)
+        model = untrained_model(RepresentationSpec.parse(levels, CLR_OPTIONS),
+                                res, names)
+        path = tmp_path / "model.bin"
+        save_model(model, path, config_hash="h", seed=1)
+        meta = json.loads(path.read_bytes().split(b"\n")[1])
+        assert [name for name, _ in meta["arrays"]
+                if name.startswith("store.")] == [f"store.{s}" for s in stores]
+        assert sorted(meta["stores"]) == stores
+        loaded = load_model(path)
+        np.testing.assert_array_equal(loaded.scores_for(insts),
+                                      model.scores_for(insts))
+
+    def test_old_format_is_a_data_error_naming_the_path(self, tmp_path):
+        split, res = indicator_problem()
+        model = train(split, RepresentationSpec.parse("elr"), res,
+                      quick_cfg(epochs=1))
+        path = tmp_path / "model.bin"
+        save_model(model, path, config_hash="h", seed=1)
+        data = path.read_bytes()
+        path.write_bytes(b"MULR-MODEL 1" + data[data.index(b"\n"):])
+        with pytest.raises(DataError, match=f"{path}: first line is not "
+                                            f"'MULR-MODEL 2'"):
+            load_model(path)
 
     def test_save_is_deterministic(self, tmp_path):
         split, res = indicator_problem()
