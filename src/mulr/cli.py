@@ -20,8 +20,8 @@ from .errors import DataError, MulrError, NumericError, ParseError
 from .fileio import text_lines
 from .metrics import build_report, significance_matrix
 from .pipeline import (PipelineRun, load_config, read_predictions,
-                       read_vocabulary, resolve_threads, run_pipeline,
-                       save_descriptions, write_predictions, write_tokens)
+                       read_vocabulary, run_pipeline, save_descriptions,
+                       write_predictions, write_tokens)
 from .synthetic import generate, generate_order_corpus, preset_spec
 from .typer import calibrate_thresholds, load_model, save_model
 
@@ -70,9 +70,8 @@ def _cmd_build_corpus(args) -> int:
     split = dataset_mod.load_dataset(args.dataset, ts)
     protected_path = Path(args.protected_out or
                           str(args.out) + ".protected.txt")
-    count = write_tokens(corpus_mod.load_corpus(args.corpus),
-                         corpus_mod.load_notable(args.notable), split,
-                         args.out, protected_path)
+    count = write_tokens(corpus_mod.load_corpus(args.corpus), args.notable,
+                         split, args.out, protected_path)
     print(f"wrote {args.out} ({count} sentences) and {protected_path}")
     return 0
 
@@ -83,7 +82,7 @@ def _cmd_embed(args) -> int:
     cfg = SgnsConfig(dim=args.dim, negatives=args.neg, window=args.window,
                      epochs=args.epochs, learning_rate=args.lr,
                      seed=args.seed, positional=args.mode == "sskip",
-                     threads=resolve_threads(args.threads))
+                     threads=args.threads)
     if args.mode == "subword":
         index = build_subword_index(vocab, n_min=args.n_min, n_max=args.n_max,
                                     min_count=args.ngram_min_count)

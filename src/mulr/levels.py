@@ -39,6 +39,10 @@ DEFAULT_PADDED_LENGTH = 40
 DEFAULT_TOP_K_DESCRIPTION_WORDS = 20
 CHAR_MIN_COUNT = 5
 
+# the options levels read through ``LevelSpec.opt``, by type
+LEVEL_OPTIONS = {"padded_len": int, "char_dim": int, "widths": tuple,
+                 "feature_maps": int, "hidden_dim": int, "top_k": int}
+
 CLR_KINDS = ("clr-forward", "clr-cnn", "clr-lstm", "clr-bilstm")
 SPARSE_KINDS = ("bow", "nsl")
 LEVEL_KINDS = CLR_KINDS + SPARSE_KINDS + ("wwlr", "swlr", "elr", "tc", "avg-des")

@@ -187,8 +187,7 @@ class ConvMaxPool:
         self.filters = {w: init_uniform(rng, (count, w, d_in))
                         for w, count in widths}
         self.biases = {w: init_uniform(rng, (count,)) for w, count in widths}
-        self.grads = {}
-        self.zero_grad()
+        self.grads = {k: np.zeros_like(p) for k, p in self.params().items()}
         self._cache = None
 
     @property
@@ -207,10 +206,8 @@ class ConvMaxPool:
         return out
 
     def zero_grad(self) -> None:
-        self.grads = {f"H{w}": np.zeros_like(self.filters[w])
-                      for w, _ in self.widths}
-        self.grads.update({f"b{w}": np.zeros_like(self.biases[w])
-                           for w, _ in self.widths})
+        for g in self.grads.values():
+            g[...] = 0.0
 
     def forward(self, C: np.ndarray) -> np.ndarray:
         C = np.ascontiguousarray(C, dtype=float)

@@ -27,10 +27,9 @@ the store's ``kind``, ``dim`` and ``tokens`` (and a subword store's
 ``ngram_bounds``), then the matrix as raw little-endian float64.
 ``mulr embed --out`` writes the word2vec text format instead.
 
-Configuration files are flat ``key = value`` INI text with sections
-``[paths]``, ``[representation]``, ``[embeddings]``, ``[subword]``,
-``[train]`` and ``[run]``. The only environment override honored is
-``MULR_THREADS``.
+Configuration files are flat ``key = value`` INI text. ``SCHEMA`` types
+each key of the sections ``[paths]``, ``[representation]``, ``[embeddings]``,
+``[subword]``, ``[train]`` and ``[run]``; any other key is an error.
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -50,11 +48,36 @@ from .embeddings import (EmbeddingStore, SgnsConfig, KIND_SKIP, KIND_SSKIP,
 from .errors import DataError, MulrError, ParseError
 from .fileio import text_lines
 from .corpus import Vocabulary, build_subword_index, build_vocabulary
-from .levels import RepresentationSpec, Resources, build_idf, stores_read
+from .levels import (LEVEL_OPTIONS, RepresentationSpec, Resources,
+                     build_idf, stores_read)
 from .metrics import EvalReport, build_report
 from .typer import (MODEL_MAGIC, TrainConfig, TyperModel,
                     calibrate_thresholds, load_model, predict_with_scores,
                     save_model, train)
+
+
+# Fields set by another section: [run] seed and threads, [embeddings] mode
+# (``positional``) and [representation] hidden_units.
+SGNS_SET_ELSEWHERE = ("seed", "threads", "positional")
+TRAIN_SET_ELSEWHERE = ("seed", "hidden_units")
+SGNS_KEYS = {f.name: type(f.default) for f in fields(SgnsConfig)
+             if f.name not in SGNS_SET_ELSEWHERE}
+
+# section -> key -> type: ``bool`` takes configparser's boolean words,
+# ``tuple`` reads widths ``a-b`` or ``a,b,...``, and a tuple of strings
+# lists the values a key allows.
+SCHEMA = {
+    "paths": dict.fromkeys(("corpus", "dataset", "hierarchy", "notable",
+                            "out_dir", "descriptions"), str),
+    "representation": {"levels": str, "hidden_units": int, **LEVEL_OPTIONS},
+    "embeddings": {"mode": (KIND_SKIP, KIND_SSKIP), "min_count": int,
+                   **SGNS_KEYS},
+    "subword": {"min_count": int, "n_min": int, "n_max": int,
+                "ngram_min_count": int, **SGNS_KEYS},
+    "train": {f.name: type(f.default) for f in fields(TrainConfig)
+              if f.name not in TRAIN_SET_ELSEWHERE},
+    "run": {"seed": int, "threads": int},
+}
 
 
 @dataclass
@@ -86,18 +109,15 @@ class ExperimentConfig:
                 sub.get("ngram_min_count", 5))
 
     def sgns_config(self) -> SgnsConfig:
-        opts = dict(self.sgns)
-        opts.pop("min_count", None)
+        opts = {k: v for k, v in self.sgns.items() if k in SGNS_KEYS}
         return SgnsConfig(seed=self.seed, threads=self.threads,
                           positional=self.embed_mode == KIND_SSKIP, **opts)
 
     def subword_config(self) -> SgnsConfig:
-        opts = {k: v for k, v in self.subword.items()
-                if k not in ("n_min", "n_max", "ngram_min_count", "min_count")}
-        base = {k: v for k, v in self.sgns.items() if k != "min_count"}
-        base.update(opts)
+        merged = {**self.sgns, **self.subword}
+        opts = {k: v for k, v in merged.items() if k in SGNS_KEYS}
         return SgnsConfig(seed=self.seed + 1, threads=self.threads,
-                          positional=False, **base)
+                          positional=False, **opts)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(seed=self.seed, hidden_units=self.hidden_units,
@@ -107,41 +127,23 @@ class ExperimentConfig:
         return RepresentationSpec.parse(self.levels, self.level_options)
 
 
-_INT_KEYS = {"dim", "negatives", "window", "epochs", "min_count", "n_min",
-             "n_max", "ngram_min_count", "batch_size", "patience",
-             "table_size", "batch_pairs", "padded_len", "char_dim",
-             "feature_maps", "hidden_dim", "top_k", "hidden_units", "seed",
-             "threads"}
-_FLOAT_KEYS = {"learning_rate"}
-_BOOL_KEYS = {"dynamic_window"}
-
-
-def _coerce(key: str, value: str, where: str):
-    """``value`` as the type ``key`` takes; ``where`` names it in errors."""
+def _coerce(typ, value: str, where: str):
+    """``value`` read as ``typ``, its key's ``SCHEMA`` type (None: no key)."""
+    if typ is None:
+        raise DataError(f"{where}: not a config key")
+    if isinstance(typ, tuple) and value not in typ:
+        raise DataError(f"{where}: {value!r} is not one of {', '.join(typ)}")
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key == "widths":
+        if typ is bool:
+            return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+        if typ is tuple:
             lo, _, hi = value.partition("-")
             if hi:
                 return tuple(range(int(lo), int(hi) + 1))
             return tuple(int(x) for x in value.split(","))
-    except ValueError:
+        return value if isinstance(typ, tuple) else typ(value)
+    except (KeyError, ValueError):
         raise DataError(f"{where}: bad value {value!r}") from None
-    if key in _BOOL_KEYS:
-        return value.strip().lower() in ("1", "true", "yes", "on")
-    return value
-
-
-def resolve_threads(threads: int) -> int:
-    """The SGNS thread count: ``threads`` (``[run] threads`` or
-    ``--threads``) unless a non-empty ``MULR_THREADS`` overrides it."""
-    env = os.environ.get("MULR_THREADS")
-    if env:
-        return _coerce("threads", env, "environment variable MULR_THREADS")
-    return threads
 
 
 def load_config(path) -> ExperimentConfig:
@@ -157,6 +159,10 @@ def load_config(path) -> ExperimentConfig:
         sections = {name: dict(parser[name]) for name in parser.sections()}
     except configparser.Error as exc:
         raise DataError(f"{path}: {exc}") from None
+    for name, items in sections.items():
+        for key, value in items.items():
+            items[key] = _coerce(SCHEMA.get(name, {}).get(key), value,
+                                 f"{path}: {name}.{key}")
     if "paths" not in sections:
         raise DataError(f"{path}: missing [paths] section")
     paths = sections["paths"]
@@ -169,13 +175,9 @@ def load_config(path) -> ExperimentConfig:
         p = Path(value)
         return p if p.is_absolute() else base / p
 
-    def _section(name) -> dict:
-        return {k: _coerce(k, v, f"{path}: {name}.{k}")
-                for k, v in sections.get(name, {}).items()}
-
-    rep = _section("representation")
-    sgns = _section("embeddings")
-    run = _section("run")
+    rep = sections.get("representation", {})
+    sgns = sections.get("embeddings", {})
+    run = sections.get("run", {})
     return ExperimentConfig(
         corpus_path=_p(paths["corpus"]),
         dataset_path=_p(paths["dataset"]),
@@ -189,10 +191,10 @@ def load_config(path) -> ExperimentConfig:
         level_options=rep,
         embed_mode=sgns.pop("mode", KIND_SSKIP),
         sgns=sgns,
-        subword=_section("subword"),
-        train=_section("train"),
+        subword=sections.get("subword", {}),
+        train=sections.get("train", {}),
         seed=run.get("seed", 1),
-        threads=resolve_threads(run.get("threads", 1)),
+        threads=run.get("threads", 1),
     )
 
 
@@ -269,7 +271,6 @@ class PipelineRun:
             raw_split = dataset_mod.load_dataset(cfg.dataset_path,
                                                  self.type_system)
             self.split = dataset_mod.refine(raw_split, self.type_system)
-            self.notable = corpus_mod.load_notable(cfg.notable_path)
             self.descriptions = (load_descriptions(cfg.descriptions_path)
                                  if cfg.descriptions_path else None)
         self._run_stage("setup", _setup)
@@ -283,10 +284,13 @@ class PipelineRun:
         try:
             return fn()
         except MulrError as exc:
-            exc.args = (f"stage {name}: {exc}",)
+            if getattr(exc, "stage", None) is None:  # innermost stage only
+                exc.stage, exc.args = name, (f"stage {name}: {exc}",)
             raise
         except Exception as exc:
-            raise MulrError(f"stage {name}: {exc}") from exc
+            err = MulrError(f"stage {name}: {exc}")
+            err.stage = name
+            raise err from exc
 
     # corpus ---------------------------------------------------------------
 
@@ -304,7 +308,8 @@ class PipelineRun:
         if _cached(tokens_path, key) and _cached(protected_path, key):
             return tokens_path, protected_path
         write_tokens(corpus_mod.load_corpus(self.cfg.corpus_path),
-                     self.notable, self.split, tokens_path, protected_path)
+                     self.cfg.notable_path, self.split, tokens_path,
+                     protected_path)
         _write_meta(tokens_path, key, self.cfg.seed)
         _write_meta(protected_path, key, self.cfg.seed)
         return tokens_path, protected_path
@@ -444,14 +449,18 @@ class PipelineRun:
 # stage functions shared with the CLI
 
 
-def write_tokens(annotated: corpus_mod.AnnotatedCorpus,
-                 notable: dict[str, str], split: dataset_mod.DatasetSplit,
+def write_tokens(corpus: corpus_mod.AnnotatedCorpus, notable_path,
+                 split: dataset_mod.DatasetSplit,
                  tokens_path, protected_path) -> int:
     """Write the three-copy stream (test entities keep their surface words
     in the type copy) and the protected tokens: notable entities and types
     and every dataset entity. Returns the stream's sentence count."""
+    notable = corpus_mod.load_notable(notable_path)
     exclude = frozenset(e.id for e in split.test)
-    stream = corpus_mod.build_three_copy_corpus(annotated, notable, exclude)
+    try:
+        stream = corpus_mod.build_three_copy_corpus(corpus, notable, exclude)
+    except DataError as exc:  # a mentioned entity the file lacks
+        raise DataError(f"{notable_path}: {exc}") from None
     with Path(tokens_path).open("w", encoding="utf-8") as fh:
         for sent in stream:
             fh.write(" ".join(sent) + "\n")

@@ -88,10 +88,6 @@ class SyntheticData:
     notable: dict[str, str]
     descriptions: dict[str, list[str]] | None = None
 
-    @property
-    def test_ids(self) -> frozenset[str]:
-        return frozenset(e.id for e in self.split.test)
-
 
 def _stem(rng: np.random.Generator, lo: int = 4, hi: int = 8) -> str:
     n = int(rng.integers(lo, hi))

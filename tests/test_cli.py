@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mulr import cli
+from mulr.corpus import load_corpus
 from mulr.dataset import load_dataset, load_type_system
 from mulr.embeddings import load_embeddings
 from mulr.pipeline import PipelineRun, load_config, run_pipeline
@@ -40,11 +41,6 @@ EMBED = ["--dim", "8", "--epochs", "1", "--min-count", "1", "--neg", "2",
          "--n-max", "4", "--ngram-min-count", "1"]
 
 
-@pytest.fixture(autouse=True)
-def _no_thread_override(monkeypatch):
-    monkeypatch.delenv("MULR_THREADS", raising=False)
-
-
 @pytest.fixture(scope="module")
 def synth(tmp_path_factory):
     """A tiny ``mixed`` set written by ``mulr gen-synthetic`` and a config
@@ -63,9 +59,16 @@ def pipeline_run(synth):
     return PipelineRun(cfg), artifacts
 
 
-def write_config(root, name, dim=8, seed=1, threads=1):
-    (root / name).write_text(CONFIG.format(dim=dim, seed=seed,
-                                           threads=threads), encoding="utf-8")
+def write_config(root, name, dim=8, seed=1, threads=1, extra=None):
+    """``CONFIG`` under ``root``; ``extra`` maps a section header to a line
+    added under it, a header ``CONFIG`` lacks starting a new section."""
+    text = CONFIG.format(dim=dim, seed=seed, threads=threads)
+    for header, line in (extra or {}).items():
+        if f"{header}\n" in text:
+            text = text.replace(f"{header}\n", f"{header}\n{line}\n")
+        else:
+            text += f"{header}\n{line}\n"
+    (root / name).write_text(text, encoding="utf-8")
     return root / name
 
 
@@ -119,10 +122,9 @@ class TestStages:
             == protected.read_bytes()
 
     @pytest.mark.parametrize("mode", ["skip", "sskip", "subword"])
-    def test_embed_each_mode(self, synth, tmp_path, monkeypatch, mode):
+    def test_embed_each_mode(self, synth, tmp_path, mode):
         tokens = tmp_path / "tokens.txt"
         assert build_corpus(synth, tokens) == 0
-        monkeypatch.setenv("MULR_THREADS", "")  # empty means unset
         out = tmp_path / f"{mode}.vec"
         assert cli.main(["embed", "--mode", mode, *EMBED, "--protected",
                          str(tokens) + ".protected.txt", str(tokens),
@@ -230,25 +232,30 @@ class TestExitCodes:
     @pytest.mark.parametrize("fields,where", [
         ({"dim": "ten"}, "exp-bad.ini: embeddings.dim"),
         ({"threads": "one"}, "exp-bad.ini: run.threads"),
+        *[({"extra": {header: line}}, f"exp-bad.ini: {where}")
+          for header, line, where in [
+              ("[embeddings]", "bogus = 1", "embeddings.bogus"),
+              ("[embeddings]", "seed = 2", "embeddings.seed"),
+              ("[embeddings]", "threads = 2", "embeddings.threads"),
+              ("[embeddings]", "mode = foo", "embeddings.mode"),
+              ("[embeddings]", "dynamic_window = maybe",
+               "embeddings.dynamic_window"),
+              ("[subword]", "positional = true", "subword.positional"),
+              ("[subword]", "bogus = 1", "subword.bogus"),
+              ("[train]", "seed = 2", "train.seed"),
+              ("[train]", "hidden_units = 7", "train.hidden_units"),
+              ("[representation]", "top_kk = 5", "representation.top_kk"),
+              ("[run]", "bogus = 1", "run.bogus"),
+              ("[paths]", "descripitons = d.tsv", "paths.descripitons"),
+              ("[embedding]", "dim = 9", "embedding.dim")]],
     ])
     def test_bad_config_value_exits_2(self, synth, capsys, fields, where):
         config = write_config(synth, "exp-bad.ini", **fields)
-        assert cli.main(["train", "--config", str(config)]) == 2
-        assert where in capsys.readouterr().err
-
-    def test_bad_mulr_threads_exits_2(self, synth, monkeypatch, capsys):
-        monkeypatch.setenv("MULR_THREADS", "x")
-        assert cli.main(["train", "--config", str(synth / "exp.ini")]) == 2
-        assert "MULR_THREADS" in capsys.readouterr().err
-
-    def test_embed_bad_mulr_threads_exits_2(self, synth, tmp_path,
-                                            monkeypatch, capsys):
-        tokens = tmp_path / "tokens.txt"
-        assert build_corpus(synth, tokens) == 0
-        monkeypatch.setenv("MULR_THREADS", "x")
-        assert cli.main(["embed", *EMBED, str(tokens),
-                         str(tmp_path / "out.vec")]) == 2
-        assert "MULR_THREADS" in capsys.readouterr().err
+        for argv in (["train", "--config", str(config)],
+                     ["pipeline", str(config)]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert where in err and "Traceback" not in err
 
     @pytest.mark.parametrize("body,where", [
         ("m.1\tA:0.900000\nm.2\t\nm.1\t\n",
@@ -291,6 +298,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{name}:{line_no}: duplicate entity id {eid!r}" in err
         assert "Traceback" not in err
+
+    def test_entity_without_notable_type_exits_2(self, synth, tmp_path,
+                                                 capsys):
+        """A mentioned train entity missing from the notable file fails
+        ``build-corpus`` naming that file, and the pipeline names the
+        build-corpus stage once."""
+        for part in ("corpus.txt", "dataset.tsv", "hierarchy.tsv"):
+            (tmp_path / part).write_bytes((synth / part).read_bytes())
+        test_ids = {e.id for e in load_dataset(
+            synth / "dataset.tsv",
+            load_type_system(synth / "hierarchy.tsv")).test}
+        eid = min(load_corpus(synth / "corpus.txt").entity_ids() - test_ids)
+        notable = tmp_path / "notable.tsv"
+        notable.write_text("".join(
+            line + "\n" for line in
+            (synth / "notable.tsv").read_text().splitlines()
+            if line.split("\t")[0] != eid))
+        where = f"{notable}: mention references entity {eid!r}"
+        assert build_corpus(tmp_path, tmp_path / "tokens.txt") == 2
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+        config = write_config(tmp_path, "exp.ini")
+        assert cli.main(["pipeline", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+        assert err.count("stage ") == 1
+        assert "stage build-corpus: " in err
 
     def test_entity_id_in_two_sections_exits_2(self, synth, tmp_path,
                                                capsys):

@@ -118,6 +118,21 @@ class TestConvMaxPool:
         with pytest.raises(NumericError, match="shorter"):
             net.forward(np.ones((1, 3, 2)))
 
+    def test_zero_grad_clears_the_same_arrays(self):
+        """Like ``Dense`` and ``Lstm``, the gradients are allocated once and
+        zeroed in place on each step."""
+        rng = np.random.default_rng(0)
+        net = ConvMaxPool([(2, 3), (3, 2)], d_in=4, rng=rng)
+        grads = dict(net.grads)
+        out = net.forward(rng.normal(size=(2, 6, 4)))
+        net.backward(np.ones_like(out))
+        assert any(g.any() for g in net.grads.values())
+        net.zero_grad()
+        assert net.grads.keys() == grads.keys()
+        for name, g in net.grads.items():
+            assert g is grads[name]
+            assert not g.any()
+
 
 def conv_reference(net: ConvMaxPool, C: np.ndarray, dout: np.ndarray):
     """The einsum forward and the einsum / ``np.add.at`` backward that the

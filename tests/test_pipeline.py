@@ -39,13 +39,12 @@ def write_config(root, levels="elr,swlr,tc,avg-des", name="exp.ini",
                  **overrides):
     """Config over the files of ``write_experiment``; ``overrides`` maps a
     section name to the keys it replaces or adds."""
-    sections = {k: dict(v) for k, v in SECTIONS.items()}
+    sections = {"paths": {**INPUTS, "out_dir": "cache"}}
+    sections.update({k: dict(v) for k, v in SECTIONS.items()})
     sections["representation"] = {"levels": levels}
     for section, values in overrides.items():
         sections.setdefault(section, {}).update(values)
-    lines = ["[paths]"]
-    lines += [f"{key} = {fname}" for key, fname in INPUTS.items()]
-    lines.append("out_dir = cache")
+    lines = []
     for section, values in sections.items():
         lines.append(f"[{section}]")
         lines += [f"{k} = {v}" for k, v in values.items()]
@@ -55,8 +54,7 @@ def write_config(root, levels="elr,swlr,tc,avg-des", name="exp.ini",
 
 
 @pytest.fixture
-def experiment(tmp_path, monkeypatch):
-    monkeypatch.delenv("MULR_THREADS", raising=False)
+def experiment(tmp_path):
     write_experiment(tmp_path)
     return tmp_path
 
@@ -91,12 +89,6 @@ class TestModelKey:
         after = model_key(write_config(experiment, **{section: {key: value}}))
         assert after != before
 
-    def test_changes_with_mulr_threads(self, experiment, monkeypatch):
-        config = write_config(experiment)
-        before = model_key(config)
-        monkeypatch.setenv("MULR_THREADS", "2")
-        assert model_key(config) != before
-
     def test_changes_with_the_model_format(self, experiment, monkeypatch):
         """A cache written in another model format is never read as this
         one: the run retrains instead."""
@@ -111,12 +103,11 @@ class TestModelKey:
                                        subword={"n_max": "5", "dim": "9"}))
         assert after == before
 
-    def test_embedding_sections_ignored_without_stores(self, experiment,
-                                                        monkeypatch):
+    def test_embedding_sections_ignored_without_stores(self, experiment):
         before = model_key(write_config(experiment, levels="clr-cnn"))
-        monkeypatch.setenv("MULR_THREADS", "2")
         after = model_key(write_config(experiment, levels="clr-cnn",
-                                       embeddings={"dim": "9"}))
+                                       embeddings={"dim": "9"},
+                                       run={"threads": "2"}))
         assert after == before
 
     def test_store_keys_chain_the_tokens_key(self, experiment):
@@ -203,6 +194,19 @@ class TestLoadConfig:
         ("representation", "hidden_units", "x"),
         ("representation", "widths", "2-x"),
         ("train", "learning_rate", "fast"),
+        ("embeddings", "bogus", "1"),
+        ("embeddings", "seed", "2"),
+        ("embeddings", "threads", "2"),
+        ("embeddings", "mode", "foo"),
+        ("embeddings", "dynamic_window", "maybe"),
+        ("subword", "positional", "true"),
+        ("subword", "bogus", "1"),
+        ("train", "seed", "2"),
+        ("train", "hidden_units", "7"),
+        ("representation", "top_kk", "5"),
+        ("run", "bogus", "1"),
+        ("paths", "descripitons", "descriptions.tsv"),
+        ("embedding", "dim", "9"),
     ])
     def test_bad_value_names_file_and_key(self, experiment, section, key,
                                           value):
@@ -221,15 +225,19 @@ class TestLoadConfig:
         with pytest.raises(DataError, match="exp.ini"):
             load_config(config)
 
-    @pytest.mark.parametrize("env,expected", [(None, 3), ("", 3), ("2", 2)])
-    def test_threads_then_environment(self, experiment, monkeypatch, env,
-                                      expected):
-        if env is not None:
-            monkeypatch.setenv("MULR_THREADS", env)
-        cfg = load_config(write_config(experiment, run={"threads": "3"}))
-        assert cfg.threads == expected
+    def test_values_take_their_schema_types(self, experiment):
+        cfg = load_config(write_config(
+            experiment, representation={"widths": "2-4", "top_k": "5"},
+            embeddings={"dynamic_window": "Off", "learning_rate": "1",
+                        "mode": "skip"},
+            subword={"dynamic_window": "yes", "n_min": "2"}))
+        assert cfg.level_options == {"widths": (2, 3, 4), "top_k": 5}
+        assert cfg.embed_mode == "skip"
+        assert cfg.sgns_config().dynamic_window is False
+        assert cfg.sgns_config().learning_rate == 1.0
+        assert cfg.subword_config().dynamic_window is True
+        assert cfg.subword_counts()[1] == 2
 
-    def test_bad_mulr_threads(self, experiment, monkeypatch):
-        monkeypatch.setenv("MULR_THREADS", "x")
-        with pytest.raises(DataError, match="MULR_THREADS"):
-            load_config(write_config(experiment))
+    def test_threads_from_run_section(self, experiment):
+        cfg = load_config(write_config(experiment, run={"threads": "3"}))
+        assert cfg.threads == 3
