@@ -46,21 +46,24 @@ class Mention:
 
 @dataclass
 class AnnotatedCorpus:
-    """Tokenized sentences with entity-mention spans."""
+    """Tokenized sentences with entity-mention spans; ``path`` is the file
+    they were read from, if any, and errors about them name it."""
 
     sentences: list[list[str]]
     mentions: list[list[Mention]]
+    path: Path | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        where = "" if self.path is None else f"{self.path}: "
         if len(self.sentences) != len(self.mentions):
-            raise DataError("sentence/mention list length mismatch")
+            raise DataError(f"{where}sentence/mention list length mismatch")
         for sent, ms in zip(self.sentences, self.mentions):
             last_end = 0
             for m in sorted(ms, key=lambda m: m.start):
                 if not (0 <= m.start < m.end <= len(sent)):
-                    raise DataError(f"mention span {m} out of bounds")
+                    raise DataError(f"{where}mention span {m} out of bounds")
                 if m.start < last_end:
-                    raise DataError(f"overlapping mention at {m}")
+                    raise DataError(f"{where}overlapping mention at {m}")
                 last_end = m.end
 
     def __len__(self) -> int:
@@ -100,7 +103,7 @@ def load_corpus(path) -> AnnotatedCorpus:
         if toks:
             sentences.append(toks)
             mentions.append(ms)
-    return AnnotatedCorpus(sentences=sentences, mentions=mentions)
+    return AnnotatedCorpus(sentences=sentences, mentions=mentions, path=path)
 
 
 def save_corpus(corpus: AnnotatedCorpus, path) -> None:
@@ -135,8 +138,9 @@ def build_three_copy_corpus(
     """
     for ent_id in sorted(corpus.entity_ids()):
         if ent_id not in notable and ent_id not in exclude:
+            source = "" if corpus.path is None else f" (in {corpus.path})"
             raise DataError(f"mention references entity {ent_id!r} with no "
-                            f"notable type and not excluded")
+                            f"notable type and not excluded{source}")
     out: list[list[str]] = []
     for sent, ms in zip(corpus.sentences, corpus.mentions):
         ordered = sorted(ms, key=lambda m: m.start)

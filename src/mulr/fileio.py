@@ -7,7 +7,9 @@ their lines with line numbers, and a line that is not valid UTF-8 is a
 Array files (the model file and the pipeline's cached embedding stores)
 are a magic line, one JSON metadata line whose ``arrays`` entry lists
 ``[name, shape]`` pairs in name order, then each listed array as raw
-little-endian float64 bytes, in that order and nothing after them.
+little-endian float64 bytes, in that order and nothing after them. A
+float32 array is widened on write, which holds its values exactly; arrays
+read back as float64, and the reader narrows them where it needs to.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ def write_array_file(path, magic: str, meta: dict,
         fh.write((json.dumps(meta, sort_keys=True, ensure_ascii=False,
                              separators=(",", ":")) + "\n").encode("utf-8"))
         for name, _ in meta["arrays"]:
-            # the buffer is written as it is: no bytes copy of the array
+            # a float64 array is written from its own buffer, a float32
+            # one (a typer parameter) from a widened copy
             fh.write(np.ascontiguousarray(arrays[name], dtype="<f8"))
 
 

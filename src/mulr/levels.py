@@ -33,7 +33,7 @@ from .dataset import TypeSystem, name_words
 from .embeddings import (KIND_SKIP, KIND_SSKIP, KIND_SUBWORD, EmbeddingStore,
                          type_cosine_matrix)
 from .errors import DataError, NumericError
-from .nn import ConvMaxPool, Lstm, scatter_add
+from .nn import ConvMaxPool, Lstm, init_uniform, scatter_add
 
 DEFAULT_PADDED_LENGTH = 40
 DEFAULT_TOP_K_DESCRIPTION_WORDS = 20
@@ -216,8 +216,7 @@ class ClrEncoder:
         self.char_vocab = char_vocab
         self.padded_len = int(level.opt("padded_len", DEFAULT_PADDED_LENGTH))
         self.char_dim = int(level.opt("char_dim", CLR_CHAR_DIMS[level.kind]))
-        self.table = rng.uniform(-0.05, 0.05,
-                                 size=(char_vocab.size, self.char_dim))
+        self.table = init_uniform(rng, (char_vocab.size, self.char_dim))
         self.grads = {"char_table": np.zeros_like(self.table)}
         self._ids = None
         if self.kind == "clr-forward":

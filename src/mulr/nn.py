@@ -7,6 +7,15 @@ backward pass needs; backward accumulates parameter gradients into
 Parameters initialize uniformly in [-0.05, 0.05] from the caller's
 generator.
 
+Dtype policy: ``init_uniform`` returns ``DTYPE`` (float32, the single
+precision word2vec and fastText compute in), rounding the same draws, so
+the random stream does not depend on it. Every layer computes in the dtype
+of its own parameters: inputs are cast to it at the layer's boundary, and
+caches, gradients, AdaGrad accumulators and scratch buffers follow it. A
+layer built from float64 arrays (or with ``DTYPE`` set to float64) is the
+float64 reference the gradient checks run on. ``bce_loss`` and ``sigmoid``
+of float64 logits stay in float64; the typer lifts its logits there.
+
 ``SparseLinear`` maps binary feature rows, given as CSR id lists, through a
 table of shape (features, out). Its gradient covers only the table rows the
 batch touched, and ``AdaGrad.step_rows`` updates only those rows, which is
@@ -26,6 +35,7 @@ from .errors import NumericError
 
 BCE_EPS = 1e-7
 INIT_SCALE = 0.05
+DTYPE = np.float32
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -39,8 +49,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def bce_loss(p: np.ndarray, m: np.ndarray) -> float:
     """Binary cross entropy summed over all components, inputs clamped."""
-    p = np.asarray(p, dtype=float)
-    m = np.asarray(m, dtype=float)
+    p = np.asarray(p, dtype=np.float64)
+    m = np.asarray(m, dtype=np.float64)
     if p.shape != m.shape:
         raise NumericError(f"bce shape mismatch: {p.shape} vs {m.shape}")
     q = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
@@ -61,15 +71,21 @@ def scatter_add(table: np.ndarray, rows: np.ndarray,
 
 
 def init_uniform(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
+    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(DTYPE)
+
+
+def _floats(a) -> np.ndarray:
+    """``a`` as an array of its own floating dtype, or of ``DTYPE``."""
+    a = np.asarray(a)
+    return a if np.issubdtype(a.dtype, np.floating) else a.astype(DTYPE)
 
 
 class Dense:
     """Affine map y = x W^T + b with W of shape (out, in)."""
 
     def __init__(self, W: np.ndarray, b: np.ndarray):
-        W = np.asarray(W, dtype=float)
-        b = np.asarray(b, dtype=float)
+        W = _floats(W)
+        b = np.asarray(b, dtype=W.dtype)
         if W.ndim != 2 or b.shape != (W.shape[0],):
             raise NumericError(f"inconsistent dense shapes {W.shape}, {b.shape}")
         if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
@@ -100,7 +116,7 @@ class Dense:
             g[...] = 0.0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=self.W.dtype)
         if x.shape[-1] != self.in_dim:
             raise NumericError(f"dense expected input dim {self.in_dim}, "
                                f"got {x.shape[-1]}")
@@ -108,6 +124,7 @@ class Dense:
         return x @ self.W.T + self.b
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        dy = np.asarray(dy, dtype=self.W.dtype)
         self.grads["W"] += dy.T @ self._x
         self.grads["b"] += dy.sum(axis=0)
         return dy @ self.W
@@ -135,7 +152,7 @@ class SparseLinear:
     """
 
     def __init__(self, W: np.ndarray):
-        W = np.ascontiguousarray(W, dtype=float)
+        W = np.ascontiguousarray(_floats(W))
         if W.ndim != 2:
             raise NumericError(f"sparse table must be 2-D, got {W.shape}")
         if not np.all(np.isfinite(W)):
@@ -147,7 +164,7 @@ class SparseLinear:
 
     def zero_grad(self) -> None:
         self.rows = np.zeros(0, dtype=np.int64)
-        self.grad = np.zeros((0, self.W.shape[1]))
+        self.grad = np.zeros((0, self.W.shape[1]), dtype=self.W.dtype)
 
     def forward(self, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
         batch = len(indptr) - 1
@@ -155,14 +172,14 @@ class SparseLinear:
         if U.size and (U[0] < 0 or U[-1] >= self.W.shape[0]):
             raise NumericError(f"feature id outside the {self.W.shape[0]}-row "
                                f"table")
-        X = np.zeros((batch, U.size))
+        X = np.zeros((batch, U.size), dtype=self.W.dtype)
         X[np.repeat(np.arange(batch), np.diff(indptr)), col] = 1.0
         self._X, self._U = X, U
         return X @ self.W[U]
 
     def backward(self, dy: np.ndarray) -> None:
         self.rows = self._U
-        self.grad = self._X.T @ dy
+        self.grad = self._X.T @ np.asarray(dy, dtype=self.W.dtype)
 
 
 class ConvMaxPool:
@@ -195,6 +212,10 @@ class ConvMaxPool:
         return sum(count for _, count in self.widths)
 
     @property
+    def dtype(self) -> np.dtype:
+        return self.filters[self.widths[0][0]].dtype
+
+    @property
     def max_width(self) -> int:
         return max(w for w, _ in self.widths)
 
@@ -210,7 +231,7 @@ class ConvMaxPool:
             g[...] = 0.0
 
     def forward(self, C: np.ndarray) -> np.ndarray:
-        C = np.ascontiguousarray(C, dtype=float)
+        C = np.ascontiguousarray(C, dtype=self.dtype)
         B, l, d = C.shape
         if l < self.max_width:
             raise NumericError(f"input length {l} shorter than "
@@ -240,7 +261,8 @@ class ConvMaxPool:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         cache = self._cache
         B, l, d = cache["C_shape"]
-        dC = np.zeros((B, l, d))
+        dout = np.asarray(dout, dtype=self.dtype)
+        dC = np.zeros((B, l, d), dtype=self.dtype)
         col = 0
         for w, count in self.widths:
             cols, pre, arg = cache["per_width"][w]
@@ -251,7 +273,7 @@ class ConvMaxPool:
             pre_t, arg_t = pre.transpose(2, 0, 1), arg.T[:, :, None]
             g = g * (np.take_along_axis(pre_t, arg_t, axis=2)[:, :, 0] > 0.0)
             # the pooled gradient lands on each filter's argmax position
-            G = np.zeros((count, B, P))
+            G = np.zeros((count, B, P), dtype=self.dtype)
             np.put_along_axis(G, arg_t, g[:, :, None], axis=2)
             G = G.reshape(count, B * P)
             H = self.filters[w].reshape(count, w * d)
@@ -272,9 +294,9 @@ class Lstm:
         if Wx.shape[0] != 4 * hidden or Wh.shape != (4 * hidden, hidden) \
                 or b.shape != (4 * hidden,):
             raise NumericError("inconsistent LSTM gate shapes")
-        self.Wx = np.asarray(Wx, dtype=float)
-        self.Wh = np.asarray(Wh, dtype=float)
-        self.b = np.asarray(b, dtype=float)
+        self.Wx = _floats(Wx)
+        self.Wh = np.asarray(Wh, dtype=self.Wx.dtype)
+        self.b = np.asarray(b, dtype=self.Wx.dtype)
         self.hidden = hidden
         self.grads = {"Wx": np.zeros_like(self.Wx),
                       "Wh": np.zeros_like(self.Wh),
@@ -304,15 +326,17 @@ class Lstm:
         ``xs`` has shape (batch, steps, in_dim); the state sequence has
         shape (batch, steps, hidden). The cell state starts at zero.
         """
-        xs = np.asarray(xs, dtype=float)
+        dtype = self.Wx.dtype
+        xs = np.asarray(xs, dtype=dtype)
         B, steps, d = xs.shape
         if steps == 0:
             raise NumericError("empty input sequence")
         if d != self.in_dim:
             raise NumericError(f"lstm expected input dim {self.in_dim}, got {d}")
-        h = np.zeros((B, self.hidden)) if h0 is None else np.array(h0, dtype=float)
-        c = np.zeros((B, self.hidden))
-        hs = np.zeros((B, steps, self.hidden))
+        h = (np.zeros((B, self.hidden), dtype=dtype) if h0 is None
+             else np.array(h0, dtype=dtype))
+        c = np.zeros((B, self.hidden), dtype=dtype)
+        hs = np.zeros((B, steps, self.hidden), dtype=dtype)
         cache = []
         H = self.hidden
         for t in range(steps):
@@ -340,9 +364,10 @@ class Lstm:
         steps = len(cache)
         B = dh_last.shape[0]
         H = self.hidden
-        dxs = np.zeros((B, steps, self.in_dim))
-        dh = dh_last.copy()
-        dc = np.zeros((B, H))
+        dtype = self.Wx.dtype
+        dxs = np.zeros((B, steps, self.in_dim), dtype=dtype)
+        dh = np.array(dh_last, dtype=dtype)
+        dc = np.zeros((B, H), dtype=dtype)
         for t in range(steps - 1, -1, -1):
             x_t, h_prev, c_prev, i, f, o, g, tanh_c = cache[t]
             do = dh * tanh_c
@@ -367,8 +392,9 @@ class AdaGrad:
     """Per-coordinate adaptive step: acc += g^2; p -= lr * g / (sqrt(acc) + eps).
 
     ``step`` and ``step_rows`` run the formula's IEEE operations in its
-    order, so they agree bit for bit. Both work in two scratch buffers kept
-    across calls, since a fresh gradient-sized temporary that large is
+    order, so they agree bit for bit. Both work in the parameter's dtype,
+    casting the gradient to it, and in two scratch buffers of that dtype
+    kept across calls, since a fresh gradient-sized temporary that large is
     mapped and page-faulted anew on every call.
     """
 
@@ -376,16 +402,16 @@ class AdaGrad:
         self.learning_rate = learning_rate
         self.eps = eps
         self.acc: dict[str, np.ndarray] = {}
-        self._scratch = np.empty(0)
+        self._scratch = np.empty(0, dtype=DTYPE)
 
     def step(self, params: dict[str, np.ndarray],
              grads: dict[str, np.ndarray]) -> None:
         for name, p in params.items():
-            g = grads[name]
+            g = np.asarray(grads[name], dtype=p.dtype)
             if g.shape != p.shape:
                 raise NumericError(f"gradient shape mismatch for {name!r}")
             acc = self._acc(name, p)
-            buf, den = self._buffers(g.shape)
+            buf, den = self._buffers(g.shape, p.dtype)
             np.multiply(g, g, out=buf)
             acc += buf
             np.sqrt(acc, out=den)
@@ -395,10 +421,11 @@ class AdaGrad:
                   g: np.ndarray) -> None:
         """``step`` on the distinct rows ``rows`` of ``p`` only; ``g`` has
         one gradient row per entry of ``rows``."""
+        g = np.asarray(g, dtype=p.dtype)
         if g.shape != (len(rows),) + p.shape[1:]:
             raise NumericError(f"gradient shape mismatch for {name!r}")
         acc = self._acc(name, p)
-        buf, picked = self._buffers(g.shape)
+        buf, picked = self._buffers(g.shape, p.dtype)
         np.multiply(g, g, out=buf)
         np.take(acc, rows, axis=0, out=picked, mode="clip")
         picked += buf
@@ -414,10 +441,10 @@ class AdaGrad:
             self.acc[name] = np.zeros_like(p)
         return self.acc[name]
 
-    def _buffers(self, shape) -> tuple[np.ndarray, np.ndarray]:
+    def _buffers(self, shape, dtype) -> tuple[np.ndarray, np.ndarray]:
         n = math.prod(shape)
-        if self._scratch.size < 2 * n:
-            self._scratch = np.empty(2 * n)
+        if self._scratch.size < 2 * n or self._scratch.dtype != dtype:
+            self._scratch = np.empty(2 * n, dtype=dtype)
         return (self._scratch[:n].reshape(shape),
                 self._scratch[n:2 * n].reshape(shape))
 

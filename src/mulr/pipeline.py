@@ -9,10 +9,12 @@ reads, so a change upstream reaches every key below it:
     tokens  input key                          tokens-*.txt, protected-*.txt
     stores  tokens key, [embeddings] or [subword] with seed and threads
                                                <mode>-*.store, subword-*.store
-    model   model format (``typer.MODEL_MAGIC``), input key, keys of the
-            stores the levels read (``levels.stores_read``: main, subword),
-            SHA-256 of the descriptions file, [representation], [train],
-            seed                                model-*.bin
+    model   model format (``typer.MODEL_MAGIC``; ``MULR-MODEL 3`` is
+            float32-trained, so no float64-trained model cached by an
+            earlier format is reused), input key, keys of the stores the
+            levels read (``levels.stores_read``: main, subword), SHA-256
+            of the descriptions file, [representation], [train], seed
+                                                model-*.bin
     preds, report  model key                   preds-*.tsv, report-*.tsv
 
 Warm reruns load instead of recomputing, and configurations sharing an
@@ -163,6 +165,9 @@ def load_config(path) -> ExperimentConfig:
         for key, value in items.items():
             items[key] = _coerce(SCHEMA.get(name, {}).get(key), value,
                                  f"{path}: {name}.{key}")
+    run = sections.get("run", {})
+    if run.get("threads", 1) < 1:
+        raise DataError(f"{path}: run.threads: {run['threads']} is below 1")
     if "paths" not in sections:
         raise DataError(f"{path}: missing [paths] section")
     paths = sections["paths"]
@@ -177,7 +182,6 @@ def load_config(path) -> ExperimentConfig:
 
     rep = sections.get("representation", {})
     sgns = sections.get("embeddings", {})
-    run = sections.get("run", {})
     return ExperimentConfig(
         corpus_path=_p(paths["corpus"]),
         dataset_path=_p(paths["dataset"]),

@@ -19,17 +19,25 @@ Scoring is batch-first: ``scores_for`` builds the frozen levels and runs the
 forward pass ``SCORE_BATCH`` instances at a time, and calibration and
 prediction both score all their entities through it in one call.
 
+The typer trains and scores in ``nn.DTYPE`` (float32): its parameters,
+the frozen level rows (cast once by ``frozen_matrix``) and every layer's
+gradients and optimizer state. The logits go up to float64 before the
+sigmoid, so scores, the BCE, dev F1, calibration and prediction files keep
+float64 resolution; float32 would round confident scores to ties at 1.0.
+
 Model files are self-contained: layout, MLP and encoder parameters, sparse
 feature indexes, thresholds, and the frozen embedding stores the spec
-reads. Layout: magic line ``MULR-MODEL 2``, a JSON metadata line (ints and
-strings only), then the named float64 arrays in manifest order, raw
-little-endian bytes. Each store the levels read (``stores_read``) is
-written once, as array ``store.main`` or ``store.subword`` and its
-``store_meta`` under that label in ``stores``; ``MULR-MODEL 1`` files,
-which held the main store twice, do not load. A spec with ``bow`` or
-``nsl`` stores the feature table as ``features.W``, of shape (features,
-hidden units), and ``w_in.W`` then covers the dense levels only; other
-specs have no ``features.W``.
+reads. Layout: magic line ``MULR-MODEL 3``, a JSON metadata line (ints and
+strings only), then the named arrays in manifest order as raw
+little-endian float64 bytes; the parameters' float32 values are held
+exactly, and a value that overflows float32 is a ``DataError`` on load.
+Each store the levels read (``stores_read``) is written once, as array
+``store.main`` or ``store.subword`` and its ``store_meta`` under that label
+in ``stores``. Files of earlier formats do not load: ``MULR-MODEL 1`` held
+the main store twice, and ``MULR-MODEL 2`` held float64-trained
+parameters. A spec with ``bow`` or ``nsl`` stores the feature table as
+``features.W``, of shape (features, hidden units), and ``w_in.W`` then
+covers the dense levels only; other specs have no ``features.W``.
 """
 
 from __future__ import annotations
@@ -177,18 +185,20 @@ class TyperModel:
                               axis=1)
 
     def forward(self, v: np.ndarray, feats=None) -> np.ndarray:
-        """One probability row per row of composed dense levels ``v``;
-        ``feats`` holds the same rows' feature ids from ``feature_rows``."""
+        """One float64 probability row per row of composed dense levels
+        ``v``; ``feats`` holds the same rows' feature ids from
+        ``feature_rows``. The logits go up to float64 before the sigmoid,
+        so a confident float32 score does not round to a tie at 1.0."""
         h_pre = self.w_in.forward(v)
         if self.features is not None:
             h_pre += self.features.forward(*feats)
         self._h_pre = h_pre
-        return sigmoid(self.w_out.forward(relu(h_pre)))
+        return sigmoid(self.w_out.forward(relu(h_pre)).astype(np.float64))
 
     def backward_from_probs(self, p: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Gradient pass for mean-over-batch summed-over-types BCE."""
         batch = p.shape[0]
-        dz = (p - m) / batch
+        dz = ((p - m) / batch).astype(self.w_out.W.dtype)
         dh = self.w_out.backward(dz)
         dh = dh * (self._h_pre > 0.0)
         dv = self.w_in.backward(dh)
@@ -205,8 +215,10 @@ class TyperModel:
                       flags: list[str] | None = None) -> np.ndarray:
         """Frozen level rows for (entity id, name) instances. Level notes
         go to ``flags`` when given: ``train`` passes ``model.flags``, so
-        scoring a loaded model leaves the model unchanged."""
-        return self.assembler.frozen_matrix(instances, flags)
+        scoring a loaded model leaves the model unchanged. The rows are
+        cast once to the dtype of the layer they feed."""
+        return self.assembler.frozen_matrix(instances, flags).astype(
+            self.w_in.W.dtype, copy=False)
 
     def feature_rows(self, instances) -> tuple[np.ndarray, np.ndarray] | None:
         """CSR ``bow``/``nsl`` feature ids (indptr, indices) of the
@@ -403,7 +415,7 @@ def calibrate_thresholds(model: TyperModel,
 # ---------------------------------------------------------------------------
 # serialization
 
-MODEL_MAGIC = "MULR-MODEL 2"
+MODEL_MAGIC = "MULR-MODEL 3"
 
 
 def save_model(model: TyperModel, path, config_hash: str | None = None,
@@ -493,9 +505,13 @@ def _model_from_meta(meta: dict, arrays: dict[str, np.ndarray]) -> TyperModel:
             raise DataError(f"array {name!r} has shape "
                             f"{arrays[name].shape}, the spec builds "
                             f"{arr.shape}")
-        if not np.all(np.isfinite(arrays[name])):
-            raise DataError(f"non-finite values in array {name!r}")
-        arr[...] = arrays[name]
+        # finite in float64 is not enough: 1e300 becomes inf in float32
+        with np.errstate(over="ignore"):
+            value = arrays[name].astype(arr.dtype)
+        if not np.all(np.isfinite(value)):
+            raise DataError(f"non-finite values in array {name!r} as "
+                            f"{arr.dtype}")
+        arr[...] = value
     model.flags = list(meta["flags"])
     model.config_hash = meta["config_hash"]
     model.seed = meta["seed"]

@@ -1,7 +1,27 @@
 """Hypothesis runs derandomized and without an example database, so every
-run of one commit draws the same examples and a fuzz failure reproduces."""
+run of one commit draws the same examples and a fuzz failure reproduces.
 
+``float64_layers`` builds every layer of a test in float64, the reference
+dtype its tolerances were set for; ``layer_dtype(d)`` sets the dtype of the
+layers built after the call, for tests that build one model in each."""
+
+import numpy as np
+import pytest
 from hypothesis import settings
+
+from mulr import nn
 
 settings.register_profile("repeatable", derandomize=True, database=None)
 settings.load_profile("repeatable")
+
+
+@pytest.fixture
+def layer_dtype(monkeypatch):
+    def set_dtype(dtype):
+        monkeypatch.setattr(nn, "DTYPE", dtype)
+    return set_dtype
+
+
+@pytest.fixture
+def float64_layers(layer_dtype):
+    layer_dtype(np.float64)

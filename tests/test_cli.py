@@ -205,6 +205,8 @@ class TestExitCodes:
         ["train"],
         ["embed", "--mode", "bogus", "a", "b"],
         ["predict", "--model", "m.bin"],
+        ["embed", "--threads", "0", "a", "b"],
+        ["embed", "--threads", "-2", "a", "b"],
     ])
     def test_usage_error_exits_1(self, argv, capsys):
         assert cli.main(argv) == 1
@@ -248,6 +250,8 @@ class TestExitCodes:
               ("[run]", "bogus = 1", "run.bogus"),
               ("[paths]", "descripitons = d.tsv", "paths.descripitons"),
               ("[embedding]", "dim = 9", "embedding.dim")]],
+        ({"threads": "0"}, "exp-bad.ini: run.threads: 0 is below 1"),
+        ({"threads": "-2"}, "exp-bad.ini: run.threads: -2 is below 1"),
     ])
     def test_bad_config_value_exits_2(self, synth, capsys, fields, where):
         config = write_config(synth, "exp-bad.ini", **fields)
@@ -302,8 +306,8 @@ class TestExitCodes:
     def test_entity_without_notable_type_exits_2(self, synth, tmp_path,
                                                  capsys):
         """A mentioned train entity missing from the notable file fails
-        ``build-corpus`` naming that file, and the pipeline names the
-        build-corpus stage once."""
+        ``build-corpus`` naming that file and the corpus, and the pipeline
+        names the build-corpus stage once."""
         for part in ("corpus.txt", "dataset.tsv", "hierarchy.tsv"):
             (tmp_path / part).write_bytes((synth / part).read_bytes())
         test_ids = {e.id for e in load_dataset(
@@ -316,13 +320,14 @@ class TestExitCodes:
             (synth / "notable.tsv").read_text().splitlines()
             if line.split("\t")[0] != eid))
         where = f"{notable}: mention references entity {eid!r}"
+        corpus = f"(in {tmp_path / 'corpus.txt'})"
         assert build_corpus(tmp_path, tmp_path / "tokens.txt") == 2
         err = capsys.readouterr().err
-        assert where in err and "Traceback" not in err
+        assert where in err and corpus in err and "Traceback" not in err
         config = write_config(tmp_path, "exp.ini")
         assert cli.main(["pipeline", str(config)]) == 2
         err = capsys.readouterr().err
-        assert where in err and "Traceback" not in err
+        assert where in err and corpus in err and "Traceback" not in err
         assert err.count("stage ") == 1
         assert "stage build-corpus: " in err
 
@@ -393,10 +398,13 @@ def _corrupt(case: str, data: bytes) -> bytes:
         meta["hidden_units"] += 1
     elif case == "trailing":
         payload += bytes(8)
-    elif case == "nan":
+    elif case in ("nan", "overflow"):
         _, offset, _ = _array_at(meta, "w_in.W")
-        payload = (payload[:offset] + struct.pack("<d", math.nan)
+        value = math.nan if case == "nan" else 1e300
+        payload = (payload[:offset] + struct.pack("<d", value)
                    + payload[offset + 8:])
+    elif case == "old-format":
+        magic = b"MULR-MODEL 2"
     if case not in ("not-utf8", "bad-json"):
         line = json.dumps(meta).encode()
     return b"\n".join([magic, line, payload])
@@ -417,6 +425,8 @@ class TestModelFileErrors:
         ("shape", "array 'w_in.W' has shape"),
         ("trailing", "8 bytes after the last array"),
         ("nan", "non-finite values in array 'w_in.W'"),
+        ("overflow", "non-finite values in array 'w_in.W' as float32"),
+        ("old-format", "first line is not 'MULR-MODEL 3'"),
     ])
     def test_damaged_model_exits_2(self, synth, pipeline_run, tmp_path,
                                    capsys, case, message):

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,26 @@ class TestMentionParsing:
         again = load_corpus(out)
         assert again.sentences == corpus.sentences
         assert again.mentions == corpus.mentions
+
+
+class TestCorpusErrorsNameTheFile:
+    @pytest.mark.parametrize("mentions,message", [
+        ([Mention(1, 4, "m.1")], "out of bounds"),
+        ([Mention(0, 2, "m.1"), Mention(1, 3, "m.2")], "overlapping"),
+    ])
+    def test_span_checks(self, mentions, message):
+        with pytest.raises(DataError, match=f"^c.txt: .*{message}"):
+            AnnotatedCorpus(sentences=[["a", "b", "c"]], mentions=[mentions],
+                            path=Path("c.txt"))
+
+    def test_entity_without_notable_type(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("[[m.1|Ann]] met [[m.2|Bo]]\n", encoding="utf-8")
+        corpus = load_corpus(path)
+        assert corpus.path == path
+        where = re.escape(f"(in {path})")
+        with pytest.raises(DataError, match=f"'m.2' .* {where}"):
+            build_three_copy_corpus(corpus, {"m.1": "person"})
 
 
 class TestThreeCopy:

@@ -121,6 +121,7 @@ class TestClrEncoders:
         out = enc.forward(ids)
         np.testing.assert_array_equal(out[0], out[1])
 
+    @pytest.mark.usefixtures("float64_layers")
     def test_encoder_grad_check(self):
         from mulr.nn import grad_check
         rng = np.random.default_rng(5)

@@ -5,9 +5,22 @@ import pytest
 
 from numpy.lib.stride_tricks import sliding_window_view
 
+from mulr import nn
 from mulr.errors import NumericError
 from mulr.nn import (AdaGrad, ConvMaxPool, Dense, Lstm, SparseLinear,
                      bce_loss, csr_take, grad_check, relu, sigmoid)
+
+
+def float64_twin(build, layer_dtype):
+    """The layer ``build()`` makes in ``nn.DTYPE`` (float32), and a float64
+    twin holding the same parameter values: the reference it is held to."""
+    layer_dtype(np.float64)
+    ref = build()
+    layer_dtype(np.float32)
+    layer = build()
+    for name, value in ref.params().items():
+        value[...] = layer.params()[name]
+    return layer, ref
 
 
 class TestDense:
@@ -164,6 +177,7 @@ def conv_reference(net: ConvMaxPool, C: np.ndarray, dout: np.ndarray):
 
 
 class TestConvMaxPoolReference:
+    @pytest.mark.usefixtures("float64_layers")
     @pytest.mark.parametrize("case", ["random", "padded", "dead filters"])
     def test_forward_and_backward_match_einsum_oracle(self, case):
         rng = np.random.default_rng(21)
@@ -184,6 +198,34 @@ class TestConvMaxPoolReference:
         for name, g in ref_grads.items():
             np.testing.assert_allclose(net.grads[name], g, rtol=0,
                                        atol=1e-12)
+
+
+    # float32 against the float64 oracle on the same parameter values and
+    # input: outputs and gradients within 1e-6 (measured under 2e-7)
+    @pytest.mark.parametrize("case", ["random", "padded", "dead filters"])
+    def test_float32_matches_float64_oracle(self, case, layer_dtype):
+        rng = np.random.default_rng(21)
+        C = rng.normal(size=(6, 9, 4))
+        if case == "padded":
+            C[:, 5:] = C[0, 0]
+        net, ref = float64_twin(
+            lambda: ConvMaxPool([(1, 3), (2, 4), (3, 2), (5, 3)], d_in=4,
+                                rng=np.random.default_rng(21)), layer_dtype)
+        if case == "dead filters":
+            for w, _ in net.widths:
+                net.biases[w][0] = ref.biases[w][0] = -50.0
+        C = C.astype(np.float32).astype(np.float64)
+        dout = rng.normal(size=(6, net.out_dim))
+        ref_out, ref_grads, ref_dC = conv_reference(ref, C, dout)
+        out = net.forward(C)
+        net.zero_grad()
+        dC = net.backward(dout)
+        assert out.dtype == dC.dtype == np.float32
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(dC, ref_dC, rtol=0, atol=1e-6)
+        for name, g in ref_grads.items():
+            assert net.grads[name].dtype == np.float32
+            np.testing.assert_allclose(net.grads[name], g, rtol=0, atol=1e-6)
 
 
 class TestLstm:
@@ -210,6 +252,7 @@ class TestLstm:
         with pytest.raises(NumericError, match="empty"):
             cell.forward(np.zeros((1, 0, 3)))
 
+    @pytest.mark.usefixtures("float64_layers")
     def test_forward_matches_straight_line_oracle(self):
         rng = np.random.default_rng(3)
         d, h, steps = 4, 3, 6
@@ -228,6 +271,21 @@ class TestLstm:
             cc = sig(f) * cc + sig(i) * np.tanh(g)
             hh = sig(o) * np.tanh(cc)
         np.testing.assert_allclose(last[0], hh, atol=1e-12)
+
+
+    def test_float32_forward_matches_float64(self, layer_dtype):
+        """A float32 cell tracks its float64 twin within 1e-6 over six
+        steps (measured under 1e-8)."""
+        rng = np.random.default_rng(3)
+        xs = rng.normal(size=(2, 6, 4))
+        cell, ref = float64_twin(
+            lambda: Lstm.initialize(4, 3, np.random.default_rng(3)),
+            layer_dtype)
+        hs, last = cell.forward(xs)
+        ref_hs, ref_last = ref.forward(xs)
+        assert hs.dtype == last.dtype == np.float32
+        np.testing.assert_allclose(hs, ref_hs, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(last, ref_last, rtol=0, atol=1e-6)
 
 
 class TestBce:
@@ -318,6 +376,26 @@ class TestAdaGrad:
             assert np.array_equal(p_rows, p_full)
             assert np.array_equal(sparse.acc["t"], full.acc["t"])
 
+    def test_step_rows_equals_step_in_float32(self):
+        """The same agreement on a float32 table, whose accumulator and
+        scratch buffers are float32 too."""
+        rng = np.random.default_rng(2)
+        p_full = rng.normal(size=(10, 4)).astype(np.float32)
+        p_rows = p_full.copy()
+        full, sparse = AdaGrad(learning_rate=0.2), AdaGrad(learning_rate=0.2)
+        for _ in range(3):
+            rows = np.sort(rng.choice(10, size=4, replace=False))
+            g = rng.normal(size=(4, 4)).astype(np.float32)
+            g_full = np.zeros((10, 4), dtype=np.float32)
+            g_full[rows] = g
+            full.step({"t": p_full}, {"t": g_full})
+            sparse.step_rows("t", p_rows, rows, g)
+            assert np.array_equal(p_rows, p_full)
+            assert np.array_equal(sparse.acc["t"], full.acc["t"])
+        for opt in (full, sparse):
+            assert opt.acc["t"].dtype == opt._scratch.dtype == np.float32
+        assert p_rows.dtype == np.float32
+
     def test_steps_non_increasing_for_constant_gradient(self):
         p = {"w": np.array([0.0])}
         opt = AdaGrad(learning_rate=0.05)
@@ -349,6 +427,7 @@ def _pool_margins_ok(net: ConvMaxPool, margin: float = 1e-3) -> bool:
     return True
 
 
+@pytest.mark.usefixtures("float64_layers")
 class TestGradCheck:
     def test_dense_sigmoid_bce(self):
         rng = np.random.default_rng(10)
@@ -457,3 +536,56 @@ class TestGradCheck:
                  "xs": dxs}
         err = grad_check(loss_fn, params, grads, rng=rng)
         assert err < 1e-4
+
+
+def _layer_grads(layer, x, dy) -> dict[str, np.ndarray]:
+    """Forward ``x`` and backward ``dy`` from zero: the parameter gradients
+    and, as ``input``, the input gradient."""
+    layer.zero_grad()
+    layer.forward(x)
+    dx = layer.backward(dy)
+    return dict(layer.grads, input=dx[0] if isinstance(layer, Lstm) else dx)
+
+
+# float32 layer -> (builder, input shape, output width)
+TWINS = {
+    "dense": (lambda rng: Dense.initialize(6, 4, rng), (3, 6), 4),
+    "conv": (lambda rng: ConvMaxPool([(2, 3), (3, 2)], d_in=4, rng=rng),
+             (3, 7, 4), 5),
+    "lstm": (lambda rng: Lstm.initialize(3, 4, rng), (3, 5, 3), 4),
+}
+
+
+class TestFloat32Gradients:
+    """Each layer's float32 backward against its float64 twin on the same
+    parameters, inputs and output gradient: every gradient within 1e-6 of
+    the reference, relative to the reference's largest entry (measured
+    under 2e-7)."""
+
+    @pytest.mark.parametrize("kind", sorted(TWINS))
+    def test_matches_float64(self, kind, layer_dtype):
+        make, in_shape, out_dim = TWINS[kind]
+        layer, ref = float64_twin(lambda: make(np.random.default_rng(1)),
+                                  layer_dtype)
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=in_shape)
+        dy = rng.normal(size=(in_shape[0], out_dim))
+        got, expected = _layer_grads(layer, x, dy), _layer_grads(ref, x, dy)
+        for name, g in expected.items():
+            assert got[name].dtype == np.float32, name
+            scale = max(1.0, float(np.abs(g).max()))
+            np.testing.assert_allclose(got[name], g, rtol=0,
+                                       atol=1e-6 * scale, err_msg=name)
+
+    def test_sparse_linear_matches_float64(self):
+        rng = np.random.default_rng(14)
+        W = rng.normal(size=(7, 3)).astype(np.float32)
+        layer, ref = SparseLinear(W), SparseLinear(W.astype(np.float64))
+        rows = (np.array([0, 3, 3, 5]), np.array([0, 4, 6, 4, 2]))
+        dy = rng.normal(size=(3, 3))
+        for net in (layer, ref):
+            net.forward(*rows)
+            net.backward(dy)
+        assert layer.grad.dtype == np.float32
+        np.testing.assert_array_equal(layer.rows, ref.rows)
+        np.testing.assert_allclose(layer.grad, ref.grad, rtol=0, atol=1e-6)

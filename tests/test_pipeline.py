@@ -190,6 +190,8 @@ class TestLoadConfig:
     @pytest.mark.parametrize("section,key,value", [
         ("embeddings", "dim", "ten"),
         ("run", "threads", "one"),
+        ("run", "threads", "0"),
+        ("run", "threads", "-2"),
         ("run", "seed", "1.5"),
         ("representation", "hidden_units", "x"),
         ("representation", "widths", "2-x"),

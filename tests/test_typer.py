@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mulr import typer
+from mulr import nn, typer
 from mulr.corpus import build_subword_index, build_vocabulary
 from mulr.dataset import DatasetSplit, EntityRecord, TypeSystem
 from mulr.embeddings import EmbeddingStore, SgnsConfig, train_subword_sgns
@@ -251,13 +251,15 @@ CLR_OPTIONS = {"padded_len": 12, "char_dim": 4, "widths": (1, 3),
                "feature_maps": 3, "hidden_dim": 5}
 
 
+SCORED_SPECS = ["elr,clr-forward,tc", "elr,clr-cnn,tc", "elr,clr-lstm,tc",
+                "elr,clr-bilstm,tc", "swlr", "nsl"]
+
+
 class TestScoresFor:
     """Chunked scoring against one instance per forward pass."""
 
-    @pytest.mark.parametrize("levels", [
-        "elr,clr-forward,tc", "elr,clr-cnn,tc", "elr,clr-lstm,tc",
-        "elr,clr-bilstm,tc", "swlr", "nsl"])
-    def test_chunks_match_row_by_row(self, levels):
+    @staticmethod
+    def _chunked_and_row_by_row(levels):
         split, res = indicator_problem()
         entities = split.all_entities()
         names = instance_names(SCORE_BATCH + 21)
@@ -270,7 +272,21 @@ class TestScoresFor:
         batched = model.scores_for(insts)
         rows = np.vstack([model.scores_for([inst]) for inst in insts])
         assert batched.shape == (len(insts), len(res.type_system))
+        assert batched.dtype == np.float64
+        return batched, rows
+
+    @pytest.mark.usefixtures("float64_layers")
+    @pytest.mark.parametrize("levels", SCORED_SPECS)
+    def test_chunks_match_row_by_row(self, levels):
+        batched, rows = self._chunked_and_row_by_row(levels)
         np.testing.assert_allclose(batched, rows, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("levels", SCORED_SPECS)
+    def test_float32_chunks_match_row_by_row(self, levels):
+        """In float32 a chunk's GEMMs may sum in another order than one
+        row's: probabilities agree within 1e-6 (measured under 4e-9)."""
+        batched, rows = self._chunked_and_row_by_row(levels)
+        np.testing.assert_allclose(batched, rows, rtol=0, atol=1e-6)
 
     def test_no_instances_give_no_rows(self):
         split, res = indicator_problem()
@@ -388,6 +404,23 @@ def table_grad(model) -> np.ndarray:
     return out
 
 
+def joined_grads(model, insts, labels) -> dict[str, np.ndarray]:
+    """The gradients of one pass of the model, with the dense layer's and
+    the table's gradients joined into one full-width ``w_in.W``."""
+    p = model.forward(model.compose(model.frozen_matrix(insts),
+                                    model.char_matrix(insts)),
+                      model.feature_rows(insts))
+    model.zero_grad()
+    model.backward_from_probs(p, labels)
+    sparse = sparse_columns(model)
+    got = dict(model.grad_dict())
+    got["w_in.W"] = np.empty((model.w_in.out_dim, model.input_dim),
+                             dtype=model.w_in.W.dtype)
+    got["w_in.W"][:, ~sparse] = model.w_in.grads["W"]
+    got["w_in.W"][:, sparse] = table_grad(model).T
+    return got
+
+
 SPARSE_SPECS = ["nsl", "bow,nsl", "clr-cnn,nsl", "elr,nsl,tc"]
 
 
@@ -410,6 +443,7 @@ def sparse_fixture(levels, n=40):
 class TestFeatureTable:
     """The feature table against the dense reference."""
 
+    @pytest.mark.usefixtures("float64_layers")
     @pytest.mark.parametrize("levels", SPARSE_SPECS)
     def test_scores_match_dense_reference(self, levels):
         model, insts, labels = sparse_fixture(levels)
@@ -418,6 +452,7 @@ class TestFeatureTable:
         np.testing.assert_allclose(model.scores_for(insts), expected,
                                    rtol=0, atol=1e-12)
 
+    @pytest.mark.usefixtures("float64_layers")
     @pytest.mark.parametrize("levels", SPARSE_SPECS)
     def test_gradients_match_dense_reference(self, levels):
         model, insts, labels = sparse_fixture(levels)
@@ -425,22 +460,35 @@ class TestFeatureTable:
         w_in = dense_w_in(ref)
         dense_pass(ref, w_in, insts, labels)
         expected = dense_grads(ref, w_in)
-        p = model.forward(model.compose(model.frozen_matrix(insts),
-                                        model.char_matrix(insts)),
-                          model.feature_rows(insts))
-        model.zero_grad()
-        model.backward_from_probs(p, labels)
+        got = joined_grads(model, insts, labels)
         _, ids = model.feature_rows(insts)
         np.testing.assert_array_equal(model.features.rows, np.unique(ids))
-        sparse = sparse_columns(model)
-        got = dict(model.grad_dict())
-        got["w_in.W"] = np.empty_like(expected["w_in.W"])
-        got["w_in.W"][:, ~sparse] = model.w_in.grads["W"]
-        got["w_in.W"][:, sparse] = table_grad(model).T
         assert got.keys() == expected.keys()
         for name, g in expected.items():
             np.testing.assert_allclose(got[name], g, rtol=0, atol=1e-12,
                                        err_msg=name)
+
+    # float32 against the float64 dense reference on the same parameter
+    # values: probabilities within 1e-6, and gradients within 1e-6 of the
+    # reference's largest entry or of 1 (both measured under 1e-8)
+    @pytest.mark.parametrize("levels", SPARSE_SPECS)
+    def test_float32_matches_float64_dense_reference(self, levels,
+                                                     layer_dtype):
+        layer_dtype(np.float64)
+        ref, insts, labels = sparse_fixture(levels)
+        layer_dtype(np.float32)
+        model, _, _ = sparse_fixture(levels)
+        ref.restore(model.params())
+        w_in = dense_w_in(ref)
+        expected_p = dense_pass(ref, w_in, insts, labels)
+        expected = dense_grads(ref, w_in)
+        np.testing.assert_allclose(model.scores_for(insts), expected_p,
+                                   rtol=0, atol=1e-6)
+        got = joined_grads(model, insts, labels)
+        for name, g in expected.items():
+            scale = max(1.0, float(np.abs(g).max()))
+            np.testing.assert_allclose(got[name], g, rtol=0,
+                                       atol=1e-6 * scale, err_msg=name)
 
     def test_name_without_features_gets_only_the_bias(self):
         model, _, _ = sparse_fixture("nsl")
@@ -500,6 +548,7 @@ def dense_train(split, spec, res, cfg):
 
 
 class TestTrainFeatureTable:
+    @pytest.mark.usefixtures("float64_layers")
     def test_two_epochs_match_dense_training(self):
         split, res = indicator_problem(n_per_type=20)
         names = iter(instance_names(40))
@@ -561,6 +610,7 @@ def _pool_margins_ok(net, margin=1e-3):
 
 
 class TestEndToEndGradient:
+    @pytest.mark.usefixtures("float64_layers")
     def test_full_typer_with_trainable_cnn_matches_finite_differences(self):
         rng_outer = np.random.default_rng(0)
         for attempt in range(10):
@@ -604,6 +654,33 @@ class TestEndToEndGradient:
             assert err < 1e-4
             return
         pytest.fail("no tie-free fixture found")
+
+    def test_float32_gradients_match_float64(self, layer_dtype):
+        """The float32 typer's backward against its float64 twin on the
+        same parameters and inputs: every gradient within 1e-6 of the
+        reference's largest entry or of 1 (measured under 2e-8)."""
+        split, res = indicator_problem(seed=4)
+        spec = RepresentationSpec.parse("elr,clr-cnn,tc", CLR_OPTIONS)
+        names = [e.names[0] for e in split.train]
+        insts = [(e.id, e.names[0]) for e in split.train]
+        labels = (np.random.default_rng(5).random(
+            (len(insts), len(res.type_system))) < 0.5).astype(float)
+        layer_dtype(np.float32)
+        model = untrained_model(spec, res, names)
+        layer_dtype(np.float64)
+        ref = untrained_model(spec, res, names)
+        ref.restore(model.params())
+        for net in (model, ref):
+            p = net.forward(net.compose(net.frozen_matrix(insts),
+                                        net.char_matrix(insts)))
+            net.zero_grad()
+            net.backward_from_probs(p, labels)
+        expected, got = ref.grad_dict(), model.grad_dict()
+        for name, g in expected.items():
+            assert got[name].dtype == np.float32, name
+            scale = max(1.0, float(np.abs(g).max()))
+            np.testing.assert_allclose(got[name], g, rtol=0,
+                                       atol=1e-6 * scale, err_msg=name)
 
 
 def brute_force_best_f1(scores, labels):
@@ -854,9 +931,32 @@ class TestSerialization:
         path = tmp_path / "model.bin"
         save_model(model, path, config_hash="h", seed=1)
         data = path.read_bytes()
-        path.write_bytes(b"MULR-MODEL 1" + data[data.index(b"\n"):])
-        with pytest.raises(DataError, match=f"{path}: first line is not "
-                                            f"'MULR-MODEL 2'"):
+        for old in (b"MULR-MODEL 1", b"MULR-MODEL 2"):
+            path.write_bytes(old + data[data.index(b"\n"):])
+            with pytest.raises(DataError, match=f"{path}: first line is not "
+                                                f"'MULR-MODEL 3'"):
+                load_model(path)
+
+    def test_parameters_load_in_float32_exactly(self, tmp_path):
+        model, insts, _ = sparse_fixture("clr-cnn,nsl")
+        path = tmp_path / "model.bin"
+        save_model(model, path, config_hash="h", seed=1)
+        loaded = load_model(path)
+        for name, value in loaded.params().items():
+            assert value.dtype == np.float32, name
+            np.testing.assert_array_equal(value, model.params()[name])
+        assert loaded.thresholds.dtype == np.float64
+
+    def test_value_outside_float32_range_is_a_data_error(self, tmp_path):
+        """1e300 is finite in the file's float64 but inf as a float32
+        parameter."""
+        model, _, _ = sparse_fixture("nsl")
+        model.w_out.W = model.w_out.W.astype(np.float64)
+        model.w_out.W[0, 0] = 1e300
+        path = tmp_path / "model.bin"
+        save_model(model, path, config_hash="h", seed=1)
+        with pytest.raises(DataError, match=f"{path}: non-finite values in "
+                                            f"array 'w_out.W' as float32"):
             load_model(path)
 
     def test_save_is_deterministic(self, tmp_path):
@@ -867,6 +967,56 @@ class TestSerialization:
         save_model(model, p1, config_hash="h", seed=1)
         save_model(model, p2, config_hash="h", seed=1)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# one spec per layer kind: the CNN, both LSTMs and the feature table
+GUARD_SPECS = ["clr-cnn,nsl", "elr,clr-lstm,tc", "clr-bilstm", "bow,nsl"]
+# layer methods whose first argument is a float array from the layer before
+SPIED = [(nn.Dense, "forward"), (nn.Dense, "backward"),
+         (nn.SparseLinear, "backward"), (nn.ConvMaxPool, "forward"),
+         (nn.ConvMaxPool, "backward"), (nn.Lstm, "forward"),
+         (nn.Lstm, "backward"), (nn.AdaGrad, "step_rows")]
+
+
+class TestDtypePolicy:
+    """One ``train`` epoch stays in float32 end to end: no array reaches a
+    layer in float64 (the boundary casts would hide a silent upcast and its
+    cost), and every parameter, gradient and optimizer array is float32."""
+
+    @pytest.mark.parametrize("levels", GUARD_SPECS)
+    def test_one_epoch_trains_in_float32(self, levels, monkeypatch):
+        entered = []
+        for cls, method in SPIED:
+            def spy(self, x, *args, _orig=getattr(cls, method),
+                    _name=f"{cls.__name__}.{method}", **kw):
+                # step_rows takes (name, p, rows, g): check its gradient
+                arr = args[-1] if _name == "AdaGrad.step_rows" else x
+                entered.append((_name, arr.dtype))
+                return _orig(self, x, *args, **kw)
+            monkeypatch.setattr(cls, method, spy)
+        opts = []
+
+        class Recorded(nn.AdaGrad):
+            def __init__(self, **kw):
+                super().__init__(**kw)
+                opts.append(self)
+        monkeypatch.setattr(typer, "AdaGrad", Recorded)
+        split, res = indicator_problem()
+        model = train(split, RepresentationSpec.parse(levels, CLR_OPTIONS),
+                      res, quick_cfg(epochs=1))
+        upcast = sorted({e for e in entered if e[1] != np.float32})
+        assert entered and not upcast, upcast
+        arrays = {**model.params(), **{f"grad {k}": v for k, v in
+                                       model.grad_dict().items()}}
+        (opt,) = opts
+        arrays.update({f"acc {k}": v for k, v in opt.acc.items()})
+        arrays["scratch"] = opt._scratch
+        if model.features is not None:
+            arrays["features.grad"] = model.features.grad
+        for name, value in arrays.items():
+            assert value.dtype == np.float32, name
+        insts = [(e.id, e.names[0]) for e in split.test]
+        assert model.scores_for(insts).dtype == np.float64
 
 
 @pytest.fixture(scope="module")
