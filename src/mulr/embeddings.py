@@ -143,8 +143,7 @@ def save_embeddings(store: EmbeddingStore, path) -> None:
             fh.write(tok + " " + " ".join(map(repr, row.tolist())) + "\n")
 
 
-def load_embeddings(path, kind: str = KIND_SKIP,
-                    subwords: SubwordIndex | None = None) -> EmbeddingStore:
+def load_embeddings(path) -> EmbeddingStore:
     path = Path(path)
     with closing(text_lines(path)) as lines:
         header = next(lines, (1, ""))[1].split()
@@ -177,8 +176,8 @@ def load_embeddings(path, kind: str = KIND_SKIP,
             if extra.strip():
                 raise DataError(f"{path}: line {line_no}: row past the "
                                 f"header's count of {count}")
-    return EmbeddingStore(kind=kind, dim=dim, tokens=tokens, matrix=matrix,
-                          subwords=subwords)
+    return EmbeddingStore(kind=KIND_SKIP, dim=dim, tokens=tokens,
+                          matrix=matrix)
 
 
 def store_meta(store: EmbeddingStore) -> dict:
@@ -190,11 +189,10 @@ def store_meta(store: EmbeddingStore) -> dict:
     return meta
 
 
-def store_from_meta(meta: dict, matrix: np.ndarray, kinds,
-                    subwords: SubwordIndex | None = None) -> EmbeddingStore:
+def store_from_meta(meta: dict, matrix: np.ndarray, kinds) -> EmbeddingStore:
     """The store ``meta`` describes, over ``matrix``, of one of ``kinds``;
-    a subword store without ``subwords`` rebuilds its ngram index from
-    ``tokens`` and ``ngram_bounds``. Call it inside ``data_errors``."""
+    a subword store rebuilds its ngram index from ``tokens`` (in index
+    order) and ``ngram_bounds``. Call it inside ``data_errors``."""
     kind, tokens, dim = meta["kind"], meta["tokens"], meta["dim"]
     if kind not in kinds:
         raise DataError(f"a {kind!r} store, expected "
@@ -206,7 +204,8 @@ def store_from_meta(meta: dict, matrix: np.ndarray, kinds,
     if len(set(tokens)) != len(tokens):
         dup = next(t for t, n in Counter(tokens).items() if n > 1)
         raise DataError(f"duplicate token {dup!r}")
-    if kind == KIND_SUBWORD and subwords is None:
+    subwords = None
+    if kind == KIND_SUBWORD:
         n_min, n_max = meta["ngram_bounds"]
         if not (isinstance(n_min, int) and isinstance(n_max, int)):
             raise DataError("ngram_bounds must be two integers")
@@ -222,14 +221,13 @@ def save_store(store: EmbeddingStore, path) -> None:
                      {"matrix": store.matrix})
 
 
-def load_store(path, kind: str,
-               subwords: SubwordIndex | None = None) -> EmbeddingStore:
-    """Read a ``save_store`` file holding a ``kind`` store. Any malformed
-    content, including a duplicate token or a non-finite value, is a
-    ``DataError`` that names the path."""
+def load_store(path, kind: str) -> EmbeddingStore:
+    """Read a ``save_store`` file holding a ``kind`` store (a subword one
+    with its ngram index). Any malformed content, including a duplicate
+    token or a non-finite value, is a ``DataError`` that names the path."""
     with data_errors(path, "store"):
         meta, arrays = read_array_file(path, STORE_MAGIC)
-        return store_from_meta(meta, arrays["matrix"], (kind,), subwords)
+        return store_from_meta(meta, arrays["matrix"], (kind,))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

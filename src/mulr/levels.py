@@ -42,6 +42,10 @@ CHAR_MIN_COUNT = 5
 # the options levels read through ``LevelSpec.opt``, by type
 LEVEL_OPTIONS = {"padded_len": int, "char_dim": int, "widths": tuple,
                  "feature_maps": int, "hidden_dim": int, "top_k": int}
+# the least value of each integer option; each of ``widths`` is 1..MAX_WIDTH
+OPTION_MINIMA = {"padded_len": 3, "char_dim": 1, "feature_maps": 1,
+                 "hidden_dim": 1, "top_k": 1}
+MAX_WIDTH = 10
 
 CLR_KINDS = ("clr-forward", "clr-cnn", "clr-lstm", "clr-bilstm")
 SPARSE_KINDS = ("bow", "nsl")
@@ -116,6 +120,14 @@ class LevelSpec:
     def __post_init__(self):
         if self.kind not in LEVEL_KINDS:
             raise DataError(f"unknown representation level {self.kind!r}")
+        for name, least in OPTION_MINIMA.items():
+            if self.options.get(name, least) < least:
+                raise DataError(f"{name}: {self.options[name]} is below "
+                                f"{least}")
+        widths = self.options.get("widths", (1,))
+        if not widths or not all(1 <= w <= MAX_WIDTH for w in widths):
+            raise DataError(f"widths: {widths} is not one or more widths "
+                            f"in 1..{MAX_WIDTH}")
 
     def opt(self, name, default):
         return self.options.get(name, default)
@@ -183,8 +195,6 @@ class CharVocab:
         Empty names yield just the bracket markers plus padding, which is
         valid but carries no signal.
         """
-        if padded_len < 3:
-            raise DataError("padded length must be at least 3")
         body = [self.index.get(c, self.UNK) for c in name[:padded_len - 2]]
         row = [self.START] + body + [self.END]
         row.extend([self.PAD] * (padded_len - len(row)))

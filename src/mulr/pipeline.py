@@ -7,7 +7,8 @@ reads, so a change upstream reaches every key below it:
 
     input   SHA-256 of the corpus, dataset, hierarchy and notable files
     tokens  input key                          tokens-*.txt, protected-*.txt
-    stores  tokens key, [embeddings] or [subword] with seed and threads
+    stores  store format (``embeddings.STORE_MAGIC``), tokens key,
+            [embeddings] or [subword] with seed and threads
                                                <mode>-*.store, subword-*.store
     model   model format (``typer.MODEL_MAGIC``; ``MULR-MODEL 3`` is
             float32-trained, so no float64-trained model cached by an
@@ -15,18 +16,18 @@ reads, so a change upstream reaches every key below it:
             levels read (``levels.stores_read``: main, subword), SHA-256
             of the descriptions file, [representation], [train], seed
                                                 model-*.bin
-    preds, report  model key                   preds-*.tsv, report-*.tsv
+    preds   model key                          preds-*.tsv
 
-Warm reruns load instead of recomputing, and configurations sharing an
-output directory share their token and embedding caches. Free-form
-artifacts carry the config hash and seed in a header line, the other
-artifacts in a sidecar ``.meta.json``. The CLI runs its stages through the
-same functions.
+``PipelineRun._cached_stage`` runs each of these stages: it checks every
+output's sidecar ``.meta.json`` before it reads any input, loads on a hit,
+and on a miss writes the sidecars only after the build. Configurations
+sharing an output directory share their token and store caches. The report
+(report-*.tsv and .txt, by model key) is rebuilt on every run, without a
+sidecar. Free-form artifacts carry the config hash and seed in a header
+line. The CLI runs its stages through the same functions.
 
-Stores are cached as array files in the model file's layout
-(``embeddings.save_store``): magic line ``MULR-STORE 1``, a JSON line with
-the store's ``kind``, ``dim`` and ``tokens`` (and a subword store's
-``ngram_bounds``), then the matrix as raw little-endian float64.
+Stores are cached as ``embeddings.save_store`` array files, from which a
+subword store rebuilds its ngram index (``ngram_bounds``) on a cache hit.
 ``mulr embed --out`` writes the word2vec text format instead.
 
 Configuration files are flat ``key = value`` INI text. ``SCHEMA`` types
@@ -45,8 +46,8 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import dataset as dataset_mod
 from .embeddings import (EmbeddingStore, SgnsConfig, KIND_SKIP, KIND_SSKIP,
-                         KIND_SUBWORD, load_store, save_store, train_sgns,
-                         train_subword_sgns)
+                         KIND_SUBWORD, STORE_MAGIC, load_store, save_store,
+                         train_sgns, train_subword_sgns)
 from .errors import DataError, MulrError, ParseError
 from .fileio import text_lines
 from .corpus import Vocabulary, build_subword_index, build_vocabulary
@@ -182,7 +183,7 @@ def load_config(path) -> ExperimentConfig:
 
     rep = sections.get("representation", {})
     sgns = sections.get("embeddings", {})
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         corpus_path=_p(paths["corpus"]),
         dataset_path=_p(paths["dataset"]),
         hierarchy_path=_p(paths["hierarchy"]),
@@ -200,6 +201,12 @@ def load_config(path) -> ExperimentConfig:
         seed=run.get("seed", 1),
         threads=run.get("threads", 1),
     )
+    try:  # each section's settings check their own values
+        cfg.sgns_config(), cfg.subword_config(), cfg.train_config()
+        cfg.representation()
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +237,9 @@ def _write_meta(path: Path, key: str, seed: int) -> None:
 
 
 def _cached(path: Path, key: str) -> bool:
-    meta = _meta_path(path)
-    if not (path.exists() and meta.exists()):
-        return False
     try:
-        return json.loads(meta.read_text(encoding="utf-8")).get("key") == key
+        meta = _meta_path(path).read_text(encoding="utf-8")
+        return path.exists() and json.loads(meta).get("key") == key
     except (ValueError, AttributeError, OSError):
         return False
 
@@ -296,6 +301,18 @@ class PipelineRun:
             err.stage = name
             raise err from exc
 
+    def _cached_stage(self, name: str, key: str, outputs: dict, build, load):
+        """Stage ``name``: ``load()`` if every output's sidecar holds ``key``,
+        else ``build()`` and then the sidecars. The outputs are named in
+        ``artifacts`` on a hit and on a miss."""
+        self.artifacts.update(outputs)
+        if all(_cached(path, key) for path in outputs.values()):
+            return self._run_stage(name, load)
+        result = self._run_stage(name, build)
+        for path in outputs.values():
+            _write_meta(path, key, self.cfg.seed)
+        return result
+
     # corpus ---------------------------------------------------------------
 
     def tokens_key(self) -> str:
@@ -303,70 +320,68 @@ class PipelineRun:
 
     def build_tokens(self) -> tuple[Path, Path]:
         """Three-copy token stream plus the protected-token inventory."""
-        return self._run_stage("build-corpus", self._build_tokens)
-
-    def _build_tokens(self) -> tuple[Path, Path]:
         key = self.tokens_key()
-        tokens_path = self.out / f"tokens-{key}.txt"
-        protected_path = self.out / f"protected-{key}.txt"
-        if _cached(tokens_path, key) and _cached(protected_path, key):
-            return tokens_path, protected_path
-        write_tokens(corpus_mod.load_corpus(self.cfg.corpus_path),
-                     self.cfg.notable_path, self.split, tokens_path,
-                     protected_path)
-        _write_meta(tokens_path, key, self.cfg.seed)
-        _write_meta(protected_path, key, self.cfg.seed)
-        return tokens_path, protected_path
+        outputs = {name: self.out / f"{name}-{key}.txt"
+                   for name in ("tokens", "protected")}
+        paths = tuple(outputs.values())
+
+        def build():
+            write_tokens(corpus_mod.load_corpus(self.cfg.corpus_path),
+                         self.cfg.notable_path, self.split, *paths)
+            return paths
+        return self._cached_stage("build-corpus", key, outputs, build,
+                                  lambda: paths)
 
     # embeddings -----------------------------------------------------------
 
     def main_store_key(self) -> str:
         cfg = self.cfg
-        return _key("embed", self.tokens_key(), cfg.embed_mode,
+        return _key("embed", STORE_MAGIC, self.tokens_key(), cfg.embed_mode,
                     cfg.main_min_count(), vars(cfg.sgns_config()))
 
     def subword_store_key(self) -> str:
-        return _key("subword", self.tokens_key(), *self.cfg.subword_counts(),
+        return _key("subword", STORE_MAGIC, self.tokens_key(),
+                    *self.cfg.subword_counts(),
                     vars(self.cfg.subword_config()))
 
     def build_main_store(self) -> EmbeddingStore:
         cfg = self.cfg
-        sg = cfg.sgns_config()
         key = self.main_store_key()
         path = self.out / f"{cfg.embed_mode}-{key}.store"
-        kind = KIND_SSKIP if sg.positional else KIND_SKIP
-        if _cached(path, key):
-            return load_store(path, kind)
-        stream, vocab = read_vocabulary(*self.build_tokens(),
-                                        cfg.main_min_count())
-        store = train_sgns(stream, vocab, sg)
-        save_store(store, path)
-        _write_meta(path, key, cfg.seed)
-        self.artifacts["embeddings"] = path
-        return store
+
+        def build():
+            stream, vocab = read_vocabulary(*self.build_tokens(),
+                                            cfg.main_min_count())
+            store = train_sgns(stream, vocab, cfg.sgns_config())
+            save_store(store, path)
+            return store
+        return self._cached_stage("embed", key, {"embeddings": path}, build,
+                                  lambda: load_store(path, cfg.embed_mode))
 
     def build_subword_store(self) -> EmbeddingStore:
         cfg = self.cfg
-        min_count, n_min, n_max, ngram_min = cfg.subword_counts()
         key = self.subword_store_key()
         path = self.out / f"subword-{key}.store"
-        stream, vocab = read_vocabulary(*self.build_tokens(), min_count)
-        index = build_subword_index(vocab, n_min=n_min, n_max=n_max,
-                                    min_count=ngram_min)
-        if _cached(path, key):
-            return load_store(path, KIND_SUBWORD, subwords=index)
-        store = train_subword_sgns(stream, vocab, index, cfg.subword_config())
-        save_store(store, path)
-        _write_meta(path, key, cfg.seed)
-        self.artifacts["subword_embeddings"] = path
-        return store
+
+        def build():
+            min_count, n_min, n_max, ngram_min = cfg.subword_counts()
+            stream, vocab = read_vocabulary(*self.build_tokens(), min_count)
+            index = build_subword_index(vocab, n_min=n_min, n_max=n_max,
+                                        min_count=ngram_min)
+            store = train_subword_sgns(stream, vocab, index,
+                                       cfg.subword_config())
+            save_store(store, path)
+            return store
+        return self._cached_stage(
+            "embed-subword", key, {"subword_embeddings": path}, build,
+            lambda: load_store(path, KIND_SUBWORD))
 
     # resources ------------------------------------------------------------
 
     def build_resources(self, spec: RepresentationSpec) -> Resources:
-        stages = {"main": ("embed", self.build_main_store),
-                  "subword": ("embed-subword", self.build_subword_store)}
-        stores = {f"{label}_store": self._run_stage(*stages[label])
+        builders = {"main": self.build_main_store,
+                    "subword": self.build_subword_store}
+        stores = {f"{label}_store": builders[label]()
                   for label in stores_read(spec)}
         idf = None
         if "avg-des" in spec.kinds:
@@ -393,59 +408,53 @@ class PipelineRun:
         return self.out / f"model-{self.model_key()}.bin"
 
     def train_model(self):
-        key = self.model_key()
-        path = self.artifacts["model"] = self.model_path()
-        if _cached(path, key):
-            return load_model(path)
-        spec = self.cfg.representation()
-        resources = self.build_resources(spec)
-        model = self._run_stage(
-            "train", lambda: train(self.split, spec, resources,
-                                   self.cfg.train_config()))
-        self._run_stage(
-            "calibrate", lambda: calibrate_thresholds(model,
-                                                      list(self.split.dev)))
-        model.config_hash, model.seed = key, self.cfg.seed
-        save_model(model, path)
-        _write_meta(path, key, self.cfg.seed)
-        return model
+        key, path = self.model_key(), self.model_path()
+
+        def build():
+            spec = self.cfg.representation()
+            model = train(self.split, spec, self.build_resources(spec),
+                          self.cfg.train_config())
+            self._run_stage("calibrate", lambda: calibrate_thresholds(
+                model, list(self.split.dev)))
+            model.config_hash, model.seed = key, self.cfg.seed
+            save_model(model, path)
+            return model
+        return self._cached_stage("train", key, {"model": path}, build,
+                                  lambda: load_model(path))
 
     # predictions ----------------------------------------------------------
 
     def predict_test(self) -> Path:
         key = _key("preds", self.model_key())
         path = self.out / f"preds-{key}.tsv"
-        self.artifacts["predictions"] = path
-        if _cached(path, key):
-            # named, not loaded: a warm run needs only the predictions
-            self.artifacts["model"] = self.model_path()
+        # named, not loaded: a warm run needs only the predictions
+        self.artifacts["model"] = self.model_path()
+
+        def build():
+            write_predictions(self.train_model(), self.split.test, path,
+                              header=f"# config={key} seed={self.cfg.seed}\n")
             return path
-        model = self.train_model()
-        self._run_stage("predict", lambda: write_predictions(
-            model, self.split.test, path,
-            header=f"# config={key} seed={self.cfg.seed}\n"))
-        _write_meta(path, key, self.cfg.seed)
-        return path
+        return self._cached_stage("predict", key, {"predictions": path},
+                                  build, lambda: path)
 
     # report ---------------------------------------------------------------
 
     def evaluate(self) -> EvalReport:
+        # Not a cached stage: the TSV lacks the notes and per-type F1 and
+        # rounds to 6 decimals, so a hit could not return the report that
+        # ``mulr pipeline`` prints. A rebuild from the predictions is cheap.
         preds_path = self.predict_test()
         key = _key("report", self.model_key())
         tsv_path = self.out / f"report-{key}.tsv"
         txt_path = self.out / f"report-{key}.txt"
-        predictions = read_predictions(preds_path)
-        report = self._run_stage(
-            "evaluate",
-            lambda: build_report(predictions, self.split, self.type_system))
+        report = self._run_stage("evaluate", lambda: build_report(
+            read_predictions(preds_path), self.split, self.type_system))
         header = f"# config={key} seed={self.cfg.seed}\n"
         tsv_path.write_text(
             header + "\n".join(report.to_tsv_rows()) + "\n", encoding="utf-8")
         txt_path.write_text(header + report.to_text_table() + "\n",
                             encoding="utf-8")
-        _write_meta(tsv_path, key, self.cfg.seed)
-        self.artifacts["report_tsv"] = tsv_path
-        self.artifacts["report_txt"] = txt_path
+        self.artifacts.update(report_tsv=tsv_path, report_txt=txt_path)
         return report
 
 

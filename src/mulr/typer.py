@@ -81,6 +81,8 @@ class TrainConfig:
             raise DataError("epochs and batch_size must be positive")
         if self.learning_rate <= 0 or self.patience < 0:
             raise DataError("learning_rate must be positive, patience >= 0")
+        if self.hidden_units is not None and self.hidden_units < 1:
+            raise DataError(f"hidden_units: {self.hidden_units} is below 1")
 
 
 class TyperModel:

@@ -7,7 +7,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mulr import cli
+from mulr import cli, pipeline
 from mulr.corpus import load_corpus
 from mulr.dataset import load_dataset, load_type_system
 from mulr.embeddings import load_embeddings
@@ -39,6 +39,25 @@ threads = {threads}
 
 EMBED = ["--dim", "8", "--epochs", "1", "--min-count", "1", "--neg", "2",
          "--n-max", "4", "--ngram-min-count", "1"]
+
+
+# (config text replaced, replacement), and the error it gives
+OUT_OF_RANGE = [
+    (("epochs = 3", "epochs = 0"), "epochs and batch_size must be positive"),
+    (("dim = 8", "dim = 0"), "dim must be positive"),
+    *[(("[representation]\n", f"[representation]\n{line}\n"), message)
+      for line, message in [
+          ("widths = 0", "widths: (0,) is not"),
+          ("widths = 12", "widths: (12,) is not"),
+          ("widths = 3-1", "widths: () is not"),
+          ("feature_maps = 0", "feature_maps: 0 is below 1"),
+          ("char_dim = 0", "char_dim: 0 is below 1"),
+          ("top_k = 0", "top_k: 0 is below 1"),
+          ("padded_len = 2", "padded_len: 2 is below 3"),
+          ("hidden_units = 0", "hidden_units: 0 is below 1")]],
+    (("levels = elr,swlr,tc", "levels = clr-lstm\nhidden_dim = 0"),
+     "hidden_dim: 0 is below 1"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +280,27 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert where in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit,message", OUT_OF_RANGE,
+                             ids=[new.strip().split("\n")[-1]
+                                  for (_, new), _ in OUT_OF_RANGE])
+    def test_out_of_range_config_value_exits_2(self, synth, capsys,
+                                               monkeypatch, edit, message):
+        """A value out of range fails when the config loads, naming the
+        file, before any store trains."""
+        trained = []
+        for name in ("train_sgns", "train_subword_sgns"):
+            monkeypatch.setattr(pipeline, name,
+                                lambda *a, **k: trained.append(a))
+        config = write_config(synth, "exp-bad.ini")
+        config.write_text(config.read_text().replace(*edit))
+        for argv in (["train", "--config", str(config)],
+                     ["pipeline", str(config)]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"mulr: {config}: {message}")
+            assert "Traceback" not in err
+        assert trained == []
+
     @pytest.mark.parametrize("body,where", [
         ("m.1\tA:0.900000\nm.2\t\nm.1\t\n",
          "preds.tsv:3: duplicate entity id 'm.1'"),
@@ -362,6 +402,59 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("mulr: ") and where in err
         assert "Traceback" not in err
+
+
+class TestStageFailures:
+    """A failure inside a stage names that stage once, exits 2 and leaves
+    no sidecar for the outputs it wrote, so the next run rebuilds it."""
+
+    # stage -> (pipeline function that fails after doing its work, prefix
+    # of the outputs it writes)
+    STAGES = {
+        "build-corpus": ("write_tokens", "tokens-"),
+        "embed": ("save_store", "sskip-"),
+        "embed-subword": ("save_store", "subword-"),
+        "train": ("save_model", "model-"),
+        "calibrate": ("calibrate_thresholds", "model-"),
+        "predict": ("write_predictions", "preds-"),
+        "evaluate": ("build_report", "report-"),
+    }
+
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    def test_failed_stage_is_rebuilt(self, synth, tmp_path, capsys,
+                                     monkeypatch, stage):
+        name, prefix = self.STAGES[stage]
+        real = getattr(pipeline, name)
+        calls = []
+
+        def patched(fail):
+            def wrapper(*args, **kwargs):
+                result = real(*args, **kwargs)
+                if name != "save_store" or args[1].name.startswith(prefix):
+                    calls.append(stage)
+                    if fail:
+                        raise RuntimeError("injected failure")
+                return result
+            return wrapper
+
+        for part in ("corpus.txt", "notable.tsv", "dataset.tsv",
+                     "hierarchy.tsv"):
+            (tmp_path / part).write_bytes((synth / part).read_bytes())
+        config = str(write_config(tmp_path, "exp.ini"))
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(pipeline, name, patched(fail=True))
+        assert cli.main(["pipeline", config]) == 2
+        err = capsys.readouterr().err
+        assert err.count("stage ") == 1
+        assert f"stage {stage}: injected failure" in err
+        assert "Traceback" not in err
+        assert calls == [stage]
+        assert not list(cache.glob(f"{prefix}*.meta.json"))
+        monkeypatch.setattr(pipeline, name, patched(fail=False))
+        assert cli.main(["pipeline", config]) == 0
+        assert calls == [stage, stage]
+        if stage != "evaluate":  # the report has no sidecar
+            assert list(cache.glob(f"{prefix}*.meta.json"))
 
 
 def _array_at(meta: dict, name: str) -> tuple[int, int, int]:

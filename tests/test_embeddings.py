@@ -203,17 +203,6 @@ class TestRawStore:
         assert loaded.tokens == store.tokens
         np.testing.assert_array_equal(loaded.matrix, store.matrix)
 
-    def test_subword_store_keeps_the_given_index(self, tmp_path):
-        stream = [["ab", "abc", "bc"]] * 3
-        vocab = build_vocabulary(stream, 1)
-        index = build_subword_index(vocab, n_min=2, n_max=3, min_count=1)
-        store = train_subword_sgns(stream, vocab, index, small_cfg(epochs=1))
-        save_store(store, tmp_path / "s.store")
-        loaded = load_store(tmp_path / "s.store", "subword", subwords=index)
-        np.testing.assert_array_equal(loaded.matrix, store.matrix)
-        np.testing.assert_array_equal(loaded.word_vector("abd"),
-                                      store.word_vector("abd"))
-
     def test_subword_store_without_an_index_rebuilds_it(self, tmp_path):
         """The file carries the ngram bounds, so a subword store loads
         without the index it was trained with, as in a model file."""

@@ -120,6 +120,16 @@ class TestModelKey:
         assert rerun.main_store_key() != main
         assert rerun.subword_store_key() != sub
 
+    def test_store_keys_change_with_the_store_format(self, experiment,
+                                                     monkeypatch):
+        """A store cached in another store format, such as a subword store
+        without ``ngram_bounds``, is never read as this one."""
+        run = PipelineRun(load_config(write_config(experiment)))
+        main, sub = run.main_store_key(), run.subword_store_key()
+        monkeypatch.setattr(pipeline, "STORE_MAGIC", "MULR-STORE 0")
+        assert run.main_store_key() != main
+        assert run.subword_store_key() != sub
+
 
 class TestRunPipeline:
     def test_rewritten_descriptions_retrain_the_model(self, experiment):
@@ -173,6 +183,22 @@ class TestRunPipeline:
         assert sorted((experiment / "cache").glob("*.store")) == stores
         assert warm["predictions"].read_bytes() \
             == cold["predictions"].read_bytes()
+
+    def test_store_hits_read_no_token_file(self, experiment, monkeypatch):
+        """After a [train] change both stores hit: no token file is read,
+        the subword index comes from the store file, and the artifacts name
+        both cached stores."""
+        run_pipeline(load_config(write_config(experiment)))
+        stores = sorted((experiment / "cache").glob("*.store"))
+        called = []
+        for name in ("read_vocabulary", "build_subword_index"):
+            monkeypatch.setattr(pipeline, name, lambda *a, _name=name, **k:
+                                called.append(_name))
+        _, artifacts = run_pipeline(load_config(
+            write_config(experiment, train={"epochs": "2"})))
+        assert called == []
+        assert sorted([artifacts["embeddings"],
+                       artifacts["subword_embeddings"]]) == stores
 
     def test_artifact_names(self, experiment):
         _, artifacts = run_pipeline(load_config(write_config(experiment)))
