@@ -105,10 +105,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    if args.levels:
-        cfg.levels = args.levels
-    run = PipelineRun(cfg)
+    run = PipelineRun(load_config(args.config, levels=args.levels))
     model = run.train_model()
     if args.out:
         save_model(model, args.out)
@@ -261,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("train", help="train the typer per a config file")
-    p.add_argument("--levels", help="override the config's level list")
+    p.add_argument("--levels", help="level list that replaces the "
+                   "config's [representation] levels; checked with the "
+                   "config, before any stage runs")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_train)

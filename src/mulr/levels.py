@@ -423,21 +423,9 @@ def nsl_features(name: str, n_max: int = 5) -> dict[str, int]:
 SPARSE_FEATURES = {"bow": bow_features, "nsl": nsl_features}
 
 
-class FeatureIndexer:
-    """Stable index over sparse feature names seen during fitting."""
-
-    def __init__(self):
-        self.index: dict[str, int] = {}
-
-    def fit(self, feature_dicts) -> "FeatureIndexer":
-        names = set()
-        for fd in feature_dicts:
-            names.update(fd)
-        self.index = {n: i for i, n in enumerate(sorted(names))}
-        return self
-
-    def __len__(self) -> int:
-        return len(self.index)
+def feature_index(names) -> dict[str, int]:
+    """Column of each sparse feature name, numbered in the order given."""
+    return {n: i for i, n in enumerate(names)}
 
 
 # ---------------------------------------------------------------------------
@@ -512,23 +500,30 @@ class Assembler:
     """Computes the frozen part of the representation, in spec order.
 
     The character level, if present, is a hole in the layout filled by the
-    typer's trainable encoder. ``fit`` freezes the sparse feature indexers
-    on the training instances; ``feature_rows`` maps names through them.
+    typer's trainable encoder. ``indexers`` maps each sparse level to its
+    ``feature_index``: ``fit`` builds them from the training names, in
+    sorted feature order, and ``feature_rows`` maps names through them.
+    The assembler is fitted once every sparse level has one.
     """
 
-    def __init__(self, spec: RepresentationSpec, resources: Resources):
+    def __init__(self, spec: RepresentationSpec, resources: Resources,
+                 indexers: dict[str, dict[str, int]] | None = None):
         self.spec = spec
         self.resources = resources
-        self.indexers: dict[str, FeatureIndexer] = {}
-        self._fitted = not any(k in SPARSE_KINDS for k in spec.kinds)
+        self.indexers = dict(indexers or {})
 
     def fit(self, train_names: list[str]) -> "Assembler":
         for kind in self.spec.kinds:
             if kind in SPARSE_KINDS:
-                self.indexers[kind] = FeatureIndexer().fit(
-                    SPARSE_FEATURES[kind](n) for n in train_names)
-        self._fitted = True
+                features = SPARSE_FEATURES[kind]
+                self.indexers[kind] = feature_index(sorted(
+                    {f for n in train_names for f in features(n)}))
         return self
+
+    def _check_fitted(self) -> None:
+        if any(k in SPARSE_KINDS and k not in self.indexers
+               for k in self.spec.kinds):
+            raise DataError("assembler not fitted on training names")
 
     def level_dim(self, level: LevelSpec, clr_dim: int | None = None) -> int:
         kind = level.kind
@@ -558,8 +553,7 @@ class Assembler:
         per-name levels run in one instance-major loop, so ``flags`` gets
         their notes in instance order, levels in spec order within each.
         """
-        if not self._fitted:
-            raise DataError("assembler not fitted on training names")
+        self._check_fitted()
         dims = [0 if lv.kind in SPARSE_KINDS else
                 self.level_dim(lv, clr_dim=0) for lv in self.spec.levels]
         offsets = np.cumsum([0] + dims)
@@ -584,12 +578,11 @@ class Assembler:
         are offset by the sizes of the sparse levels before it, so ids
         number the sparse columns of the layout in order.
         """
-        if not self._fitted:
-            raise DataError("assembler not fitted on training names")
+        self._check_fitted()
         levels, offset = [], 0
         for kind in self.spec.kinds:
             if kind in SPARSE_KINDS:
-                index = self.indexers[kind].index
+                index = self.indexers[kind]
                 levels.append((SPARSE_FEATURES[kind], index, offset))
                 offset += len(index)
         indptr, indices = [0], []

@@ -7,15 +7,16 @@ reads, so a change upstream reaches every key below it:
 
     input   SHA-256 of the corpus, dataset, hierarchy and notable files
     tokens  input key                          tokens-*.txt, protected-*.txt
-    stores  store format (``embeddings.STORE_MAGIC``), tokens key,
-            [embeddings] or [subword] with seed and threads
-                                               <mode>-*.store, subword-*.store
+    stores  store format (``embeddings.STORE_MAGIC``), tokens key, the
+            store's vocabulary counts and typed ``SgnsConfig`` (seed and
+            threads included)                  <mode>-*.store, subword-*.store
     model   model format (``typer.MODEL_MAGIC``; ``MULR-MODEL 3`` is
             float32-trained, so no float64-trained model cached by an
             earlier format is reused), input key, keys of the stores the
             levels read (``levels.stores_read``: main, subword), SHA-256
-            of the descriptions file, [representation], [train], seed
-                                                model-*.bin
+            of the descriptions file, the typed spec (each level's kind
+            and options) and ``TrainConfig`` (seed and hidden units
+            included)                           model-*.bin
     preds   model key                          preds-*.tsv
 
 ``PipelineRun._cached_stage`` runs each of these stages: it checks every
@@ -33,6 +34,9 @@ subword store rebuilds its ngram index (``ngram_bounds``) on a cache hit.
 Configuration files are flat ``key = value`` INI text. ``SCHEMA`` types
 each key of the sections ``[paths]``, ``[representation]``, ``[embeddings]``,
 ``[subword]``, ``[train]`` and ``[run]``; any other key is an error.
+``load_config`` builds the typed settings once, so the keys hash values,
+not text: ``levels = elr, tc`` and ``[train] epochs = 200`` (the default)
+share a model with ``levels = elr,tc`` and no ``[train]`` section.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -85,49 +89,24 @@ SCHEMA = {
 
 @dataclass
 class ExperimentConfig:
+    """The settings ``load_config`` types and checks, each built once: the
+    paths, the level spec, ``TrainConfig`` (seed and hidden units), each
+    store's ``SgnsConfig`` (``main.positional`` picks sskip over skip) and
+    vocabulary counts, ``(min_count, n_min, n_max, ngram_min_count)`` for
+    the subword store."""
+
     corpus_path: Path
     dataset_path: Path
     hierarchy_path: Path
     notable_path: Path
     out_dir: Path
-    descriptions_path: Path | None = None
-    levels: str = "elr"
-    level_options: dict = field(default_factory=dict)
-    hidden_units: int | None = None
-    embed_mode: str = KIND_SSKIP
-    sgns: dict = field(default_factory=dict)
-    subword: dict = field(default_factory=dict)
-    train: dict = field(default_factory=dict)
-    seed: int = 1
-    threads: int = 1
-
-    def main_min_count(self) -> int:
-        return self.sgns.get("min_count", 100)
-
-    def subword_counts(self) -> tuple[int, int, int, int]:
-        """(min_count, n_min, n_max, ngram_min_count) of the subword store."""
-        sub = self.subword
-        return (sub.get("min_count", self.main_min_count()),
-                sub.get("n_min", 3), sub.get("n_max", 6),
-                sub.get("ngram_min_count", 5))
-
-    def sgns_config(self) -> SgnsConfig:
-        opts = {k: v for k, v in self.sgns.items() if k in SGNS_KEYS}
-        return SgnsConfig(seed=self.seed, threads=self.threads,
-                          positional=self.embed_mode == KIND_SSKIP, **opts)
-
-    def subword_config(self) -> SgnsConfig:
-        merged = {**self.sgns, **self.subword}
-        opts = {k: v for k, v in merged.items() if k in SGNS_KEYS}
-        return SgnsConfig(seed=self.seed + 1, threads=self.threads,
-                          positional=False, **opts)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(seed=self.seed, hidden_units=self.hidden_units,
-                           **self.train)
-
-    def representation(self) -> RepresentationSpec:
-        return RepresentationSpec.parse(self.levels, self.level_options)
+    descriptions_path: Path | None
+    spec: RepresentationSpec
+    train: TrainConfig
+    main: SgnsConfig
+    subword: SgnsConfig
+    main_min_count: int
+    subword_counts: tuple[int, int, int, int]
 
 
 def _coerce(typ, value: str, where: str):
@@ -149,7 +128,10 @@ def _coerce(typ, value: str, where: str):
         raise DataError(f"{where}: bad value {value!r}") from None
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, levels: str | None = None) -> ExperimentConfig:
+    """The config file at ``path``; ``levels``, when given, replaces its
+    ``[representation] levels``. Every value is typed and range-checked
+    here, and an error is a ``DataError`` that names the file."""
     path = Path(path)
     parser = configparser.ConfigParser()
     try:
@@ -166,9 +148,6 @@ def load_config(path) -> ExperimentConfig:
         for key, value in items.items():
             items[key] = _coerce(SCHEMA.get(name, {}).get(key), value,
                                  f"{path}: {name}.{key}")
-    run = sections.get("run", {})
-    if run.get("threads", 1) < 1:
-        raise DataError(f"{path}: run.threads: {run['threads']} is below 1")
     if "paths" not in sections:
         raise DataError(f"{path}: missing [paths] section")
     paths = sections["paths"]
@@ -181,9 +160,39 @@ def load_config(path) -> ExperimentConfig:
         p = Path(value)
         return p if p.is_absolute() else base / p
 
-    rep = sections.get("representation", {})
+    def _least(section, key, default, least=1):
+        value = sections.get(section, {}).get(key, default)
+        if value < least:
+            raise DataError(f"{path}: {section}.{key}: {value} is below "
+                            f"{least}")
+        return value
+
+    seed = sections.get("run", {}).get("seed", 1)
+    threads = _least("run", "threads", 1)
+    main_min_count = _least("embeddings", "min_count", 100)
+    n_min = _least("subword", "n_min", 3)
+    subword_counts = (_least("subword", "min_count", main_min_count), n_min,
+                      _least("subword", "n_max", 6, least=n_min),
+                      _least("subword", "ngram_min_count", 5))
     sgns = sections.get("embeddings", {})
-    cfg = ExperimentConfig(
+    sub = {**sgns, **sections.get("subword", {})}
+    rep = sections.get("representation", {})
+    file_levels = rep.pop("levels", "elr")
+    hidden_units = rep.pop("hidden_units", None)
+    try:  # each settings class checks its own values
+        main = SgnsConfig(
+            seed=seed, threads=threads,
+            positional=sgns.get("mode", KIND_SSKIP) == KIND_SSKIP,
+            **{k: v for k, v in sgns.items() if k in SGNS_KEYS})
+        subword = SgnsConfig(
+            seed=seed + 1, threads=threads, positional=False,
+            **{k: v for k, v in sub.items() if k in SGNS_KEYS})
+        train = TrainConfig(seed=seed, hidden_units=hidden_units,
+                            **sections.get("train", {}))
+        spec = RepresentationSpec.parse(levels or file_levels, rep)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return ExperimentConfig(
         corpus_path=_p(paths["corpus"]),
         dataset_path=_p(paths["dataset"]),
         hierarchy_path=_p(paths["hierarchy"]),
@@ -191,22 +200,8 @@ def load_config(path) -> ExperimentConfig:
         out_dir=_p(paths["out_dir"]),
         descriptions_path=_p(paths["descriptions"])
         if "descriptions" in paths else None,
-        levels=rep.pop("levels", "elr"),
-        hidden_units=rep.pop("hidden_units", None),
-        level_options=rep,
-        embed_mode=sgns.pop("mode", KIND_SSKIP),
-        sgns=sgns,
-        subword=sections.get("subword", {}),
-        train=sections.get("train", {}),
-        seed=run.get("seed", 1),
-        threads=run.get("threads", 1),
-    )
-    try:  # each section's settings check their own values
-        cfg.sgns_config(), cfg.subword_config(), cfg.train_config()
-        cfg.representation()
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    return cfg
+        spec=spec, train=train, main=main, subword=subword,
+        main_min_count=main_min_count, subword_counts=subword_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +267,7 @@ class PipelineRun:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.out = Path(cfg.out_dir)
+        self.main_kind = KIND_SSKIP if cfg.main.positional else KIND_SKIP
         self.out.mkdir(parents=True, exist_ok=True)
         self.artifacts: dict[str, Path] = {}
 
@@ -310,7 +306,7 @@ class PipelineRun:
             return self._run_stage(name, load)
         result = self._run_stage(name, build)
         for path in outputs.values():
-            _write_meta(path, key, self.cfg.seed)
+            _write_meta(path, key, self.cfg.train.seed)
         return result
 
     # corpus ---------------------------------------------------------------
@@ -336,27 +332,26 @@ class PipelineRun:
 
     def main_store_key(self) -> str:
         cfg = self.cfg
-        return _key("embed", STORE_MAGIC, self.tokens_key(), cfg.embed_mode,
-                    cfg.main_min_count(), vars(cfg.sgns_config()))
+        return _key("embed", STORE_MAGIC, self.tokens_key(), self.main_kind,
+                    cfg.main_min_count, vars(cfg.main))
 
     def subword_store_key(self) -> str:
         return _key("subword", STORE_MAGIC, self.tokens_key(),
-                    *self.cfg.subword_counts(),
-                    vars(self.cfg.subword_config()))
+                    *self.cfg.subword_counts, vars(self.cfg.subword))
 
     def build_main_store(self) -> EmbeddingStore:
-        cfg = self.cfg
+        cfg, kind = self.cfg, self.main_kind
         key = self.main_store_key()
-        path = self.out / f"{cfg.embed_mode}-{key}.store"
+        path = self.out / f"{kind}-{key}.store"
 
         def build():
             stream, vocab = read_vocabulary(*self.build_tokens(),
-                                            cfg.main_min_count())
-            store = train_sgns(stream, vocab, cfg.sgns_config())
+                                            cfg.main_min_count)
+            store = train_sgns(stream, vocab, cfg.main)
             save_store(store, path)
             return store
         return self._cached_stage("embed", key, {"embeddings": path}, build,
-                                  lambda: load_store(path, cfg.embed_mode))
+                                  lambda: load_store(path, kind))
 
     def build_subword_store(self) -> EmbeddingStore:
         cfg = self.cfg
@@ -364,12 +359,11 @@ class PipelineRun:
         path = self.out / f"subword-{key}.store"
 
         def build():
-            min_count, n_min, n_max, ngram_min = cfg.subword_counts()
+            min_count, n_min, n_max, ngram_min = cfg.subword_counts
             stream, vocab = read_vocabulary(*self.build_tokens(), min_count)
             index = build_subword_index(vocab, n_min=n_min, n_max=n_max,
                                         min_count=ngram_min)
-            store = train_subword_sgns(stream, vocab, index,
-                                       cfg.subword_config())
+            store = train_subword_sgns(stream, vocab, index, cfg.subword)
             save_store(store, path)
             return store
         return self._cached_stage(
@@ -398,11 +392,11 @@ class PipelineRun:
         store_keys = {"main": self.main_store_key,
                       "subword": self.subword_store_key}
         stores = {label: store_keys[label]()
-                  for label in stores_read(cfg.representation())}
+                  for label in stores_read(cfg.spec)}
+        levels = [[lv.kind, sorted(lv.options.items())]
+                  for lv in cfg.spec.levels]
         return _key("model", MODEL_MAGIC, self._input_key, stores,
-                    self._descriptions_sha, cfg.levels,
-                    sorted(cfg.level_options.items()), cfg.hidden_units,
-                    sorted(cfg.train.items()), cfg.seed)
+                    self._descriptions_sha, levels, vars(cfg.train))
 
     def model_path(self) -> Path:
         return self.out / f"model-{self.model_key()}.bin"
@@ -411,12 +405,12 @@ class PipelineRun:
         key, path = self.model_key(), self.model_path()
 
         def build():
-            spec = self.cfg.representation()
-            model = train(self.split, spec, self.build_resources(spec),
-                          self.cfg.train_config())
+            cfg = self.cfg
+            model = train(self.split, cfg.spec, self.build_resources(cfg.spec),
+                          cfg.train)
             self._run_stage("calibrate", lambda: calibrate_thresholds(
                 model, list(self.split.dev)))
-            model.config_hash, model.seed = key, self.cfg.seed
+            model.config_hash, model.seed = key, cfg.train.seed
             save_model(model, path)
             return model
         return self._cached_stage("train", key, {"model": path}, build,
@@ -432,7 +426,8 @@ class PipelineRun:
 
         def build():
             write_predictions(self.train_model(), self.split.test, path,
-                              header=f"# config={key} seed={self.cfg.seed}\n")
+                              header=f"# config={key} "
+                              f"seed={self.cfg.train.seed}\n")
             return path
         return self._cached_stage("predict", key, {"predictions": path},
                                   build, lambda: path)
@@ -449,7 +444,7 @@ class PipelineRun:
         txt_path = self.out / f"report-{key}.txt"
         report = self._run_stage("evaluate", lambda: build_report(
             read_predictions(preds_path), self.split, self.type_system))
-        header = f"# config={key} seed={self.cfg.seed}\n"
+        header = f"# config={key} seed={self.cfg.train.seed}\n"
         tsv_path.write_text(
             header + "\n".join(report.to_tsv_rows()) + "\n", encoding="utf-8")
         txt_path.write_text(header + report.to_text_table() + "\n",

@@ -53,9 +53,9 @@ from .embeddings import store_from_meta, store_meta
 from .errors import DataError
 from .fileio import data_errors, read_array_file, write_array_file
 from .levels import (SPARSE_KINDS, STORE_KINDS, Assembler, CharVocab,
-                     ClrEncoder, FeatureIndexer, LevelSpec,
-                     RepresentationSpec, Resources, build_char_vocab,
-                     default_hidden_units, stores_read)
+                     ClrEncoder, LevelSpec, RepresentationSpec, Resources,
+                     build_char_vocab, default_hidden_units, feature_index,
+                     stores_read)
 from .metrics import f1_from_counts
 from .nn import (AdaGrad, Dense, SparseLinear, bce_loss, csr_take,
                  init_uniform, relu, sigmoid)
@@ -443,7 +443,7 @@ def save_model(model: TyperModel, path, config_hash: str | None = None,
         "hidden_units": model.w_in.out_dim,
         "char_vocab": list(model.clr.char_vocab.chars) if model.clr else None,
         "clr_kind": model.clr.kind if model.clr else None,
-        "indexers": {k: sorted(ix.index, key=ix.index.get)
+        "indexers": {k: sorted(ix, key=ix.get)
                      for k, ix in model.assembler.indexers.items()},
         "stores": {k: store_meta(store) for k, store in stores.items()},
         "descriptions": {k: v for k, v in
@@ -484,12 +484,9 @@ def _model_from_meta(meta: dict, arrays: dict[str, np.ndarray]) -> TyperModel:
         idf = {w: float(x) for w, x in meta["idf"].items()}
     resources = Resources(type_system=ts, descriptions=meta["descriptions"],
                           idf=idf, **stores)
-    assembler = Assembler(spec, resources)
-    for kind, names in meta["indexers"].items():
-        ix = FeatureIndexer()
-        ix.index = {n: i for i, n in enumerate(names)}
-        assembler.indexers[kind] = ix
-    assembler._fitted = True
+    assembler = Assembler(spec, resources, {
+        kind: feature_index(names)
+        for kind, names in meta["indexers"].items()})
 
     rng = np.random.default_rng(0)
     clr = None

@@ -1,9 +1,11 @@
-"""The mulr API that ``perfbench/`` relies on, checked without running it.
+"""The mulr API that ``perfbench/`` relies on, checked in well under a
+second each.
 
-The benchmark traces functions by name (``perfbench/spans.py``) and calls
-layer kernels directly (``perfbench/kernels.py``). A rename or a dropped
-parameter fails here in well under a second, instead of in the benchmark's
-own smoke test.
+The benchmark traces functions by name (``perfbench/spans.py``), calls
+layer kernels directly (``perfbench/kernels.py``), and loads, edits and
+runs its workload configs through ``pipeline`` (``perfbench/workloads.py``,
+``perfbench/run.py``). A rename or a dropped parameter fails here instead
+of in the benchmark's own smoke test.
 """
 
 import ast
@@ -19,22 +21,29 @@ from mulr.dataset import TypeSystem
 from mulr.embeddings import (SgnsConfig, save_embeddings, train_sgns,
                              train_subword_sgns)
 from mulr.levels import Assembler, RepresentationSpec, Resources
+from mulr.metrics import EvalReport
 from mulr.nn import AdaGrad, ConvMaxPool, Dense, Lstm
+from mulr.pipeline import PipelineRun, load_config, run_pipeline
 from mulr.typer import (TyperModel, calibrate_from_scores, save_model,
                         train)
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_table(module: str, name: str):
+    """The literal ``name`` assigned in ``perfbench/<module>.py``, read from
+    its source, not imported."""
+    path = PERFBENCH / f"{module}.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no {name} table in {path.name}")
 
 
 def traced_names() -> dict[str, tuple[str, ...]]:
-    """``TRACED`` from spans.py, read from its source, not imported."""
-    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "TRACED"
-                for t in node.targets):
-            return ast.literal_eval(node.value)
-    raise AssertionError("no TRACED table in perfbench/spans.py")
+    return perfbench_table("spans", "TRACED")
 
 
 @pytest.mark.parametrize("module,name", [
@@ -102,3 +111,63 @@ def test_input_dim_counts_sparse_levels():
                        np.random.default_rng(0))
     assert model.input_dim == sum(d for _, d in model.layout)
     assert model.input_dim == len(assembler.indexers["nsl"]) > 0
+
+
+# fixed inputs: the cache keys hash their bytes, not what they mean
+INPUTS = {
+    "corpus": ("corpus.txt",
+               "[[m.1|alpha one]] x y\n[[m.2|beta two]] y z\n"),
+    "dataset": ("dataset.tsv", "#train\nm.1\talpha one\tt\t5\n"
+                "#dev\nm.2\tbeta two\tt\t5\n#test\nm.3\tgamma\tt\t5\n"),
+    "hierarchy": ("hierarchy.tsv", "t\n"),
+    "notable": ("notable.tsv", "m.1\tt\n"),
+}
+
+
+def workload_config(root: Path, body: str) -> Path:
+    """``INPUTS`` and a config laid out as ``workloads.setup`` writes it."""
+    paths = "".join(f"{key} = {name}\n" for key, (name, _) in INPUTS.items())
+    for name, text in INPUTS.values():
+        (root / name).write_text(text, encoding="utf-8")
+    path = root / "experiment.ini"
+    path.write_text(f"[paths]\n{paths}out_dir = cache\n{body}"
+                    f"[run]\nseed = 1\nthreads = 1\n", encoding="utf-8")
+    return path
+
+
+# tokens, main store, subword store and model key of each workload config
+# over ``INPUTS``; the token and store keys are those of the string-keyed
+# config the model key replaced, so the stores that config cached are reused
+WORKLOAD_KEYS = {
+    "embed": ("f1fafb30bc70", "551913d95455", "8664057212de",
+              "8c2b59bb1f81"),
+    "infer": ("f1fafb30bc70", "324286b3e1c6", "3396ea0990b6",
+              "23544371c74b"),
+    "typer": ("f1fafb30bc70", "9910b8db8c36", "a8440898aa6e",
+              "d7c3b82e32ad"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_KEYS))
+def test_workload_cache_keys(tmp_path, workload):
+    body = perfbench_table("workloads", "CONFIG")[workload]
+    run = PipelineRun(load_config(workload_config(tmp_path, body)))
+    assert (run.tokens_key(), run.main_store_key(), run.subword_store_key(),
+            run.model_key()) == WORKLOAD_KEYS[workload]
+
+
+def test_pipeline_use(tmp_path):
+    """``load_config`` with the path alone, an assigned ``out_dir``, and
+    ``run_pipeline`` returning (report, artifacts) that name the
+    predictions, the report TSV with its ``.txt`` beside it, and the
+    model."""
+    config = workload_config(tmp_path, "[representation]\nlevels = nsl\n"
+                             "[train]\nepochs = 1\n")
+    cfg = load_config(config)
+    cfg.out_dir = tmp_path / "elsewhere"
+    report, artifacts = run_pipeline(cfg)
+    assert isinstance(report, EvalReport)
+    for name in ("predictions", "report_tsv", "model"):
+        assert artifacts[name].parent == cfg.out_dir
+        assert artifacts[name].exists()
+    assert artifacts["report_tsv"].with_suffix(".txt").exists()

@@ -59,6 +59,22 @@ OUT_OF_RANGE = [
      "hidden_dim: 0 is below 1"),
 ]
 
+# the vocabulary and ngram counts, each bounded when the config loads:
+# (config text replaced, replacement), and the error it gives
+COUNT_BOUNDS = {
+    "embeddings-min_count": (("min_count = 1\n[subword]",
+                              "min_count = 0\n[subword]"),
+                             "embeddings.min_count: 0 is below 1"),
+    "subword-min_count": (("[subword]\n", "[subword]\nmin_count = 0\n"),
+                          "subword.min_count: 0 is below 1"),
+    "n_min": (("[subword]\n", "[subword]\nn_min = 0\n"),
+              "subword.n_min: 0 is below 1"),
+    "n_min-above-n_max": (("[subword]\n", "[subword]\nn_min = 5\n"),
+                          "subword.n_max: 4 is below 5"),
+    "ngram_min_count": (("ngram_min_count = 1", "ngram_min_count = 0"),
+                        "subword.ngram_min_count: 0 is below 1"),
+}
+
 
 @pytest.fixture(scope="module")
 def synth(tmp_path_factory):
@@ -280,13 +296,16 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert where in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("edit,message", OUT_OF_RANGE,
+    @pytest.mark.parametrize("edit,message",
+                             OUT_OF_RANGE + list(COUNT_BOUNDS.values()),
                              ids=[new.strip().split("\n")[-1]
-                                  for (_, new), _ in OUT_OF_RANGE])
+                                  for (_, new), _ in OUT_OF_RANGE]
+                             + list(COUNT_BOUNDS))
     def test_out_of_range_config_value_exits_2(self, synth, capsys,
                                                monkeypatch, edit, message):
-        """A value out of range fails when the config loads, naming the
-        file, before any store trains."""
+        """A value out of range, a vocabulary or ngram count included,
+        fails when the config loads, naming the file, before any store
+        trains."""
         trained = []
         for name in ("train_sgns", "train_subword_sgns"):
             monkeypatch.setattr(pipeline, name,
@@ -300,6 +319,17 @@ class TestExitCodes:
             assert err.startswith(f"mulr: {config}: {message}")
             assert "Traceback" not in err
         assert trained == []
+
+    def test_unknown_override_level_exits_2_before_any_stage(
+            self, synth, capsys, monkeypatch):
+        stages = []
+        monkeypatch.setattr(PipelineRun, "_run_stage",
+                            lambda self, name, fn: stages.append(name))
+        assert cli.main(["train", "--config", str(synth / "exp.ini"),
+                         "--levels", "none"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown representation level 'none'" in err
+        assert stages == []
 
     @pytest.mark.parametrize("body,where", [
         ("m.1\tA:0.900000\nm.2\t\nm.1\t\n",
@@ -602,9 +632,10 @@ UTF8_CASES = {
     "hierarchy": ("hierarchy.tsv", EVALUATE),
     "dataset": ("dataset.tsv", EVALUATE),
     "predictions": ("preds.tsv", EVALUATE),
-    # an unknown level stops the run right after set-up has read the file
+    # an avg-des model reads every description; the main store it needs is
+    # cached after the first run
     "descriptions": ("descriptions.tsv",
-                     "train --config {r}/des.ini --levels none"),
+                     "train --config {r}/des.ini --levels avg-des"),
     "config": ("exp.ini", "calibrate --config {r}/exp.ini "
                "--model {r}/model.bin --out {r}/out.bin"),
 }

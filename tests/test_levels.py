@@ -5,7 +5,7 @@ from mulr.corpus import build_subword_index, build_vocabulary
 from mulr.dataset import TypeSystem
 from mulr.embeddings import EmbeddingStore
 from mulr.errors import DataError
-from mulr.levels import (Assembler, CharVocab, ClrEncoder, FeatureIndexer,
+from mulr.levels import (Assembler, CharVocab, ClrEncoder,
                          LevelSpec, RepresentationSpec, Resources,
                          avg_des, bow_features, build_char_vocab, build_idf,
                          default_cnn_bank, default_hidden_units,
@@ -227,12 +227,12 @@ class TestSparseFeatures:
         assert all(v == 1 for v in a.values())
 
     def test_indexer_ignores_unseen(self):
-        ix = FeatureIndexer().fit([{"a": 1, "b": 1}])
-        assert ix.index == {"a": 0, "b": 1}
         res = Resources(type_system=TypeSystem(types=("t",), parent={}))
-        asm = Assembler(RepresentationSpec.parse("bow"), res).fit(["a b"])
+        asm = Assembler(RepresentationSpec.parse("bow"), res).fit(["b a"])
+        assert asm.indexers == {"bow": {"w=a": 0, "w=b": 1, "wl=a": 2,
+                                        "wl=b": 3}}
         indptr, indices = asm.feature_rows([("m.1", "a z"), ("m.2", "z")])
-        index = asm.indexers["bow"].index
+        index = asm.indexers["bow"]
         assert indptr.tolist() == [0, 2, 2]
         assert sorted(indices) == sorted([index["w=a"], index["wl=a"]])
 
@@ -249,7 +249,7 @@ class TestSparseFeatures:
             for kind in text.split(","):
                 feats = (bow_features if kind == "bow" else nsl_features)(
                     "Alpha beta")
-                expected += [base + asm.indexers[kind].index[f]
+                expected += [base + asm.indexers[kind][f]
                              for f in feats]
                 base += sizes[kind]
             assert indptr.tolist() == [0, len(expected)]

@@ -38,7 +38,7 @@ def write_experiment(root, seed=1, n_types=4, per_type=12):
 def write_config(root, levels="elr,swlr,tc,avg-des", name="exp.ini",
                  **overrides):
     """Config over the files of ``write_experiment``; ``overrides`` maps a
-    section name to the keys it replaces or adds."""
+    section name to the keys it replaces or adds, or drops with ``None``."""
     sections = {"paths": {**INPUTS, "out_dir": "cache"}}
     sections.update({k: dict(v) for k, v in SECTIONS.items()})
     sections["representation"] = {"levels": levels}
@@ -47,7 +47,7 @@ def write_config(root, levels="elr,swlr,tc,avg-des", name="exp.ini",
     lines = []
     for section, values in sections.items():
         lines.append(f"[{section}]")
-        lines += [f"{k} = {v}" for k, v in values.items()]
+        lines += [f"{k} = {v}" for k, v in values.items() if v is not None]
     path = root / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
@@ -88,6 +88,21 @@ class TestModelKey:
         before = model_key(write_config(experiment))
         after = model_key(write_config(experiment, **{section: {key: value}}))
         assert after != before
+
+    @pytest.mark.parametrize("levels,train", [
+        ("elr, tc", {}),
+        ("elr,tc", {"epochs": "200"}),
+        ("elr,tc", {"learning_rate": "0.01"}),
+    ], ids=["spaced-levels", "default-epochs", "default-learning-rate"])
+    def test_equal_settings_share_the_key(self, experiment, levels, train):
+        """The key hashes the typed settings, not the text: spacing in the
+        level list and a [train] value equal to its default change
+        nothing."""
+        plain = model_key(write_config(experiment, levels="elr,tc",
+                                       train={"epochs": None}))
+        same = model_key(write_config(experiment, levels=levels,
+                                      train={"epochs": None, **train}))
+        assert same == plain
 
     def test_changes_with_the_model_format(self, experiment, monkeypatch):
         """A cache written in another model format is never read as this
@@ -259,13 +274,14 @@ class TestLoadConfig:
             embeddings={"dynamic_window": "Off", "learning_rate": "1",
                         "mode": "skip"},
             subword={"dynamic_window": "yes", "n_min": "2"}))
-        assert cfg.level_options == {"widths": (2, 3, 4), "top_k": 5}
-        assert cfg.embed_mode == "skip"
-        assert cfg.sgns_config().dynamic_window is False
-        assert cfg.sgns_config().learning_rate == 1.0
-        assert cfg.subword_config().dynamic_window is True
-        assert cfg.subword_counts()[1] == 2
+        assert [lv.options for lv in cfg.spec.levels] \
+            == [{"widths": (2, 3, 4), "top_k": 5}] * 4
+        assert cfg.main.positional is False
+        assert cfg.main.dynamic_window is False
+        assert cfg.main.learning_rate == 1.0
+        assert cfg.subword.dynamic_window is True
+        assert cfg.subword_counts[1] == 2
 
     def test_threads_from_run_section(self, experiment):
         cfg = load_config(write_config(experiment, run={"threads": "3"}))
-        assert cfg.threads == 3
+        assert cfg.main.threads == cfg.subword.threads == 3

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -320,6 +321,34 @@ class TestScoresFor:
         assert model.flags == ["kept"]
 
 
+def test_two_threads_score_one_loaded_model_alike(tmp_path):
+    """Two threads scoring one loaded model at once each get the rows one
+    thread gets: every layer computes its output from locals, and its
+    cache write is only a side effect."""
+    split, res = indicator_problem()
+    entities = split.all_entities()
+    names = instance_names(2 * SCORE_BATCH + 21)
+    insts = [(entities[i % len(entities)].id, name)
+             for i, name in enumerate(names)]
+    spec = RepresentationSpec.parse("elr,clr-cnn,nsl,tc", CLR_OPTIONS)
+    save_model(untrained_model(spec, res, names), tmp_path / "model.bin",
+               config_hash="h", seed=1)
+    model = load_model(tmp_path / "model.bin")
+    expected = model.scores_for(insts)
+    scored = [None, None]
+
+    def score(k):
+        scored[k] = model.scores_for(insts)
+
+    threads = [threading.Thread(target=score, args=(k,)) for k in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for rows in scored:
+        np.testing.assert_array_equal(rows, expected)
+
+
 # ---------------------------------------------------------------------------
 # the dense reference for bow/nsl: 0/1 rows in the layout columns and one
 # Dense over the full input, as the typer computed before the feature table
@@ -330,7 +359,7 @@ def transform(indexer, features) -> np.ndarray:
     dropped."""
     out = np.zeros(len(indexer))
     for name in features:
-        i = indexer.index.get(name)
+        i = indexer.get(name)
         if i is not None:
             out[i] = 1.0
     return out
