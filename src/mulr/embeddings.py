@@ -9,8 +9,17 @@ Three trainers share one update loop:
   ngram vectors, so vectors can be composed for words never indexed.
 
 Pairs come ordered by center position, so within a minibatch a center's
-pairs form runs. For subword, each run's vector is composed once, and its
-pairs' gradients are summed before the one update of its ngram rows.
+pairs form runs. A batch step composes one input vector per run, gathers each
+distinct output row once, scores every run against every such row in one
+product, and sums the pairs' gradients into one coefficient per (output
+row, run): each output row and each run's input rows get one update. The
+whole batch scores against the parameters as they stood at its start.
+
+Parameters and stores are ``nn.DTYPE`` (float32, as in word2vec.c and
+fastText), read when training starts; the initial draws are float64
+rounded to it, and the loss is summed in float64. An ``EmbeddingStore``
+holds its matrix in ``nn.DTYPE`` however it was made: trained, read from a
+store or model file, or read from text.
 
 Negative samples are drawn from the unigram distribution raised to 0.75 via
 a precomputed sampling table. The learning rate decays linearly to 1e-4 of
@@ -22,9 +31,11 @@ properties are reproducible.
 Embedding text format (``save_embeddings``, ``mulr embed --out``): first
 line ``count dim``, then one ``token v1 .. vd`` row per token. The
 pipeline caches stores as array files instead (``save_store``, see
-``fileio``): magic line ``MULR-STORE 1``, a JSON line with ``kind``, ``dim``
-and ``tokens`` (``store_meta``), then the matrix as raw little-endian
-float64. The model file keeps its stores with the same metadata.
+``fileio``): magic line ``MULR-STORE 2``, a JSON line with ``kind``, ``dim``
+and ``tokens`` (``store_meta``) and the array manifest, then the matrix as
+raw little-endian bytes of its dtype (``<f4`` for float32). The model file
+keeps its stores with the same metadata. A ``MULR-STORE 1`` file, which
+held a float64-trained matrix, does not load.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from .corpus import SubwordIndex, Vocabulary
 from .dataset import TypeSystem
 from .errors import DataError, NumericError
 from .fileio import data_errors, read_array_file, text_lines, write_array_file
+from . import nn
 from .nn import csr_take, scatter_add, sigmoid
 
 KIND_SKIP = "skip"
@@ -50,7 +62,7 @@ KIND_SUBWORD = "subword"
 NEGATIVE_TABLE_SIZE = 1_000_000
 UNIGRAM_POWER = 0.75
 MIN_LR_FRACTION = 1e-4
-STORE_MAGIC = "MULR-STORE 1"
+STORE_MAGIC = "MULR-STORE 2"
 
 
 @dataclass
@@ -67,7 +79,9 @@ class SgnsConfig:
     table_size: int = NEGATIVE_TABLE_SIZE
     # pairs vectorized per update; within a batch updates use the same
     # stale parameters and the updates of a row repeated in the batch are
-    # summed, so keep it small relative to the vocabulary
+    # summed, so keep it small relative to the vocabulary; the step's
+    # (distinct output rows x center runs) coefficient matrix grows about
+    # with its square
     batch_pairs: int = 256
 
     def __post_init__(self):
@@ -81,7 +95,8 @@ class SgnsConfig:
 
 @dataclass
 class EmbeddingStore:
-    """Fixed-dimension vectors for a set of tokens, all finite."""
+    """Fixed-dimension vectors for a set of tokens, all finite, in an
+    ``nn.DTYPE`` matrix."""
 
     kind: str
     dim: int
@@ -91,6 +106,10 @@ class EmbeddingStore:
     index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
+        # one dtype however the store was made: 1e300 from a float64 file
+        # becomes inf in float32 and fails the finiteness check below
+        with np.errstate(over="ignore"):
+            self.matrix = np.asarray(self.matrix, dtype=nn.DTYPE)
         if self.matrix.shape != (len(self.tokens), self.dim):
             raise NumericError(f"matrix shape {self.matrix.shape} does not "
                                f"match {len(self.tokens)} tokens of dim {self.dim}")
@@ -132,7 +151,7 @@ class EmbeddingStore:
             return self.get(word)
         ids = self.subwords.ngram_ids(word)
         if not ids:
-            return np.zeros(self.dim)
+            return np.zeros(self.dim, dtype=self.matrix.dtype)
         return self.matrix[ids].mean(axis=0)
 
 
@@ -278,38 +297,37 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
 class _Composer:
     """Maps center-token ids to input vectors, plain or ngram-averaged.
 
+    The trainer passes the center of each run of equal centers in a batch,
+    so an ngram-averaged vector is composed once per run, and ``backward``
+    takes one gradient per run and spreads it over the run's ngram rows.
     Ngram ids are in CSR layout: token ``t`` averages the ``w_in`` rows
     ``indices[indptr[t]:indptr[t + 1]]``. Callers pass only centers that
-    have at least one ngram. An ngram-averaged vector is composed once per
-    run of equal centers, and ``backward`` sums a run's gradients before
-    spreading them over its ngram rows.
+    have at least one ngram.
     """
 
     def __init__(self, n_inputs: int, dim: int, rng: np.random.Generator,
                  indptr: np.ndarray | None = None,
                  indices: np.ndarray | None = None):
-        self.w_in = (rng.random((n_inputs, dim)) - 0.5) / dim
+        # float64 draws rounded to the parameter dtype, as ``init_uniform``
+        self.w_in = ((rng.random((n_inputs, dim)) - 0.5) / dim).astype(
+            nn.DTYPE)
         self.indptr = indptr
         self.indices = indices
 
     def forward(self, centers: np.ndarray):
         if self.indptr is None:
             return self.w_in[centers], None
-        starts = np.flatnonzero(
-            np.concatenate([[True], centers[1:] != centers[:-1]]))
-        flat_ptr, flat = csr_take(self.indptr, self.indices, centers[starts])
+        flat_ptr, flat = csr_take(self.indptr, self.indices, centers)
         lengths = np.diff(flat_ptr)
         v = np.add.reduceat(self.w_in[flat], flat_ptr[:-1], axis=0)
         v /= lengths[:, None]
-        runs = np.diff(np.append(starts, centers.size))
-        return np.repeat(v, runs, axis=0), (starts, flat, lengths)
+        return v, (flat, lengths)
 
     def backward(self, centers: np.ndarray, dv: np.ndarray, cache) -> None:
         if self.indptr is None:
             scatter_add(self.w_in, centers, dv)
             return
-        starts, flat, lengths = cache
-        dv = np.add.reduceat(dv, starts, axis=0)
+        flat, lengths = cache
         scatter_add(self.w_in, flat,
                     np.repeat(dv / lengths[:, None], lengths, axis=0))
 
@@ -330,7 +348,8 @@ class _SgnsState:
                                   dtype=np.int64, count=indptr[-1])
             self.composer = _Composer(len(subwords), cfg.dim, rng,
                                       indptr, indices)
-        self.w_out = np.zeros((self.blocks * self.vocab_size, cfg.dim))
+        self.w_out = np.zeros((self.blocks * self.vocab_size, cfg.dim),
+                              dtype=nn.DTYPE)
         self.table = _unigram_table(vocab, cfg.table_size)
 
 
@@ -415,10 +434,12 @@ def _train_chunk(tok: np.ndarray, sent: np.ndarray, state: _SgnsState,
     """
     rng = np.random.default_rng(seed)
     lr0 = cfg.learning_rate
-    dim = cfg.dim
     table = state.table
     w_out = state.w_out
     vocab_size = state.vocab_size
+    # column 0 of each pair's output rows is its positive context
+    label = np.zeros(1 + cfg.negatives, dtype=w_out.dtype)
+    label[0] = 1.0
 
     centers, contexts, blocks = _epoch_pairs(tok, sent, cfg, rng)
     if trainable_mask is not None:
@@ -436,29 +457,38 @@ def _train_chunk(tok: np.ndarray, sent: np.ndarray, state: _SgnsState,
         lr = lr0 * max(MIN_LR_FRACTION, 1.0 - progress)
         batch = c.size
         neg = table[rng.integers(0, len(table), size=(batch, cfg.negatives))]
-        valid = neg != t[:, None]
 
-        v, cache = state.composer.forward(c)
-        pos_rows = blk * vocab_size + t
-        u_pos = w_out[pos_rows]
-        neg_rows = blk[:, None] * vocab_size + neg
-        u_neg = w_out[neg_rows]
+        # one input vector per run of equal centers
+        head = np.empty(batch, dtype=bool)
+        head[0] = True
+        np.not_equal(c[1:], c[:-1], out=head[1:])
+        run_of = np.cumsum(head) - 1
+        runs = c[head]
+        v, cache = state.composer.forward(runs)
 
-        s_pos = np.einsum("bd,bd->b", v, u_pos)
-        s_neg = np.einsum("bd,bkd->bk", v, u_neg)
-        loss_sum -= _log_sigmoid(s_pos).sum()
-        loss_sum -= (_log_sigmoid(-s_neg) * valid).sum()
+        rows = blk[:, None] * vocab_size + np.column_stack([t, neg])
+        uniq, inv = np.unique(rows.reshape(-1), return_inverse=True)
+        inv = inv.reshape(rows.shape)
+        wu = w_out[uniq]
+        s = (v @ wu.T)[run_of[:, None], inv]
+        # a negative that hits the positive context does not count
+        mask = rows != rows[:, :1]
+        mask[:, 0] = True
+        loss_sum -= _log_sigmoid(s[:, 0]).sum(dtype=np.float64)
+        loss_sum -= (_log_sigmoid(-s[:, 1:]) * mask[:, 1:]).sum(
+            dtype=np.float64)
 
-        g_pos = (1.0 - sigmoid(s_pos)) * lr
-        g_neg = -sigmoid(s_neg) * lr * valid
-
-        dv = g_pos[:, None] * u_pos + np.einsum("bk,bkd->bd", g_neg, u_neg)
-        rows = np.concatenate([pos_rows, neg_rows.reshape(-1)])
-        vals = np.concatenate([g_pos[:, None] * v,
-                               (g_neg[:, :, None] * v[:, None, :])
-                               .reshape(-1, dim)])
-        scatter_add(w_out, rows, vals)
-        state.composer.backward(c, dv, cache)
+        g = label - sigmoid(s)
+        g *= lr
+        g *= mask
+        # coef[u, j]: summed gradient of output row uniq[u] against run j
+        coef = np.bincount((inv * runs.size + run_of[:, None]).reshape(-1),
+                           weights=g.reshape(-1),
+                           minlength=uniq.size * runs.size)
+        coef = coef.reshape(uniq.size, runs.size).astype(w_out.dtype)
+        dv = coef.T @ wu
+        w_out[uniq] += coef @ v
+        state.composer.backward(runs, dv, cache)
     losses.append(loss_sum)
 
 

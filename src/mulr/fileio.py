@@ -6,10 +6,11 @@ their lines with line numbers, and a line that is not valid UTF-8 is a
 
 Array files (the model file and the pipeline's cached embedding stores)
 are a magic line, one JSON metadata line whose ``arrays`` entry lists
-``[name, shape]`` pairs in name order, then each listed array as raw
-little-endian float64 bytes, in that order and nothing after them. A
-float32 array is widened on write, which holds its values exactly; arrays
-read back as float64, and the reader narrows them where it needs to.
+``[name, shape, dtype]`` triples in name order, then each listed array as
+raw bytes of its dtype, in that order and nothing after them. The dtype is
+``"<f4"`` or ``"<f8"`` (little-endian float32 or float64): a float32 array
+is written as it is, any other array as float64, and each array reads
+back in the dtype its entry names.
 """
 
 from __future__ import annotations
@@ -43,16 +44,15 @@ def text_lines(path):
 def write_array_file(path, magic: str, meta: dict,
                      arrays: dict[str, np.ndarray]) -> None:
     """Write ``meta`` plus the ``arrays`` manifest, then the arrays' bytes."""
-    meta = {**meta, "arrays": [[name, list(arr.shape)]
-                               for name, arr in sorted(arrays.items())]}
+    meta = {**meta, "arrays": [
+        [name, list(arr.shape), "<f4" if arr.dtype == np.float32 else "<f8"]
+        for name, arr in sorted(arrays.items())]}
     with Path(path).open("wb") as fh:
         fh.write((magic + "\n").encode("utf-8"))
         fh.write((json.dumps(meta, sort_keys=True, ensure_ascii=False,
                              separators=(",", ":")) + "\n").encode("utf-8"))
-        for name, _ in meta["arrays"]:
-            # a float64 array is written from its own buffer, a float32
-            # one (a typer parameter) from a widened copy
-            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8"))
+        for name, _, dtype in meta["arrays"]:
+            fh.write(np.ascontiguousarray(arrays[name], dtype=dtype))
 
 
 def read_array_file(path, magic: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -70,14 +70,16 @@ def _read_arrays(fh, manifest) -> dict[str, np.ndarray]:
     file, which is checked before anything is read."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     arrays: dict[str, np.ndarray] = {}
-    for name, shape in manifest:
+    for name, shape, dtype in manifest:
         if not all(isinstance(n, int) and n >= 0 for n in shape):
             raise DataError(f"bad shape {shape!r} for array {name!r}")
-        size = 8 * math.prod(shape)
+        if dtype not in ("<f4", "<f8"):
+            raise DataError(f"bad dtype {dtype!r} for array {name!r}")
+        size = np.dtype(dtype).itemsize * math.prod(shape)
         if size > left:
             raise DataError(f"truncated array {name!r}")
         left -= size
-        arr = np.empty(shape, dtype="<f8")
+        arr = np.empty(shape, dtype=dtype)
         if fh.readinto(arr.reshape(-1)) != size:
             raise DataError(f"truncated array {name!r}")
         arrays[name] = arr

@@ -14,7 +14,11 @@ of its own parameters: inputs are cast to it at the layer's boundary, and
 caches, gradients, AdaGrad accumulators and scratch buffers follow it. A
 layer built from float64 arrays (or with ``DTYPE`` set to float64) is the
 float64 reference the gradient checks run on. ``bce_loss`` and ``sigmoid``
-of float64 logits stay in float64; the typer lifts its logits there.
+of float64 logits stay in float64; the typer lifts its logits there. The
+policy covers SGNS too: ``embeddings`` trains ``w_in``/``w_out`` and holds
+every store in ``DTYPE``, reading it when training starts or a store is
+built, so setting it to float64 gives the float64 reference there as well.
+``scatter_add`` sums in float64 and adds into the table's own dtype.
 
 ``SparseLinear`` maps binary feature rows, given as CSR id lists, through a
 table of shape (features, out). Its gradient covers only the table rows the

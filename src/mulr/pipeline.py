@@ -7,15 +7,17 @@ reads, so a change upstream reaches every key below it:
 
     input   SHA-256 of the corpus, dataset, hierarchy and notable files
     tokens  input key                          tokens-*.txt, protected-*.txt
-    stores  store format (``embeddings.STORE_MAGIC``), tokens key, the
-            store's vocabulary counts and typed ``SgnsConfig`` (seed and
-            threads included)                  <mode>-*.store, subword-*.store
-    model   model format (``typer.MODEL_MAGIC``; ``MULR-MODEL 3`` is
-            float32-trained, so no float64-trained model cached by an
-            earlier format is reused), input key, keys of the stores the
-            levels read (``levels.stores_read``: main, subword), SHA-256
-            of the descriptions file, the typed spec (each level's kind
-            and options) and ``TrainConfig`` (seed and hidden units
+    stores  store format (``embeddings.STORE_MAGIC``; ``MULR-STORE 2``
+            is float32-trained, so no float64-trained store cached by an
+            earlier format is reused), tokens key, the store's vocabulary
+            counts and typed ``SgnsConfig`` (seed and threads included)
+                                               <mode>-*.store, subword-*.store
+    model   model format (``typer.MODEL_MAGIC``; ``MULR-MODEL 4`` keeps
+            float32 arrays as float32 and holds float32-trained stores),
+            input key, keys of the stores the levels read
+            (``levels.stores_read``: main, subword), SHA-256 of the
+            descriptions file, the typed spec (each level's kind and
+            options) and ``TrainConfig`` (seed and hidden units
             included)                           model-*.bin
     preds   model key                          preds-*.tsv
 
@@ -131,7 +133,9 @@ def _coerce(typ, value: str, where: str):
 def load_config(path, levels: str | None = None) -> ExperimentConfig:
     """The config file at ``path``; ``levels``, when given, replaces its
     ``[representation] levels``. Every value is typed and range-checked
-    here, and an error is a ``DataError`` that names the file."""
+    here, and an error is a ``DataError`` that names the file, or
+    ``--levels`` for a bad level list in ``levels`` (the ``mulr train``
+    flag that passes it)."""
     path = Path(path)
     parser = configparser.ConfigParser()
     try:
@@ -179,6 +183,11 @@ def load_config(path, levels: str | None = None) -> ExperimentConfig:
     rep = sections.get("representation", {})
     file_levels = rep.pop("levels", "elr")
     hidden_units = rep.pop("hidden_units", None)
+    if levels is not None:  # the override's own errors name the flag
+        try:
+            RepresentationSpec.parse(levels)
+        except DataError as exc:
+            raise DataError(f"--levels: {exc}") from None
     try:  # each settings class checks its own values
         main = SgnsConfig(
             seed=seed, threads=threads,

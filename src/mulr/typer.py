@@ -27,17 +27,20 @@ float64 resolution; float32 would round confident scores to ties at 1.0.
 
 Model files are self-contained: layout, MLP and encoder parameters, sparse
 feature indexes, thresholds, and the frozen embedding stores the spec
-reads. Layout: magic line ``MULR-MODEL 3``, a JSON metadata line (ints and
-strings only), then the named arrays in manifest order as raw
-little-endian float64 bytes; the parameters' float32 values are held
-exactly, and a value that overflows float32 is a ``DataError`` on load.
-Each store the levels read (``stores_read``) is written once, as array
-``store.main`` or ``store.subword`` and its ``store_meta`` under that label
-in ``stores``. Files of earlier formats do not load: ``MULR-MODEL 1`` held
-the main store twice, and ``MULR-MODEL 2`` held float64-trained
-parameters. A spec with ``bow`` or ``nsl`` stores the feature table as
-``features.W``, of shape (features, hidden units), and ``w_in.W`` then
-covers the dense levels only; other specs have no ``features.W``.
+reads. Layout: magic line ``MULR-MODEL 4``, a JSON metadata line (ints and
+strings only), then the named arrays in manifest order, each in the dtype
+its manifest entry names (``fileio``): the parameters and stores in
+``nn.DTYPE``, the thresholds in float64. A float64 parameter array loads
+narrowed to the parameter's dtype, and a value that overflows float32 is
+a ``DataError``. Each store the levels read (``stores_read``) is written
+once, as array ``store.main`` or ``store.subword`` and its ``store_meta``
+under that label in ``stores``. Files of earlier formats do not load:
+``MULR-MODEL 1`` held the main store twice, ``MULR-MODEL 2`` held
+float64-trained parameters, and ``MULR-MODEL 3`` held every array as
+float64 bytes and float64-trained stores. A spec with ``bow`` or ``nsl``
+stores the feature table as ``features.W``, of shape (features, hidden
+units), and ``w_in.W`` then covers the dense levels only; other specs have
+no ``features.W``.
 """
 
 from __future__ import annotations
@@ -417,7 +420,7 @@ def calibrate_thresholds(model: TyperModel,
 # ---------------------------------------------------------------------------
 # serialization
 
-MODEL_MAGIC = "MULR-MODEL 3"
+MODEL_MAGIC = "MULR-MODEL 4"
 
 
 def save_model(model: TyperModel, path, config_hash: str | None = None,

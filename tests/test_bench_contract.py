@@ -136,15 +136,16 @@ def workload_config(root: Path, body: str) -> Path:
 
 
 # tokens, main store, subword store and model key of each workload config
-# over ``INPUTS``; the token and store keys are those of the string-keyed
-# config the model key replaced, so the stores that config cached are reused
+# over ``INPUTS``; the tokens key is that of the string-keyed config the
+# model key replaced, and the store and model keys hash the float32 formats
+# ``MULR-STORE 2`` and ``MULR-MODEL 4``
 WORKLOAD_KEYS = {
-    "embed": ("f1fafb30bc70", "551913d95455", "8664057212de",
-              "8c2b59bb1f81"),
-    "infer": ("f1fafb30bc70", "324286b3e1c6", "3396ea0990b6",
-              "23544371c74b"),
-    "typer": ("f1fafb30bc70", "9910b8db8c36", "a8440898aa6e",
-              "d7c3b82e32ad"),
+    "embed": ("f1fafb30bc70", "c81ce6dbb481", "383567eb796b",
+              "fb2b24f7539c"),
+    "infer": ("f1fafb30bc70", "df82169f9de3", "822863d4466c",
+              "399e6f8e0289"),
+    "typer": ("f1fafb30bc70", "0c661f55a61a", "6abb2a3f705f",
+              "f4c613678bc9"),
 }
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -331,6 +332,22 @@ class TestExitCodes:
         assert "unknown representation level 'none'" in err
         assert stages == []
 
+    @pytest.mark.parametrize("levels,message", [
+        ("none", "unknown representation level 'none'"),
+        ("elr,elr", "duplicate representation level"),
+        ("clr-cnn,clr-lstm", "at most one character-level encoder per spec"),
+    ])
+    def test_bad_override_levels_name_the_flag(self, synth, capsys, levels,
+                                               message):
+        """The bad value came from the command line, so the message names
+        ``--levels`` and not the config file."""
+        config = synth / "exp.ini"
+        assert cli.main(["train", "--config", str(config),
+                         "--levels", levels]) == 2
+        err = capsys.readouterr().err
+        assert err == f"mulr: --levels: {message}\n"
+        assert str(config) not in err
+
     @pytest.mark.parametrize("body,where", [
         ("m.1\tA:0.900000\nm.2\t\nm.1\t\n",
          "preds.tsv:3: duplicate entity id 'm.1'"),
@@ -490,8 +507,8 @@ class TestStageFailures:
 def _array_at(meta: dict, name: str) -> tuple[int, int, int]:
     """(manifest index, byte offset, byte size) of one array's payload."""
     offset = 0
-    for i, (entry, shape) in enumerate(meta["arrays"]):
-        size = 8 * math.prod(shape)
+    for i, (entry, shape, dtype) in enumerate(meta["arrays"]):
+        size = np.dtype(dtype).itemsize * math.prod(shape)
         if entry == name:
             return i, offset, size
         offset += size
@@ -521,13 +538,22 @@ def _corrupt(case: str, data: bytes) -> bytes:
         meta["hidden_units"] += 1
     elif case == "trailing":
         payload += bytes(8)
-    elif case in ("nan", "overflow"):
+    elif case == "nan":
         _, offset, _ = _array_at(meta, "w_in.W")
-        value = math.nan if case == "nan" else 1e300
-        payload = (payload[:offset] + struct.pack("<d", value)
-                   + payload[offset + 8:])
+        payload = (payload[:offset] + struct.pack("<f", math.nan)
+                   + payload[offset + 4:])
+    elif case == "overflow":  # w_in.W as float64, one value past float32
+        i, offset, size = _array_at(meta, "w_in.W")
+        wide = np.frombuffer(payload, "<f4", size // 4, offset).astype("<f8")
+        wide[0] = 1e300
+        meta["arrays"][i][2] = "<f8"
+        payload = payload[:offset] + wide.tobytes() + payload[offset + size:]
+    elif case == "dtype":
+        meta["arrays"][0][2] = "<i8"
+    elif case == "truncated":
+        payload = payload[:-2]
     elif case == "old-format":
-        magic = b"MULR-MODEL 2"
+        magic = b"MULR-MODEL 3"
     if case not in ("not-utf8", "bad-json"):
         line = json.dumps(meta).encode()
     return b"\n".join([magic, line, payload])
@@ -549,7 +575,9 @@ class TestModelFileErrors:
         ("trailing", "8 bytes after the last array"),
         ("nan", "non-finite values in array 'w_in.W'"),
         ("overflow", "non-finite values in array 'w_in.W' as float32"),
-        ("old-format", "first line is not 'MULR-MODEL 3'"),
+        ("dtype", "bad dtype '<i8' for array"),
+        ("truncated", "truncated array"),
+        ("old-format", "first line is not 'MULR-MODEL 4'"),
     ])
     def test_damaged_model_exits_2(self, synth, pipeline_run, tmp_path,
                                    capsys, case, message):

@@ -14,8 +14,10 @@ from mulr.embeddings import (MIN_LR_FRACTION, STORE_MAGIC, EmbeddingStore,
                              save_store, train_sgns, train_subword_sgns,
                              type_cosine_matrix)
 from mulr.errors import DataError, NumericError, ParseError
+from mulr.levels import Assembler, RepresentationSpec, Resources
 from mulr.nn import AdaGrad, Dense, csr_take, scatter_add, sigmoid
 from mulr.synthetic import generate_order_corpus
+from mulr.typer import TyperModel, load_model, save_model
 
 
 def small_cfg(**kw):
@@ -89,6 +91,7 @@ class TestTypeCosineMatrix:
         return EmbeddingStore(kind="skip", dim=5, tokens=tokens,
                               matrix=matrix)
 
+    @pytest.mark.usefixtures("float64_layers")
     def test_matches_scalar_cosine(self):
         store = self._store()
         ts = TypeSystem(types=("t1", "t2", "t3"), parent={})
@@ -101,6 +104,19 @@ class TestTypeCosineMatrix:
         assert np.all(np.abs(got) <= 1.0)
         np.testing.assert_allclose(type_cosine_matrix(["m.1"], store, ts),
                                    got[2:3], rtol=0, atol=1e-12)
+
+    def test_float32_matches_scalar_cosine(self):
+        """A float32 store's cosines agree with the float64 scalar cosine
+        of its rows to 1e-6."""
+        store = self._store()
+        assert store.matrix.dtype == np.float32
+        ts = TypeSystem(types=("t1", "t2", "t3"), parent={})
+        ids = ["m.0", "m.zero", "m.1"]
+        expected = [[cosine(store.get(e), store.get(t)) for t in ts.types]
+                    for e in ids]
+        got = type_cosine_matrix(ids, store, ts)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-6)
+        assert np.all(got[1] == 0.0)
 
     def test_missing_type_errors_with_name(self):
         ts = TypeSystem(types=("t1", "t9"), parent={})
@@ -126,6 +142,7 @@ class TestStoreIO:
         assert loaded.tokens == tokens
         np.testing.assert_array_equal(loaded.matrix, store.matrix)
 
+    @pytest.mark.usefixtures("float64_layers")
     def test_rows_match_per_value_repr(self, tmp_path):
         n = 20
         tokens = [f"t{i}" for i in range(n)]
@@ -225,12 +242,25 @@ class TestRawStore:
         assert magic == STORE_MAGIC.encode()
         assert json.loads(meta) == {"kind": "skip", "dim": 3,
                                     "tokens": store.tokens,
-                                    "arrays": [["matrix", [4, 3]]]}
-        assert payload == store.matrix.astype("<f8").tobytes()
+                                    "arrays": [["matrix", [4, 3], "<f4"]]}
+        assert store.matrix.dtype == np.float32
+        assert payload == store.matrix.tobytes()
+
+    def test_old_format_is_a_data_error_naming_the_path(self, tmp_path):
+        """A ``MULR-STORE 1`` file as it was written: a float64 matrix and
+        ``[name, shape]`` manifest entries."""
+        path = tmp_path / "s.store"
+        path.write_bytes(b"MULR-STORE 1\n" + json.dumps(
+            {**self.META, "arrays": [["matrix", [2, 2]]]}).encode()
+            + b"\n" + self.GOOD)
+        with pytest.raises(DataError, match=f"{path}: first line is not "
+                                            f"'MULR-STORE 2'"):
+            load_store(path, "skip")
 
     META = {"kind": "skip", "dim": 2, "tokens": ["a", "b"],
-            "arrays": [["matrix", [2, 2]]]}
+            "arrays": [["matrix", [2, 2], "<f8"]]}
     GOOD = np.arange(4, dtype="<f8").tobytes()
+    F4 = {**META, "arrays": [["matrix", [2, 2], "<f4"]]}
 
     @pytest.mark.parametrize("content,message", [
         (b"MULR-MODEL 1\n{}\n", "first line"),
@@ -246,6 +276,14 @@ class TestRawStore:
          "duplicate token 'a'"),
         (raw_store_bytes({**META, "dim": 3}, GOOD), "does not match"),
         (raw_store_bytes({**META, "tokens": ["a", 2]}, GOOD), "strings"),
+        (raw_store_bytes(F4, np.arange(4, dtype="<f4").tobytes()[:-1]),
+         "truncated array 'matrix'"),
+        (raw_store_bytes({**META, "arrays": [["matrix", [2, 2], ">f8"]]},
+                         GOOD), "bad dtype '>f8' for array 'matrix'"),
+        (raw_store_bytes({**META, "arrays": [["matrix", [2, 2], "<i8"]]},
+                         GOOD), "bad dtype '<i8' for array 'matrix'"),
+        (raw_store_bytes({**META, "arrays": [["matrix", [2, 2]]]}, GOOD),
+         "not enough values"),
     ])
     def test_malformed_is_data_error_naming_path(self, tmp_path, content,
                                                  message):
@@ -254,6 +292,53 @@ class TestRawStore:
         with pytest.raises(DataError, match=message) as info:
             load_store(path, "skip")
         assert str(path) in str(info.value)
+
+
+def elr_model(store: EmbeddingStore) -> TyperModel:
+    """An untrained ``elr`` typer over ``store``, to write a model file."""
+    res = Resources(type_system=TypeSystem(types=("t",), parent={}),
+                    main_store=store)
+    spec = RepresentationSpec.parse("elr")
+    return TyperModel(spec, res, Assembler(spec, res).fit(["ab"]), None, 2,
+                      np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["float32", "float64"])
+@pytest.mark.parametrize("how", ["train_sgns", "train_subword_sgns",
+                                 "load_store", "model_file",
+                                 "load_embeddings"])
+def test_every_store_is_in_the_layer_dtype(tmp_path, layer_dtype, how,
+                                           dtype):
+    """However a store is made, its matrix is in ``nn.DTYPE``: a file
+    written while the other dtype was set reads back in this one, and a
+    subword word with no indexed ngram composes a zero vector of it."""
+    stream = [["ab", "abc", "bc"]] * 3
+    vocab = build_vocabulary(stream, 1)
+    index = build_subword_index(vocab, n_min=2, n_max=3, min_count=1)
+    layer_dtype(np.float64 if dtype == np.float32 else np.float32)
+    written = train_sgns(stream, vocab, small_cfg(epochs=1))
+    path = tmp_path / "written"
+    if how == "load_store":
+        save_store(written, path)
+    elif how == "model_file":
+        save_model(elr_model(written), path, config_hash="h", seed=1)
+    elif how == "load_embeddings":
+        save_embeddings(written, path)
+    layer_dtype(dtype)
+    if how == "train_sgns":
+        store = train_sgns(stream, vocab, small_cfg(epochs=1))
+    elif how == "train_subword_sgns":
+        store = train_subword_sgns(stream, vocab, index, small_cfg(epochs=1))
+        assert store.word_vector("zz").dtype == dtype
+        assert not np.any(store.word_vector("zz"))
+        assert store.word_vector("abd").dtype == dtype
+    else:
+        store = {"load_store": lambda: load_store(path, "skip"),
+                 "model_file": lambda: load_model(path).resources.main_store,
+                 "load_embeddings": lambda: load_embeddings(path)}[how]()
+        np.testing.assert_allclose(store.matrix, written.matrix, rtol=1e-6)
+    assert store.matrix.dtype == dtype
 
 
 @pytest.fixture(scope="module")
@@ -357,7 +442,8 @@ class TestSgnsTraining:
             s2 = train_sgns(stream, vocab, cfg)
         assert s1.kind == kind
         assert s1.tokens == s2.tokens
-        np.testing.assert_array_equal(s1.matrix, s2.matrix)
+        assert s1.matrix.dtype == np.float32
+        assert s1.matrix.tobytes() == s2.matrix.tobytes()
 
     def test_empty_stream_errors(self):
         stream = [["a", "b"]]
@@ -465,53 +551,146 @@ def repeated_heads_stream():
             for _ in range(40)]
 
 
-def max_runs_of_one_center(stream, vocab, cfg) -> int:
-    """Most runs one center id heads within one batch of the first epoch."""
+def batch_heads(stream, vocab, cfg, trainable_mask=None):
+    """(center of each run, pair count) of each batch of the first epoch."""
     tok = np.array([vocab.index[t] for s in stream for t in s])
     sent = np.repeat(np.arange(len(stream)), [len(s) for s in stream])
     centers, _, _ = _epoch_pairs(tok, sent, cfg,
                                  np.random.default_rng(cfg.seed))
-    most = 0
+    if trainable_mask is not None:
+        centers = centers[trainable_mask[centers]]
+    out = []
     for start in range(0, centers.size, cfg.batch_pairs):
         c = centers[start:start + cfg.batch_pairs]
-        heads = c[np.concatenate([[True], c[1:] != c[:-1]])]
-        most = max(most, int(np.bincount(heads).max()))
-    return most
+        out.append((c[np.concatenate([[True], c[1:] != c[:-1]])], c.size))
+    return out
+
+
+def max_runs_of_one_center(stream, vocab, cfg) -> int:
+    """Most runs one center id heads within one batch of the first epoch."""
+    return max(int(np.bincount(heads).max())
+               for heads, _ in batch_heads(stream, vocab, cfg))
+
+
+def distinct_centers_stream():
+    """Two-token sentences of tokens seen once: at window 1 every center
+    has one pair, so every batch has as many runs as pairs."""
+    return [[f"w{2 * i}x", f"w{2 * i + 1}y"] for i in range(40)]
+
+
+def one_center_stream():
+    """A long sentence of one token, whose batches are one run each, then
+    a short sentence that gives the negatives other tokens."""
+    return [["aa"] * 60, ["aa", "bb", "cc"] * 3]
+
+
+def masked_centers_stream():
+    """``zq`` has no ngram that occurs twice, so with ngram min count 2
+    the trainable mask drops every pair it centers."""
+    return [["aa", "ab", "zq", "ab", "aa"]] + [["ab", "aa", "ba"]] * 20
 
 
 class TestRunsMatchPerPairReference:
-    """Composing each run of a center once agrees with the per-pair loop."""
+    """The run kernel against the per-pair loop, which composes every
+    pair's center vector and scatters every pair's gradient on its own.
+    The reference runs in float64. In float64 the kernel agrees with it to
+    1e-12: it sums a batch's gradients per (output row, run) in products,
+    in another order than the per-pair rows, so no kind is bit-identical.
+    In float32 it agrees to 1e-5 after two epochs (about 1e-6 is seen)."""
 
     @staticmethod
-    def _train(kind, stream, cfg):
+    def _train(kind, stream, cfg, ngram_min_count=1):
         vocab = build_vocabulary(stream, 1)
         if kind == "subword":
-            index = build_subword_index(vocab, n_min=2, n_max=3, min_count=1)
+            index = build_subword_index(vocab, n_min=2, n_max=3,
+                                        min_count=ngram_min_count)
             return train_subword_sgns(stream, vocab, index, cfg)
         return train_sgns(stream, vocab, cfg)
 
+    @staticmethod
+    def _against_reference(monkeypatch, layer_dtype, dtype, train):
+        """``train()`` with the run kernel in ``dtype``, then with the
+        per-pair reference in float64."""
+        layer_dtype(dtype)
+        fast = train()
+        layer_dtype(np.float64)
+        monkeypatch.setattr(embeddings, "_train_chunk", reference_train_chunk)
+        ref = train()
+        assert fast.matrix.dtype == dtype
+        assert ref.matrix.dtype == np.float64
+        assert fast.tokens == ref.tokens
+        return fast.matrix, ref.matrix
+
     @pytest.mark.parametrize("kind", ["skip", "sskip", "subword"])
     @pytest.mark.parametrize("corpus", ["clusters", "repeated_heads"])
-    def test_trained_matrix_matches(self, monkeypatch, kind, corpus):
+    def test_trained_matrix_matches(self, monkeypatch, layer_dtype, kind,
+                                    corpus):
         stream = (cluster_corpus()[0] if corpus == "clusters"
                   else repeated_heads_stream())
         cfg = small_cfg(epochs=2, positional=kind == "sskip")
         assert max_runs_of_one_center(
             stream, build_vocabulary(stream, 1), cfg) >= 2
-        fast = self._train(kind, stream, cfg)
-        monkeypatch.setattr(embeddings, "_train_chunk", reference_train_chunk)
-        ref = self._train(kind, stream, cfg)
-        assert fast.tokens == ref.tokens
-        if kind == "subword":
-            np.testing.assert_allclose(fast.matrix, ref.matrix, rtol=0,
-                                       atol=1e-12)
-        else:  # a plain center vector is one row: nothing is regrouped
-            np.testing.assert_array_equal(fast.matrix, ref.matrix)
+        fast, ref = self._against_reference(
+            monkeypatch, layer_dtype, np.float64,
+            lambda: self._train(kind, stream, cfg))
+        np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["skip", "sskip", "subword"])
+    @pytest.mark.parametrize("corpus", ["clusters", "repeated_heads"])
+    def test_float32_trained_matrix_matches(self, monkeypatch, layer_dtype,
+                                            kind, corpus):
+        stream = (cluster_corpus()[0] if corpus == "clusters"
+                  else repeated_heads_stream())
+        cfg = small_cfg(epochs=2, positional=kind == "sskip")
+        fast, ref = self._against_reference(
+            monkeypatch, layer_dtype, np.float32,
+            lambda: self._train(kind, stream, cfg))
+        np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-5)
+
+    EDGES = {
+        # every batch has as many runs as pairs: J = batch
+        "distinct-centers": (distinct_centers_stream, 1, 1),
+        # every batch of the long sentence is one run: J = 1
+        "one-center": (one_center_stream, 2, 1),
+        # subword centers without an indexed ngram leave the batches
+        "masked-centers": (masked_centers_stream, 2, 2),
+    }
+
+    @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12),
+                                            (np.float32, 1e-5)],
+                             ids=["float64", "float32"])
+    @pytest.mark.parametrize("edge,kind", [
+        (edge, kind) for edge in ("distinct-centers", "one-center")
+        for kind in ("skip", "sskip", "subword")
+    ] + [("masked-centers", "subword")])  # only subword centers can lack one
+    def test_edge_batches_match(self, monkeypatch, layer_dtype, edge, kind,
+                                dtype, atol):
+        make, window, ngram_min_count = self.EDGES[edge]
+        stream = make()
+        cfg = small_cfg(epochs=2, window=window, positional=kind == "sskip")
+        vocab = build_vocabulary(stream, 1)
+        batches = batch_heads(stream, vocab, cfg)
+        if edge == "distinct-centers":
+            assert all(heads.size == pairs for heads, pairs in batches)
+        elif edge == "one-center":
+            assert any(heads.size == 1 and pairs == cfg.batch_pairs
+                       for heads, pairs in batches)
+        else:
+            index = build_subword_index(vocab, n_min=2, n_max=3, min_count=2)
+            mask = np.array([bool(index.ngram_ids(t)) for t in vocab.tokens])
+            assert not mask.all()
+            kept = batch_heads(stream, vocab, cfg, mask)
+            assert sum(p for _, p in kept) < sum(p for _, p in batches)
+        fast, ref = self._against_reference(
+            monkeypatch, layer_dtype, dtype,
+            lambda: self._train(kind, stream, cfg, ngram_min_count))
+        np.testing.assert_allclose(fast, ref, rtol=0, atol=atol)
+
+    @pytest.mark.usefixtures("float64_layers")
     @pytest.mark.parametrize("mode", ["skip", "sskip", "subword"])
     def test_cli_embed_output(self, tmp_path, monkeypatch, capsys, mode):
-        """``mulr embed --out`` writes the reference's text: byte for byte
-        where the update is unchanged, to 1e-12 for subword."""
+        """``mulr embed --out`` in float64 writes the reference's values to
+        1e-12."""
         corpus = tmp_path / "tokens.txt"
         corpus.write_text("".join(" ".join(s) + "\n"
                                   for s in repeated_heads_stream()),
@@ -523,13 +702,10 @@ class TestRunsMatchPerPairReference:
         assert cli.main(args + [str(tmp_path / "fast.vec")]) == 0
         monkeypatch.setattr(embeddings, "_train_chunk", reference_train_chunk)
         assert cli.main(args + [str(tmp_path / "ref.vec")]) == 0
-        fast, ref = tmp_path / "fast.vec", tmp_path / "ref.vec"
-        if mode == "subword":
-            a, b = load_embeddings(fast), load_embeddings(ref)
-            assert a.tokens == b.tokens
-            np.testing.assert_allclose(a.matrix, b.matrix, rtol=0, atol=1e-12)
-        else:
-            assert fast.read_bytes() == ref.read_bytes()
+        a = load_embeddings(tmp_path / "fast.vec")
+        b = load_embeddings(tmp_path / "ref.vec")
+        assert a.tokens == b.tokens
+        np.testing.assert_allclose(a.matrix, b.matrix, rtol=0, atol=1e-12)
 
 
 class TestScatterAdd:
@@ -556,7 +732,9 @@ class TestScatterAdd:
 
 
 class TestComposer:
-    """The CSR subword composer against per-token ngram lists."""
+    """The CSR subword composer against per-token ngram lists: in float64
+    to 1e-12, and a float32 composer against the float64 arithmetic on its
+    own rows to 1e-6."""
 
     @staticmethod
     def _state():
@@ -571,26 +749,64 @@ class TestComposer:
         centers = np.random.default_rng(3).integers(0, len(vocab), size=300)
         return state, lists, centers
 
-    def test_forward_is_mean_of_ngram_rows(self):
-        state, lists, centers = self._state()
+    @staticmethod
+    def _check_forward(rtol, atol):
+        state, lists, centers = TestComposer._state()
+        w_in = state.composer.w_in
         v, _ = state.composer.forward(centers)
-        expected = np.array([state.composer.w_in[lists[c]].mean(axis=0)
+        assert v.dtype == w_in.dtype
+        expected = np.array([w_in[lists[c]].astype(np.float64).mean(axis=0)
                              for c in centers])
-        np.testing.assert_allclose(v, expected, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(v, expected, rtol=rtol, atol=atol)
 
-    def test_backward_matches_add_at_reference(self):
-        state, lists, centers = self._state()
+    @staticmethod
+    def _check_backward(rtol, atol):
+        state, lists, centers = TestComposer._state()
         _, cache = state.composer.forward(centers)
-        dv = np.random.default_rng(5).normal(size=(centers.size,
-                                                   state.composer.w_in.shape[1]))
+        dv = np.random.default_rng(5).normal(
+            size=(centers.size, state.composer.w_in.shape[1]))
         flat = np.concatenate([lists[c] for c in centers])
         lengths = np.array([len(lists[c]) for c in centers])
         seg = np.repeat(np.arange(centers.size), lengths)
-        expected = state.composer.w_in.copy()
+        expected = state.composer.w_in.astype(np.float64)
         np.add.at(expected, flat, dv[seg] / lengths[seg][:, None])
-        state.composer.backward(centers, dv, cache)
+        state.composer.backward(centers,
+                                dv.astype(state.composer.w_in.dtype), cache)
         np.testing.assert_allclose(state.composer.w_in, expected,
-                                   rtol=1e-12, atol=1e-15)
+                                   rtol=rtol, atol=atol)
+
+    @pytest.mark.parametrize("subword", [False, True],
+                             ids=["plain", "subword"])
+    def test_parameters_round_the_float64_draws(self, layer_dtype, subword):
+        """``w_in`` and ``w_out`` take ``nn.DTYPE`` when the state is built,
+        and the float32 ``w_in`` is the float64 draw rounded."""
+        sentences, _, _ = cluster_corpus()
+        vocab = build_vocabulary(sentences, 1)
+        index = (build_subword_index(vocab, n_min=2, n_max=3, min_count=1)
+                 if subword else None)
+        states = {}
+        for dtype in (np.float64, np.float32):
+            layer_dtype(dtype)
+            states[dtype] = _SgnsState(vocab, small_cfg(), index)
+            assert states[dtype].composer.w_in.dtype == dtype
+            assert states[dtype].w_out.dtype == dtype
+        np.testing.assert_array_equal(
+            states[np.float32].composer.w_in,
+            states[np.float64].composer.w_in.astype(np.float32))
+
+    @pytest.mark.usefixtures("float64_layers")
+    def test_forward_is_mean_of_ngram_rows(self):
+        self._check_forward(rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.usefixtures("float64_layers")
+    def test_backward_matches_add_at_reference(self):
+        self._check_backward(rtol=1e-12, atol=1e-15)
+
+    def test_float32_forward_is_mean_of_ngram_rows(self):
+        self._check_forward(rtol=1e-6, atol=1e-6)
+
+    def test_float32_backward_matches_add_at_reference(self):
+        self._check_backward(rtol=1e-6, atol=1e-6)
 
     def test_token_without_indexed_ngrams_stays_finite(self):
         stream = [["aa", "ab", "zq", "ab", "aa"]] + [["ab", "aa", "ba"]] * 20
@@ -735,6 +951,7 @@ class TestOrderAwareness:
             store = train_sgns(sentences, vocab,
                                small_cfg(dim=12, window=2, epochs=4,
                                          positional=positional, seed=6))
+            assert store.matrix.dtype == np.float32
             rng = np.random.default_rng(8)
             X = np.array([store.get(e) for e in a_ids + b_ids])
             y = np.array([0] * len(a_ids) + [1] * len(b_ids))

@@ -174,6 +174,7 @@ class TestWlr:
         assert np.any(vec)
         assert not flags
 
+    @pytest.mark.usefixtures("float64_layers")  # float64 store tolerances
     def test_permutation_invariance_and_scaling(self):
         rng = np.random.default_rng(2)
         vocs = {f"w{i}": list(rng.normal(size=3)) for i in range(6)}

@@ -181,7 +181,7 @@ class TestRunPipeline:
         run_pipeline(load_config(write_config(experiment)))
         stores = sorted((experiment / "cache").glob("*.store"))
         assert len(stores) == 2
-        assert all(p.read_bytes().startswith(b"MULR-STORE 1\n")
+        assert all(p.read_bytes().startswith(b"MULR-STORE 2\n")
                    for p in stores)
         changed = write_config(experiment, name="changed.ini",
                                train={"epochs": "2"})

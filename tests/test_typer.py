@@ -922,8 +922,8 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.features.W, model.features.W)
         np.testing.assert_array_equal(loaded.scores_for(insts),
                                       model.scores_for(insts))
-        manifest = dict(json.loads(path.read_bytes().split(b"\n")[1])
-                        ["arrays"])
+        manifest = {name: shape for name, shape, _ in json.loads(
+            path.read_bytes().split(b"\n")[1])["arrays"]}
         assert manifest[FEATURE_TABLE] == list(model.features.W.shape)
         assert manifest["w_in.W"] == [7, model.input_dim
                                       - model.features.W.shape[0]]
@@ -946,7 +946,7 @@ class TestSerialization:
         path = tmp_path / "model.bin"
         save_model(model, path, config_hash="h", seed=1)
         meta = json.loads(path.read_bytes().split(b"\n")[1])
-        assert [name for name, _ in meta["arrays"]
+        assert [name for name, *_ in meta["arrays"]
                 if name.startswith("store.")] == [f"store.{s}" for s in stores]
         assert sorted(meta["stores"]) == stores
         loaded = load_model(path)
@@ -960,10 +960,10 @@ class TestSerialization:
         path = tmp_path / "model.bin"
         save_model(model, path, config_hash="h", seed=1)
         data = path.read_bytes()
-        for old in (b"MULR-MODEL 1", b"MULR-MODEL 2"):
+        for old in (b"MULR-MODEL 1", b"MULR-MODEL 2", b"MULR-MODEL 3"):
             path.write_bytes(old + data[data.index(b"\n"):])
             with pytest.raises(DataError, match=f"{path}: first line is not "
-                                                f"'MULR-MODEL 3'"):
+                                                f"'MULR-MODEL 4'"):
                 load_model(path)
 
     def test_parameters_load_in_float32_exactly(self, tmp_path):
