@@ -156,10 +156,12 @@ class EmbeddingStore:
 
 
 def save_embeddings(store: EmbeddingStore, path) -> None:
+    """The store as word2vec text: each value is the shortest decimal that
+    reads back to it in the store's dtype."""
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(f"{len(store.tokens)} {store.dim}\n")
         for tok, row in zip(store.tokens, store.matrix):
-            fh.write(tok + " " + " ".join(map(repr, row.tolist())) + "\n")
+            fh.write(tok + " " + " ".join(map(str, row)) + "\n")
 
 
 def load_embeddings(path) -> EmbeddingStore:

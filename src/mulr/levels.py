@@ -272,13 +272,6 @@ class ClrEncoder:
             out.update({f"back.{k}": v for k, v in self.net_back.grads.items()})
         return out
 
-    def zero_grad(self) -> None:
-        self.grads["char_table"][...] = 0.0
-        if self.net is not None:
-            self.net.zero_grad()
-        if self.kind == "clr-bilstm":
-            self.net_back.zero_grad()
-
     def forward(self, ids: np.ndarray) -> np.ndarray:
         """Encode a batch of character id rows to (batch, out_dim)."""
         self._ids = ids
@@ -310,7 +303,9 @@ class ClrEncoder:
             dE = dxs_rev[:, ::-1]
             dE_fwd, _ = self.net.backward(dout[:, :h] + dh0)
             dE = dE + dE_fwd
-        scatter_add(self.grads["char_table"], ids.reshape(-1),
+        table_grad = self.grads["char_table"]
+        table_grad[...] = 0.0
+        scatter_add(table_grad, ids.reshape(-1),
                     dE.reshape(-1, self.char_dim))
 
 

@@ -2,8 +2,10 @@
 
 All kernels take batches only: every input has a leading batch axis,
 even for one example, and every output keeps it. Layers cache what their
-backward pass needs; backward accumulates parameter gradients into
-``.grads`` and returns the gradient with respect to the layer input.
+backward pass needs; backward overwrites the parameter gradients in
+``.grads``, writing into the arrays the layer allocated at construction,
+and returns the gradient with respect to the layer input, so a second
+backward after one forward gives the same gradients again.
 Parameters initialize uniformly in [-0.05, 0.05] from the caller's
 generator.
 
@@ -115,10 +117,6 @@ class Dense:
     def params(self) -> dict[str, np.ndarray]:
         return {"W": self.W, "b": self.b}
 
-    def zero_grad(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.W.dtype)
         if x.shape[-1] != self.in_dim:
@@ -129,8 +127,8 @@ class Dense:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dy = np.asarray(dy, dtype=self.W.dtype)
-        self.grads["W"] += dy.T @ self._x
-        self.grads["b"] += dy.sum(axis=0)
+        np.matmul(dy.T, self._x, out=self.grads["W"])
+        np.sum(dy, axis=0, out=self.grads["b"])
         return dy @ self.W
 
 
@@ -162,13 +160,10 @@ class SparseLinear:
         if not np.all(np.isfinite(W)):
             raise NumericError("non-finite sparse table")
         self.W = W
-        self.zero_grad()
+        self.rows = np.zeros(0, dtype=np.int64)
+        self.grad = np.zeros((0, W.shape[1]), dtype=W.dtype)
         self._X = None
         self._U = None
-
-    def zero_grad(self) -> None:
-        self.rows = np.zeros(0, dtype=np.int64)
-        self.grad = np.zeros((0, self.W.shape[1]), dtype=self.W.dtype)
 
     def forward(self, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
         batch = len(indptr) - 1
@@ -193,7 +188,9 @@ class ConvMaxPool:
     filters of shape (count, w, d) applied to every length-w slice of the
     (length, d) input, followed by the rectifier and a max over positions.
     Outputs are concatenated in the declared width order, giving one value
-    per filter.
+    per filter. Forward caches, per width, only what backward reads: the
+    im2col columns and, per (filter, example), the argmax position and
+    whether the rectifier passes the pooled value.
     """
 
     def __init__(self, widths: list[tuple[int, int]], d_in: int,
@@ -230,10 +227,6 @@ class ConvMaxPool:
             out[f"b{w}"] = self.biases[w]
         return out
 
-    def zero_grad(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
-
     def forward(self, C: np.ndarray) -> np.ndarray:
         C = np.ascontiguousarray(C, dtype=self.dtype)
         B, l, d = C.shape
@@ -258,7 +251,9 @@ class ConvMaxPool:
             arg = pre_t.argmax(axis=2)
             top = np.take_along_axis(pre_t, arg[:, :, None], axis=2)[:, :, 0]
             pooled.append(relu(top).T)
-            cache["per_width"][w] = (cols, pre_t.transpose(1, 2, 0), arg.T)
+            # backward reads the preactivation only at the argmax, and only
+            # its sign: the rectifier's gate there
+            cache["per_width"][w] = (cols, arg, top > 0.0)
         self._cache = cache
         return np.concatenate(pooled, axis=1)
 
@@ -269,21 +264,19 @@ class ConvMaxPool:
         dC = np.zeros((B, l, d), dtype=self.dtype)
         col = 0
         for w, count in self.widths:
-            cols, pre, arg = cache["per_width"][w]
-            P = pre.shape[1]
-            g = dout[:, col:col + count].T
+            cols, arg, gate = cache["per_width"][w]
+            P = cols.shape[1]
+            # filter-major, as forward computed them
+            g = dout[:, col:col + count].T * gate
             col += count
-            # filter-major again, as forward computed them
-            pre_t, arg_t = pre.transpose(2, 0, 1), arg.T[:, :, None]
-            g = g * (np.take_along_axis(pre_t, arg_t, axis=2)[:, :, 0] > 0.0)
             # the pooled gradient lands on each filter's argmax position
             G = np.zeros((count, B, P), dtype=self.dtype)
-            np.put_along_axis(G, arg_t, g[:, :, None], axis=2)
+            np.put_along_axis(G, arg[:, :, None], g[:, :, None], axis=2)
             G = G.reshape(count, B * P)
             H = self.filters[w].reshape(count, w * d)
-            self.grads[f"H{w}"] += (G @ cols.reshape(B * P, w * d)
-                                    ).reshape(count, w, d)
-            self.grads[f"b{w}"] += g.sum(axis=1)
+            np.matmul(G, cols.reshape(B * P, w * d),
+                      out=self.grads[f"H{w}"].reshape(count, w * d))
+            np.sum(g, axis=1, out=self.grads[f"b{w}"])
             dcols = (G.T @ H).reshape(B, P, w, d)
             for k in range(w):
                 dC[:, k:k + P] += dcols[:, :, k]
@@ -319,10 +312,6 @@ class Lstm:
 
     def params(self) -> dict[str, np.ndarray]:
         return {"Wx": self.Wx, "Wh": self.Wh, "b": self.b}
-
-    def zero_grad(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
 
     def forward(self, xs: np.ndarray, h0: np.ndarray | None = None):
         """Run the recurrence; returns (all hidden states, last state).
@@ -372,6 +361,9 @@ class Lstm:
         dxs = np.zeros((B, steps, self.in_dim), dtype=dtype)
         dh = np.array(dh_last, dtype=dtype)
         dc = np.zeros((B, H), dtype=dtype)
+        # the steps' gradients are summed into the arrays from zero
+        for grad in self.grads.values():
+            grad[...] = 0.0
         for t in range(steps - 1, -1, -1):
             x_t, h_prev, c_prev, i, f, o, g, tanh_c = cache[t]
             do = dh * tanh_c

@@ -18,7 +18,8 @@ reads, so a change upstream reaches every key below it:
             (``levels.stores_read``: main, subword), SHA-256 of the
             descriptions file, the typed spec (each level's kind and
             options) and ``TrainConfig`` (seed and hidden units
-            included)                           model-*.bin
+            included; hidden units equal to the spec's default are
+            stored as unset)                    model-*.bin
     preds   model key                          preds-*.tsv
 
 ``PipelineRun._cached_stage`` runs each of these stages: it checks every
@@ -58,7 +59,7 @@ from .errors import DataError, MulrError, ParseError
 from .fileio import text_lines
 from .corpus import Vocabulary, build_subword_index, build_vocabulary
 from .levels import (LEVEL_OPTIONS, RepresentationSpec, Resources,
-                     build_idf, stores_read)
+                     build_idf, default_hidden_units, stores_read)
 from .metrics import EvalReport, build_report
 from .typer import (MODEL_MAGIC, TrainConfig, TyperModel,
                     calibrate_thresholds, load_model, predict_with_scores,
@@ -196,9 +197,12 @@ def load_config(path, levels: str | None = None) -> ExperimentConfig:
         subword = SgnsConfig(
             seed=seed + 1, threads=threads, positional=False,
             **{k: v for k, v in sub.items() if k in SGNS_KEYS})
+        spec = RepresentationSpec.parse(levels or file_levels, rep)
+        # the spec's own default is the same model as no value at all
+        if hidden_units == default_hidden_units(spec.kinds):
+            hidden_units = None
         train = TrainConfig(seed=seed, hidden_units=hidden_units,
                             **sections.get("train", {}))
-        spec = RepresentationSpec.parse(levels or file_levels, rep)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     return ExperimentConfig(

@@ -153,14 +153,6 @@ class TyperModel:
             out.update({f"clr.{k}": v for k, v in self.clr.grad_dict().items()})
         return out
 
-    def zero_grad(self) -> None:
-        self.w_in.zero_grad()
-        self.w_out.zero_grad()
-        if self.features is not None:
-            self.features.zero_grad()
-        if self.clr is not None:
-            self.clr.zero_grad()
-
     def step(self, opt: AdaGrad) -> None:
         """One optimizer step from the last backward pass: the feature
         table on its touched rows, everything else in full."""
@@ -328,7 +320,6 @@ def train(split: DatasetSplit, spec: RepresentationSpec, resources: Resources,
                               else csr_take(*feats, rows))
             m = labels[rows]
             epoch_loss += bce_loss(p, m)
-            model.zero_grad()
             model.backward_from_probs(p, m)
             model.step(opt)
         if dev_frozen is not None:

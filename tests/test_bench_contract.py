@@ -99,6 +99,36 @@ def test_traced_parameter_names(fn, names):
     assert set(names) <= set(inspect.signature(fn).parameters)
 
 
+def test_kernel_calls_run():
+    """The layer calls of ``perfbench/kernels.py`` at tiny sizes: each
+    kernel forwards and then backpropagates repeatedly on one input, and
+    AdaGrad steps on the dense layer's parameters and ``.grads``."""
+    rng = np.random.default_rng(0)
+    conv = ConvMaxPool([(w, 2) for w in range(1, 4)], 3, rng)
+    chars = rng.uniform(-0.05, 0.05, (4, 6, 3))
+    dconv = rng.standard_normal(conv.forward(chars).shape)
+    lstm = Lstm.initialize(3, 3, rng)
+    seq = rng.uniform(-0.05, 0.05, (4, 6, 3))
+    lstm.forward(seq)
+    dh = rng.standard_normal((4, 3))
+    dense = Dense.initialize(8, 3, rng)
+    x = (rng.random((4, 8)) < 0.5).astype(float)
+    dense.forward(x)
+    dy = rng.standard_normal((4, 3))
+    for _ in range(2):
+        conv.forward(chars)
+        lstm.forward(seq)
+        dense.forward(x)
+    for _ in range(2):
+        assert conv.backward(dconv).shape == chars.shape
+        assert lstm.backward(dh)[0].shape == seq.shape
+        assert dense.backward(dy).shape == x.shape
+    before = {k: v.copy() for k, v in dense.params().items()}
+    AdaGrad(learning_rate=0.01).step(dense.params(), dense.grads)
+    for name, p in dense.params().items():
+        assert np.all(np.isfinite(p)) and not np.array_equal(p, before[name])
+
+
 def test_input_dim_counts_sparse_levels():
     """The tracer's ``levels.input_dim`` reads ``TyperModel.input_dim``, and
     the ``nn.dense_*`` and ``nn.adagrad_step_ms`` kernels size their Dense

@@ -142,6 +142,36 @@ class TestStoreIO:
         assert loaded.tokens == tokens
         np.testing.assert_array_equal(loaded.matrix, store.matrix)
 
+    @pytest.mark.parametrize("dtype,bits", [(np.float32, np.uint32),
+                                            (np.float64, np.uint64)],
+                             ids=["float32", "float64"])
+    def test_text_round_trip_is_bit_exact(self, tmp_path, layer_dtype, dtype,
+                                          bits):
+        """Each value is written as the shortest decimal that reads back to
+        it in the store's dtype, at most 9 significant digits in float32,
+        and the file reads back bit for bit: over many binades, the
+        extremes, a subnormal and a negative zero."""
+        layer_dtype(dtype)
+        rng = np.random.default_rng(7)
+        info = np.finfo(dtype)
+        matrix = (rng.normal(size=(40, 6))
+                  * 10.0 ** rng.integers(-30, 30, size=(40, 6))).astype(dtype)
+        matrix[0, :4] = [info.max, info.tiny, info.smallest_subnormal, -0.0]
+        store = EmbeddingStore(kind="skip", dim=6,
+                               tokens=[f"t{i}" for i in range(40)],
+                               matrix=matrix)
+        path = tmp_path / "v.vec"
+        save_embeddings(store, path)
+        loaded = load_embeddings(path)
+        assert loaded.matrix.dtype == dtype
+        np.testing.assert_array_equal(loaded.matrix.view(bits),
+                                      store.matrix.view(bits))
+        if dtype == np.float32:
+            values = [v for line in path.read_text(encoding="utf-8")
+                      .splitlines()[1:] for v in line.split()[1:]]
+            assert max(len(v.lstrip("-").split("e")[0].replace(".", "")
+                           .strip("0")) for v in values) <= 9
+
     @pytest.mark.usefixtures("float64_layers")
     def test_rows_match_per_value_repr(self, tmp_path):
         n = 20
@@ -934,7 +964,6 @@ def linear_probe_accuracy(x_train: np.ndarray, y_train: np.ndarray,
     y = y_train.reshape(-1, 1).astype(float)
     for _ in range(epochs):
         p = sigmoid(dense.forward(xtr))
-        dense.zero_grad()
         dense.backward((p - y) / len(y))
         opt.step(dense.params(), dense.grads)
     pred = sigmoid(dense.forward(xte)).reshape(-1) > 0.5

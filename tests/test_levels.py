@@ -136,7 +136,6 @@ class TestClrEncoders:
                 return float(np.sum(enc.forward(ids) * weights))
 
             loss_fn()
-            enc.zero_grad()
             enc.backward(weights)
             err = grad_check(loss_fn, enc.params(), enc.grad_dict(), rng=rng)
             assert err < 1e-4, kind

@@ -7,6 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from mulr import nn
 from mulr.errors import NumericError
+from mulr.levels import CharVocab, ClrEncoder, LevelSpec
 from mulr.nn import (AdaGrad, ConvMaxPool, Dense, Lstm, SparseLinear,
                      bce_loss, csr_take, grad_check, relu, sigmoid)
 
@@ -89,9 +90,15 @@ class TestConvMaxPool:
     def test_feature_map_length(self):
         rng = np.random.default_rng(0)
         net = ConvMaxPool([(3, 2)], d_in=4, rng=rng)
-        net.forward(rng.normal(size=(1, 10, 4)))
-        _, pre, _ = net._cache["per_width"][3]
+        C = rng.normal(size=(1, 10, 4))
+        out = net.forward(C)
+        pre = conv_preactivations(net, C)[3]
         assert pre.shape == (1, 8, 2)  # l - w + 1
+        # the layer's im2col columns hold one row per position, and it
+        # pools over all of them
+        assert net._cache["per_width"][3][0].shape[:2] == (1, 8)
+        np.testing.assert_allclose(out, relu(pre.max(axis=1)), rtol=0,
+                                   atol=1e-6)
 
     def test_zero_filter_zero_bias(self):
         rng = np.random.default_rng(0)
@@ -131,20 +138,73 @@ class TestConvMaxPool:
         with pytest.raises(NumericError, match="shorter"):
             net.forward(np.ones((1, 3, 2)))
 
-    def test_zero_grad_clears_the_same_arrays(self):
-        """Like ``Dense`` and ``Lstm``, the gradients are allocated once and
-        zeroed in place on each step."""
-        rng = np.random.default_rng(0)
-        net = ConvMaxPool([(2, 3), (3, 2)], d_in=4, rng=rng)
-        grads = dict(net.grads)
-        out = net.forward(rng.normal(size=(2, 6, 4)))
-        net.backward(np.ones_like(out))
-        assert any(g.any() for g in net.grads.values())
-        net.zero_grad()
-        assert net.grads.keys() == grads.keys()
-        for name, g in net.grads.items():
-            assert g is grads[name]
-            assert not g.any()
+
+ENCODER_OPTIONS = {"padded_len": 6, "char_dim": 3, "hidden_dim": 4,
+                   "widths": (1, 2), "feature_maps": 2}
+LAYERS = ["dense", "sparse", "conv", "lstm", "clr-forward", "clr-cnn",
+          "clr-lstm", "clr-bilstm"]
+
+
+def forwarded_layer(name: str, rng: np.random.Generator):
+    """Layer ``name`` after one forward over a batch of 3, and an output
+    gradient to pass back."""
+    if name == "dense":
+        layer = Dense.initialize(5, 4, rng)
+        out = layer.forward(rng.normal(size=(3, 5)))
+    elif name == "sparse":
+        layer = SparseLinear(rng.normal(size=(6, 4)))
+        out = layer.forward(np.array([0, 2, 2, 5]), np.array([1, 4, 0, 4, 5]))
+    elif name == "conv":
+        layer = ConvMaxPool([(2, 3), (3, 2)], d_in=4, rng=rng)
+        out = layer.forward(rng.normal(size=(3, 6, 4)))
+    elif name == "lstm":
+        layer = Lstm.initialize(3, 4, rng)
+        _, out = layer.forward(rng.normal(size=(3, 5, 3)))
+    else:
+        layer = ClrEncoder(LevelSpec(kind=name, options=ENCODER_OPTIONS),
+                           CharVocab(chars=tuple("abcdef")), rng)
+        out = layer.forward(layer.ids_for(["abc", "fed", "a"]))
+    return layer, rng.normal(size=out.shape)
+
+
+def layer_grads(layer) -> dict[str, np.ndarray]:
+    if isinstance(layer, SparseLinear):
+        return {"rows": layer.rows, "grad": layer.grad}
+    if isinstance(layer, ClrEncoder):
+        return layer.grad_dict()
+    return layer.grads
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_backward_overwrites_the_gradients(name):
+    """Two backward passes after one forward give the gradients of one,
+    not their sum. A layer with full gradients writes them into the arrays
+    it allocated at construction; ``SparseLinear`` sets fresh row
+    gradients."""
+    layer, dy = forwarded_layer(name, np.random.default_rng(0))
+    allocated = dict(layer_grads(layer))
+    layer.backward(dy)
+    once = {k: g.copy() for k, g in layer_grads(layer).items()}
+    assert all(g.any() for g in once.values())
+    layer.backward(dy)
+    twice = layer_grads(layer)
+    assert twice.keys() == once.keys()
+    for k, g in twice.items():
+        np.testing.assert_array_equal(g, once[k], err_msg=k)
+        if not isinstance(layer, SparseLinear):
+            assert g is allocated[k], k
+
+
+def conv_preactivations(net: ConvMaxPool, C: np.ndarray) -> dict:
+    """Per width, the (batch, positions, filters) preactivations of
+    ``net`` on ``C``, by einsum over the windows."""
+    out = {}
+    for w, _ in net.widths:
+        # windows[b, p, d, k] = C[b, p + k, d]
+        windows = sliding_window_view(C, w, axis=1)
+        out[w] = (np.einsum("bpdk,fkd->bpf", windows, net.filters[w])
+                  + net.biases[w])
+    return out
 
 
 def conv_reference(net: ConvMaxPool, C: np.ndarray, dout: np.ndarray):
@@ -155,11 +215,10 @@ def conv_reference(net: ConvMaxPool, C: np.ndarray, dout: np.ndarray):
     dC = np.zeros_like(C)
     col = 0
     rows = np.arange(B)[:, None]
+    preactivations = conv_preactivations(net, C)
     for w, count in net.widths:
         windows = sliding_window_view(C, w, axis=1)
-        # windows[b, p, d, k] = C[b, p + k, d]
-        pre = np.einsum("bpdk,fkd->bpf", windows, net.filters[w])
-        pre += net.biases[w]
+        pre = preactivations[w]
         act = relu(pre)
         arg = act.argmax(axis=1)
         pooled.append(np.take_along_axis(act, arg[:, None, :], axis=1)[:, 0, :])
@@ -191,7 +250,6 @@ class TestConvMaxPoolReference:
         dout = rng.normal(size=(6, net.out_dim))
         ref_out, ref_grads, ref_dC = conv_reference(net, C, dout)
         out = net.forward(C)
-        net.zero_grad()
         dC = net.backward(dout)
         np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dC, ref_dC, rtol=0, atol=1e-12)
@@ -218,7 +276,6 @@ class TestConvMaxPoolReference:
         dout = rng.normal(size=(6, net.out_dim))
         ref_out, ref_grads, ref_dC = conv_reference(ref, C, dout)
         out = net.forward(C)
-        net.zero_grad()
         dC = net.backward(dout)
         assert out.dtype == dC.dtype == np.float32
         np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-6)
@@ -325,7 +382,7 @@ class TestAdaGrad:
         opt.step(p, g)
         assert p["w"][0] == pytest.approx(1.0 - 0.1, abs=1e-8)
 
-    def test_zero_gradient_no_change(self):
+    def test_gradient_of_zeros_no_change(self):
         p = {"w": np.array([2.0])}
         opt = AdaGrad(learning_rate=0.1)
         opt.step(p, {"w": np.array([0.0])})
@@ -414,9 +471,9 @@ def _away_from_kinks(x: np.ndarray, margin: float = 1e-3) -> bool:
     return bool(np.all(np.abs(x) > margin))
 
 
-def _pool_margins_ok(net: ConvMaxPool, margin: float = 1e-3) -> bool:
-    for w, _ in net.widths:
-        _, pre, _ = net._cache["per_width"][w]
+def _pool_margins_ok(net: ConvMaxPool, C: np.ndarray,
+                     margin: float = 1e-3) -> bool:
+    for pre in conv_preactivations(net, C).values():
         act = relu(pre)
         top2 = np.sort(act, axis=1)[:, -2:, :]
         if np.any(top2[:, 1, :] - top2[:, 0, :] < margin):
@@ -440,7 +497,6 @@ class TestGradCheck:
                 return bce_loss(sigmoid(layer.forward(x)), m)
 
             p = sigmoid(layer.forward(x))
-            layer.zero_grad()
             layer.backward(p - m)
             err = grad_check(loss_fn, layer.params(), layer.grads, rng=rng)
             assert err < 1e-4
@@ -470,7 +526,7 @@ class TestGradCheck:
             C = rng.normal(size=(2, 7, 4))
             weights = rng.normal(size=(2, 5))
             net.forward(C)
-            if not _pool_margins_ok(net):
+            if not _pool_margins_ok(net, C):
                 continue  # resample away from pooling ties
             done += 1
 
@@ -480,7 +536,6 @@ class TestGradCheck:
             def loss_fn():
                 return float(np.sum(net.forward(C) * weights))
 
-            net.zero_grad()
             dC = net.backward(weights)
             grads = dict(net.grads)
             grads["C"] = dC
@@ -502,7 +557,6 @@ class TestGradCheck:
                 return float(np.sum(last * weights))
 
             loss_fn()
-            cell.zero_grad()
             dxs, _ = cell.backward(weights)
             grads = dict(cell.grads)
             grads["xs"] = dxs
@@ -523,8 +577,6 @@ class TestGradCheck:
             return float(np.sum(np.concatenate([h_f, h_b], axis=1) * weights))
 
         loss_fn()
-        fwd.zero_grad()
-        bwd.zero_grad()
         dxs_rev, dh0 = bwd.backward(weights[:, 4:])
         dxs_f, _ = fwd.backward(weights[:, :4] + dh0)
         dxs = dxs_rev[:, ::-1] + dxs_f
@@ -539,9 +591,8 @@ class TestGradCheck:
 
 
 def _layer_grads(layer, x, dy) -> dict[str, np.ndarray]:
-    """Forward ``x`` and backward ``dy`` from zero: the parameter gradients
-    and, as ``input``, the input gradient."""
-    layer.zero_grad()
+    """Forward ``x`` and backward ``dy``: the parameter gradients and, as
+    ``input``, the input gradient."""
     layer.forward(x)
     dx = layer.backward(dy)
     return dict(layer.grads, input=dx[0] if isinstance(layer, Lstm) else dx)

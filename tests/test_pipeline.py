@@ -4,6 +4,7 @@ from mulr import pipeline, synthetic
 from mulr.corpus import save_corpus, save_notable
 from mulr.dataset import save_dataset, save_type_system
 from mulr.errors import DataError
+from mulr.levels import default_hidden_units
 from mulr.pipeline import PipelineRun, load_config, run_pipeline
 
 INPUTS = {"corpus": "corpus.txt", "dataset": "dataset.tsv",
@@ -89,19 +90,25 @@ class TestModelKey:
         after = model_key(write_config(experiment, **{section: {key: value}}))
         assert after != before
 
-    @pytest.mark.parametrize("levels,train", [
-        ("elr, tc", {}),
-        ("elr,tc", {"epochs": "200"}),
-        ("elr,tc", {"learning_rate": "0.01"}),
-    ], ids=["spaced-levels", "default-epochs", "default-learning-rate"])
-    def test_equal_settings_share_the_key(self, experiment, levels, train):
+    @pytest.mark.parametrize("levels,section,values", [
+        ("elr, tc", "train", {}),
+        ("elr,tc", "train", {"epochs": "200"}),
+        ("elr,tc", "train", {"learning_rate": "0.01"}),
+        ("elr,tc", "representation",
+         {"hidden_units": str(default_hidden_units(("elr", "tc")))}),
+    ], ids=["spaced-levels", "default-epochs", "default-learning-rate",
+            "default-hidden-units"])
+    def test_equal_settings_share_the_key(self, experiment, levels, section,
+                                          values):
         """The key hashes the typed settings, not the text: spacing in the
-        level list and a [train] value equal to its default change
-        nothing."""
+        level list, a [train] value equal to its default and hidden units
+        equal to the spec's default change nothing."""
         plain = model_key(write_config(experiment, levels="elr,tc",
                                        train={"epochs": None}))
+        overrides = {"train": {"epochs": None}}
+        overrides.setdefault(section, {}).update(values)
         same = model_key(write_config(experiment, levels=levels,
-                                      train={"epochs": None, **train}))
+                                      **overrides))
         assert same == plain
 
     def test_changes_with_the_model_format(self, experiment, monkeypatch):

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mulr import nn, typer
 from mulr.corpus import build_subword_index, build_vocabulary
@@ -349,6 +350,34 @@ def test_two_threads_score_one_loaded_model_alike(tmp_path):
         np.testing.assert_array_equal(rows, expected)
 
 
+def test_scoring_caches_no_conv_preactivations():
+    """After scoring, the CNN's cache holds per width the im2col columns
+    and one argmax and one rectifier gate per (filter, name), and nothing
+    it views is larger: no (names, positions, filters) preactivation is
+    kept alive."""
+    split, res = indicator_problem()
+    entities = split.all_entities()
+    names = instance_names(SCORE_BATCH + 21)
+    insts = [(entities[i % len(entities)].id, name)
+             for i, name in enumerate(names)]
+    model = untrained_model(
+        RepresentationSpec.parse("elr,clr-cnn,tc", CLR_OPTIONS), res, names)
+    model.scores_for(insts)
+    net, clr = model.clr.net, model.clr
+    batch = 21  # the last chunk
+    for w, count in net.widths:
+        cols, arg, gate = net._cache["per_width"][w]
+        assert cols.shape == (batch, clr.padded_len - w + 1,
+                              w * clr.char_dim)
+        assert arg.shape == gate.shape == (count, batch)
+        assert gate.dtype == bool
+        for a in (cols, arg, gate):
+            base = a
+            while isinstance(base.base, np.ndarray):
+                base = base.base
+            assert base.nbytes == a.nbytes
+
+
 # ---------------------------------------------------------------------------
 # the dense reference for bow/nsl: 0/1 rows in the layout columns and one
 # Dense over the full input, as the typer computed before the feature table
@@ -409,8 +438,6 @@ def dense_pass(model, w_in, insts, labels):
     x = dense_input(model, insts)
     h = w_in.forward(x)
     p = sigmoid(model.w_out.forward(relu(h)))
-    model.zero_grad()
-    w_in.zero_grad()
     dh = model.w_out.backward((p - labels) / len(insts)) * (h > 0.0)
     dv = w_in.backward(dh)
     if model.clr is not None:
@@ -439,7 +466,6 @@ def joined_grads(model, insts, labels) -> dict[str, np.ndarray]:
     p = model.forward(model.compose(model.frozen_matrix(insts),
                                     model.char_matrix(insts)),
                       model.feature_rows(insts))
-    model.zero_grad()
     model.backward_from_probs(p, labels)
     sparse = sparse_columns(model)
     got = dict(model.grad_dict())
@@ -612,8 +638,9 @@ class TestTrainFeatureTable:
             for row in expected]
 
 
-def _pool_margins_ok(net, margin=1e-3):
-    """True when no max-pool decision can flip under a tiny perturbation.
+def _pool_margins_ok(net, C, margin=1e-3):
+    """True when no max-pool decision of ``net`` on ``C`` can flip under a
+    tiny perturbation.
 
     Exactly tied window scores come from identical window contents (the
     padding region) and move jointly under any parameter perturbation, so
@@ -621,7 +648,9 @@ def _pool_margins_ok(net, margin=1e-3):
     safe when every preactivation is clearly negative.
     """
     for w, _ in net.widths:
-        _, pre, _ = net._cache["per_width"][w]
+        # pre[b, p, f]: filter f on the window of C at position p
+        pre = (np.einsum("bpdk,fkd->bpf", sliding_window_view(C, w, axis=1),
+                         net.filters[w]) + net.biases[w])
         act = relu(pre)
         B, P, F = act.shape
         for b in range(B):
@@ -673,9 +702,8 @@ class TestEndToEndGradient:
             p = model.forward(model.compose(frozen, ids))
             if np.any(np.abs(model._h_pre) < 1e-3):
                 continue  # resample away from the rectifier kink
-            if not _pool_margins_ok(model.clr.net):
+            if not _pool_margins_ok(model.clr.net, model.clr.table[ids]):
                 continue  # resample away from pooling ties
-            model.zero_grad()
             model.backward_from_probs(p, labels)
             err = grad_check(loss_fn, model.params(), model.grad_dict(),
                              rng=np.random.default_rng(seed + 2),
@@ -702,7 +730,6 @@ class TestEndToEndGradient:
         for net in (model, ref):
             p = net.forward(net.compose(net.frozen_matrix(insts),
                                         net.char_matrix(insts)))
-            net.zero_grad()
             net.backward_from_probs(p, labels)
         expected, got = ref.grad_dict(), model.grad_dict()
         for name, g in expected.items():
