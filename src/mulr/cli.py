@@ -107,6 +107,8 @@ def _cmd_embed(args) -> int:
 def _cmd_train(args) -> int:
     run = PipelineRun(load_config(args.config, levels=args.levels))
     model = run.train_model()
+    for note in model.flags:
+        print(f"mulr: note: {note}", file=sys.stderr)
     if args.out:
         save_model(model, args.out)
         print(f"wrote {args.out}")
@@ -170,9 +172,7 @@ def _read_report(path) -> tuple[dict, dict]:
     """(metric values, counts) from a report TSV of ``mulr evaluate``."""
     rows = {}
     counts = {}
-    for line_no, raw in text_lines(path):
-        if not raw.strip() or raw.startswith("#"):
-            continue
+    for line_no, raw in text_lines(path, rows=True):
         fields = raw.split("\t")
         if len(fields) != 3:
             raise ParseError(path, line_no,

@@ -106,22 +106,24 @@ def load_corpus(path) -> AnnotatedCorpus:
     return AnnotatedCorpus(sentences=sentences, mentions=mentions, path=path)
 
 
+def _spans(sent: list[str], mentions: list[Mention]):
+    """(mention, its tokens) for each mention of the sentence and
+    (None, [token]) for each token outside them, in sentence order."""
+    by_start = {m.start: m for m in mentions}
+    i = 0
+    while i < len(sent):
+        m = by_start.get(i)
+        end = i + 1 if m is None else m.end
+        yield m, sent[i:end]
+        i = end
+
+
 def save_corpus(corpus: AnnotatedCorpus, path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         for sent, ms in zip(corpus.sentences, corpus.mentions):
-            by_start = {m.start: m for m in ms}
-            parts: list[str] = []
-            i = 0
-            while i < len(sent):
-                m = by_start.get(i)
-                if m is not None:
-                    surface = " ".join(sent[m.start:m.end])
-                    parts.append(f"[[{m.entity_id}|{surface}]]")
-                    i = m.end
-                else:
-                    parts.append(sent[i])
-                    i += 1
-            fh.write(" ".join(parts) + "\n")
+            fh.write(" ".join(
+                toks[0] if m is None else f"[[{m.entity_id}|{' '.join(toks)}]]"
+                for m, toks in _spans(sent, ms)) + "\n")
 
 
 def build_three_copy_corpus(
@@ -143,36 +145,24 @@ def build_three_copy_corpus(
                             f"notable type and not excluded{source}")
     out: list[list[str]] = []
     for sent, ms in zip(corpus.sentences, corpus.mentions):
-        ordered = sorted(ms, key=lambda m: m.start)
-        out.append(list(sent))
         entity_copy: list[str] = []
         type_copy: list[str] = []
-        i = 0
-        by_start = {m.start: m for m in ordered}
-        while i < len(sent):
-            m = by_start.get(i)
-            if m is not None:
-                entity_copy.append(m.entity_id)
-                if m.entity_id in exclude:
-                    type_copy.extend(sent[m.start:m.end])
-                else:
-                    type_copy.append(notable[m.entity_id])
-                i = m.end
+        for m, toks in _spans(sent, ms):
+            if m is None:
+                entity_copy += toks
+                type_copy += toks
             else:
-                entity_copy.append(sent[i])
-                type_copy.append(sent[i])
-                i += 1
-        out.append(entity_copy)
-        out.append(type_copy)
+                entity_copy.append(m.entity_id)
+                type_copy += (toks if m.entity_id in exclude
+                              else [notable[m.entity_id]])
+        out += [list(sent), entity_copy, type_copy]
     return out
 
 
 def load_notable(path) -> dict[str, str]:
     path = Path(path)
     notable: dict[str, str] = {}
-    for line_no, line in text_lines(path):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for line_no, line in text_lines(path, rows=True):
         fields = line.split("\t")
         if len(fields) != 2:
             raise ParseError(path, line_no, "expected entity_id<TAB>type_id")
@@ -206,10 +196,7 @@ class Vocabulary:
 
     @property
     def tokens(self) -> list[str]:
-        toks = [""] * len(self.index)
-        for t, i in self.index.items():
-            toks[i] = t
-        return toks
+        return sorted(self.index, key=self.index.get)
 
 
 def build_vocabulary(

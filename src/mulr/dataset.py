@@ -132,11 +132,8 @@ def close_under_parents(e: EntityRecord, ts: TypeSystem) -> EntityRecord:
 
 def refine(split: DatasetSplit, ts: TypeSystem) -> DatasetSplit:
     """Close every record's gold types under the parent relation."""
-    return DatasetSplit(
-        train=tuple(close_under_parents(e, ts) for e in split.train),
-        dev=tuple(close_under_parents(e, ts) for e in split.dev),
-        test=tuple(close_under_parents(e, ts) for e in split.test),
-    )
+    return DatasetSplit(*(tuple(close_under_parents(e, ts) for e in part)
+                          for part in (split.train, split.dev, split.test)))
 
 
 def slice_entities(split: DatasetSplit) -> dict[str, list[EntityRecord]]:
@@ -172,9 +169,7 @@ def load_type_system(path) -> TypeSystem:
     path = Path(path)
     types: list[str] = []
     parent: dict[str, str] = {}
-    for line_no, line in text_lines(path):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for line_no, line in text_lines(path, rows=True):
         fields = line.split("\t")
         if len(fields) > 2:
             raise ParseError(path, line_no, "expected at most two columns")

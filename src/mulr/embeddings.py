@@ -132,13 +132,10 @@ class EmbeddingStore:
     def rows(self, tokens, label: str) -> np.ndarray:
         """Matrix row of each token; a missing one is a ``DataError`` that
         names it as a ``label``."""
-        out = np.empty(len(tokens), dtype=np.int64)
-        for k, token in enumerate(tokens):
-            i = self.index.get(token)
-            if i is None:
+        for token in tokens:
+            if token not in self.index:
                 raise DataError(f"no {label} embedding for {token!r}")
-            out[k] = i
-        return out
+        return np.array([self.index[t] for t in tokens], dtype=np.int64)
 
     def word_vector(self, word: str) -> np.ndarray | None:
         """Vector for a word; subword stores compose it from ngram pieces.
@@ -398,24 +395,18 @@ def _epoch_pairs(tok: np.ndarray, sent: np.ndarray, cfg: SgnsConfig,
     else:
         b = np.full(n, cfg.window, dtype=np.int64)
     centers, contexts, blocks, order = [], [], [], []
-    for delta in range(1, cfg.window + 1):
-        if delta >= n:
-            break
+    for delta in range(1, min(cfg.window + 1, n)):
         same = sent[:n - delta] == sent[delta:]
-        right = same & (b[:n - delta] >= delta)
-        i = np.nonzero(right)[0]
-        centers.append(tok[i])
-        contexts.append(tok[i + delta])
-        blocks.append(np.full(i.size, _block_of(delta, cfg.window,
-                                                cfg.positional)))
-        order.append(i)
-        left = same & (b[delta:] >= delta)
-        j = np.nonzero(left)[0] + delta
-        centers.append(tok[j])
-        contexts.append(tok[j - delta])
-        blocks.append(np.full(j.size, _block_of(-delta, cfg.window,
-                                                cfg.positional)))
-        order.append(j)
+        # the centers with a context at +delta, then those with one at -delta
+        for i, offset in ((np.nonzero(same & (b[:n - delta] >= delta))[0],
+                           delta),
+                          (np.nonzero(same & (b[delta:] >= delta))[0] + delta,
+                           -delta)):
+            centers.append(tok[i])
+            contexts.append(tok[i + offset])
+            blocks.append(np.full(i.size, _block_of(offset, cfg.window,
+                                                    cfg.positional)))
+            order.append(i)
     if not centers:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty

@@ -1,7 +1,8 @@
 """File layouts that several loaders share.
 
 Text files are UTF-8, read with universal newlines. ``text_lines`` yields
-their lines with line numbers, and a line that is not valid UTF-8 is a
+their lines with line numbers (with ``rows``, only the lines that are not
+blank or ``#`` comments), and a line that is not valid UTF-8 is a
 ``ParseError`` naming the path and line.
 
 Array files (the model file and the pipeline's cached embedding stores)
@@ -26,8 +27,9 @@ import numpy as np
 from .errors import DataError, MulrError, ParseError
 
 
-def text_lines(path):
-    """Yield (line number, line without its newline) for a UTF-8 text file."""
+def text_lines(path, rows: bool = False):
+    """Yield (line number, line without its newline) for a UTF-8 text file;
+    with ``rows``, skip blank lines and ``#`` comments."""
     # undecodable bytes become lone surrogates, which valid UTF-8 never
     # yields, so a line that fails to encode back is the one to report
     with Path(path).open(encoding="utf-8", errors="surrogateescape") as fh:
@@ -38,7 +40,9 @@ def text_lines(path):
                 except UnicodeEncodeError:
                     raise ParseError(path, line_no,
                                      "not valid UTF-8") from None
-            yield line_no, line.rstrip("\n")
+            line = line.rstrip("\n")
+            if not (rows and (not line.strip() or line.startswith("#"))):
+                yield line_no, line
 
 
 def write_array_file(path, magic: str, meta: dict,

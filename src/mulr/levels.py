@@ -18,6 +18,9 @@ A representation is the concatenation of the requested levels in the given
 order; the layout (level, dimension) pairs are recorded so a classifier is
 never applied across layouts. ``Assembler.frozen_matrix`` builds the dense
 levels; the sparse levels' ids come from ``Assembler.feature_rows``.
+
+Levels make no notes: a level with nothing to average returns the zero
+vector, and ``typer.train`` counts those rows per level (``frozen_slices``).
 """
 
 from __future__ import annotations
@@ -50,6 +53,14 @@ MAX_WIDTH = 10
 CLR_KINDS = ("clr-forward", "clr-cnn", "clr-lstm", "clr-bilstm")
 SPARSE_KINDS = ("bow", "nsl")
 LEVEL_KINDS = CLR_KINDS + SPARSE_KINDS + ("wwlr", "swlr", "elr", "tc", "avg-des")
+
+# the options each kind reads; a kind not named reads none
+_CHAR_OPTIONS = ("padded_len", "char_dim")
+KIND_OPTIONS = {"clr-forward": _CHAR_OPTIONS,
+                "clr-cnn": _CHAR_OPTIONS + ("widths", "feature_maps"),
+                "clr-lstm": _CHAR_OPTIONS + ("hidden_dim",),
+                "clr-bilstm": _CHAR_OPTIONS + ("hidden_dim",),
+                "avg-des": ("top_k",)}
 
 # The store each embedding level reads. The three-copy corpus trains words,
 # entity ids and type ids into one skip-gram space, the main store; subword
@@ -110,6 +121,17 @@ def default_cnn_bank(kinds) -> tuple[tuple[int, ...], int]:
     return tuple(range(1, 8)), 50
 
 
+def _check_options(options: dict) -> None:
+    """A ``DataError`` for the first level option out of its range."""
+    for name, least in OPTION_MINIMA.items():
+        if options.get(name, least) < least:
+            raise DataError(f"{name}: {options[name]} is below {least}")
+    widths = options.get("widths", (1,))
+    if not widths or not all(1 <= w <= MAX_WIDTH for w in widths):
+        raise DataError(f"widths: {widths} is not one or more widths "
+                        f"in 1..{MAX_WIDTH}")
+
+
 @dataclass
 class LevelSpec:
     """One requested level with its hyperparameters."""
@@ -120,14 +142,7 @@ class LevelSpec:
     def __post_init__(self):
         if self.kind not in LEVEL_KINDS:
             raise DataError(f"unknown representation level {self.kind!r}")
-        for name, least in OPTION_MINIMA.items():
-            if self.options.get(name, least) < least:
-                raise DataError(f"{name}: {self.options[name]} is below "
-                                f"{least}")
-        widths = self.options.get("widths", (1,))
-        if not widths or not all(1 <= w <= MAX_WIDTH for w in widths):
-            raise DataError(f"widths: {widths} is not one or more widths "
-                            f"in 1..{MAX_WIDTH}")
+        _check_options(self.options)
 
     def opt(self, name, default):
         return self.options.get(name, default)
@@ -161,11 +176,16 @@ class RepresentationSpec:
 
     @classmethod
     def parse(cls, text: str, options: dict | None = None) -> "RepresentationSpec":
-        """Parse a comma-separated level list such as ``elr,swlr,clr-cnn,tc``."""
+        """Parse a comma-separated level list such as ``elr,swlr,clr-cnn,tc``;
+        every option is range-checked, and each level keeps the ones its
+        kind reads (``KIND_OPTIONS``)."""
         kinds = [k.strip() for k in text.split(",") if k.strip()]
         shared = dict(options or {})
-        return cls(levels=tuple(LevelSpec(kind=k, options=dict(shared))
-                                for k in kinds))
+        _check_options(shared)
+        return cls(levels=tuple(
+            LevelSpec(kind=k, options={name: v for name, v in shared.items()
+                                       if name in KIND_OPTIONS.get(k, ())})
+            for k in kinds))
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +344,15 @@ def _usable_vectors(words, store: EmbeddingStore):
             yield v
 
 
-def wlr(name: str, store: EmbeddingStore,
-        flags: list[str] | None = None) -> np.ndarray:
+def wlr(name: str, store: EmbeddingStore) -> np.ndarray:
     """Mean of the available name-word vectors.
 
     Plain stores look words up verbatim with a lowercase fallback; subword
     stores compose out-of-vocabulary words from their ngrams. If no word
-    contributes, the zero vector is returned and a flag recorded.
+    contributes, the zero vector is returned.
     """
     vecs = list(_usable_vectors(name_words(name), store))
     if not vecs:
-        if flags is not None:
-            flags.append(f"no word vectors for name {name!r}")
         return np.zeros(store.dim)
     return np.mean(vecs, axis=0)
 
@@ -438,14 +455,13 @@ def build_idf(descriptions: dict[str, list[str]]) -> dict[str, float]:
 
 
 def avg_des(description: list[str], idf: dict[str, float],
-            store: EmbeddingStore, k: int = DEFAULT_TOP_K_DESCRIPTION_WORDS,
-            flags: list[str] | None = None) -> np.ndarray:
+            store: EmbeddingStore,
+            k: int = DEFAULT_TOP_K_DESCRIPTION_WORDS) -> np.ndarray:
     """Mean embedding of the top-k description words by tf-idf.
 
     Words are ranked by in-description term frequency times idf, ties
     broken lexicographically; the first k ranked words with a usable
-    vector contribute. With nothing usable the zero vector is returned
-    and a flag recorded.
+    vector contribute. With nothing usable the zero vector is returned.
     """
     if k < 1:
         raise DataError("k must be at least 1")
@@ -455,8 +471,6 @@ def avg_des(description: list[str], idf: dict[str, float],
     ranked = sorted(tf, key=lambda w: (-tf[w] * idf.get(w, 0.0), w))
     vecs = list(itertools.islice(_usable_vectors(ranked, store), k))
     if not vecs:
-        if flags is not None:
-            flags.append("no usable description words")
         return np.zeros(store.dim)
     return np.mean(vecs, axis=0)
 
@@ -538,31 +552,35 @@ class Assembler:
     def _store(self, kind: str) -> EmbeddingStore:
         return self.resources.store(LEVEL_STORES[kind])
 
-    def frozen_matrix(self, instances,
-                      flags: list[str] | None = None) -> np.ndarray:
+    def frozen_slices(self) -> list[tuple[LevelSpec, int, int]]:
+        """(level, first column, end column) of each dense frozen level in
+        the rows of ``frozen_matrix``, in spec order."""
+        dense = [lv for lv in self.spec.levels
+                 if lv.kind not in CLR_KINDS + SPARSE_KINDS]
+        ends = list(itertools.accumulate(self.level_dim(lv) for lv in dense))
+        return list(zip(dense, [0] + ends[:-1], ends))
+
+    def frozen_matrix(self, instances) -> np.ndarray:
         """Concatenation of the dense frozen levels, one row per (entity id,
         name) instance; character levels take no columns, the typer inserts
         the encoder output there, and sparse levels take none either.
 
         ``elr`` and ``tc`` are built as blocks over all instances; the
-        per-name levels run in one instance-major loop, so ``flags`` gets
-        their notes in instance order, levels in spec order within each.
+        per-name levels run in one instance-major loop.
         """
         self._check_fitted()
-        dims = [0 if lv.kind in SPARSE_KINDS else
-                self.level_dim(lv, clr_dim=0) for lv in self.spec.levels]
-        offsets = np.cumsum([0] + dims)
-        out = np.empty((len(instances), offsets[-1]))
+        slices = self.frozen_slices()
+        out = np.empty((len(instances), slices[-1][2] if slices else 0))
         ids = [eid for eid, _ in instances]
         per_name = []
-        for lv, lo, hi in zip(self.spec.levels, offsets[:-1], offsets[1:]):
+        for lv, lo, hi in slices:
             if lv.kind in ("elr", "tc"):
                 out[:, lo:hi] = self._entity_block(lv.kind, ids)
-            elif lv.kind not in CLR_KINDS + SPARSE_KINDS:
+            else:
                 per_name.append((lv, lo, hi))
         for row, (eid, name) in enumerate(instances):
             for lv, lo, hi in per_name:
-                out[row, lo:hi] = self._level_vector(lv, eid, name, flags)
+                out[row, lo:hi] = self._level_vector(lv, eid, name)
         return out
 
     def feature_rows(self, instances) -> tuple[np.ndarray, np.ndarray]:
@@ -596,16 +614,14 @@ class Assembler:
         return type_cosine_matrix(entity_ids, store,
                                   self.resources.type_system)
 
-    def _level_vector(self, lv: LevelSpec, entity_id: str, name: str,
-                      flags: list[str] | None) -> np.ndarray:
+    def _level_vector(self, lv: LevelSpec, entity_id: str,
+                      name: str) -> np.ndarray:
         store = self._store(lv.kind)
         if lv.kind != "avg-des":
-            return wlr(name, store, flags)
+            return wlr(name, store)
         res = self.resources
         desc = (res.descriptions or {}).get(entity_id)
         if desc is None:
-            if flags is not None:
-                flags.append(f"no description for {entity_id!r}")
             return np.zeros(store.dim)
         k = int(lv.opt("top_k", DEFAULT_TOP_K_DESCRIPTION_WORDS))
-        return avg_des(desc, res.idf or {}, store, k=k, flags=flags)
+        return avg_des(desc, res.idf or {}, store, k=k)

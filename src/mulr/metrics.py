@@ -3,9 +3,12 @@
 An entity is strictly correct only when its predicted type set equals its
 gold set exactly. Micro F1 pools every entity-type decision; entity macro
 F1 averages per-entity F1; type macro F1 averages per-type F1 over types
-that have at least one gold test entity (the excluded count is reported).
-When both the prediction and the gold set are empty, per-entity F1 is 1 by
-convention and the report is flagged.
+that have at least one gold test entity. When both the prediction and the
+gold set are empty, per-entity F1 is 1 by convention.
+
+The metric functions make no notes: ``build_report`` notes, from what it
+computed, each empty slice, each slice with no predictions and no golds,
+and per type slice the types without gold test entities.
 
 Type slices follow the train-count boundaries: head types have at least
 3000 train entities, tail types fewer than 200.
@@ -14,6 +17,7 @@ Type slices follow the train-count boundaries: head types have at least
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,8 +59,7 @@ def strict_accuracy(preds: list[set], golds: list[set]) -> float:
     return sum(p == g for p, g in zip(preds, golds)) / len(preds)
 
 
-def micro_f1(preds: list[set], golds: list[set],
-             flags: list[str] | None = None) -> float:
+def micro_f1(preds: list[set], golds: list[set]) -> float:
     """F1 over all pooled entity-type assignment decisions."""
     _check_aligned(preds, golds)
     tp = fp = fn = 0
@@ -64,8 +67,6 @@ def micro_f1(preds: list[set], golds: list[set],
         tp += len(p & g)
         fp += len(p - g)
         fn += len(g - p)
-    if tp == fp == fn == 0 and flags is not None:
-        flags.append("micro F1: no predictions and no golds, 1.0 by convention")
     return f1_from_counts(tp, fp, fn)
 
 
@@ -91,15 +92,10 @@ def per_type_f1(preds: list[set], golds: list[set],
     return out
 
 
-def type_macro_f1(preds: list[set], golds: list[set], types,
-                  flags: list[str] | None = None) -> float:
+def type_macro_f1(preds: list[set], golds: list[set], types) -> float:
     """Per-type F1 averaged over types with gold test entities."""
-    by_type = per_type_f1(preds, golds, types)
-    scored = [v for v in by_type.values() if v is not None]
-    excluded = len(by_type) - len(scored)
-    if excluded and flags is not None:
-        flags.append(f"type macro F1: {excluded} type(s) without gold test "
-                     f"entities excluded")
+    scored = [v for v in per_type_f1(preds, golds, types).values()
+              if v is not None]
     if not scored:
         return 0.0
     return sum(scored) / len(scored)
@@ -110,10 +106,7 @@ def type_slices(split: DatasetSplit, ts: TypeSystem,
                 tail_max: int = TAIL_TYPE_MAX_TRAIN) -> dict[str, list[str]]:
     """Type slices by train-entity counts: all, head (>= head_min),
     tail (< tail_max)."""
-    counts = {t: 0 for t in ts.types}
-    for e in split.train:
-        for t in e.gold_types:
-            counts[t] += 1
+    counts = Counter(t for e in split.train for t in e.gold_types)
     return {
         "all": list(ts.types),
         "head": [t for t in ts.types if counts[t] >= head_min],
@@ -209,15 +202,23 @@ def build_report(predictions: dict[str, set], split: DatasetSplit,
             continue
         slice_metrics[sl] = {
             "accuracy": strict_accuracy(preds, golds),
-            "micro_f1": micro_f1(preds, golds, flags),
+            "micro_f1": micro_f1(preds, golds),
             "entity_macro_f1": entity_macro_f1(preds, golds),
         }
+        if not any(preds) and not any(golds):
+            flags.append("micro F1: no predictions and no golds, 1.0 by "
+                         "convention")
     all_preds = [predictions[e.id] for e in split.test]
     all_golds = [set(e.gold_types) for e in split.test]
     per_type = per_type_f1(all_preds, all_golds, ts.types)
-    tslices = type_slices(split, ts)
-    type_macro = {sl: type_macro_f1(all_preds, all_golds, members, flags)
-                  for sl, members in tslices.items() if members}
+    type_macro = {}
+    for sl, members in type_slices(split, ts).items():
+        excluded = sum(per_type[t] is None for t in members)
+        if excluded:
+            flags.append(f"type macro F1: {excluded} type(s) without gold "
+                         f"test entities excluded")
+        if members:
+            type_macro[sl] = type_macro_f1(all_preds, all_golds, members)
     correct = sum(p == g for p, g in zip(all_preds, all_golds))
     return EvalReport(slice_metrics=slice_metrics, slice_counts=slice_counts,
                       per_type=per_type, type_macro=type_macro,
@@ -244,11 +245,9 @@ def significance_matrix(results: list[tuple[str, int, int]],
                                           for i in range(len(results)))
     lines = [header]
     for i, (name, correct_i, _) in enumerate(results):
-        cells = []
-        for j, (_, correct_j, _) in enumerate(results):
-            better = correct_i > correct_j
-            sig = equal_proportions_test(correct_i, correct_j, n, alpha)
-            cells.append(" *" if better and sig else " 0")
-        lines.append(f"{name:<{width}s} " + " ".join(c.strip().rjust(2)
-                                                     for c in cells))
+        # every pair is tested, so a bad count raises even on the diagonal
+        cells = [" *" if equal_proportions_test(correct_i, correct_j, n, alpha)
+                 and correct_i > correct_j else " 0"
+                 for _, correct_j, _ in results]
+        lines.append(f"{name:<{width}s} " + " ".join(cells))
     return "\n".join(lines)

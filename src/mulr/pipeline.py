@@ -254,9 +254,7 @@ def _cached(path: Path, key: str) -> bool:
 
 def load_descriptions(path) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {}
-    for line_no, line in text_lines(path):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for line_no, line in text_lines(path, rows=True):
         ent_id, _, text = line.partition("\t")
         if ent_id in out:
             raise ParseError(path, line_no, f"duplicate entity id {ent_id!r}")
@@ -521,9 +519,7 @@ def write_predictions(model: TyperModel, entities, path,
 def read_predictions(path) -> dict[str, set]:
     """Entity id to predicted type set, from a ``write_predictions`` file."""
     out: dict[str, set] = {}
-    for line_no, line in text_lines(path):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for line_no, line in text_lines(path, rows=True):
         ent_id, _, cell = line.partition("\t")
         if not ent_id:
             raise ParseError(path, line_no, "empty entity id")

@@ -250,14 +250,9 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
                                     gold_types=gold, corpus_frequency=freq)
         notable[eid] = notable_type
 
-    split = DatasetSplit(
-        train=tuple(records[eid] for eid, *_ in entities
-                    if part_of[eid] == "train"),
-        dev=tuple(records[eid] for eid, *_ in entities
-                  if part_of[eid] == "dev"),
-        test=tuple(records[eid] for eid, *_ in entities
-                   if part_of[eid] == "test"),
-    )
+    split = DatasetSplit(*(tuple(records[eid] for eid, *_ in entities
+                                 if part_of[eid] == part)
+                           for part in ("train", "dev", "test")))
 
     lo, hi = spec.sentence_len
     sentences: list[list[str]] = []

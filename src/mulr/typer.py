@@ -15,6 +15,12 @@ micro F1 at threshold 0.5 decides the checkpoint to keep; training stops once
 Decision thresholds are calibrated per type on dev scores and applied with
 a strict greater-than, so an uninformative all-0.5 model predicts nothing.
 
+Model notes (``TyperModel.flags``) come from the results they describe:
+``train`` notes ``<kind>: no vector for <n> of <m> names`` once per dense
+level from the zero rows it built (zero on every training name is a
+``DataError``), and ``calibrate_thresholds`` each type without dev
+positives. Scoring notes nothing.
+
 Scoring is batch-first: ``scores_for`` builds the frozen levels and runs the
 forward pass ``SCORE_BATCH`` instances at a time, and calibration and
 prediction both score all their entities through it in one call.
@@ -55,10 +61,10 @@ from .dataset import DatasetSplit, EntityRecord, TypeSystem
 from .embeddings import store_from_meta, store_meta
 from .errors import DataError
 from .fileio import data_errors, read_array_file, write_array_file
-from .levels import (SPARSE_KINDS, STORE_KINDS, Assembler, CharVocab,
-                     ClrEncoder, LevelSpec, RepresentationSpec, Resources,
-                     build_char_vocab, default_hidden_units, feature_index,
-                     stores_read)
+from .levels import (LEVEL_STORES, SPARSE_KINDS, STORE_KINDS, Assembler,
+                     CharVocab, ClrEncoder, LevelSpec, RepresentationSpec,
+                     Resources, build_char_vocab, default_hidden_units,
+                     feature_index, stores_read)
 from .metrics import f1_from_counts
 from .nn import (AdaGrad, Dense, SparseLinear, bce_loss, csr_take,
                  init_uniform, relu, sigmoid)
@@ -68,6 +74,9 @@ PROVISIONAL_THRESHOLD = 0.5
 # rows, and scoring time is flat (within 15%) for chunks of 64 to 512
 SCORE_BATCH = 256
 FEATURE_TABLE = "features.W"
+# the settings whose counts decide which words each store keeps
+COUNT_SETTINGS = {"main": "[embeddings] min_count",
+                  "subword": "[subword] min_count or ngram_min_count"}
 
 
 @dataclass
@@ -208,13 +217,10 @@ class TyperModel:
 
     # -- inference ---------------------------------------------------------
 
-    def frozen_matrix(self, instances: list[tuple[str, str]],
-                      flags: list[str] | None = None) -> np.ndarray:
-        """Frozen level rows for (entity id, name) instances. Level notes
-        go to ``flags`` when given: ``train`` passes ``model.flags``, so
-        scoring a loaded model leaves the model unchanged. The rows are
-        cast once to the dtype of the layer they feed."""
-        return self.assembler.frozen_matrix(instances, flags).astype(
+    def frozen_matrix(self, instances: list[tuple[str, str]]) -> np.ndarray:
+        """Frozen level rows for (entity id, name) instances, cast once to
+        the dtype of the layer they feed."""
+        return self.assembler.frozen_matrix(instances).astype(
             self.w_in.W.dtype, copy=False)
 
     def feature_rows(self, instances) -> tuple[np.ndarray, np.ndarray] | None:
@@ -292,17 +298,28 @@ def train(split: DatasetSplit, spec: RepresentationSpec, resources: Resources,
     model = TyperModel(spec, resources, assembler, clr, hidden, rng)
 
     pairs = [(e.id, name) for e, name in insts]
-    frozen = model.frozen_matrix(pairs, model.flags)
+    frozen = model.frozen_matrix(pairs)
     feats = model.feature_rows(pairs)
     char_ids = model.char_matrix(pairs)
     labels = model.label_matrix([e for e, _ in insts])
 
     dev_pairs = [(e.id, e.names[0]) for e in split.dev]
-    dev_frozen = (model.frozen_matrix(dev_pairs, model.flags)
-                  if dev_pairs else None)
+    dev_frozen = model.frozen_matrix(dev_pairs) if dev_pairs else None
     dev_feats = model.feature_rows(dev_pairs) if dev_pairs else None
     dev_ids = model.char_matrix(dev_pairs) if dev_pairs else None
     dev_gold = model.label_matrix(list(split.dev)) if dev_pairs else None
+
+    # one note per dense level with zero rows among the rows built above
+    built = [frozen] if dev_frozen is None else [frozen, dev_frozen]
+    for lv, lo, hi in assembler.frozen_slices():
+        zero = [np.count_nonzero(~x[:, lo:hi].any(axis=1)) for x in built]
+        if zero[0] == len(frozen):
+            raise DataError(f"{lv.kind}: no vector for any of the "
+                            f"{len(frozen)} training names; lower "
+                            f"{COUNT_SETTINGS[LEVEL_STORES[lv.kind]]}")
+        if sum(zero):
+            model.flags.append(f"{lv.kind}: no vector for {sum(zero)} of "
+                               f"{sum(map(len, built))} names")
 
     opt = AdaGrad(learning_rate=cfg.learning_rate)
     n = len(insts)
@@ -351,16 +368,15 @@ def threshold_f1(scores: np.ndarray, labels: np.ndarray,
                           float(np.sum((~pred) * labels)))
 
 
-def calibrate_from_scores(scores: np.ndarray, gold: np.ndarray,
-                          flags: list[str] | None = None,
-                          type_names=None) -> np.ndarray:
+def calibrate_from_scores(scores: np.ndarray,
+                          gold: np.ndarray) -> np.ndarray:
     """Per-type thresholds maximizing that type's F1 on dev scores.
 
     Candidates are the midpoints between consecutive distinct scores,
     bracketed by sentinels at 0 and 1, evaluated in ascending order with
     0.5 appended as the final fallback; the first maximizer wins. A type
-    with no dev positives keeps 0.5 and is flagged. ``gold`` is 0/1; one
-    sort and a cumulative count give every candidate's F1.
+    with no dev positives keeps 0.5. ``gold`` is 0/1; one sort and a
+    cumulative count give every candidate's F1.
     """
     n_types = scores.shape[1]
     thresholds = np.full(n_types, PROVISIONAL_THRESHOLD)
@@ -368,10 +384,6 @@ def calibrate_from_scores(scores: np.ndarray, gold: np.ndarray,
         positive = gold[:, t] > 0
         n_pos = int(positive.sum())
         if n_pos == 0:
-            if flags is not None:
-                label = type_names[t] if type_names is not None else t
-                flags.append(f"no dev positives for type {label!r}; "
-                             f"threshold 0.5")
             continue
         s = scores[:, t]
         distinct = np.unique(s)
@@ -391,7 +403,8 @@ def calibrate_from_scores(scores: np.ndarray, gold: np.ndarray,
 
 def calibrate_thresholds(model: TyperModel,
                          dev: list[EntityRecord]) -> np.ndarray:
-    """Calibrate the model's per-type thresholds on the dev entities.
+    """Calibrate the model's per-type thresholds on the dev entities, and
+    note each type without dev positives, which keeps 0.5.
 
     Notes the model already records are not added again, so calibrating
     twice on the same entities leaves the model as one call does.
@@ -401,10 +414,12 @@ def calibrate_thresholds(model: TyperModel,
     pairs = [(e.id, e.names[0]) for e in dev]
     scores = model.scores_for(pairs)
     gold = model.label_matrix(list(dev))
-    notes: list[str] = []
-    model.thresholds = calibrate_from_scores(
-        scores, gold, flags=notes, type_names=model.type_system.types)
-    model.flags.extend(n for n in notes if n not in model.flags)
+    model.thresholds = calibrate_from_scores(scores, gold)
+    types = model.type_system.types
+    for t in np.flatnonzero(~gold.any(axis=0)):
+        note = f"no dev positives for type {types[t]!r}; threshold 0.5"
+        if note not in model.flags:
+            model.flags.append(note)
     return model.thresholds
 
 

@@ -108,14 +108,19 @@ def write_config(root, name, dim=8, seed=1, threads=1, extra=None):
     return root / name
 
 
+def copy_inputs(synth, root, names=("corpus.txt", "dataset.tsv",
+                                     "notable.tsv", "hierarchy.tsv")):
+    for name in names:
+        (root / name).write_bytes((synth / name).read_bytes())
+
+
 @pytest.fixture(scope="module")
 def noted_model(synth, tmp_path_factory):
     """The tiny set with its first dev entity renamed to words the corpus
-    never has, and a ``wwlr,elr`` model file trained on it: training and
-    calibration both meet a dev name without word vectors."""
+    never has, and a ``wwlr,elr`` model file trained on it: ``wwlr`` has
+    no vector for that one name, which ``mulr train`` notes once."""
     root = tmp_path_factory.mktemp("noted")
-    for name in ("corpus.txt", "notable.tsv", "hierarchy.tsv"):
-        (root / name).write_bytes((synth / name).read_bytes())
+    copy_inputs(synth, root, ("corpus.txt", "notable.tsv", "hierarchy.tsv"))
     lines = (synth / "dataset.tsv").read_text().splitlines()
     row = lines.index("#dev") + 1
     fields = lines[row].split("\t")
@@ -125,10 +130,16 @@ def noted_model(synth, tmp_path_factory):
     config = write_config(root, "exp.ini")
     config.write_text(config.read_text().replace("elr,swlr,tc", "wwlr,elr"))
     model = root / "model.bin"
-    assert cli.main(["train", "--config", str(config),
-                     "--out", str(model)]) == 0
-    assert load_model(model).flags == [
-        "no word vectors for name 'zzqx qxzz'"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["train", "--config", str(config),
+                         "--out", str(model)]) == 0
+    split = load_dataset(root / "dataset.tsv",
+                         load_type_system(root / "hierarchy.tsv"))
+    names = sum(len(e.names) for e in split.train) + len(split.dev)
+    note = f"wwlr: no vector for 1 of {names} names"
+    assert load_model(model).flags == [note]
+    assert err.getvalue() == f"mulr: note: {note}\n"
     return config, model
 
 
@@ -593,6 +604,24 @@ class TestModelFileErrors:
 
 
 class TestModelFlags:
+    def test_level_zero_for_every_training_name_exits_2(self, synth,
+                                                        tmp_path, capsys):
+        """At a ``min_count`` that drops every name word, ``wwlr`` is zero
+        on every training name: an error naming the count to lower."""
+        copy_inputs(synth, tmp_path)
+        config = write_config(tmp_path, "exp.ini")
+        config.write_text(config.read_text().replace(
+            "elr,swlr,tc", "wwlr").replace(
+            "min_count = 1\n[subword]", "min_count = 1000000\n[subword]"))
+        split = load_dataset(tmp_path / "dataset.tsv",
+                             load_type_system(tmp_path / "hierarchy.tsv"))
+        names = sum(len(e.names) for e in split.train)
+        assert cli.main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"mulr: stage train: wwlr: no vector for any of the "
+                       f"{names} training names; lower [embeddings] "
+                       f"min_count\n")
+
     def test_calibrate_rewrites_its_own_output_unchanged(self, noted_model,
                                                          tmp_path):
         config, model = noted_model

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ from mulr.corpus import build_subword_index, build_vocabulary
 from mulr.dataset import TypeSystem
 from mulr.embeddings import EmbeddingStore
 from mulr.errors import DataError
-from mulr.levels import (Assembler, CharVocab, ClrEncoder,
+from mulr.levels import (CLR_KINDS, Assembler, CharVocab, ClrEncoder,
                          LevelSpec, RepresentationSpec, Resources,
                          avg_des, bow_features, build_char_vocab, build_idf,
                          default_cnn_bank, default_hidden_units,
                          nsl_features, stores_read, wlr)
+
+from gradcheck import grad_check
 
 
 def word_store(vectors: dict[str, list[float]]) -> EmbeddingStore:
@@ -123,7 +127,6 @@ class TestClrEncoders:
 
     @pytest.mark.usefixtures("float64_layers")
     def test_encoder_grad_check(self):
-        from mulr.nn import grad_check
         rng = np.random.default_rng(5)
         for kind in ("clr-forward", "clr-cnn", "clr-lstm", "clr-bilstm"):
             enc, vocab = self._encoder(kind, seed=3, padded_len=7, char_dim=3,
@@ -154,12 +157,9 @@ class TestWlr:
         store = word_store({"alpha": [1.0, 2.0]})
         np.testing.assert_allclose(wlr("alpha missing", store), [1.0, 2.0])
 
-    def test_all_missing_zero_and_flagged(self):
+    def test_all_missing_zero(self):
         store = word_store({"alpha": [1.0, 2.0]})
-        flags = []
-        np.testing.assert_array_equal(wlr("nope never", store, flags=flags),
-                                      [0.0, 0.0])
-        assert flags
+        np.testing.assert_array_equal(wlr("nope never", store), [0.0, 0.0])
 
     def test_lowercase_fallback(self):
         store = word_store({"lake": [2.0, 0.0]})
@@ -168,10 +168,7 @@ class TestWlr:
     def test_subword_store_composes_oov(self):
         sentences = [["karonic", "w1"], ["kalonic", "w2"]] * 30
         store = subword_store(sentences)
-        flags = []
-        vec = wlr("karunic", store, flags=flags)
-        assert np.any(vec)
-        assert not flags
+        assert np.any(wlr("karunic", store))
 
     @pytest.mark.usefixtures("float64_layers")  # float64 store tolerances
     def test_permutation_invariance_and_scaling(self):
@@ -276,12 +273,9 @@ class TestAvgDes:
         desc = ["a"] * 3 + ["b"] * 2 + ["c"]
         np.testing.assert_allclose(avg_des(desc, idf, store, k=2), [2.0])
 
-    def test_nothing_usable_zero_flagged(self):
+    def test_nothing_usable_zero(self):
         store = word_store({"a": [1.0]})
-        flags = []
-        np.testing.assert_array_equal(
-            avg_des(["zz"], {}, store, k=2, flags=flags), [0.0])
-        assert flags
+        np.testing.assert_array_equal(avg_des(["zz"], {}, store, k=2), [0.0])
 
     def test_build_idf(self):
         idf = build_idf({"e1": ["a", "b"], "e2": ["a"]})
@@ -380,6 +374,50 @@ class TestAssemble:
     def test_two_clr_levels_rejected(self):
         with pytest.raises(DataError, match="one character-level"):
             RepresentationSpec.parse("clr-cnn,clr-lstm")
+
+    def test_frozen_slices_cover_the_dense_levels(self):
+        res = self._resources()
+        asm = Assembler(RepresentationSpec.parse("nsl,elr,clr-cnn,tc,wwlr"),
+                        res).fit(["alpha"])
+        assert [(lv.kind, lo, hi) for lv, lo, hi in asm.frozen_slices()] \
+            == [("elr", 0, 3), ("tc", 3, 5), ("wwlr", 5, 8)]
+        assert asm.frozen_matrix([("m.1", "alpha")]).shape == (1, 8)
+
+
+ALL_OPTIONS = {"padded_len": 9, "char_dim": 3, "widths": (2, 4),
+               "feature_maps": 2, "hidden_dim": 5, "top_k": 3}
+
+
+class TestParseOptions:
+    def test_each_level_keeps_the_options_it_reads(self):
+        spec = RepresentationSpec.parse("elr,clr-lstm,avg-des", ALL_OPTIONS)
+        assert [lv.options for lv in spec.levels] == [
+            {}, {"padded_len": 9, "char_dim": 3, "hidden_dim": 5},
+            {"top_k": 3}]
+
+    @pytest.mark.parametrize("kind", CLR_KINDS)
+    def test_dropped_options_leave_the_encoder_unchanged(self, kind):
+        """The encoder built from the level ``parse`` keeps equals the one
+        built from every option."""
+        vocab = CharVocab(chars=tuple("ab"))
+        full = ClrEncoder(LevelSpec(kind=kind, options=dict(ALL_OPTIONS)),
+                          vocab, np.random.default_rng(0))
+        kept = ClrEncoder(RepresentationSpec.parse(kind, ALL_OPTIONS).levels[0],
+                          vocab, np.random.default_rng(0))
+        assert kept.out_dim == full.out_dim
+        a, b = full.params(), kept.params()
+        assert list(a) == list(b)
+        for name in a:
+            np.testing.assert_array_equal(a[name], b[name])
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("widths", (0,), "widths: (0,) is not"),
+        ("top_k", 0, "top_k: 0 is below 1"),
+    ])
+    def test_options_no_level_reads_are_range_checked(self, option, value,
+                                                      message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            RepresentationSpec.parse("elr", {option: value})
 
 
 class TestPublishedDefaults:

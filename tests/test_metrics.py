@@ -48,10 +48,8 @@ class TestMicroF1:
     def test_empty_predictions_nonempty_golds(self):
         assert micro_f1([set()], [{"a"}]) == 0.0
 
-    def test_both_empty_convention_flagged(self):
-        flags = []
-        assert micro_f1([set()], [set()], flags) == 1.0
-        assert flags
+    def test_both_empty_convention(self):
+        assert micro_f1([set()], [set()]) == 1.0
 
 
 class TestMacroF1:
@@ -75,11 +73,9 @@ class TestMacroF1:
     def test_type_macro_excludes_zero_gold_types(self):
         preds = [{"a"}, {"b"}]
         golds = [{"a"}, {"a"}]
-        flags = []
-        value = type_macro_f1(preds, golds, ["a", "b", "zzz"], flags)
+        value = type_macro_f1(preds, golds, ["a", "b", "zzz"])
         # a: tp=1 fp=0 fn=1 -> 2/3; b and zzz have no gold -> excluded
         assert value == pytest.approx(2 / 3)
-        assert any("2" in f for f in flags)
 
     def test_per_type_counts(self):
         preds = [{"a"}, {"a", "b"}]
@@ -226,6 +222,28 @@ class TestBuildReport:
         del preds["m.2"]
         with pytest.raises(DataError, match="m.2"):
             build_report(preds, split, ts)
+
+    def test_notes_from_the_report(self):
+        """An empty slice, a slice with no predictions and no golds, and
+        per type slice the types without gold test entities."""
+        ts = TypeSystem(types=("a", "b"), parent={})
+        train = (EntityRecord(id="m.tr", names=("shared word",),
+                              gold_types=frozenset({"a"})),)
+        test = (
+            EntityRecord(id="m.1", names=("shared name",),
+                         gold_types=frozenset({"a"}), corpus_frequency=150),
+            EntityRecord(id="m.2", names=("unseen",),
+                         gold_types=frozenset(), corpus_frequency=150),
+        )
+        split = DatasetSplit(train=train, dev=(), test=test)
+        report = build_report({"m.1": {"a"}, "m.2": set()}, split, ts)
+        assert report.flags == [
+            "slice 'tail' is empty",
+            "micro F1: no predictions and no golds, 1.0 by convention",
+            "type macro F1: 1 type(s) without gold test entities excluded",
+            "type macro F1: 1 type(s) without gold test entities excluded"]
+        assert report.type_macro == {"all": 1.0, "tail": 1.0}
+        assert "note: slice 'tail' is empty" in report.to_text_table()
 
     def test_tsv_rows_and_table(self):
         preds, split, ts = self._setup()

@@ -9,7 +9,9 @@ from mulr import nn
 from mulr.errors import NumericError
 from mulr.levels import CharVocab, ClrEncoder, LevelSpec
 from mulr.nn import (AdaGrad, ConvMaxPool, Dense, Lstm, SparseLinear,
-                     bce_loss, csr_take, grad_check, relu, sigmoid)
+                     bce_loss, csr_take, relu, sigmoid)
+
+from gradcheck import grad_check
 
 
 def float64_twin(build, layer_dtype):

@@ -96,13 +96,15 @@ class TestModelKey:
         ("elr,tc", "train", {"learning_rate": "0.01"}),
         ("elr,tc", "representation",
          {"hidden_units": str(default_hidden_units(("elr", "tc")))}),
+        ("elr,tc", "representation", {"widths": "2-3"}),
     ], ids=["spaced-levels", "default-epochs", "default-learning-rate",
-            "default-hidden-units"])
+            "default-hidden-units", "option-no-level-reads"])
     def test_equal_settings_share_the_key(self, experiment, levels, section,
                                           values):
         """The key hashes the typed settings, not the text: spacing in the
-        level list, a [train] value equal to its default and hidden units
-        equal to the spec's default change nothing."""
+        level list, a [train] value equal to its default, hidden units
+        equal to the spec's default and an option no level reads change
+        nothing."""
         plain = model_key(write_config(experiment, levels="elr,tc",
                                        train={"epochs": None}))
         overrides = {"train": {"epochs": None}}
@@ -159,8 +161,8 @@ class TestRunPipeline:
         _, first = run_pipeline(cfg)
         path = experiment / INPUTS["descriptions"]
         lines = path.read_text(encoding="utf-8").splitlines()
-        path.write_text("".join(f"{ln.split(chr(9))[0]}\tnothing here\n"
-                                for ln in lines), encoding="utf-8")
+        path.write_text("".join(f"{ln} nothing here\n" for ln in lines),
+                        encoding="utf-8")
         _, second = run_pipeline(cfg)
         assert second["model"] != first["model"]
         assert second["model"].exists()
@@ -277,12 +279,13 @@ class TestLoadConfig:
 
     def test_values_take_their_schema_types(self, experiment):
         cfg = load_config(write_config(
-            experiment, representation={"widths": "2-4", "top_k": "5"},
+            experiment, levels="clr-cnn,avg-des",
+            representation={"widths": "2-4", "top_k": "5"},
             embeddings={"dynamic_window": "Off", "learning_rate": "1",
                         "mode": "skip"},
             subword={"dynamic_window": "yes", "n_min": "2"}))
         assert [lv.options for lv in cfg.spec.levels] \
-            == [{"widths": (2, 3, 4), "top_k": 5}] * 4
+            == [{"widths": (2, 3, 4)}, {"top_k": 5}]
         assert cfg.main.positional is False
         assert cfg.main.dynamic_window is False
         assert cfg.main.learning_rate == 1.0

@@ -13,7 +13,7 @@ import pytest
 import mulr
 from mulr import pipeline
 from mulr.embeddings import SgnsConfig
-from mulr.levels import LEVEL_OPTIONS
+from mulr.levels import KIND_OPTIONS, LEVEL_KINDS, LEVEL_OPTIONS
 from mulr.typer import TrainConfig
 
 SOURCES = sorted(Path(mulr.__file__).parent.glob("*.py"))
@@ -40,6 +40,12 @@ def test_level_options_read_are_the_typed_ones():
     read = {name for path in SOURCES
             for name in opt_reads(path.read_text(encoding="utf-8"))}
     assert read == set(LEVEL_OPTIONS)
+
+
+def test_each_option_is_read_by_some_kind():
+    assert set(KIND_OPTIONS) <= set(LEVEL_KINDS)
+    assert {name for names in KIND_OPTIONS.values() for name in names} \
+        == set(LEVEL_OPTIONS)
 
 
 def test_guard_reads_each_opt_call():

@@ -18,11 +18,13 @@ from mulr.levels import (SPARSE_FEATURES, Assembler, ClrEncoder, LevelSpec,
                          RepresentationSpec, Resources, avg_des,
                          build_char_vocab, build_idf, default_hidden_units,
                          wlr)
-from mulr.nn import AdaGrad, Dense, grad_check, relu, sigmoid
+from mulr.nn import AdaGrad, Dense, relu, sigmoid
 from mulr.typer import (FEATURE_TABLE, SCORE_BATCH, TrainConfig, TyperModel,
                         calibrate_from_scores, calibrate_thresholds,
                         load_model, predict_with_scores, save_model,
                         threshold_f1, train, train_instances)
+
+from gradcheck import grad_check
 
 
 def indicator_problem(n_per_type=12, dim=6, noise=0.05, seed=0,
@@ -225,9 +227,8 @@ def untrained_model(spec, res, names, hidden=7):
 
 
 def noted_model():
-    """An ``swlr,avg-des`` model whose five instances raise six level
-    notes: names without subword vectors and entities without a usable
-    description."""
+    """An ``swlr,avg-des`` model and five instances: two names without
+    subword vectors, and four entities without a usable description."""
     split, res = indicator_problem()
     names = ["alpha beta", "qqq", "gamma", "qq qqq", "beta"]
     res = subword_resources(res, ["alpha beta gamma"] * 3)
@@ -255,6 +256,52 @@ CLR_OPTIONS = {"padded_len": 12, "char_dim": 4, "widths": (1, 3),
 
 SCORED_SPECS = ["elr,clr-forward,tc", "elr,clr-cnn,tc", "elr,clr-lstm,tc",
                 "elr,clr-bilstm,tc", "swlr", "nsl"]
+
+
+class TestLevelNotes:
+    """``train`` notes each dense level once, with the count of its zero
+    rows among the training and dev rows."""
+
+    @staticmethod
+    def _split(entities, train_rows, dev_rows):
+        return DatasetSplit(train=tuple(entities[i] for i in train_rows),
+                            dev=tuple(entities[i] for i in dev_rows),
+                            test=())
+
+    def test_one_note_per_level_with_its_count(self):
+        model, insts = noted_model()
+        res = model.resources
+        # the counts the per-name level functions give
+        swlr_zero = sum(not wlr(name, res.subword_store).any()
+                        for _, name in insts)
+        des_zero = sum(eid not in res.descriptions or not avg_des(
+            res.descriptions[eid], res.idf, res.main_store).any()
+            for eid, _ in insts)
+        assert (swlr_zero, des_zero) == (2, 4)
+        split = self._split(model_entities(model, insts), (0, 1, 2), (3, 4))
+        trained = train(split, model.spec, res, quick_cfg(epochs=1))
+        assert trained.flags == ["swlr: no vector for 2 of 5 names",
+                                 "avg-des: no vector for 4 of 5 names"]
+
+    def test_no_note_when_every_row_has_a_vector(self):
+        split, res = indicator_problem()
+        model = train(split, RepresentationSpec.parse("elr,tc"), res,
+                      quick_cfg(epochs=1))
+        assert model.flags == []
+
+    @pytest.mark.parametrize("rows,message", [
+        ((1, 3), "swlr: no vector for any of the 2 training names; lower "
+                 "[subword] min_count or ngram_min_count"),
+        ((1, 2), "avg-des: no vector for any of the 2 training names; "
+                 "lower [embeddings] min_count"),
+    ], ids=["swlr", "avg-des"])
+    def test_level_zero_for_every_training_name_is_an_error(self, rows,
+                                                           message):
+        model, insts = noted_model()
+        split = self._split(model_entities(model, insts), rows, (0,))
+        with pytest.raises(DataError) as err:
+            train(split, model.spec, model.resources, quick_cfg(epochs=1))
+        assert str(err.value) == message
 
 
 class TestScoresFor:
@@ -297,22 +344,6 @@ class TestScoresFor:
             ["abc"])
         assert model.scores_for([]).shape == (0, 2)
         assert predict_with_scores(model, []) == []
-
-    def test_flags_in_instance_order(self):
-        """``swlr,avg-des`` notes match the per-instance level loop."""
-        model, insts = noted_model()
-        model.frozen_matrix(insts, model.flags)
-        res = model.resources
-        expected = []
-        for eid, name in insts:
-            wlr(name, res.subword_store, expected)
-            if eid in res.descriptions:
-                avg_des(res.descriptions[eid], res.idf, res.main_store,
-                        flags=expected)
-            else:
-                expected.append(f"no description for {eid!r}")
-        assert model.flags == expected
-        assert len(expected) == 6
 
     def test_scoring_leaves_flags_unchanged(self):
         model, insts = noted_model()
@@ -797,13 +828,10 @@ class TestCalibration:
         assert thresholds[0] < 0.3
         assert threshold_f1(scores[:, 0], gold[:, 0], thresholds[0]) == 1.0
 
-    def test_no_positives_half_flagged(self):
-        flags = []
+    def test_no_positives_keep_half(self):
         thresholds = calibrate_from_scores(np.array([[0.2], [0.6]]),
-                                           np.zeros((2, 1)), flags=flags,
-                                           type_names=["t"])
+                                           np.zeros((2, 1)))
         assert thresholds[0] == 0.5
-        assert flags
 
     def test_matches_bruteforce_on_random_configurations(self):
         rng = np.random.default_rng(4)
