@@ -14,6 +14,10 @@ Levels
 * ``bow`` / ``nsl``: sparse binary name features (words; ngram/shape/length),
   carried as CSR feature-id lists, not dense rows.
 
+Each level carries resolved options: ``RepresentationSpec`` gives every
+level each option its kind reads (``KIND_DEFAULTS``), the default where
+none is given, and drops the rest.
+
 A representation is the concatenation of the requested levels in the given
 order; the layout (level, dimension) pairs are recorded so a classifier is
 never applied across layouts. ``Assembler.frozen_matrix`` builds the dense
@@ -38,13 +42,22 @@ from .embeddings import (KIND_SKIP, KIND_SSKIP, KIND_SUBWORD, EmbeddingStore,
 from .errors import DataError, NumericError
 from .nn import ConvMaxPool, Lstm, init_uniform, scatter_add
 
-DEFAULT_PADDED_LENGTH = 40
-DEFAULT_TOP_K_DESCRIPTION_WORDS = 20
 CHAR_MIN_COUNT = 5
 
-# the options levels read through ``LevelSpec.opt``, by type
-LEVEL_OPTIONS = {"padded_len": int, "char_dim": int, "widths": tuple,
-                 "feature_maps": int, "hidden_dim": int, "top_k": int}
+# the options each kind reads, with their published defaults (``clr-cnn``
+# has its own filter banks alone and next to ``elr``); a kind not named
+# reads none
+KIND_DEFAULTS = {
+    "clr-forward": {"padded_len": 40, "char_dim": 15},
+    "clr-cnn": {"padded_len": 40, "char_dim": 10,
+                "widths": tuple(range(1, 8)), "feature_maps": 50},
+    "clr-lstm": {"padded_len": 40, "char_dim": 70, "hidden_dim": 70},
+    "clr-bilstm": {"padded_len": 40, "char_dim": 50, "hidden_dim": 50},
+    "avg-des": {"top_k": 20},
+}
+# each option's type
+LEVEL_OPTIONS = {name: type(value) for defaults in KIND_DEFAULTS.values()
+                 for name, value in defaults.items()}
 # the least value of each integer option; each of ``widths`` is 1..MAX_WIDTH
 OPTION_MINIMA = {"padded_len": 3, "char_dim": 1, "feature_maps": 1,
                  "hidden_dim": 1, "top_k": 1}
@@ -54,25 +67,12 @@ CLR_KINDS = ("clr-forward", "clr-cnn", "clr-lstm", "clr-bilstm")
 SPARSE_KINDS = ("bow", "nsl")
 LEVEL_KINDS = CLR_KINDS + SPARSE_KINDS + ("wwlr", "swlr", "elr", "tc", "avg-des")
 
-# the options each kind reads; a kind not named reads none
-_CHAR_OPTIONS = ("padded_len", "char_dim")
-KIND_OPTIONS = {"clr-forward": _CHAR_OPTIONS,
-                "clr-cnn": _CHAR_OPTIONS + ("widths", "feature_maps"),
-                "clr-lstm": _CHAR_OPTIONS + ("hidden_dim",),
-                "clr-bilstm": _CHAR_OPTIONS + ("hidden_dim",),
-                "avg-des": ("top_k",)}
-
 # The store each embedding level reads. The three-copy corpus trains words,
 # entity ids and type ids into one skip-gram space, the main store; subword
 # vectors have a store of their own. Each store holds one of its kinds.
 LEVEL_STORES = {"wwlr": "main", "avg-des": "main", "elr": "main",
                 "tc": "main", "swlr": "subword"}
 STORE_KINDS = {"main": (KIND_SKIP, KIND_SSKIP), "subword": (KIND_SUBWORD,)}
-
-# character embedding sizes per encoder variant
-CLR_CHAR_DIMS = {"clr-forward": 15, "clr-cnn": 10, "clr-lstm": 70,
-                 "clr-bilstm": 50}
-CLR_HIDDEN_DIMS = {"clr-lstm": 70, "clr-bilstm": 50}
 
 # published MLP hidden sizes for known level combinations
 _HIDDEN_UNITS = {
@@ -111,16 +111,6 @@ def default_hidden_units(kinds) -> int:
     return _HIDDEN_UNITS.get(frozenset(kinds), DEFAULT_HIDDEN_UNITS)
 
 
-def default_cnn_bank(kinds) -> tuple[tuple[int, ...], int]:
-    """(filter widths, feature maps per width) for a level combination."""
-    kinds = frozenset(kinds)
-    if kinds == {"clr-cnn"}:
-        return tuple(range(1, 9)), 100
-    if kinds == {"elr", "clr-cnn"}:
-        return tuple(range(1, 8)), 100
-    return tuple(range(1, 8)), 50
-
-
 def _check_options(options: dict) -> None:
     """A ``DataError`` for the first level option out of its range."""
     for name, least in OPTION_MINIMA.items():
@@ -144,13 +134,11 @@ class LevelSpec:
             raise DataError(f"unknown representation level {self.kind!r}")
         _check_options(self.options)
 
-    def opt(self, name, default):
-        return self.options.get(name, default)
-
 
 @dataclass
 class RepresentationSpec:
-    """Ordered levels to concatenate into the entity vector."""
+    """Ordered levels to concatenate into the entity vector, each holding
+    every option its kind reads: the given value, else the default."""
 
     levels: tuple[LevelSpec, ...]
 
@@ -162,6 +150,8 @@ class RepresentationSpec:
             raise DataError("duplicate representation level")
         if sum(k in CLR_KINDS for k in kinds) > 1:
             raise DataError("at most one character-level encoder per spec")
+        self.levels = tuple(_resolve(lv, frozenset(kinds))
+                            for lv in self.levels)
 
     @property
     def kinds(self) -> tuple[str, ...]:
@@ -178,14 +168,29 @@ class RepresentationSpec:
     def parse(cls, text: str, options: dict | None = None) -> "RepresentationSpec":
         """Parse a comma-separated level list such as ``elr,swlr,clr-cnn,tc``;
         every option is range-checked, and each level keeps the ones its
-        kind reads (``KIND_OPTIONS``)."""
+        kind reads."""
         kinds = [k.strip() for k in text.split(",") if k.strip()]
-        shared = dict(options or {})
-        _check_options(shared)
-        return cls(levels=tuple(
-            LevelSpec(kind=k, options={name: v for name, v in shared.items()
-                                       if name in KIND_OPTIONS.get(k, ())})
-            for k in kinds))
+        return cls(levels=tuple(LevelSpec(kind=k, options=options or {})
+                                for k in kinds))
+
+
+def _resolve(level: LevelSpec, kinds: frozenset) -> LevelSpec:
+    """``level`` with each option its kind reads, as its default's type (a
+    model file's lists become tuples), the default where none is given; a
+    ``clr-cnn`` filter wider than the padded name is an error."""
+    defaults = KIND_DEFAULTS.get(level.kind, {})
+    if level.kind == "clr-cnn" and kinds <= {"elr", "clr-cnn"}:
+        # the published banks: 100 maps, widths 1-8 alone and 1-7 next to elr
+        defaults = {**defaults, "feature_maps": 100}
+        if kinds == {"clr-cnn"}:
+            defaults["widths"] = tuple(range(1, 9))
+    options = {name: type(value)(level.options.get(name, value))
+               for name, value in defaults.items()}
+    if level.kind == "clr-cnn" and options["padded_len"] < max(
+            options["widths"]):
+        raise DataError(f"padded_len: {options['padded_len']} is shorter "
+                        f"than the widest filter, {max(options['widths'])}")
+    return LevelSpec(kind=level.kind, options=options)
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +245,11 @@ class ClrEncoder:
     """
 
     def __init__(self, level: LevelSpec, char_vocab: CharVocab,
-                 rng: np.random.Generator,
-                 combo_kinds: tuple[str, ...] | None = None):
+                 rng: np.random.Generator):
         self.kind = level.kind
         self.char_vocab = char_vocab
-        self.padded_len = int(level.opt("padded_len", DEFAULT_PADDED_LENGTH))
-        self.char_dim = int(level.opt("char_dim", CLR_CHAR_DIMS[level.kind]))
+        self.padded_len = level.options["padded_len"]
+        self.char_dim = level.options["char_dim"]
         self.table = init_uniform(rng, (char_vocab.size, self.char_dim))
         self.grads = {"char_table": np.zeros_like(self.table)}
         self._ids = None
@@ -253,15 +257,13 @@ class ClrEncoder:
             self.net = None
             self.out_dim = self.padded_len * self.char_dim
         elif self.kind == "clr-cnn":
-            widths, maps = default_cnn_bank(combo_kinds or (self.kind,))
-            widths = tuple(level.opt("widths", widths))
-            maps = int(level.opt("feature_maps", maps))
-            self.net = ConvMaxPool([(w, maps) for w in widths],
-                                   self.char_dim, rng)
+            maps = level.options["feature_maps"]
+            self.net = ConvMaxPool(
+                [(w, maps) for w in level.options["widths"]], self.char_dim,
+                rng)
             self.out_dim = self.net.out_dim
         elif self.kind in ("clr-lstm", "clr-bilstm"):
-            hidden = int(level.opt("hidden_dim", CLR_HIDDEN_DIMS[self.kind]))
-            self.hidden = hidden
+            self.hidden = hidden = level.options["hidden_dim"]
             self.net = Lstm.initialize(self.char_dim, hidden, rng)
             if self.kind == "clr-bilstm":
                 self.net_back = Lstm.initialize(self.char_dim, hidden, rng)
@@ -455,8 +457,7 @@ def build_idf(descriptions: dict[str, list[str]]) -> dict[str, float]:
 
 
 def avg_des(description: list[str], idf: dict[str, float],
-            store: EmbeddingStore,
-            k: int = DEFAULT_TOP_K_DESCRIPTION_WORDS) -> np.ndarray:
+            store: EmbeddingStore, k: int) -> np.ndarray:
     """Mean embedding of the top-k description words by tf-idf.
 
     Words are ranked by in-description term frequency times idf, ties
@@ -623,5 +624,4 @@ class Assembler:
         desc = (res.descriptions or {}).get(entity_id)
         if desc is None:
             return np.zeros(store.dim)
-        k = int(lv.opt("top_k", DEFAULT_TOP_K_DESCRIPTION_WORDS))
-        return avg_des(desc, res.idf or {}, store, k=k)
+        return avg_des(desc, res.idf or {}, store, k=lv.options["top_k"])

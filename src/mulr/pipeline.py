@@ -17,9 +17,9 @@ reads, so a change upstream reaches every key below it:
             input key, keys of the stores the levels read
             (``levels.stores_read``: main, subword), SHA-256 of the
             descriptions file, the typed spec (each level's kind and
-            options) and ``TrainConfig`` (seed and hidden units
-            included; hidden units equal to the spec's default are
-            stored as unset)                    model-*.bin
+            resolved options) and ``TrainConfig`` (seed and hidden
+            units included, hidden units resolved)
+                                               model-*.bin
     preds   model key                          preds-*.tsv
 
 ``PipelineRun._cached_stage`` runs each of these stages: it checks every
@@ -39,7 +39,8 @@ each key of the sections ``[paths]``, ``[representation]``, ``[embeddings]``,
 ``[subword]``, ``[train]`` and ``[run]``; any other key is an error.
 ``load_config`` builds the typed settings once, so the keys hash values,
 not text: ``levels = elr, tc`` and ``[train] epochs = 200`` (the default)
-share a model with ``levels = elr,tc`` and no ``[train]`` section.
+share a model with ``levels = elr,tc`` and no ``[train]`` section, as a
+level option or ``hidden_units`` at its default does with none.
 """
 
 from __future__ import annotations
@@ -198,9 +199,8 @@ def load_config(path, levels: str | None = None) -> ExperimentConfig:
             seed=seed + 1, threads=threads, positional=False,
             **{k: v for k, v in sub.items() if k in SGNS_KEYS})
         spec = RepresentationSpec.parse(levels or file_levels, rep)
-        # the spec's own default is the same model as no value at all
-        if hidden_units == default_hidden_units(spec.kinds):
-            hidden_units = None
+        if hidden_units is None:
+            hidden_units = default_hidden_units(spec.kinds)
         train = TrainConfig(seed=seed, hidden_units=hidden_units,
                             **sections.get("train", {}))
     except DataError as exc:

@@ -33,10 +33,12 @@ float64 resolution; float32 would round confident scores to ties at 1.0.
 
 Model files are self-contained: layout, MLP and encoder parameters, sparse
 feature indexes, thresholds, and the frozen embedding stores the spec
-reads. Layout: magic line ``MULR-MODEL 4``, a JSON metadata line (ints and
-strings only), then the named arrays in manifest order, each in the dtype
-its manifest entry names (``fileio``): the parameters and stores in
-``nn.DTYPE``, the thresholds in float64. A float64 parameter array loads
+reads. A file's levels carry resolved options, so it does not depend on
+the code's defaults; options absent from a level (``{}`` in earlier files)
+load resolved. Layout: magic line ``MULR-MODEL 4``, a JSON metadata line
+(ints and strings only), then the named arrays in manifest order, each in
+the dtype its manifest entry names (``fileio``): the parameters and stores
+in ``nn.DTYPE``, the thresholds in float64. A float64 parameter array loads
 narrowed to the parameter's dtype, and a value that overflows float32 is
 a ``DataError``. Each store the levels read (``stores_read``) is written
 once, as array ``store.main`` or ``store.subword`` and its ``store_meta``
@@ -293,7 +295,7 @@ def train(split: DatasetSplit, spec: RepresentationSpec, resources: Resources,
     clr_level = spec.clr_level
     if clr_level is not None:
         char_vocab = build_char_vocab(train_names)
-        clr = ClrEncoder(clr_level, char_vocab, rng, combo_kinds=spec.kinds)
+        clr = ClrEncoder(clr_level, char_vocab, rng)
     hidden = cfg.hidden_units or default_hidden_units(spec.kinds)
     model = TyperModel(spec, resources, assembler, clr, hidden, rng)
 
@@ -442,9 +444,7 @@ def save_model(model: TyperModel, path, config_hash: str | None = None,
         "config_hash": model.config_hash if config_hash is None
         else config_hash,
         "seed": model.seed if seed is None else seed,
-        "levels": [{"kind": lv.kind,
-                    "options": {k: list(v) if isinstance(v, tuple) else v
-                                for k, v in sorted(lv.options.items())}}
+        "levels": [{"kind": lv.kind, "options": lv.options}
                    for lv in model.spec.levels],
         "layout": [[k, d] for k, d in model.layout],
         "types": list(model.type_system.types),
@@ -477,9 +477,7 @@ def load_model(path) -> TyperModel:
 def _model_from_meta(meta: dict, arrays: dict[str, np.ndarray]) -> TyperModel:
     ts = TypeSystem(types=tuple(meta["types"]), parent=dict(meta["parent"]))
     spec = RepresentationSpec(levels=tuple(
-        LevelSpec(kind=lv["kind"],
-                  options={k: tuple(v) if isinstance(v, list) else v
-                           for k, v in lv["options"].items()})
+        LevelSpec(kind=lv["kind"], options=lv["options"])
         for lv in meta["levels"]))
     stores = {}
     for label in stores_read(spec):
@@ -501,8 +499,7 @@ def _model_from_meta(meta: dict, arrays: dict[str, np.ndarray]) -> TyperModel:
     clr = None
     if meta["clr_kind"] is not None:
         char_vocab = CharVocab(chars=tuple(meta["char_vocab"]))
-        clr = ClrEncoder(spec.clr_level, char_vocab, rng,
-                         combo_kinds=spec.kinds)
+        clr = ClrEncoder(spec.clr_level, char_vocab, rng)
     model = TyperModel(spec, resources, assembler, clr,
                        meta["hidden_units"], rng)
     targets = {"thresholds": model.thresholds, **model.params()}

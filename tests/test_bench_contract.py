@@ -171,11 +171,11 @@ def workload_config(root: Path, body: str) -> Path:
 # ``MULR-STORE 2`` and ``MULR-MODEL 4``
 WORKLOAD_KEYS = {
     "embed": ("f1fafb30bc70", "c81ce6dbb481", "383567eb796b",
-              "fb2b24f7539c"),
+              "56d9f4ef6bca"),
     "infer": ("f1fafb30bc70", "df82169f9de3", "822863d4466c",
-              "399e6f8e0289"),
+              "2b9c8e46ae92"),
     "typer": ("f1fafb30bc70", "0c661f55a61a", "6abb2a3f705f",
-              "f4c613678bc9"),
+              "5a5abd64a9c1"),
 }
 
 

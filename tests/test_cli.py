@@ -58,6 +58,8 @@ OUT_OF_RANGE = [
           ("hidden_units = 0", "hidden_units: 0 is below 1")]],
     (("levels = elr,swlr,tc", "levels = clr-lstm\nhidden_dim = 0"),
      "hidden_dim: 0 is below 1"),
+    (("levels = elr,swlr,tc", "levels = clr-cnn\npadded_len = 5"),
+     "padded_len: 5 is shorter than the widest filter, 8"),
 ]
 
 # the vocabulary and ngram counts, each bounded when the config loads:
@@ -601,6 +603,42 @@ class TestModelFileErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"mulr: {bad}: ") and message in err
         assert "Traceback" not in err
+
+
+class TestModelOptions:
+    def test_model_without_options_loads_them_resolved(self, synth,
+                                                       tmp_path):
+        """A model file whose levels hold no options, as files written
+        before options were resolved do, loads with the options the spec
+        resolves, scores as the file with them does, and is calibrated
+        into that file."""
+        model = tmp_path / "model.bin"
+        assert cli.main(["train", "--config", str(synth / "exp.ini"),
+                         "--levels", "elr,clr-cnn", "--out", str(model)]) == 0
+        magic, line, payload = model.read_bytes().split(b"\n", 2)
+        meta = json.loads(line)
+        assert [lv["options"] for lv in meta["levels"]] == [
+            {}, {"char_dim": 10, "feature_maps": 100, "padded_len": 40,
+                 "widths": list(range(1, 8))}]
+        for lv in meta["levels"]:
+            lv["options"] = {}
+        bare = tmp_path / "bare.bin"
+        bare.write_bytes(b"\n".join([magic, json.dumps(meta).encode(),
+                                     payload]))
+
+        full, loaded = load_model(model), load_model(bare)
+        assert [lv.options for lv in loaded.spec.levels] \
+            == [lv.options for lv in full.spec.levels]
+        split = load_dataset(synth / "dataset.tsv",
+                             load_type_system(synth / "hierarchy.tsv"))
+        pairs = [(e.id, e.names[0]) for e in split.all_entities()]
+        assert loaded.scores_for(pairs).tobytes() \
+            == full.scores_for(pairs).tobytes()
+        calibrated = tmp_path / "calibrated.bin"
+        assert cli.main(["calibrate", "--config", str(synth / "exp.ini"),
+                         "--model", str(bare),
+                         "--out", str(calibrated)]) == 0
+        assert calibrated.read_bytes() == model.read_bytes()
 
 
 class TestModelFlags:

@@ -10,8 +10,8 @@ from mulr.errors import DataError
 from mulr.levels import (CLR_KINDS, Assembler, CharVocab, ClrEncoder,
                          LevelSpec, RepresentationSpec, Resources,
                          avg_des, bow_features, build_char_vocab, build_idf,
-                         default_cnn_bank, default_hidden_units,
-                         nsl_features, stores_read, wlr)
+                         default_hidden_units, nsl_features, stores_read,
+                         wlr)
 
 from gradcheck import grad_check
 
@@ -395,6 +395,41 @@ class TestParseOptions:
             {}, {"padded_len": 9, "char_dim": 3, "hidden_dim": 5},
             {"top_k": 3}]
 
+    def test_each_level_fills_in_the_options_not_given(self):
+        spec = RepresentationSpec.parse("clr-lstm,avg-des", {"char_dim": 3})
+        assert [lv.options for lv in spec.levels] == [
+            {"padded_len": 40, "char_dim": 3, "hidden_dim": 70},
+            {"top_k": 20}]
+
+    @pytest.mark.parametrize("levels", ["elr", "clr-cnn", "elr,clr-cnn,tc",
+                                        "clr-bilstm,avg-des"])
+    def test_resolving_twice_equals_once(self, levels):
+        spec = RepresentationSpec.parse(levels, {"padded_len": 12})
+        again = RepresentationSpec(levels=spec.levels)
+        assert [lv.options for lv in again.levels] \
+            == [lv.options for lv in spec.levels]
+
+    def test_given_widths_keep_the_combination_maps(self):
+        spec = RepresentationSpec.parse("clr-cnn", {"widths": (1, 2)})
+        assert spec.clr_level.options == {
+            "padded_len": 40, "char_dim": 10, "widths": (1, 2),
+            "feature_maps": 100}
+
+    @pytest.mark.parametrize("levels,options,message", [
+        ("clr-cnn", {"padded_len": 5}, "padded_len: 5 is shorter than the "
+         "widest filter, 8"),
+        ("elr,clr-cnn,tc", {"padded_len": 4, "widths": (2, 5)},
+         "padded_len: 4 is shorter than the widest filter, 5"),
+    ])
+    def test_padded_name_narrower_than_a_filter_is_rejected(self, levels,
+                                                            options, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            RepresentationSpec.parse(levels, options)
+
+    def test_padded_name_as_wide_as_the_widest_filter_is_kept(self):
+        spec = RepresentationSpec.parse("clr-cnn", {"padded_len": 8})
+        assert spec.clr_level.options["padded_len"] == 8
+
     @pytest.mark.parametrize("kind", CLR_KINDS)
     def test_dropped_options_leave_the_encoder_unchanged(self, kind):
         """The encoder built from the level ``parse`` keeps equals the one
@@ -427,13 +462,17 @@ class TestPublishedDefaults:
         assert default_hidden_units(("elr", "swlr", "clr-cnn", "tc")) == 900
         assert default_hidden_units(("bow", "nsl")) == 300
 
-    def test_cnn_bank_defaults(self):
-        widths, maps = default_cnn_bank(("clr-cnn",))
-        assert widths == tuple(range(1, 9)) and maps == 100
-        widths, maps = default_cnn_bank(("elr", "clr-cnn"))
-        assert widths == tuple(range(1, 8)) and maps == 100
-        widths, maps = default_cnn_bank(("elr", "swlr", "clr-cnn", "tc"))
-        assert widths == tuple(range(1, 8)) and maps == 50
+    @pytest.mark.parametrize("levels,widths,maps", [
+        ("clr-cnn", range(1, 9), 100),
+        ("elr,clr-cnn", range(1, 8), 100),
+        ("clr-cnn,elr", range(1, 8), 100),
+        ("elr,swlr,clr-cnn,tc", range(1, 8), 50),
+        ("wwlr,clr-cnn", range(1, 8), 50),
+    ])
+    def test_cnn_bank_defaults(self, levels, widths, maps):
+        options = RepresentationSpec.parse(levels).clr_level.options
+        assert (options["widths"], options["feature_maps"]) \
+            == (tuple(widths), maps)
 
     def test_char_dims_per_variant(self):
         rng = np.random.default_rng(0)
@@ -441,5 +480,5 @@ class TestPublishedDefaults:
         dims = {"clr-forward": 15, "clr-cnn": 10, "clr-lstm": 70,
                 "clr-bilstm": 50}
         for kind, d in dims.items():
-            enc = ClrEncoder(LevelSpec(kind=kind), vocab, rng)
-            assert enc.char_dim == d
+            level = RepresentationSpec.parse(kind).clr_level
+            assert ClrEncoder(level, vocab, rng).char_dim == d

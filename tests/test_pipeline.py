@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mulr import pipeline, synthetic
 from mulr.corpus import save_corpus, save_notable
 from mulr.dataset import save_dataset, save_type_system
 from mulr.errors import DataError
-from mulr.levels import default_hidden_units
+from mulr.levels import (CLR_KINDS, LEVEL_KINDS, LEVEL_OPTIONS,
+                         default_hidden_units)
 from mulr.pipeline import PipelineRun, load_config, run_pipeline
 
 INPUTS = {"corpus": "corpus.txt", "dataset": "dataset.tsv",
@@ -97,21 +99,75 @@ class TestModelKey:
         ("elr,tc", "representation",
          {"hidden_units": str(default_hidden_units(("elr", "tc")))}),
         ("elr,tc", "representation", {"widths": "2-3"}),
+        ("clr-cnn", "representation", {"padded_len": "40"}),
+        ("elr,clr-cnn,tc", "representation",
+         {"widths": "1-7", "feature_maps": "50"}),
+        ("avg-des", "representation", {"top_k": "20"}),
+        ("clr-cnn", "representation", {"hidden_units": "800"}),
     ], ids=["spaced-levels", "default-epochs", "default-learning-rate",
-            "default-hidden-units", "option-no-level-reads"])
+            "default-hidden-units", "option-no-level-reads",
+            "default-padded-len", "default-cnn-bank", "default-top-k",
+            "table-hidden-units"])
     def test_equal_settings_share_the_key(self, experiment, levels, section,
                                           values):
         """The key hashes the typed settings, not the text: spacing in the
-        level list, a [train] value equal to its default, hidden units
-        equal to the spec's default and an option no level reads change
-        nothing."""
-        plain = model_key(write_config(experiment, levels="elr,tc",
+        level list, a [train] value equal to its default, a level option or
+        hidden units equal to the spec's default and an option no level
+        reads change nothing."""
+        plain = model_key(write_config(experiment,
+                                       levels=levels.replace(" ", ""),
                                        train={"epochs": None}))
         overrides = {"train": {"epochs": None}}
         overrides.setdefault(section, {}).update(values)
         same = model_key(write_config(experiment, levels=levels,
                                       **overrides))
         assert same == plain
+
+    @pytest.mark.parametrize("levels,values", [
+        ("clr-cnn", {"padded_len": "41"}),
+        ("elr,clr-cnn,tc", {"feature_maps": "100"}),
+        ("clr-cnn", {"widths": "1-7"}),
+        ("avg-des", {"top_k": "19"}),
+        ("clr-cnn", {"hidden_units": "799"}),
+    ])
+    def test_option_off_its_default_changes_the_key(self, experiment, levels,
+                                                    values):
+        plain = model_key(write_config(experiment, levels=levels))
+        assert model_key(write_config(experiment, levels=levels,
+                                      representation=values)) != plain
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_resolved_options_written_out_keep_the_key(self, experiment,
+                                                       data):
+        """A config with its spec's resolved options and hidden units
+        written out keys the model it keys without them."""
+        clr = data.draw(st.sampled_from((None,) + CLR_KINDS))
+        others = data.draw(st.lists(st.sampled_from(
+            [k for k in LEVEL_KINDS if k not in CLR_KINDS]), unique=True,
+            min_size=0 if clr else 1))
+        kinds = data.draw(st.permutations(others + ([clr] if clr else [])))
+        values = {name: st.integers(1, 30) for name in LEVEL_OPTIONS}
+        values.update(padded_len=st.integers(10, 60), widths=st.lists(
+            st.integers(1, 10), min_size=1, max_size=4, unique=True))
+        names = data.draw(st.lists(st.sampled_from(sorted(values)),
+                                   unique=True, max_size=3))
+
+        def text(value):
+            return ",".join(map(str, value)) \
+                if isinstance(value, (list, tuple)) else str(value)
+
+        rep = {name: text(data.draw(values[name])) for name in names}
+        cfg = load_config(write_config(experiment, levels=",".join(kinds),
+                                       representation=rep))
+        written = dict(rep, hidden_units=str(cfg.train.hidden_units))
+        for lv in cfg.spec.levels:
+            written.update({k: text(v) for k, v in lv.options.items()})
+        resolved = write_config(experiment, levels=",".join(kinds),
+                                name="resolved.ini", representation=written)
+        assert PipelineRun(load_config(resolved)).model_key() \
+            == PipelineRun(cfg).model_key()
 
     def test_changes_with_the_model_format(self, experiment, monkeypatch):
         """A cache written in another model format is never read as this
@@ -285,7 +341,9 @@ class TestLoadConfig:
                         "mode": "skip"},
             subword={"dynamic_window": "yes", "n_min": "2"}))
         assert [lv.options for lv in cfg.spec.levels] \
-            == [{"widths": (2, 3, 4)}, {"top_k": 5}]
+            == [{"padded_len": 40, "char_dim": 10, "widths": (2, 3, 4),
+                 "feature_maps": 50}, {"top_k": 5}]
+        assert cfg.train.hidden_units == 400
         assert cfg.main.positional is False
         assert cfg.main.dynamic_window is False
         assert cfg.main.learning_rate == 1.0

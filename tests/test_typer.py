@@ -221,8 +221,7 @@ def untrained_model(spec, res, names, hidden=7):
     asm = Assembler(spec, res).fit(names)
     clr = None
     if spec.clr_level is not None:
-        clr = ClrEncoder(spec.clr_level, build_char_vocab(names, 1), rng,
-                         combo_kinds=spec.kinds)
+        clr = ClrEncoder(spec.clr_level, build_char_vocab(names, 1), rng)
     return TyperModel(spec, res, asm, clr, hidden, rng)
 
 
@@ -274,8 +273,9 @@ class TestLevelNotes:
         # the counts the per-name level functions give
         swlr_zero = sum(not wlr(name, res.subword_store).any()
                         for _, name in insts)
+        top_k = model.spec.levels[-1].options["top_k"]
         des_zero = sum(eid not in res.descriptions or not avg_des(
-            res.descriptions[eid], res.idf, res.main_store).any()
+            res.descriptions[eid], res.idf, res.main_store, top_k).any()
             for eid, _ in insts)
         assert (swlr_zero, des_zero) == (2, 4)
         split = self._split(model_entities(model, insts), (0, 1, 2), (3, 4))
@@ -613,8 +613,7 @@ def dense_train(split, spec, res, cfg):
     rng = np.random.default_rng(cfg.seed)
     names = [name for _, name in insts]
     assembler = Assembler(spec, res).fit(names)
-    clr = ClrEncoder(spec.clr_level, build_char_vocab(names), rng,
-                     combo_kinds=spec.kinds)
+    clr = ClrEncoder(spec.clr_level, build_char_vocab(names), rng)
     model = TyperModel(spec, res, assembler, clr, cfg.hidden_units, rng)
     w_in = dense_w_in(model)
     pairs = [(e.id, name) for e, name in insts]
@@ -716,8 +715,7 @@ class TestEndToEndGradient:
             asm = Assembler(spec, res).fit(["abc"])
             from mulr.levels import ClrEncoder, build_char_vocab
             vocab = build_char_vocab(["abcdef nm" * 5])
-            clr = ClrEncoder(spec.clr_level, vocab, rng,
-                             combo_kinds=spec.kinds)
+            clr = ClrEncoder(spec.clr_level, vocab, rng)
             model = TyperModel(spec, res, asm, clr, 5, rng)
             insts = [(e.id, e.names[0]) for e in split.train[:3]]
             frozen = model.frozen_matrix(insts)
