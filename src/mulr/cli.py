@@ -3,6 +3,11 @@
 Subcommands: gen-synthetic, build-corpus, embed, train, calibrate,
 predict, evaluate, pipeline, report. Exit codes: 0 success, 1 usage,
 2 data error, 3 numeric failure.
+
+The stage commands build-corpus, embed and train read an experiment
+config (``--config``) and run the pipeline's own stage for it, so they
+share its settings, cache keys, cached artifacts and stage-named errors:
+a stage already cached for the config is loaded, not rebuilt.
 """
 
 from __future__ import annotations
@@ -13,15 +18,12 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import dataset as dataset_mod
-from .embeddings import (SgnsConfig, save_embeddings, train_sgns,
-                         train_subword_sgns)
-from .corpus import build_subword_index
+from .embeddings import save_embeddings
 from .errors import DataError, MulrError, NumericError, ParseError
 from .fileio import text_lines
 from .metrics import build_report, significance_matrix
 from .pipeline import (PipelineRun, load_config, read_predictions,
-                       read_vocabulary, run_pipeline, save_descriptions,
-                       write_predictions, write_tokens)
+                       run_pipeline, save_descriptions, write_predictions)
 from .synthetic import generate, generate_order_corpus, preset_spec
 from .typer import calibrate_thresholds, load_model, save_model
 
@@ -30,16 +32,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _thread_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is below 1")
-    return value
 
 
 def _cmd_gen_synthetic(args) -> int:
@@ -76,31 +68,23 @@ def _cmd_gen_synthetic(args) -> int:
 
 
 def _cmd_build_corpus(args) -> int:
-    ts = dataset_mod.load_type_system(args.hierarchy)
-    split = dataset_mod.load_dataset(args.dataset, ts)
-    protected_path = Path(args.protected_out or
-                          str(args.out) + ".protected.txt")
-    count = write_tokens(corpus_mod.load_corpus(args.corpus), args.notable,
-                         split, args.out, protected_path)
-    print(f"wrote {args.out} ({count} sentences) and {protected_path}")
+    tokens, protected = PipelineRun(load_config(args.config)).build_tokens()
+    print(f"tokens cached at {tokens}")
+    print(f"protected tokens cached at {protected}")
     return 0
 
 
 def _cmd_embed(args) -> int:
-    stream, vocab = read_vocabulary(args.corpus, args.protected,
-                                    args.min_count)
-    cfg = SgnsConfig(dim=args.dim, negatives=args.neg, window=args.window,
-                     epochs=args.epochs, learning_rate=args.lr,
-                     seed=args.seed, positional=args.mode == "sskip",
-                     threads=args.threads)
-    if args.mode == "subword":
-        index = build_subword_index(vocab, n_min=args.n_min, n_max=args.n_max,
-                                    min_count=args.ngram_min_count)
-        store = train_subword_sgns(stream, vocab, index, cfg)
+    run = PipelineRun(load_config(args.config))
+    if args.subword:
+        store, name = run.build_subword_store(), "subword_embeddings"
     else:
-        store = train_sgns(stream, vocab, cfg)
-    save_embeddings(store, args.out)
-    print(f"wrote {args.out} ({len(store)} vectors, dim {store.dim})")
+        store, name = run.build_main_store(), "embeddings"
+    if args.out:
+        save_embeddings(store, args.out)
+        print(f"wrote {args.out} ({len(store)} vectors, dim {store.dim})")
+    else:
+        print(f"store cached at {run.artifacts[name]}")
     return 0
 
 
@@ -229,32 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--types", type=int, default=10)
     p.set_defaults(func=_cmd_gen_synthetic)
 
-    p = sub.add_parser("build-corpus", help="emit the three-copy token stream")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--notable", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--hierarchy", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--protected-out")
+    p = sub.add_parser("build-corpus", help="cache the three-copy token "
+                       "stream and the protected tokens of a config")
+    p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_build_corpus)
 
-    p = sub.add_parser("embed", help="train token embeddings")
-    p.add_argument("--mode", choices=["skip", "sskip", "subword"],
-                   default="skip")
-    p.add_argument("--dim", type=int, default=200)
-    p.add_argument("--neg", type=int, default=10)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--min-count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--threads", type=_thread_count, default=1)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.025)
-    p.add_argument("--protected", help="file of tokens exempt from min-count")
-    p.add_argument("--n-min", type=int, default=3)
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--ngram-min-count", type=int, default=5)
-    p.add_argument("corpus")
-    p.add_argument("out")
+    p = sub.add_parser("embed", help="train or load the embedding store of "
+                       "a config ([embeddings] mode: skip or sskip)")
+    p.add_argument("--config", required=True)
+    p.add_argument("--subword", action="store_true",
+                   help="the [subword] store instead of the main one")
+    p.add_argument("--out", help="also write the store as word2vec text "
+                   "(a subword store's rows are its ngrams)")
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("train", help="train the typer per a config file")

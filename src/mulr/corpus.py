@@ -185,7 +185,6 @@ class Vocabulary:
 
     index: dict[str, int]
     counts: dict[str, int]
-    min_count: int
     protected: frozenset[str] = frozenset()
 
     def __len__(self) -> int:
@@ -223,8 +222,7 @@ def build_vocabulary(
             if c >= min_count or t in protected}
     ordered = sorted(kept, key=lambda t: (-kept[t], t))
     return Vocabulary(index={t: i for i, t in enumerate(ordered)},
-                      counts=kept, min_count=min_count,
-                      protected=frozenset(protected))
+                      counts=kept, protected=frozenset(protected))
 
 
 BOUNDARY_START = "<"
@@ -271,12 +269,8 @@ class SubwordIndex:
                 if g in self.index]
 
 
-def build_subword_index(
-    vocab: Vocabulary,
-    n_min: int = 3,
-    n_max: int = 6,
-    min_count: int = 5,
-) -> SubwordIndex:
+def build_subword_index(vocab: Vocabulary, n_min: int, n_max: int,
+                        min_count: int) -> SubwordIndex:
     """Ngram inventory over the vocabulary's word tokens.
 
     Ngram occurrences are weighted by token frequency; ngrams below

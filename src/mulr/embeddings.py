@@ -29,11 +29,13 @@ the shared parameters without synchronization and only statistical
 properties are reproducible.
 
 Embedding text format (``save_embeddings``, ``mulr embed --out``): first
-line ``count dim``, then one ``token v1 .. vd`` row per token. The
-pipeline caches stores as array files instead (``save_store``, see
-``fileio``): magic line ``MULR-STORE 2``, a JSON line with ``kind``, ``dim``
-and ``tokens`` (``store_meta``) and the array manifest, then the matrix as
-raw little-endian bytes of its dtype (``<f4`` for float32). The model file
+line ``count dim``, then one ``token v1 .. vd`` row per token; a subword
+store's rows are its ngrams, and ``load_embeddings`` reads them back as a
+plain store without the ngram index. The pipeline caches stores as array
+files instead (``save_store``, see ``fileio``): magic line
+``MULR-STORE 2``, a JSON line with ``kind``, ``dim`` and ``tokens``
+(``store_meta``) and the array manifest, then the matrix as raw
+little-endian bytes of its dtype (``<f4`` for float32). The model file
 keeps its stores with the same metadata. A ``MULR-STORE 1`` file, which
 held a float64-trained matrix, does not load.
 """

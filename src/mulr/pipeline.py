@@ -28,11 +28,13 @@ and on a miss writes the sidecars only after the build. Configurations
 sharing an output directory share their token and store caches. The report
 (report-*.tsv and .txt, by model key) is rebuilt on every run, without a
 sidecar. Free-form artifacts carry the config hash and seed in a header
-line. The CLI runs its stages through the same functions.
+line. ``mulr build-corpus``, ``mulr embed`` and ``mulr train`` run their
+stages through ``PipelineRun`` from the same config.
 
 Stores are cached as ``embeddings.save_store`` array files, from which a
 subword store rebuilds its ngram index (``ngram_bounds``) on a cache hit.
-``mulr embed --out`` writes the word2vec text format instead.
+``mulr embed --out`` also writes the store it built or loaded as word2vec
+text; the text of a subword store holds one row per indexed ngram.
 
 Configuration files are flat ``key = value`` INI text. ``SCHEMA`` types
 each key of the sections ``[paths]``, ``[representation]``, ``[embeddings]``,
@@ -73,6 +75,8 @@ SGNS_SET_ELSEWHERE = ("seed", "threads", "positional")
 TRAIN_SET_ELSEWHERE = ("seed", "hidden_units")
 SGNS_KEYS = {f.name: type(f.default) for f in fields(SgnsConfig)
              if f.name not in SGNS_SET_ELSEWHERE}
+# [run] threads: SGNS starts one thread per sentence chunk
+MAX_THREADS = 64
 
 # section -> key -> type: ``bool`` takes configparser's boolean words,
 # ``tuple`` reads widths ``a-b`` or ``a,b,...``, and a tuple of strings
@@ -166,20 +170,23 @@ def load_config(path, levels: str | None = None) -> ExperimentConfig:
         p = Path(value)
         return p if p.is_absolute() else base / p
 
-    def _least(section, key, default, least=1):
+    def _within(section, key, default, least=1, most=None):
         value = sections.get(section, {}).get(key, default)
         if value < least:
             raise DataError(f"{path}: {section}.{key}: {value} is below "
                             f"{least}")
+        if most is not None and value > most:
+            raise DataError(f"{path}: {section}.{key}: {value} is above "
+                            f"{most}")
         return value
 
     seed = sections.get("run", {}).get("seed", 1)
-    threads = _least("run", "threads", 1)
-    main_min_count = _least("embeddings", "min_count", 100)
-    n_min = _least("subword", "n_min", 3)
-    subword_counts = (_least("subword", "min_count", main_min_count), n_min,
-                      _least("subword", "n_max", 6, least=n_min),
-                      _least("subword", "ngram_min_count", 5))
+    threads = _within("run", "threads", 1, most=MAX_THREADS)
+    main_min_count = _within("embeddings", "min_count", 100)
+    n_min = _within("subword", "n_min", 3)
+    subword_counts = (_within("subword", "min_count", main_min_count), n_min,
+                      _within("subword", "n_max", 6, least=n_min),
+                      _within("subword", "ngram_min_count", 5))
     sgns = sections.get("embeddings", {})
     sub = {**sgns, **sections.get("subword", {})}
     rep = sections.get("representation", {})
@@ -470,10 +477,10 @@ class PipelineRun:
 
 def write_tokens(corpus: corpus_mod.AnnotatedCorpus, notable_path,
                  split: dataset_mod.DatasetSplit,
-                 tokens_path, protected_path) -> int:
+                 tokens_path, protected_path) -> None:
     """Write the three-copy stream (test entities keep their surface words
     in the type copy) and the protected tokens: notable entities and types
-    and every dataset entity. Returns the stream's sentence count."""
+    and every dataset entity."""
     notable = corpus_mod.load_notable(notable_path)
     exclude = frozenset(e.id for e in split.test)
     try:
@@ -487,19 +494,16 @@ def write_tokens(corpus: corpus_mod.AnnotatedCorpus, notable_path,
                        | {e.id for e in split.all_entities()})
     Path(protected_path).write_text("\n".join(protected) + "\n",
                                     encoding="utf-8")
-    return len(stream)
 
 
 def read_vocabulary(tokens_path, protected_path,
                     min_count: int) -> tuple[list[list[str]], Vocabulary]:
     """A token file's sentences and their vocabulary; the tokens listed in
-    ``protected_path``, when given, are kept below ``min_count``."""
+    ``protected_path`` are kept below ``min_count``."""
     stream = [line.split() for _, line in text_lines(tokens_path)
               if line.strip()]
-    protected = frozenset()
-    if protected_path:
-        protected = frozenset(tok for _, line in text_lines(protected_path)
-                              for tok in line.split())
+    protected = frozenset(tok for _, line in text_lines(protected_path)
+                          for tok in line.split())
     return stream, build_vocabulary(stream, min_count, protected)
 
 

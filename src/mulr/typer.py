@@ -249,12 +249,11 @@ class TyperModel:
                 x, self.feature_rows(chunk))
         return out
 
-    def label_matrix(self, entities_or_instances) -> np.ndarray:
+    def label_matrix(self, entities: Sequence[EntityRecord]) -> np.ndarray:
         index = self.type_system.index
-        out = np.zeros((len(entities_or_instances), len(self.type_system)))
-        for row, item in enumerate(entities_or_instances):
-            gold = item.gold_types if isinstance(item, EntityRecord) else item
-            for t in gold:
+        out = np.zeros((len(entities), len(self.type_system)))
+        for row, e in enumerate(entities):
+            for t in e.gold_types:
                 out[row, index[t]] = 1.0
         return out
 

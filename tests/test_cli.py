@@ -38,10 +38,6 @@ seed = {seed}
 threads = {threads}
 """
 
-EMBED = ["--dim", "8", "--epochs", "1", "--min-count", "1", "--neg", "2",
-         "--n-max", "4", "--ngram-min-count", "1"]
-
-
 # (config text replaced, replacement), and the error it gives
 OUT_OF_RANGE = [
     (("epochs = 3", "epochs = 0"), "epochs and batch_size must be positive"),
@@ -60,6 +56,9 @@ OUT_OF_RANGE = [
      "hidden_dim: 0 is below 1"),
     (("levels = elr,swlr,tc", "levels = clr-cnn\npadded_len = 5"),
      "padded_len: 5 is shorter than the widest filter, 8"),
+    *[(("threads = 1", f"threads = {threads}"),
+       f"run.threads: {threads} is above {pipeline.MAX_THREADS}")
+      for threads in (pipeline.MAX_THREADS + 1, 1_000_000_000)],
 ]
 
 # the vocabulary and ngram counts, each bounded when the config loads:
@@ -145,14 +144,6 @@ def noted_model(synth, tmp_path_factory):
     return config, model
 
 
-def build_corpus(synth, out):
-    return cli.main(["build-corpus", "--corpus", str(synth / "corpus.txt"),
-                     "--notable", str(synth / "notable.tsv"),
-                     "--dataset", str(synth / "dataset.tsv"),
-                     "--hierarchy", str(synth / "hierarchy.tsv"),
-                     "--out", str(out)])
-
-
 class TestStages:
     def test_gen_synthetic_order_preset(self, tmp_path):
         assert cli.main(["gen-synthetic", "--preset", "order",
@@ -161,28 +152,54 @@ class TestStages:
         assert (tmp_path / "order-classes.tsv").exists()
 
     def test_build_corpus_matches_pipeline_tokens(self, synth, pipeline_run,
-                                                  tmp_path):
+                                                  tmp_path, capsys):
+        """On a fresh cache, ``build-corpus`` writes the token files the
+        pipeline wrote for the same inputs, under the same names, and
+        prints their paths."""
         run, _ = pipeline_run
         tokens, protected = run.build_tokens()
-        out = tmp_path / "tokens.txt"
-        assert build_corpus(synth, out) == 0
-        assert out.read_bytes() == tokens.read_bytes()
-        assert (tmp_path / "tokens.txt.protected.txt").read_bytes() \
+        copy_inputs(synth, tmp_path)
+        config = write_config(tmp_path, "exp.ini")
+        capsys.readouterr()
+        assert cli.main(["build-corpus", "--config", str(config)]) == 0
+        cached = tmp_path / "cache"
+        assert capsys.readouterr().out == (
+            f"tokens cached at {cached / tokens.name}\n"
+            f"protected tokens cached at {cached / protected.name}\n")
+        assert (cached / tokens.name).read_bytes() == tokens.read_bytes()
+        assert (cached / protected.name).read_bytes() \
             == protected.read_bytes()
 
     @pytest.mark.parametrize("mode", ["skip", "sskip", "subword"])
-    def test_embed_each_mode(self, synth, tmp_path, mode):
-        tokens = tmp_path / "tokens.txt"
-        assert build_corpus(synth, tokens) == 0
+    def test_embed_each_mode(self, synth, tmp_path, monkeypatch, capsys,
+                             mode):
+        """``embed --out`` writes exactly the store the pipeline caches for
+        the config, and a second call loads that store, training nothing."""
+        copy_inputs(synth, tmp_path)
+        extra = {} if mode == "subword" else {"[embeddings]": f"mode = {mode}"}
+        config = write_config(tmp_path, "exp.ini", extra=extra)
+        flags = ["--subword"] if mode == "subword" else []
         out = tmp_path / f"{mode}.vec"
-        assert cli.main(["embed", "--mode", mode, *EMBED, "--protected",
-                         str(tokens) + ".protected.txt", str(tokens),
-                         str(out)]) == 0
-        store = load_embeddings(out)
-        assert store.dim == 8
-        if mode != "subword":
-            protected = (tmp_path / "tokens.txt.protected.txt").read_text()
-            assert set(protected.split()) <= set(store.tokens)
+        assert cli.main(["embed", "--config", str(config), *flags,
+                         "--out", str(out)]) == 0
+
+        trained = []
+        for name in ("train_sgns", "train_subword_sgns"):
+            monkeypatch.setattr(pipeline, name,
+                                lambda *a, **k: trained.append(a))
+        run = PipelineRun(load_config(config))
+        store = (run.build_subword_store() if mode == "subword"
+                 else run.build_main_store())
+        label = "subword_embeddings" if mode == "subword" else "embeddings"
+        assert run.artifacts[label].name.startswith(f"{mode}-")
+        written = load_embeddings(out)
+        assert written.tokens == store.tokens
+        assert np.array_equal(written.matrix, store.matrix)
+        capsys.readouterr()
+        assert cli.main(["embed", "--config", str(config), *flags]) == 0
+        assert capsys.readouterr().out \
+            == f"store cached at {run.artifacts[label]}\n"
+        assert trained == []
 
     def test_train_calibrate_predict_evaluate(self, synth, pipeline_run,
                                               tmp_path, capsys):
@@ -252,10 +269,10 @@ class TestExitCodes:
         [],
         ["no-such-command"],
         ["train"],
-        ["embed", "--mode", "bogus", "a", "b"],
+        ["embed"],
+        ["embed", "--config", "exp.ini", "--mode", "subword"],
+        ["build-corpus", "--corpus", "corpus.txt"],
         ["predict", "--model", "m.bin"],
-        ["embed", "--threads", "0", "a", "b"],
-        ["embed", "--threads", "-2", "a", "b"],
     ])
     def test_usage_error_exits_1(self, argv, capsys):
         assert cli.main(argv) == 1
@@ -267,10 +284,9 @@ class TestExitCodes:
          "--out", "{tmp}/p.tsv"],
         ["evaluate", "--preds", "{missing}", "--dataset", "{missing}",
          "--hierarchy", "{missing}"],
-        ["embed", "{missing}", "{tmp}/out.vec"],
-        ["build-corpus", "--corpus", "{missing}", "--notable", "{missing}",
-         "--dataset", "{missing}", "--hierarchy", "{missing}",
-         "--out", "{tmp}/t.txt"],
+        ["embed", "--config", "{missing}", "--out", "{tmp}/out.vec"],
+        ["embed", "--config", "{missing}", "--subword"],
+        ["build-corpus", "--config", "{missing}"],
         ["pipeline", "{missing}"],
         ["report", "{missing}"],
     ])
@@ -305,7 +321,9 @@ class TestExitCodes:
     def test_bad_config_value_exits_2(self, synth, capsys, fields, where):
         config = write_config(synth, "exp-bad.ini", **fields)
         for argv in (["train", "--config", str(config)],
-                     ["pipeline", str(config)]):
+                     ["pipeline", str(config)],
+                     ["build-corpus", "--config", str(config)],
+                     ["embed", "--config", str(config), "--subword"]):
             assert cli.main(argv) == 2
             err = capsys.readouterr().err
             assert where in err and "Traceback" not in err
@@ -317,9 +335,10 @@ class TestExitCodes:
                              + list(COUNT_BOUNDS))
     def test_out_of_range_config_value_exits_2(self, synth, capsys,
                                                monkeypatch, edit, message):
-        """A value out of range, a vocabulary or ngram count included,
-        fails when the config loads, naming the file, before any store
-        trains."""
+        """A value out of range, a vocabulary or ngram count or a thread
+        count included, fails when the config loads, naming the file,
+        before any store trains (the trainers are stubbed, so a thread
+        count that passed would start no thread)."""
         trained = []
         for name in ("train_sgns", "train_subword_sgns"):
             monkeypatch.setattr(pipeline, name,
@@ -327,7 +346,8 @@ class TestExitCodes:
         config = write_config(synth, "exp-bad.ini")
         config.write_text(config.read_text().replace(*edit))
         for argv in (["train", "--config", str(config)],
-                     ["pipeline", str(config)]):
+                     ["pipeline", str(config)],
+                     ["embed", "--config", str(config), "--subword"]):
             assert cli.main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"mulr: {config}: {message}")
@@ -421,15 +441,14 @@ class TestExitCodes:
             if line.split("\t")[0] != eid))
         where = f"{notable}: mention references entity {eid!r}"
         corpus = f"(in {tmp_path / 'corpus.txt'})"
-        assert build_corpus(tmp_path, tmp_path / "tokens.txt") == 2
-        err = capsys.readouterr().err
-        assert where in err and corpus in err and "Traceback" not in err
         config = write_config(tmp_path, "exp.ini")
-        assert cli.main(["pipeline", str(config)]) == 2
-        err = capsys.readouterr().err
-        assert where in err and corpus in err and "Traceback" not in err
-        assert err.count("stage ") == 1
-        assert "stage build-corpus: " in err
+        for argv in (["build-corpus", "--config", str(config)],
+                     ["pipeline", str(config)]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert where in err and corpus in err and "Traceback" not in err
+            assert err.count("stage ") == 1
+            assert "stage build-corpus: " in err
 
     def test_entity_id_in_two_sections_exits_2(self, synth, tmp_path,
                                                capsys):
@@ -715,9 +734,7 @@ def test_report_reader_fuzz(report_file, data):
         assert cli.main(["report", str(path)]) in (0, 2)
 
 
-BUILD = ("build-corpus --corpus {r}/corpus.txt --notable {r}/notable.tsv "
-         "--dataset {r}/dataset.tsv --hierarchy {r}/hierarchy.tsv "
-         "--out {r}/tokens.txt")
+BUILD = "build-corpus --config {r}/exp.ini"
 EVALUATE = ("evaluate --preds {r}/preds.tsv --dataset {r}/dataset.tsv "
             "--hierarchy {r}/hierarchy.tsv")
 # file each property damages, and a command that reads it

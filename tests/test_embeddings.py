@@ -720,18 +720,30 @@ class TestRunsMatchPerPairReference:
     @pytest.mark.parametrize("mode", ["skip", "sskip", "subword"])
     def test_cli_embed_output(self, tmp_path, monkeypatch, capsys, mode):
         """``mulr embed --out`` in float64 writes the reference's values to
-        1e-12."""
-        corpus = tmp_path / "tokens.txt"
-        corpus.write_text("".join(" ".join(s) + "\n"
-                                  for s in repeated_heads_stream()),
-                          encoding="utf-8")
-        args = ["embed", "--mode", mode, "--dim", "8", "--epochs", "2",
-                "--min-count", "1", "--neg", "3", "--window", "2",
-                "--n-min", "2", "--n-max", "3", "--ngram-min-count", "1",
-                str(corpus)]
-        assert cli.main(args + [str(tmp_path / "fast.vec")]) == 0
-        monkeypatch.setattr(embeddings, "_train_chunk", reference_train_chunk)
-        assert cli.main(args + [str(tmp_path / "ref.vec")]) == 0
+        1e-12. The corpus has no mentions, so each of its three copies is
+        the sentence itself; each kernel trains into its own cache."""
+        assert cli.main(["gen-synthetic", "--out", str(tmp_path),
+                         "--types", "2", "--entities-per-type", "3"]) == 0
+        (tmp_path / "corpus.txt").write_text(
+            "".join(" ".join(s) + "\n" for s in repeated_heads_stream()),
+            encoding="utf-8")
+        sections = ("[embeddings]\nmode = {mode}\ndim = 8\nepochs = 2\n"
+                    "min_count = 1\nnegatives = 3\nwindow = 2\n"
+                    "[subword]\nn_min = 2\nn_max = 3\nngram_min_count = 1\n")
+        args = ["--subword"] if mode == "subword" else []
+        for name in ("fast", "ref"):
+            config = tmp_path / f"{name}.ini"
+            config.write_text(
+                "[paths]\ncorpus = corpus.txt\ndataset = dataset.tsv\n"
+                "hierarchy = hierarchy.tsv\nnotable = notable.tsv\n"
+                f"out_dir = {name}\n"
+                + sections.format(mode="skip" if mode == "skip" else "sskip"),
+                encoding="utf-8")
+            if name == "ref":
+                monkeypatch.setattr(embeddings, "_train_chunk",
+                                    reference_train_chunk)
+            assert cli.main(["embed", "--config", str(config), *args,
+                             "--out", str(tmp_path / f"{name}.vec")]) == 0
         a = load_embeddings(tmp_path / "fast.vec")
         b = load_embeddings(tmp_path / "ref.vec")
         assert a.tokens == b.tokens

@@ -298,6 +298,8 @@ class TestLoadConfig:
         ("run", "threads", "one"),
         ("run", "threads", "0"),
         ("run", "threads", "-2"),
+        ("run", "threads", str(pipeline.MAX_THREADS + 1)),
+        ("run", "threads", "1000000000"),
         ("run", "seed", "1.5"),
         ("representation", "hidden_units", "x"),
         ("representation", "widths", "2-x"),
@@ -351,5 +353,7 @@ class TestLoadConfig:
         assert cfg.subword_counts[1] == 2
 
     def test_threads_from_run_section(self, experiment):
-        cfg = load_config(write_config(experiment, run={"threads": "3"}))
-        assert cfg.main.threads == cfg.subword.threads == 3
+        for threads in (3, pipeline.MAX_THREADS):
+            cfg = load_config(write_config(experiment,
+                                           run={"threads": str(threads)}))
+            assert cfg.main.threads == cfg.subword.threads == threads
