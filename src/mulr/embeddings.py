@@ -21,12 +21,15 @@ rounded to it, and the loss is summed in float64. An ``EmbeddingStore``
 holds its matrix in ``nn.DTYPE`` however it was made: trained, read from a
 store or model file, or read from text.
 
-Negative samples are drawn from the unigram distribution raised to 0.75 via
-a precomputed sampling table. The learning rate decays linearly to 1e-4 of
-its initial value over all epochs. Single-threaded training is bit
-deterministic under a fixed seed; with more threads, sentence chunks update
-the shared parameters without synchronization and only statistical
-properties are reproducible.
+The settings are the five of word2vec.c, wang2vec and fastText: dimension,
+window, negatives, epochs and learning rate. As in those, each center's
+window shrinks to a uniform draw in [1, window]. Negative samples are drawn
+from the unigram distribution raised to 0.75 via a fixed table of
+``NEGATIVE_TABLE_SIZE`` entries, and a batch step takes ``BATCH_PAIRS``
+pairs. The learning rate decays linearly to 1e-4 of its initial value over
+all epochs. Single-threaded training is bit deterministic under a fixed
+seed; with more threads, sentence chunks update the shared parameters
+without synchronization and only statistical properties are reproducible.
 
 Embedding text format (``save_embeddings``, ``mulr embed --out``): first
 line ``count dim``, then one ``token v1 .. vd`` row per token; a subword
@@ -42,6 +45,7 @@ held a float64-trained matrix, does not load.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import Counter
 from contextlib import closing
@@ -62,6 +66,11 @@ KIND_SSKIP = "sskip"
 KIND_SUBWORD = "subword"
 
 NEGATIVE_TABLE_SIZE = 1_000_000
+# pairs vectorized per update; within a batch updates use the same stale
+# parameters and the updates of a row repeated in the batch are summed, so
+# keep it small relative to the vocabulary; the step's (distinct output
+# rows x center runs) coefficient matrix grows about with its square
+BATCH_PAIRS = 256
 UNIGRAM_POWER = 0.75
 MIN_LR_FRACTION = 1e-4
 STORE_MAGIC = "MULR-STORE 2"
@@ -76,23 +85,16 @@ class SgnsConfig:
     learning_rate: float = 0.025
     seed: int = 1
     positional: bool = False    # True selects the order-aware variant
-    dynamic_window: bool = True  # shrink window uniformly in [1, window]
     threads: int = 1
-    table_size: int = NEGATIVE_TABLE_SIZE
-    # pairs vectorized per update; within a batch updates use the same
-    # stale parameters and the updates of a row repeated in the batch are
-    # summed, so keep it small relative to the vocabulary; the step's
-    # (distinct output rows x center runs) coefficient matrix grows about
-    # with its square
-    batch_pairs: int = 256
 
     def __post_init__(self):
         if self.dim <= 0 or self.negatives < 1 or self.window < 1:
             raise DataError("dim must be positive, negatives and window >= 1")
-        if self.epochs < 1 or self.learning_rate <= 0:
-            raise DataError("epochs and learning_rate must be positive")
-        if self.batch_pairs < 1 or self.table_size < 1:
-            raise DataError("batch_pairs and table_size must be positive")
+        if self.epochs < 1:
+            raise DataError("epochs must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise DataError(f"learning_rate: {self.learning_rate} is not "
+                            f"positive and finite")
 
 
 @dataclass
@@ -277,7 +279,7 @@ def _unit_rows(m: np.ndarray) -> np.ndarray:
     return np.divide(m, norms, out=np.zeros_like(m), where=norms > 0.0)
 
 
-def _unigram_table(vocab: Vocabulary, size: int) -> np.ndarray:
+def _unigram_table(vocab: Vocabulary) -> np.ndarray:
     tokens = vocab.tokens
     weights = np.array([vocab.counts[t] for t in tokens], dtype=float)
     weights **= UNIGRAM_POWER
@@ -285,9 +287,9 @@ def _unigram_table(vocab: Vocabulary, size: int) -> np.ndarray:
     cumulative /= cumulative[-1]
     # in place: the table is large, and its temporaries set the peak
     # memory of a training run
-    targets = np.arange(size, dtype=float)
+    targets = np.arange(NEGATIVE_TABLE_SIZE, dtype=float)
     targets += 0.5
-    targets /= size
+    targets /= NEGATIVE_TABLE_SIZE
     return np.searchsorted(cumulative, targets)
 
 
@@ -351,7 +353,7 @@ class _SgnsState:
                                       indptr, indices)
         self.w_out = np.zeros((self.blocks * self.vocab_size, cfg.dim),
                               dtype=nn.DTYPE)
-        self.table = _unigram_table(vocab, cfg.table_size)
+        self.table = _unigram_table(vocab)
 
 
 def _block_of(offset: int, window: int, positional: bool) -> int:
@@ -360,50 +362,39 @@ def _block_of(offset: int, window: int, positional: bool) -> int:
     return offset + window if offset < 0 else offset + window - 1
 
 
-def iter_context_pairs(ids: list[int], window: int, positional: bool,
-                       dynamic_window: bool = True,
-                       rng: np.random.Generator | None = None):
+def iter_context_pairs(ids: list[int], spans, window: int,
+                       positional: bool):
     """Yield (center, context, output block) triples for one sentence.
 
-    With ``dynamic_window`` the effective window shrinks uniformly in
-    [1, window] per center token, as in standard skip-gram training. The
-    block index is 0 for the bag-of-words variant and selected by the
-    signed offset of the context token for the order-aware one.
+    The ``i``-th center sees the tokens up to ``spans[i]`` positions away,
+    a span in [1, window]. The block index is 0 for the bag-of-words
+    variant and selected by the signed offset of the context token for the
+    order-aware one.
     """
     n = len(ids)
-    for i, center in enumerate(ids):
-        if dynamic_window:
-            if rng is None:
-                raise NumericError("dynamic window needs a generator")
-            b = int(rng.integers(1, window + 1))
-        else:
-            b = window
+    for i, (center, b) in enumerate(zip(ids, spans)):
         for j in range(max(0, i - b), min(n, i + b + 1)):
-            if j == i:
-                continue
-            yield center, ids[j], _block_of(j - i, window, positional)
+            if j != i:
+                yield center, ids[j], _block_of(j - i, window, positional)
 
 
-def _epoch_pairs(tok: np.ndarray, sent: np.ndarray, cfg: SgnsConfig,
-                 rng: np.random.Generator):
-    """Vectorized (center, context, block) arrays for one epoch.
+def _epoch_pairs(tok: np.ndarray, sent: np.ndarray, spans: np.ndarray,
+                 cfg: SgnsConfig):
+    """Vectorized (center, context, block) arrays for one epoch, each
+    center ``tok[i]`` seeing ``spans[i]`` positions away.
 
     Produces the same pair multiset as iter_context_pairs over every
     sentence, ordered by center position so updates keep corpus locality.
     """
     n = tok.size
-    if cfg.dynamic_window:
-        b = rng.integers(1, cfg.window + 1, size=n)
-    else:
-        b = np.full(n, cfg.window, dtype=np.int64)
     centers, contexts, blocks, order = [], [], [], []
     for delta in range(1, min(cfg.window + 1, n)):
         same = sent[:n - delta] == sent[delta:]
         # the centers with a context at +delta, then those with one at -delta
-        for i, offset in ((np.nonzero(same & (b[:n - delta] >= delta))[0],
+        for i, offset in ((np.nonzero(same & (spans[:n - delta] >= delta))[0],
                            delta),
-                          (np.nonzero(same & (b[delta:] >= delta))[0] + delta,
-                           -delta)):
+                          (np.nonzero(same & (spans[delta:] >= delta))[0]
+                           + delta, -delta)):
             centers.append(tok[i])
             contexts.append(tok[i + offset])
             blocks.append(np.full(i.size, _block_of(offset, cfg.window,
@@ -436,7 +427,10 @@ def _train_chunk(tok: np.ndarray, sent: np.ndarray, state: _SgnsState,
     label = np.zeros(1 + cfg.negatives, dtype=w_out.dtype)
     label[0] = 1.0
 
-    centers, contexts, blocks = _epoch_pairs(tok, sent, cfg, rng)
+    # each center's window, drawn before the negatives and not held past
+    # the pairs it selects
+    centers, contexts, blocks = _epoch_pairs(
+        tok, sent, rng.integers(1, cfg.window + 1, size=tok.size), cfg)
     if trainable_mask is not None:
         keep = trainable_mask[centers]
         centers, contexts, blocks = centers[keep], contexts[keep], blocks[keep]
@@ -444,10 +438,10 @@ def _train_chunk(tok: np.ndarray, sent: np.ndarray, state: _SgnsState,
     loss_sum = 0.0
     frac0, frac1 = lr_span
 
-    for start in range(0, total, cfg.batch_pairs):
-        c = centers[start:start + cfg.batch_pairs]
-        t = contexts[start:start + cfg.batch_pairs]
-        blk = blocks[start:start + cfg.batch_pairs]
+    for start in range(0, total, BATCH_PAIRS):
+        c = centers[start:start + BATCH_PAIRS]
+        t = contexts[start:start + BATCH_PAIRS]
+        blk = blocks[start:start + BATCH_PAIRS]
         progress = frac0 + (frac1 - frac0) * (start / total)
         lr = lr0 * max(MIN_LR_FRACTION, 1.0 - progress)
         batch = c.size

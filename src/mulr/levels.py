@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -487,14 +488,17 @@ class Resources:
     ``main_store`` (skip or sskip) holds words, entity ids and type ids in
     one space and serves ``wwlr``, ``avg-des``, ``elr`` and ``tc``;
     ``subword_store`` serves ``swlr`` (``LEVEL_STORES``). A store no
-    level reads may be None.
+    level reads may be None. ``idf`` is derived from ``descriptions``.
     """
 
     type_system: TypeSystem
     main_store: EmbeddingStore | None = None
     subword_store: EmbeddingStore | None = None
     descriptions: dict[str, list[str]] | None = None
-    idf: dict[str, float] | None = None
+
+    @cached_property
+    def idf(self) -> dict[str, float]:
+        return build_idf(self.descriptions or {})
 
     def store(self, label: str) -> EmbeddingStore:
         """The ``main`` or ``subword`` store; a missing one is a
@@ -624,4 +628,4 @@ class Assembler:
         desc = (res.descriptions or {}).get(entity_id)
         if desc is None:
             return np.zeros(store.dim)
-        return avg_des(desc, res.idf or {}, store, k=lv.options["top_k"])
+        return avg_des(desc, res.idf, store, k=lv.options["top_k"])

@@ -62,7 +62,7 @@ from .errors import DataError, MulrError, ParseError
 from .fileio import text_lines
 from .corpus import Vocabulary, build_subword_index, build_vocabulary
 from .levels import (LEVEL_OPTIONS, RepresentationSpec, Resources,
-                     build_idf, default_hidden_units, stores_read)
+                     default_hidden_units, stores_read)
 from .metrics import EvalReport, build_report
 from .typer import (MODEL_MAGIC, TrainConfig, TyperModel,
                     calibrate_thresholds, load_model, predict_with_scores,
@@ -78,9 +78,8 @@ SGNS_KEYS = {f.name: type(f.default) for f in fields(SgnsConfig)
 # [run] threads: SGNS starts one thread per sentence chunk
 MAX_THREADS = 64
 
-# section -> key -> type: ``bool`` takes configparser's boolean words,
-# ``tuple`` reads widths ``a-b`` or ``a,b,...``, and a tuple of strings
-# lists the values a key allows.
+# section -> key -> type: ``tuple`` reads widths ``a-b`` or ``a,b,...``,
+# and a tuple of strings lists the values a key allows.
 SCHEMA = {
     "paths": dict.fromkeys(("corpus", "dataset", "hierarchy", "notable",
                             "out_dir", "descriptions"), str),
@@ -124,15 +123,13 @@ def _coerce(typ, value: str, where: str):
     if isinstance(typ, tuple) and value not in typ:
         raise DataError(f"{where}: {value!r} is not one of {', '.join(typ)}")
     try:
-        if typ is bool:
-            return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
         if typ is tuple:
             lo, _, hi = value.partition("-")
             if hi:
                 return tuple(range(int(lo), int(hi) + 1))
             return tuple(int(x) for x in value.split(","))
         return value if isinstance(typ, tuple) else typ(value)
-    except (KeyError, ValueError):
+    except ValueError:
         raise DataError(f"{where}: bad value {value!r}") from None
 
 
@@ -180,7 +177,7 @@ def load_config(path, levels: str | None = None) -> ExperimentConfig:
                             f"{most}")
         return value
 
-    seed = sections.get("run", {}).get("seed", 1)
+    seed = _within("run", "seed", 1, least=0)
     threads = _within("run", "threads", 1, most=MAX_THREADS)
     main_min_count = _within("embeddings", "min_count", 100)
     n_min = _within("subword", "n_min", 3)
@@ -395,13 +392,10 @@ class PipelineRun:
                     "subword": self.build_subword_store}
         stores = {f"{label}_store": builders[label]()
                   for label in stores_read(spec)}
-        idf = None
-        if "avg-des" in spec.kinds:
-            if self.descriptions is None:
-                raise DataError("avg-des level needs a descriptions file")
-            idf = build_idf(self.descriptions)
+        if "avg-des" in spec.kinds and self.descriptions is None:
+            raise DataError("avg-des level needs a descriptions file")
         return Resources(type_system=self.type_system,
-                         descriptions=self.descriptions, idf=idf, **stores)
+                         descriptions=self.descriptions, **stores)
 
     # model ----------------------------------------------------------------
 

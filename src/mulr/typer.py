@@ -10,7 +10,9 @@ step updates only the table rows its batch touched, which AdaGrad makes
 exact. Word-, entity- and type-level inputs stay frozen; only the MLP and
 the character-level encoder receive gradients. After each epoch the dev
 micro F1 at threshold 0.5 decides the checkpoint to keep; training stops once
-``patience`` epochs pass without a new best.
+``patience`` epochs pass without a new best. Dev entities are required, for
+the checkpoint and for calibration: ``train`` without them is a
+``DataError`` before the first epoch.
 
 Decision thresholds are calibrated per type on dev scores and applied with
 a strict greater-than, so an uninformative all-0.5 model predicts nothing.
@@ -93,8 +95,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise DataError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0 or self.patience < 0:
-            raise DataError("learning_rate must be positive, patience >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise DataError(f"learning_rate: {self.learning_rate} is not "
+                            f"positive and finite")
+        if self.patience < 0:
+            raise DataError(f"patience: {self.patience} is below 0")
         if self.hidden_units is not None and self.hidden_units < 1:
             raise DataError(f"hidden_units: {self.hidden_units} is below 1")
 
@@ -287,6 +292,8 @@ def train(split: DatasetSplit, spec: RepresentationSpec, resources: Resources,
     insts = train_instances(split)
     if not insts:
         raise DataError("no training instances")
+    if not split.dev:
+        raise DataError("no dev entities to choose the checkpoint on")
     rng = np.random.default_rng(cfg.seed)
     train_names = [name for _, name in insts]
     assembler = Assembler(spec, resources).fit(train_names)
@@ -305,13 +312,13 @@ def train(split: DatasetSplit, spec: RepresentationSpec, resources: Resources,
     labels = model.label_matrix([e for e, _ in insts])
 
     dev_pairs = [(e.id, e.names[0]) for e in split.dev]
-    dev_frozen = model.frozen_matrix(dev_pairs) if dev_pairs else None
-    dev_feats = model.feature_rows(dev_pairs) if dev_pairs else None
-    dev_ids = model.char_matrix(dev_pairs) if dev_pairs else None
-    dev_gold = model.label_matrix(list(split.dev)) if dev_pairs else None
+    dev_frozen = model.frozen_matrix(dev_pairs)
+    dev_feats = model.feature_rows(dev_pairs)
+    dev_ids = model.char_matrix(dev_pairs)
+    dev_gold = model.label_matrix(list(split.dev))
 
     # one note per dense level with zero rows among the rows built above
-    built = [frozen] if dev_frozen is None else [frozen, dev_frozen]
+    built = [frozen, dev_frozen]
     for lv, lo, hi in assembler.frozen_slices():
         zero = [np.count_nonzero(~x[:, lo:hi].any(axis=1)) for x in built]
         if zero[0] == len(frozen):
@@ -340,12 +347,8 @@ def train(split: DatasetSplit, spec: RepresentationSpec, resources: Resources,
             epoch_loss += bce_loss(p, m)
             model.backward_from_probs(p, m)
             model.step(opt)
-        if dev_frozen is not None:
-            dev_p = model.forward(model.compose(dev_frozen, dev_ids),
-                                  dev_feats)
-            metric = threshold_f1(dev_p, dev_gold, PROVISIONAL_THRESHOLD)
-        else:
-            metric = -epoch_loss
+        dev_p = model.forward(model.compose(dev_frozen, dev_ids), dev_feats)
+        metric = threshold_f1(dev_p, dev_gold, PROVISIONAL_THRESHOLD)
         if on_epoch_end is not None:
             on_epoch_end(epoch, epoch_loss, metric)
         if metric > best_metric:
@@ -457,11 +460,8 @@ def save_model(model: TyperModel, path, config_hash: str | None = None,
         "descriptions": {k: v for k, v in
                          sorted((res.descriptions or {}).items())}
         if res.descriptions is not None else None,
-        "idf": None,
         "flags": list(model.flags),
     }
-    if res.idf is not None:
-        meta["idf"] = {w: repr(x) for w, x in sorted(res.idf.items())}
     write_array_file(path, MODEL_MAGIC, meta, arrays)
 
 
@@ -485,11 +485,8 @@ def _model_from_meta(meta: dict, arrays: dict[str, np.ndarray]) -> TyperModel:
             raise DataError(f"no array {name!r} in the manifest")
         stores[f"{label}_store"] = store_from_meta(
             meta["stores"][label], arrays[name], STORE_KINDS[label])
-    idf = None
-    if meta["idf"] is not None:
-        idf = {w: float(x) for w, x in meta["idf"].items()}
     resources = Resources(type_system=ts, descriptions=meta["descriptions"],
-                          idf=idf, **stores)
+                          **stores)
     assembler = Assembler(spec, resources, {
         kind: feature_index(names)
         for kind, names in meta["indexers"].items()})

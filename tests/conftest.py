@@ -3,13 +3,15 @@ run of one commit draws the same examples and a fuzz failure reproduces.
 
 ``float64_layers`` builds every layer of a test in float64, the reference
 dtype its tolerances were set for; ``layer_dtype(d)`` sets the dtype of the
-layers built after the call, for tests that build one model in each."""
+layers built after the call, for tests that build one model in each.
+``sgns_batch(n)`` sets the pairs of an SGNS step, for tests whose corpora
+are too small to fill many batches of ``embeddings.BATCH_PAIRS``."""
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from mulr import nn
+from mulr import embeddings, nn
 
 settings.register_profile("repeatable", derandomize=True, database=None)
 settings.load_profile("repeatable")
@@ -25,3 +27,10 @@ def layer_dtype(monkeypatch):
 @pytest.fixture
 def float64_layers(layer_dtype):
     layer_dtype(np.float64)
+
+
+@pytest.fixture
+def sgns_batch(monkeypatch):
+    def set_batch(pairs):
+        monkeypatch.setattr(embeddings, "BATCH_PAIRS", pairs)
+    return set_batch

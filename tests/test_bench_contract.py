@@ -170,11 +170,11 @@ def workload_config(root: Path, body: str) -> Path:
 # model key replaced, and the store and model keys hash the float32 formats
 # ``MULR-STORE 2`` and ``MULR-MODEL 4``
 WORKLOAD_KEYS = {
-    "embed": ("f1fafb30bc70", "c81ce6dbb481", "383567eb796b",
-              "56d9f4ef6bca"),
-    "infer": ("f1fafb30bc70", "df82169f9de3", "822863d4466c",
-              "2b9c8e46ae92"),
-    "typer": ("f1fafb30bc70", "0c661f55a61a", "6abb2a3f705f",
+    "embed": ("f1fafb30bc70", "d37241aaeedf", "e0db4ec56780",
+              "0bd4fbe25bc8"),
+    "infer": ("f1fafb30bc70", "a877ce3346fb", "62be27249a08",
+              "10a554f4f1af"),
+    "typer": ("f1fafb30bc70", "d43589b41aa6", "7ded400faa69",
               "5a5abd64a9c1"),
 }
 

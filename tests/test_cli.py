@@ -59,6 +59,12 @@ OUT_OF_RANGE = [
     *[(("threads = 1", f"threads = {threads}"),
        f"run.threads: {threads} is above {pipeline.MAX_THREADS}")
       for threads in (pipeline.MAX_THREADS + 1, 1_000_000_000)],
+    (("seed = 1", "seed = -1"), "run.seed: -1 is below 0"),
+    *[((old, f"{old}\nlearning_rate = {value}"),
+       f"learning_rate: {read} is not positive and finite")
+      for old, value, read in [("epochs = 3", "nan", "nan"),
+                               ("epochs = 1", "inf", "inf"),
+                               ("[subword]", "1e999", "inf")]],
 ]
 
 # the vocabulary and ngram counts, each bounded when the config loads:
@@ -305,8 +311,10 @@ class TestExitCodes:
               ("[embeddings]", "seed = 2", "embeddings.seed"),
               ("[embeddings]", "threads = 2", "embeddings.threads"),
               ("[embeddings]", "mode = foo", "embeddings.mode"),
-              ("[embeddings]", "dynamic_window = maybe",
-               "embeddings.dynamic_window"),
+              *[(f"[{section}]", f"{key} = 8",
+                 f"{section}.{key}: not a config key")
+                for section in ("embeddings", "subword")
+                for key in ("table_size", "batch_pairs", "dynamic_window")],
               ("[subword]", "positional = true", "subword.positional"),
               ("[subword]", "bogus = 1", "subword.bogus"),
               ("[train]", "seed = 2", "train.seed"),

@@ -22,9 +22,15 @@ from mulr.typer import TyperModel, load_model, save_model
 
 def small_cfg(**kw):
     base = dict(dim=16, negatives=3, window=2, epochs=3, learning_rate=0.05,
-                seed=5, table_size=10_000, batch_pairs=16)
+                seed=5)
     base.update(kw)
     return SgnsConfig(**base)
+
+
+@pytest.fixture
+def small_batches(sgns_batch):
+    """SGNS steps of 16 pairs, so that the small corpora here span many."""
+    sgns_batch(16)
 
 
 class TestCosine:
@@ -250,6 +256,7 @@ class TestRawStore:
         assert loaded.tokens == store.tokens
         np.testing.assert_array_equal(loaded.matrix, store.matrix)
 
+    @pytest.mark.usefixtures("small_batches")
     def test_subword_store_without_an_index_rebuilds_it(self, tmp_path):
         """The file carries the ngram bounds, so a subword store loads
         without the index it was trained with, as in a model file."""
@@ -333,6 +340,7 @@ def elr_model(store: EmbeddingStore) -> TyperModel:
                       np.random.default_rng(0))
 
 
+@pytest.mark.usefixtures("small_batches")
 @pytest.mark.parametrize("dtype", [np.float32, np.float64],
                          ids=["float32", "float64"])
 @pytest.mark.parametrize("how", ["train_sgns", "train_subword_sgns",
@@ -457,6 +465,7 @@ def cluster_corpus():
     return sentences, a_words, b_words
 
 
+@pytest.mark.usefixtures("small_batches")
 class TestSgnsTraining:
     @pytest.mark.parametrize("kind", ["skip", "sskip", "subword"])
     def test_bit_identical_given_seed(self, kind):
@@ -528,17 +537,19 @@ def reference_train_chunk(tok, sent, state, cfg, seed, lr_span, losses,
     rng = np.random.default_rng(seed)
     comp = state.composer
     w_out, table, vocab_size = state.w_out, state.table, state.vocab_size
-    centers, contexts, blocks = _epoch_pairs(tok, sent, cfg, rng)
+    spans = rng.integers(1, cfg.window + 1, size=tok.size)
+    centers, contexts, blocks = _epoch_pairs(tok, sent, spans, cfg)
     if trainable_mask is not None:
         keep = trainable_mask[centers]
         centers, contexts, blocks = centers[keep], contexts[keep], blocks[keep]
     total = centers.size
     loss_sum = 0.0
     frac0, frac1 = lr_span
-    for start in range(0, total, cfg.batch_pairs):
-        c = centers[start:start + cfg.batch_pairs]
-        t = contexts[start:start + cfg.batch_pairs]
-        blk = blocks[start:start + cfg.batch_pairs]
+    step = embeddings.BATCH_PAIRS
+    for start in range(0, total, step):
+        c = centers[start:start + step]
+        t = contexts[start:start + step]
+        blk = blocks[start:start + step]
         progress = frac0 + (frac1 - frac0) * (start / total)
         lr = cfg.learning_rate * max(MIN_LR_FRACTION, 1.0 - progress)
         neg = table[rng.integers(0, len(table), size=(c.size, cfg.negatives))]
@@ -585,13 +596,15 @@ def batch_heads(stream, vocab, cfg, trainable_mask=None):
     """(center of each run, pair count) of each batch of the first epoch."""
     tok = np.array([vocab.index[t] for s in stream for t in s])
     sent = np.repeat(np.arange(len(stream)), [len(s) for s in stream])
-    centers, _, _ = _epoch_pairs(tok, sent, cfg,
-                                 np.random.default_rng(cfg.seed))
+    spans = np.random.default_rng(cfg.seed).integers(1, cfg.window + 1,
+                                                     size=tok.size)
+    centers, _, _ = _epoch_pairs(tok, sent, spans, cfg)
     if trainable_mask is not None:
         centers = centers[trainable_mask[centers]]
     out = []
-    for start in range(0, centers.size, cfg.batch_pairs):
-        c = centers[start:start + cfg.batch_pairs]
+    step = embeddings.BATCH_PAIRS
+    for start in range(0, centers.size, step):
+        c = centers[start:start + step]
         out.append((c[np.concatenate([[True], c[1:] != c[:-1]])], c.size))
     return out
 
@@ -651,6 +664,7 @@ class TestRunsMatchPerPairReference:
         assert fast.tokens == ref.tokens
         return fast.matrix, ref.matrix
 
+    @pytest.mark.usefixtures("small_batches")
     @pytest.mark.parametrize("kind", ["skip", "sskip", "subword"])
     @pytest.mark.parametrize("corpus", ["clusters", "repeated_heads"])
     def test_trained_matrix_matches(self, monkeypatch, layer_dtype, kind,
@@ -665,6 +679,7 @@ class TestRunsMatchPerPairReference:
             lambda: self._train(kind, stream, cfg))
         np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-12)
 
+    @pytest.mark.usefixtures("small_batches")
     @pytest.mark.parametrize("kind", ["skip", "sskip", "subword"])
     @pytest.mark.parametrize("corpus", ["clusters", "repeated_heads"])
     def test_float32_trained_matrix_matches(self, monkeypatch, layer_dtype,
@@ -686,6 +701,7 @@ class TestRunsMatchPerPairReference:
         "masked-centers": (masked_centers_stream, 2, 2),
     }
 
+    @pytest.mark.usefixtures("small_batches")
     @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12),
                                             (np.float32, 1e-5)],
                              ids=["float64", "float32"])
@@ -703,7 +719,7 @@ class TestRunsMatchPerPairReference:
         if edge == "distinct-centers":
             assert all(heads.size == pairs for heads, pairs in batches)
         elif edge == "one-center":
-            assert any(heads.size == 1 and pairs == cfg.batch_pairs
+            assert any(heads.size == 1 and pairs == embeddings.BATCH_PAIRS
                        for heads, pairs in batches)
         else:
             index = build_subword_index(vocab, n_min=2, n_max=3, min_count=2)
@@ -850,6 +866,7 @@ class TestComposer:
     def test_float32_backward_matches_add_at_reference(self):
         self._check_backward(rtol=1e-6, atol=1e-6)
 
+    @pytest.mark.usefixtures("small_batches")
     def test_token_without_indexed_ngrams_stays_finite(self):
         stream = [["aa", "ab", "zq", "ab", "aa"]] + [["ab", "aa", "ba"]] * 20
         vocab = build_vocabulary(stream, 1)
@@ -861,9 +878,8 @@ class TestComposer:
 
 class TestPairEnumeration:
     def test_blocks_by_signed_offset(self):
-        pairs = list(iter_context_pairs([10, 11, 12], window=2,
-                                        positional=True,
-                                        dynamic_window=False))
+        pairs = list(iter_context_pairs([10, 11, 12], [2, 2, 2], window=2,
+                                        positional=True))
         # center 11 sees 10 at offset -1 (block 1) and 12 at +1 (block 2)
         assert (11, 10, 1) in pairs
         assert (11, 12, 2) in pairs
@@ -871,31 +887,39 @@ class TestPairEnumeration:
         assert (10, 12, 3) in pairs
 
     def test_bag_variant_single_block(self):
-        pairs = list(iter_context_pairs([1, 2, 3], window=2,
-                                        positional=False,
-                                        dynamic_window=False))
+        pairs = list(iter_context_pairs([1, 2, 3], [2, 2, 2], window=2,
+                                        positional=False))
         assert {b for _, _, b in pairs} == {0}
 
-    def test_vectorized_pairs_match_reference_enumeration(self):
-        from mulr.embeddings import _epoch_pairs
+    def test_each_center_sees_its_own_span(self):
+        pairs = list(iter_context_pairs([1, 2, 3, 4], [1, 3, 1, 2],
+                                        window=3, positional=True))
+        assert pairs == [(1, 2, 3), (2, 1, 2), (2, 3, 3), (2, 4, 4),
+                         (3, 2, 2), (3, 4, 3), (4, 2, 1), (4, 3, 2)]
+
+    @pytest.mark.parametrize("drawn", [False, True], ids=["full", "drawn"])
+    def test_vectorized_pairs_match_reference_enumeration(self, drawn):
+        """``_epoch_pairs`` against ``iter_context_pairs`` on random
+        sentences, every center at the full window or at its own draw."""
         rng = np.random.default_rng(6)
         for positional in (False, True):
             for _ in range(20):
                 sentences = [list(rng.integers(0, 9, int(rng.integers(1, 8))))
                              for _ in range(int(rng.integers(1, 6)))]
                 window = int(rng.integers(1, 4))
-                cfg = small_cfg(window=window, positional=positional,
-                                dynamic_window=False)
-                expected = []
-                for sent in sentences:
-                    expected.extend(iter_context_pairs(
-                        sent, window, positional, dynamic_window=False))
+                cfg = small_cfg(window=window, positional=positional)
                 tok = np.concatenate([np.array(s, dtype=np.int64)
                                       for s in sentences])
                 sid = np.concatenate(
                     [np.full(len(s), i, dtype=np.int64)
                      for i, s in enumerate(sentences)])
-                c, t, b = _epoch_pairs(tok, sid, cfg, rng)
+                spans = (rng.integers(1, window + 1, size=tok.size) if drawn
+                         else np.full(tok.size, window))
+                expected = []
+                for i, sent in enumerate(sentences):
+                    expected.extend(iter_context_pairs(
+                        sent, spans[sid == i], window, positional))
+                c, t, b = _epoch_pairs(tok, sid, spans, cfg)
                 got = list(zip(c.tolist(), t.tolist(), b.tolist()))
                 assert sorted(got) == sorted(expected)
 
@@ -913,8 +937,8 @@ class TestPairEnumeration:
         def objective(out_blocks):
             total = 0.0
             for sent in sentences:
-                for c, t, b in iter_context_pairs(sent, 1, True,
-                                                  dynamic_window=False):
+                for c, t, b in iter_context_pairs(sent, [1] * len(sent), 1,
+                                                  True):
                     v = w_in[c]
                     total -= np.log(1.0 / (1.0 + np.exp(-v @ out_blocks[b][t])))
                     neg_rng = np.random.default_rng(1000 * c + t)
@@ -928,6 +952,7 @@ class TestPairEnumeration:
                                                  abs=1e-10)
 
 
+@pytest.mark.usefixtures("small_batches")
 class TestSubwordTraining:
     def _train(self, seed=5):
         sentences, a_words, b_words = cluster_corpus()
@@ -982,6 +1007,7 @@ def linear_probe_accuracy(x_train: np.ndarray, y_train: np.ndarray,
     return float(np.mean(pred == y_test.astype(bool)))
 
 
+@pytest.mark.usefixtures("small_batches")
 class TestOrderAwareness:
     def test_sskip_separates_mirrored_contexts_better_than_skip(self):
         sentences, a_ids, b_ids = generate_order_corpus(

@@ -16,6 +16,12 @@ from mulr.levels import (CLR_KINDS, Assembler, CharVocab, ClrEncoder,
 from gradcheck import grad_check
 
 
+@pytest.fixture(autouse=True)
+def small_batches(sgns_batch):
+    """The subword stores below train in SGNS steps of 8 pairs."""
+    sgns_batch(8)
+
+
 def word_store(vectors: dict[str, list[float]]) -> EmbeddingStore:
     tokens = sorted(vectors)
     dim = len(next(iter(vectors.values())))
@@ -28,8 +34,7 @@ def subword_store(sentences, n=(2, 3)) -> EmbeddingStore:
     vocab = build_vocabulary(sentences, 1)
     index = build_subword_index(vocab, n_min=n[0], n_max=n[1], min_count=1)
     cfg = SgnsConfig(dim=6, negatives=2, window=1, epochs=1,
-                     learning_rate=0.05, seed=0, table_size=1000,
-                     batch_pairs=8)
+                     learning_rate=0.05, seed=0)
     return train_subword_sgns(sentences, vocab, index, cfg)
 
 
@@ -281,6 +286,19 @@ class TestAvgDes:
         idf = build_idf({"e1": ["a", "b"], "e2": ["a"]})
         assert idf["a"] == pytest.approx(0.0)
         assert idf["b"] == pytest.approx(np.log(2))
+
+    def test_resources_rank_by_the_idf_of_their_descriptions(self):
+        """Resources built with descriptions alone rank ``avg-des`` words
+        by the idf of those descriptions, not by spelling: ``aa`` is in
+        every description, so ``bb`` comes first."""
+        store = word_store({"aa": [1.0, 0.0], "bb": [0.0, 1.0]})
+        descriptions = {"m.1": ["aa", "bb"], "m.2": ["aa"]}
+        res = Resources(type_system=TypeSystem(types=("t",), parent={}),
+                        main_store=store, descriptions=descriptions)
+        assert res.idf == build_idf(descriptions)
+        spec = RepresentationSpec.parse("avg-des", {"top_k": 1})
+        np.testing.assert_allclose(
+            Assembler(spec, res).frozen_matrix([("m.1", "x")]), [[0.0, 1.0]])
 
 
 class TestAssemble:

@@ -301,6 +301,7 @@ class TestLoadConfig:
         ("run", "threads", str(pipeline.MAX_THREADS + 1)),
         ("run", "threads", "1000000000"),
         ("run", "seed", "1.5"),
+        ("run", "seed", "-1"),
         ("representation", "hidden_units", "x"),
         ("representation", "widths", "2-x"),
         ("train", "learning_rate", "fast"),
@@ -308,7 +309,6 @@ class TestLoadConfig:
         ("embeddings", "seed", "2"),
         ("embeddings", "threads", "2"),
         ("embeddings", "mode", "foo"),
-        ("embeddings", "dynamic_window", "maybe"),
         ("subword", "positional", "true"),
         ("subword", "bogus", "1"),
         ("train", "seed", "2"),
@@ -322,6 +322,19 @@ class TestLoadConfig:
                                           value):
         config = write_config(experiment, **{section: {key: value}})
         with pytest.raises(DataError, match=rf"exp\.ini: {section}\.{key}"):
+            load_config(config)
+
+    @pytest.mark.parametrize("section", ["embeddings", "subword"])
+    @pytest.mark.parametrize("key,value", [("table_size", "1000"),
+                                           ("batch_pairs", "8"),
+                                           ("dynamic_window", "false")])
+    def test_trainer_constants_are_not_keys(self, experiment, section, key,
+                                            value):
+        """Each SGNS section takes the five hyperparameters; the negative
+        table, the batch and the window draw are the trainer's own."""
+        config = write_config(experiment, **{section: {key: value}})
+        with pytest.raises(DataError, match=rf"exp\.ini: {section}\.{key}: "
+                                            "not a config key"):
             load_config(config)
 
     def test_bad_interpolation_is_data_error(self, experiment):
@@ -339,17 +352,14 @@ class TestLoadConfig:
         cfg = load_config(write_config(
             experiment, levels="clr-cnn,avg-des",
             representation={"widths": "2-4", "top_k": "5"},
-            embeddings={"dynamic_window": "Off", "learning_rate": "1",
-                        "mode": "skip"},
-            subword={"dynamic_window": "yes", "n_min": "2"}))
+            embeddings={"learning_rate": "1", "mode": "skip"},
+            subword={"n_min": "2"}))
         assert [lv.options for lv in cfg.spec.levels] \
             == [{"padded_len": 40, "char_dim": 10, "widths": (2, 3, 4),
                  "feature_maps": 50}, {"top_k": 5}]
         assert cfg.train.hidden_units == 400
         assert cfg.main.positional is False
-        assert cfg.main.dynamic_window is False
         assert cfg.main.learning_rate == 1.0
-        assert cfg.subword.dynamic_window is True
         assert cfg.subword_counts[1] == 2
 
     def test_threads_from_run_section(self, experiment):

@@ -27,6 +27,12 @@ from mulr.typer import (FEATURE_TABLE, SCORE_BATCH, TrainConfig, TyperModel,
 from gradcheck import grad_check
 
 
+@pytest.fixture(autouse=True)
+def small_batches(sgns_batch):
+    """The subword stores below train in SGNS steps of 8 pairs."""
+    sgns_batch(8)
+
+
 def indicator_problem(n_per_type=12, dim=6, noise=0.05, seed=0,
                       types=("ta", "tb")):
     """Entity vectors are noisy type indicators; linearly separable."""
@@ -122,30 +128,16 @@ class TestTraining:
                        + np.sum((1 - pred) * gold))
         assert f1 == 1.0
 
-    def test_empty_dev_keeps_the_lowest_loss_epoch(self, monkeypatch):
-        """Without dev entities the checkpoint is the lowest-loss epoch,
-        also when every epoch's summed loss is above 1."""
-        made, weights, losses = [], [], []
-
-        class Recording(TyperModel):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.initial = self.w_in.W.copy()
-                made.append(self)
-
-        def on_epoch_end(epoch, loss, metric):
-            weights.append(made[-1].w_in.W.copy())
-            losses.append(loss)
-
-        monkeypatch.setattr(typer, "TyperModel", Recording)
+    def test_empty_dev_fails_before_the_first_epoch(self):
+        """The checkpoint and the thresholds are chosen on dev, so without
+        dev entities ``train`` raises before it trains an epoch."""
+        epochs = []
         split, res = indicator_problem()
-        model = train(dataclasses.replace(split, dev=()),
-                      RepresentationSpec.parse("elr"), res,
-                      quick_cfg(epochs=5), on_epoch_end=on_epoch_end)
-        assert len(losses) == 5 and min(losses) > 1.0
-        assert not np.array_equal(model.w_in.W, model.initial)
-        np.testing.assert_array_equal(model.w_in.W,
-                                      weights[int(np.argmin(losses))])
+        with pytest.raises(DataError, match="no dev entities"):
+            train(dataclasses.replace(split, dev=()),
+                  RepresentationSpec.parse("elr"), res, quick_cfg(epochs=5),
+                  on_epoch_end=lambda *args: epochs.append(args))
+        assert epochs == []
 
     def test_deterministic_given_seed(self):
         split, res = indicator_problem()
@@ -210,8 +202,7 @@ def subword_resources(res, names):
     vocab = build_vocabulary(sentences, 1)
     index = build_subword_index(vocab, n_min=2, n_max=3, min_count=1)
     cfg = SgnsConfig(dim=6, negatives=2, window=1, epochs=1,
-                     learning_rate=0.05, seed=0, table_size=1000,
-                     batch_pairs=8)
+                     learning_rate=0.05, seed=0)
     store = train_subword_sgns(sentences, vocab, index, cfg)
     return dataclasses.replace(res, subword_store=store)
 
@@ -234,8 +225,7 @@ def noted_model():
     entities = split.all_entities()
     descriptions = {entities[0].id: ["ta", "tb", "ta"],
                     entities[2].id: ["nothing", "usable"]}
-    res = dataclasses.replace(res, descriptions=descriptions,
-                              idf=build_idf(descriptions))
+    res = dataclasses.replace(res, descriptions=descriptions)
     insts = [(entities[i].id, name) for i, name in enumerate(names)]
     model = untrained_model(RepresentationSpec.parse("swlr,avg-des"),
                             res, names)
@@ -980,6 +970,25 @@ class TestSerialization:
         assert manifest[FEATURE_TABLE] == list(model.features.W.shape)
         assert manifest["w_in.W"] == [7, model.input_dim
                                       - model.features.W.shape[0]]
+
+    def test_idf_is_derived_from_the_descriptions(self, tmp_path):
+        """The file holds the descriptions and no idf; one that still
+        carries an idf entry, as earlier files do, loads and scores the
+        same."""
+        model, insts = noted_model()
+        res = model.resources
+        path = tmp_path / "model.bin"
+        save_model(model, path, config_hash="h", seed=1)
+        magic, meta, payload = path.read_bytes().split(b"\n", 2)
+        meta = json.loads(meta)
+        assert "idf" not in meta
+        meta["idf"] = {w: repr(x) for w, x in sorted(res.idf.items())}
+        path.write_bytes(b"\n".join([magic, json.dumps(meta).encode("utf-8"),
+                                     payload]))
+        loaded = load_model(path)
+        assert loaded.resources.idf == build_idf(res.descriptions)
+        np.testing.assert_array_equal(loaded.scores_for(insts),
+                                      model.scores_for(insts))
 
     @pytest.mark.parametrize("levels,stores", [
         ("elr,clr-cnn,tc", ["main"]),
