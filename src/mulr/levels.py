@@ -296,13 +296,26 @@ class ClrEncoder:
         return out
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
-        """Encode a batch of character id rows to (batch, out_dim)."""
+        """Encode a batch of character id rows to (batch, out_dim), keeping
+        what ``backward`` reads."""
         self._ids = ids
         E = self.table[ids]  # (B, l, d_c)
-        if self.kind == "clr-forward":
-            return E.reshape(E.shape[0], -1)
         if self.kind == "clr-cnn":
             return self.net.forward(E)
+        return self._encode(E)
+
+    def score(self, ids: np.ndarray) -> np.ndarray:
+        """``forward``'s output, for scoring: the ids are not kept, and the
+        CNN pools without its training pass (``ConvMaxPool.pool``)."""
+        E = self.table[ids]
+        if self.kind == "clr-cnn":
+            return self.net.pool(E)
+        return self._encode(E)
+
+    def _encode(self, E: np.ndarray) -> np.ndarray:
+        """The non-CNN encoders on character rows E."""
+        if self.kind == "clr-forward":
+            return E.reshape(E.shape[0], -1)
         if self.kind == "clr-lstm":
             _, h_last = self.net.forward(E)
             return h_last

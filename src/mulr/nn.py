@@ -188,9 +188,19 @@ class ConvMaxPool:
     filters of shape (count, w, d) applied to every length-w slice of the
     (length, d) input, followed by the rectifier and a max over positions.
     Outputs are concatenated in the declared width order, giving one value
-    per filter. Forward caches, per width, only what backward reads: the
-    im2col columns and, per (filter, example), the argmax position and
-    whether the rectifier passes the pooled value.
+    per filter.
+
+    Two passes give the same output. ``forward``, the training pass,
+    caches per width only what backward reads: the im2col columns and, per
+    (filter, example), the first argmax position and whether the rectifier
+    passes the pooled value. ``pool``, the scoring pass, caches nothing and
+    takes only each filter's largest preactivation, adding the bias after
+    the max. That is exact, since float rounding of ``x + b`` is monotone
+    in ``x``: ``max_p fl(pre_p + b) = fl(max_p pre_p + b)``. Both take
+    their preactivations from one GEMM call (``_preactivations``), so they
+    agree bit for bit; a product over the same columns in another order
+    need not, as BLAS may round a block's edge rows, or a one-filter
+    matrix-vector product, differently.
     """
 
     def __init__(self, widths: list[tuple[int, int]], d_in: int,
@@ -228,23 +238,11 @@ class ConvMaxPool:
         return out
 
     def forward(self, C: np.ndarray) -> np.ndarray:
-        C = np.ascontiguousarray(C, dtype=self.dtype)
-        B, l, d = C.shape
-        if l < self.max_width:
-            raise NumericError(f"input length {l} shorter than "
-                               f"widest filter {self.max_width}")
-        if d != self.d_in:
-            raise NumericError(f"expected row size {self.d_in}, got {d}")
+        C = self._checked(C)
         pooled = []
         cache = {"C_shape": C.shape, "per_width": {}}
-        for w, count in self.widths:
-            # im2col: cols[b, p, k * d + j] = C[b, p + k, j], a view of C
-            windows = np.lib.stride_tricks.sliding_window_view(C, w, axis=1)
-            P = l - w + 1
-            cols = windows.swapaxes(2, 3).reshape(B, P, w * d)
-            H = self.filters[w].reshape(count, w * d)
-            # filter-major (count, B, P), so pooling reduces a contiguous axis
-            pre_t = (H @ cols.reshape(B * P, w * d).T).reshape(count, B, P)
+        for w, _ in self.widths:
+            cols, pre_t = self._preactivations(C, w)
             pre_t += self.biases[w][:, None, None]
             # first position of the largest preactivation; the rectifier is
             # monotone, so this is also where the pooled activation sits
@@ -256,6 +254,49 @@ class ConvMaxPool:
             cache["per_width"][w] = (cols, arg, top > 0.0)
         self._cache = cache
         return np.concatenate(pooled, axis=1)
+
+    def pool(self, C: np.ndarray) -> np.ndarray:
+        """``forward``'s output, for scoring: nothing is cached for
+        backward and no argmax is found."""
+        C = self._checked(C)
+        B = C.shape[0]
+        pooled = []
+        for w, count in self.widths:
+            _, pre_t = self._preactivations(C, w)
+            # each (filter, example) row of positions is one contiguous
+            # segment of the flat array; one reduceat over the segments
+            # takes under half the time of max(axis=2) over that short axis
+            P = pre_t.shape[2]
+            top = np.maximum.reduceat(pre_t.ravel(),
+                                      np.arange(0, pre_t.size, P))
+            top = top.reshape(count, B)
+            top += self.biases[w][:, None]
+            pooled.append(relu(top).T)
+        return np.concatenate(pooled, axis=1)
+
+    def _checked(self, C: np.ndarray) -> np.ndarray:
+        C = np.ascontiguousarray(C, dtype=self.dtype)
+        _, l, d = C.shape
+        if l < self.max_width:
+            raise NumericError(f"input length {l} shorter than "
+                               f"widest filter {self.max_width}")
+        if d != self.d_in:
+            raise NumericError(f"expected row size {self.d_in}, got {d}")
+        return C
+
+    def _preactivations(self, C: np.ndarray, w: int):
+        """The im2col columns of ``C`` for width ``w``, (batch, positions,
+        w * d), and the filter-major (count, batch, positions) products
+        with the filters, bias not added."""
+        B, l, d = C.shape
+        # im2col: cols[b, p, k * d + j] = C[b, p + k, j], a view of C
+        windows = np.lib.stride_tricks.sliding_window_view(C, w, axis=1)
+        P = l - w + 1
+        cols = windows.swapaxes(2, 3).reshape(B, P, w * d)
+        count = self.filters[w].shape[0]
+        H = self.filters[w].reshape(count, w * d)
+        # filter-major (count, B, P), so pooling reduces a contiguous axis
+        return cols, (H @ cols.reshape(B * P, w * d).T).reshape(count, B, P)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         cache = self._cache

@@ -65,8 +65,8 @@ from .levels import (LEVEL_OPTIONS, RepresentationSpec, Resources,
                      default_hidden_units, stores_read)
 from .metrics import EvalReport, build_report
 from .typer import (MODEL_MAGIC, TrainConfig, TyperModel,
-                    calibrate_thresholds, load_model, predict_with_scores,
-                    save_model, train)
+                    calibrate_thresholds, check_split, load_model,
+                    predict_with_scores, save_model, train)
 
 
 # Fields set by another section: [run] seed and threads, [embeddings] mode
@@ -418,6 +418,7 @@ class PipelineRun:
 
         def build():
             cfg = self.cfg
+            check_split(self.split)  # before any store trains
             model = train(self.split, cfg.spec, self.build_resources(cfg.spec),
                           cfg.train)
             self._run_stage("calibrate", lambda: calibrate_thresholds(

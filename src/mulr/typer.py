@@ -25,7 +25,9 @@ positives. Scoring notes nothing.
 
 Scoring is batch-first: ``scores_for`` builds the frozen levels and runs the
 forward pass ``SCORE_BATCH`` instances at a time, and calibration and
-prediction both score all their entities through it in one call.
+prediction both score all their entities through it in one call. It and
+the per-epoch dev pass score through ``score_rows``, where the CNN pools
+without its training pass (``nn.ConvMaxPool.pool``), to the same bits.
 
 The typer trains and scores in ``nn.DTYPE`` (float32): its parameters,
 the frozen level rows (cast once by ``frozen_matrix``) and every layer's
@@ -192,7 +194,9 @@ class TyperModel:
         """Insert the encoder output into the frozen layout hole."""
         if self.clr is None:
             return frozen
-        clr_out = self.clr.forward(char_ids)
+        return self._insert(frozen, self.clr.forward(char_ids))
+
+    def _insert(self, frozen: np.ndarray, clr_out: np.ndarray) -> np.ndarray:
         pos = self.clr_offset
         return np.concatenate([frozen[:, :pos], clr_out, frozen[:, pos:]],
                               axis=1)
@@ -242,16 +246,23 @@ class TyperModel:
             return None
         return self.clr.ids_for([name for _, name in instances])
 
+    def score_rows(self, frozen: np.ndarray, char_ids: np.ndarray | None,
+                   feats=None) -> np.ndarray:
+        """``forward(compose(frozen, char_ids), feats)``, with the
+        character encoder's scoring pass (``ClrEncoder.score``)."""
+        if self.clr is not None:
+            frozen = self._insert(frozen, self.clr.score(char_ids))
+        return self.forward(frozen, feats)
+
     def scores_for(self, instances: list[tuple[str, str]]) -> np.ndarray:
         """Probability rows for (entity id, name) instances, computed
-        ``SCORE_BATCH`` instances at a time."""
+        ``SCORE_BATCH`` instances at a time by ``score_rows``."""
         out = np.empty((len(instances), len(self.type_system)))
         for start in range(0, len(instances), SCORE_BATCH):
             chunk = instances[start:start + SCORE_BATCH]
-            x = self.compose(self.frozen_matrix(chunk),
-                             self.char_matrix(chunk))
-            out[start:start + len(chunk)] = self.forward(
-                x, self.feature_rows(chunk))
+            out[start:start + len(chunk)] = self.score_rows(
+                self.frozen_matrix(chunk), self.char_matrix(chunk),
+                self.feature_rows(chunk))
         return out
 
     def label_matrix(self, entities: Sequence[EntityRecord]) -> np.ndarray:
@@ -286,14 +297,20 @@ def train_instances(split: DatasetSplit) -> list[tuple[EntityRecord, str]]:
     return out
 
 
-def train(split: DatasetSplit, spec: RepresentationSpec, resources: Resources,
-          cfg: TrainConfig, on_epoch_end=None) -> TyperModel:
-    """Fit the typer; returns the best-on-dev checkpoint."""
-    insts = train_instances(split)
-    if not insts:
+def check_split(split: DatasetSplit) -> None:
+    """``train``'s ``DataError`` for a split without training or dev
+    entities, for callers to raise before they build its resources."""
+    if not split.train:
         raise DataError("no training instances")
     if not split.dev:
         raise DataError("no dev entities to choose the checkpoint on")
+
+
+def train(split: DatasetSplit, spec: RepresentationSpec, resources: Resources,
+          cfg: TrainConfig, on_epoch_end=None) -> TyperModel:
+    """Fit the typer; returns the best-on-dev checkpoint."""
+    check_split(split)
+    insts = train_instances(split)
     rng = np.random.default_rng(cfg.seed)
     train_names = [name for _, name in insts]
     assembler = Assembler(spec, resources).fit(train_names)
@@ -347,7 +364,7 @@ def train(split: DatasetSplit, spec: RepresentationSpec, resources: Resources,
             epoch_loss += bce_loss(p, m)
             model.backward_from_probs(p, m)
             model.step(opt)
-        dev_p = model.forward(model.compose(dev_frozen, dev_ids), dev_feats)
+        dev_p = model.score_rows(dev_frozen, dev_ids, dev_feats)
         metric = threshold_f1(dev_p, dev_gold, PROVISIONAL_THRESHOLD)
         if on_epoch_end is not None:
             on_epoch_end(epoch, epoch_loss, metric)

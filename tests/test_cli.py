@@ -362,6 +362,30 @@ class TestExitCodes:
             assert "Traceback" not in err
         assert trained == []
 
+    def test_no_dev_entities_exit_2_before_any_store_trains(
+            self, synth, tmp_path, capsys):
+        """The typer chooses its checkpoint on dev, so on a dataset without
+        dev rows ``mulr train`` and ``mulr pipeline`` fail before they cache
+        the tokens or train a store; ``build-corpus`` and ``embed`` need no
+        dev entities and still run."""
+        copy_inputs(synth, tmp_path)
+        lines = (tmp_path / "dataset.tsv").read_text().splitlines()
+        dev, test = lines.index("#dev"), lines.index("#test")
+        (tmp_path / "dataset.tsv").write_text(
+            "\n".join(lines[:dev + 1] + lines[test:]) + "\n")
+        config = write_config(tmp_path, "exp.ini")
+        cache = tmp_path / "cache"
+        for argv in (["train", "--config", str(config)],
+                     ["pipeline", str(config)]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == (
+                "mulr: stage train: no dev entities to choose the "
+                "checkpoint on\n")
+            assert sorted(p.name for p in cache.iterdir()) == []
+        assert cli.main(["build-corpus", "--config", str(config)]) == 0
+        assert cli.main(["embed", "--config", str(config)]) == 0
+        assert list(cache.glob("tokens-*")) and list(cache.glob("*.store"))
+
     def test_unknown_override_level_exits_2_before_any_stage(
             self, synth, capsys, monkeypatch):
         stages = []

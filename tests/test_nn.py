@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from numpy.lib.stride_tricks import sliding_window_view
 
 from mulr import nn
 from mulr.errors import NumericError
-from mulr.levels import CharVocab, ClrEncoder, LevelSpec
+from mulr.levels import MAX_WIDTH, CharVocab, ClrEncoder, LevelSpec
 from mulr.nn import (AdaGrad, ConvMaxPool, Dense, Lstm, SparseLinear,
                      bce_loss, csr_take, relu, sigmoid)
 
@@ -139,6 +140,8 @@ class TestConvMaxPool:
         net = ConvMaxPool([(4, 1)], d_in=2, rng=rng)
         with pytest.raises(NumericError, match="shorter"):
             net.forward(np.ones((1, 3, 2)))
+        with pytest.raises(NumericError, match="shorter"):
+            net.pool(np.ones((1, 3, 2)))
 
 
 ENCODER_OPTIONS = {"padded_len": 6, "char_dim": 3, "hidden_dim": 4,
@@ -285,6 +288,44 @@ class TestConvMaxPoolReference:
         for name, g in ref_grads.items():
             assert net.grads[name].dtype == np.float32
             np.testing.assert_allclose(net.grads[name], g, rtol=0, atol=1e-6)
+
+
+@st.composite
+def conv_inputs(draw):
+    """The shape of a ``ConvMaxPool`` and of its input batch, and the seed
+    that draws both: 1-300 names of the widest filter's length to 45, whose
+    rows from ``pad`` on are one shared padding row (so the windows there
+    tie), and whether every preactivation is negative."""
+    widths = draw(st.lists(st.integers(1, MAX_WIDTH), min_size=1,
+                           max_size=4, unique=True))
+    maps = draw(st.integers(1, 100))
+    length = draw(st.integers(max(widths), 45))
+    return dict(widths=[(w, maps) for w in widths],
+                batch=draw(st.integers(1, 300)), length=length,
+                d=draw(st.integers(1, 12)),
+                pad=draw(st.integers(1, length)),
+                negative=draw(st.booleans()),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=conv_inputs(), dtype=st.sampled_from([np.float32, np.float64]))
+def test_pool_equals_forward(case, dtype, layer_dtype):
+    """The scoring pass against the training pass, bit for bit."""
+    layer_dtype(dtype)
+    rng = np.random.default_rng(case["seed"])
+    net = ConvMaxPool(case["widths"], d_in=case["d"], rng=rng)
+    C = rng.normal(size=(case["batch"], case["length"], case["d"]))
+    C[:, case["pad"]:] = rng.normal(size=case["d"])
+    if case["negative"]:
+        for w, _ in net.widths:
+            net.biases[w][...] = -50.0
+    pooled = net.pool(C)
+    assert pooled.dtype == dtype
+    np.testing.assert_array_equal(pooled, net.forward(C))
+    if case["negative"]:
+        assert not pooled.any()
 
 
 class TestLstm:

@@ -371,11 +371,9 @@ def test_two_threads_score_one_loaded_model_alike(tmp_path):
         np.testing.assert_array_equal(rows, expected)
 
 
-def test_scoring_caches_no_conv_preactivations():
-    """After scoring, the CNN's cache holds per width the im2col columns
-    and one argmax and one rectifier gate per (filter, name), and nothing
-    it views is larger: no (names, positions, filters) preactivation is
-    kept alive."""
+def scored_cnn_model():
+    """An untrained ``elr,clr-cnn,tc`` model, its split, and
+    ``SCORE_BATCH + 21`` instances: one full scoring chunk and one of 21."""
     split, res = indicator_problem()
     entities = split.all_entities()
     names = instance_names(SCORE_BATCH + 21)
@@ -383,20 +381,44 @@ def test_scoring_caches_no_conv_preactivations():
              for i, name in enumerate(names)]
     model = untrained_model(
         RepresentationSpec.parse("elr,clr-cnn,tc", CLR_OPTIONS), res, names)
-    model.scores_for(insts)
-    net, clr = model.clr.net, model.clr
-    batch = 21  # the last chunk
-    for w, count in net.widths:
-        cols, arg, gate = net._cache["per_width"][w]
-        assert cols.shape == (batch, clr.padded_len - w + 1,
-                              w * clr.char_dim)
-        assert arg.shape == gate.shape == (count, batch)
-        assert gate.dtype == bool
-        for a in (cols, arg, gate):
-            base = a
-            while isinstance(base.base, np.ndarray):
-                base = base.base
-            assert base.nbytes == a.nbytes
+    return model, split, insts
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scores_for_equals_the_training_pass(dtype, layer_dtype):
+    """``scores_for`` pools the CNN without its training pass and gives
+    what ``compose`` and ``forward`` give on the same chunks, bit for
+    bit."""
+    layer_dtype(dtype)
+    model, _, insts = scored_cnn_model()
+    chunks = [insts[:SCORE_BATCH], insts[SCORE_BATCH:]]
+    expected = np.vstack([model.forward(model.compose(
+        model.frozen_matrix(chunk), model.char_matrix(chunk)))
+        for chunk in chunks])
+    np.testing.assert_array_equal(model.scores_for(insts), expected)
+
+
+def test_scoring_caches_no_conv_preactivations():
+    """Scoring writes no training cache of the character encoder: after
+    ``scores_for`` and after ``calibrate_thresholds`` the CNN's cache and
+    the encoder's ids are the objects they were before, None on a fresh
+    model and a training step's after one."""
+    model, split, insts = scored_cnn_model()
+    clr = model.clr
+    for stepped in (False, True):
+        if stepped:
+            rows = insts[:5]
+            p = model.forward(model.compose(model.frozen_matrix(rows),
+                                            model.char_matrix(rows)))
+            model.backward_from_probs(p, np.zeros_like(p))
+            model.step(AdaGrad(learning_rate=0.1))
+        cache, ids = clr.net._cache, clr._ids
+        assert (cache is None and ids is None) != stepped
+        for score in (lambda: model.scores_for(insts),
+                      lambda: calibrate_thresholds(model, list(split.dev))):
+            score()
+            assert clr.net._cache is cache
+            assert clr._ids is ids
 
 
 # ---------------------------------------------------------------------------
@@ -1065,8 +1087,9 @@ GUARD_SPECS = ["clr-cnn,nsl", "elr,clr-lstm,tc", "clr-bilstm", "bow,nsl"]
 # layer methods whose first argument is a float array from the layer before
 SPIED = [(nn.Dense, "forward"), (nn.Dense, "backward"),
          (nn.SparseLinear, "backward"), (nn.ConvMaxPool, "forward"),
-         (nn.ConvMaxPool, "backward"), (nn.Lstm, "forward"),
-         (nn.Lstm, "backward"), (nn.AdaGrad, "step_rows")]
+         (nn.ConvMaxPool, "backward"), (nn.ConvMaxPool, "pool"),
+         (nn.Lstm, "forward"), (nn.Lstm, "backward"),
+         (nn.AdaGrad, "step_rows")]
 
 
 class TestDtypePolicy:
