@@ -16,7 +16,7 @@ rows exactly one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -94,6 +94,14 @@ class EntityRecord:
         if self.corpus_frequency < 0:
             raise DataError(f"entity {self.id!r} has negative frequency")
 
+    def with_gold_types(self, gold_types: frozenset[str]) -> EntityRecord:
+        """This record with other gold types. Its other fields were checked
+        when it was made, and gold types have no check here, so the copy
+        skips ``__post_init__``."""
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, gold_types=gold_types)
+        return copy
+
 
 @dataclass(frozen=True)
 class DatasetSplit:
@@ -119,7 +127,7 @@ class DatasetSplit:
         return list(self.train) + list(self.dev) + list(self.test)
 
 
-def close_under_parents(e: EntityRecord, ts: TypeSystem) -> EntityRecord:
+def _closure(e: EntityRecord, ts: TypeSystem) -> frozenset[str]:
     """Smallest superset of the gold types closed under the parent relation."""
     closed = set()
     for t in e.gold_types:
@@ -127,12 +135,26 @@ def close_under_parents(e: EntityRecord, ts: TypeSystem) -> EntityRecord:
             raise DataError(f"entity {e.id!r} has unknown type {t!r}")
         closed.add(t)
         closed.update(ts.ancestors(t))
-    return replace(e, gold_types=frozenset(closed))
+    return frozenset(closed)
+
+
+def close_under_parents(e: EntityRecord, ts: TypeSystem) -> EntityRecord:
+    """The record with its gold types closed under the parent relation."""
+    return e.with_gold_types(_closure(e, ts))
 
 
 def refine(split: DatasetSplit, ts: TypeSystem) -> DatasetSplit:
-    """Close every record's gold types under the parent relation."""
-    return DatasetSplit(*(tuple(close_under_parents(e, ts) for e in part)
+    """Close every record's gold types under the parent relation, each
+    distinct gold-type set once."""
+    closures: dict[frozenset[str], frozenset[str]] = {}
+
+    def close(e: EntityRecord) -> EntityRecord:
+        closed = closures.get(e.gold_types)
+        if closed is None:
+            closed = closures[e.gold_types] = _closure(e, ts)
+        return e.with_gold_types(closed)
+
+    return DatasetSplit(*(tuple(map(close, part))
                           for part in (split.train, split.dev, split.test)))
 
 

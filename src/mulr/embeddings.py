@@ -66,6 +66,7 @@ KIND_SSKIP = "sskip"
 KIND_SUBWORD = "subword"
 
 NEGATIVE_TABLE_SIZE = 1_000_000
+TABLE_BLOCK = 65_536  # targets per block while the table is built
 # pairs vectorized per update; within a batch updates use the same stale
 # parameters and the updates of a row repeated in the batch are summed, so
 # keep it small relative to the vocabulary; the step's (distinct output
@@ -285,12 +286,18 @@ def _unigram_table(vocab: Vocabulary) -> np.ndarray:
     weights **= UNIGRAM_POWER
     cumulative = np.cumsum(weights)
     cumulative /= cumulative[-1]
-    # in place: the table is large, and its temporaries set the peak
-    # memory of a training run
-    targets = np.arange(NEGATIVE_TABLE_SIZE, dtype=float)
-    targets += 0.5
-    targets /= NEGATIVE_TABLE_SIZE
-    return np.searchsorted(cumulative, targets)
+    # int32, filled a block of targets at a time: the table is large, and
+    # a full-length float64 target array would set the peak memory of a
+    # training run
+    table = np.empty(NEGATIVE_TABLE_SIZE, dtype=np.int32)
+    for start in range(0, NEGATIVE_TABLE_SIZE, TABLE_BLOCK):
+        targets = np.arange(start, min(start + TABLE_BLOCK,
+                                       NEGATIVE_TABLE_SIZE), dtype=float)
+        targets += 0.5
+        targets /= NEGATIVE_TABLE_SIZE
+        table[start:start + targets.size] = np.searchsorted(cumulative,
+                                                            targets)
+    return table
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -216,15 +216,27 @@ class CharVocab:
         return 4 + len(self.chars)
 
     def ids(self, name: str, padded_len: int) -> np.ndarray:
-        """Bracketed, right-truncated, padded character id row.
+        """The id row of one name (``id_rows``)."""
+        return self.id_rows([name], padded_len)[0]
+
+    def id_rows(self, names: list[str], padded_len: int) -> np.ndarray:
+        """Bracketed, right-truncated, padded character id rows, one per
+        name, filled into one (names, ``padded_len``) array.
 
         Empty names yield just the bracket markers plus padding, which is
         valid but carries no signal.
         """
-        body = [self.index.get(c, self.UNK) for c in name[:padded_len - 2]]
-        row = [self.START] + body + [self.END]
-        row.extend([self.PAD] * (padded_len - len(row)))
-        return np.array(row, dtype=np.int64)
+        bodies = [name[:padded_len - 2] for name in names]
+        lengths = np.array([len(b) for b in bodies], dtype=np.intp)
+        rows = np.full((len(bodies), padded_len), self.PAD, dtype=np.int64)
+        rows[:, 0] = self.START
+        # row-major, the mask's cells take the bodies' characters in order
+        body = np.arange(1, padded_len) <= lengths[:, None]
+        rows[:, 1:][body] = np.fromiter(
+            (self.index.get(c, self.UNK) for b in bodies for c in b),
+            dtype=np.int64, count=int(lengths.sum()))
+        rows[np.arange(len(bodies)), lengths + 1] = self.END
+        return rows
 
 
 def build_char_vocab(names, min_count: int = CHAR_MIN_COUNT) -> CharVocab:
@@ -275,8 +287,7 @@ class ClrEncoder:
             raise DataError(f"not a character level: {self.kind}")
 
     def ids_for(self, names: list[str]) -> np.ndarray:
-        return np.stack([self.char_vocab.ids(n, self.padded_len)
-                         for n in names])
+        return self.char_vocab.id_rows(names, self.padded_len)
 
     def params(self) -> dict[str, np.ndarray]:
         out = {"char_table": self.table}

@@ -190,17 +190,28 @@ class ConvMaxPool:
     Outputs are concatenated in the declared width order, giving one value
     per filter.
 
-    Two passes give the same output. ``forward``, the training pass,
-    caches per width only what backward reads: the im2col columns and, per
-    (filter, example), the first argmax position and whether the rectifier
-    passes the pooled value. ``pool``, the scoring pass, caches nothing and
-    takes only each filter's largest preactivation, adding the bias after
-    the max. That is exact, since float rounding of ``x + b`` is monotone
-    in ``x``: ``max_p fl(pre_p + b) = fl(max_p pre_p + b)``. Both take
-    their preactivations from one GEMM call (``_preactivations``), so they
-    agree bit for bit; a product over the same columns in another order
-    need not, as BLAS may round a block's edge rows, or a one-filter
-    matrix-vector product, differently.
+    Only each example's distinct windows are computed. Its last distinct
+    row r is the first row of its trailing run of equal rows (a name's
+    padding), found by comparing adjacent rows. A window at p > r lies in
+    that run, so it equals window r, and the max over positions and the
+    first position holding it are those over the windows at p <= r:
+    ``min(r, l - w) + 1`` windows of width w instead of ``l - w + 1``.
+    The windows are laid out position-major, with the examples sorted
+    stably by descending r, so the examples that have a window at p are a
+    prefix of the batch. Per width one GEMM gives every window's
+    preactivation; an in-place ``np.maximum`` per position folds that
+    position's block into the running max of its prefix; the bias is
+    added after the max, which is exact, since float rounding of
+    ``x + b`` is monotone in ``x``: ``max_p fl(pre_p + b) =
+    fl(max_p pre_p + b)``. The output is put back in the input's order.
+
+    Two passes share that code, so they agree bit for bit in any dtype.
+    ``forward``, the training pass, also keeps per (example, filter) the
+    first position holding the max: a later position replaces it only if
+    its preactivation is strictly greater. It caches per width what
+    backward reads: the window columns, where each position's block of
+    them starts, the argmax and whether the rectifier passes the pooled
+    value. ``pool``, the scoring pass, caches nothing and finds no argmax.
     """
 
     def __init__(self, widths: list[tuple[int, int]], d_in: int,
@@ -239,40 +250,35 @@ class ConvMaxPool:
 
     def forward(self, C: np.ndarray) -> np.ndarray:
         C = self._checked(C)
-        pooled = []
-        cache = {"C_shape": C.shape, "per_width": {}}
-        for w, _ in self.widths:
-            cols, pre_t = self._preactivations(C, w)
-            pre_t += self.biases[w][:, None, None]
-            # first position of the largest preactivation; the rectifier is
-            # monotone, so this is also where the pooled activation sits
-            arg = pre_t.argmax(axis=2)
-            top = np.take_along_axis(pre_t, arg[:, :, None], axis=2)[:, :, 0]
-            pooled.append(relu(top).T)
+        order, last = self._order(C)
+        B = C.shape[0]
+        out = np.empty((B, self.out_dim), dtype=self.dtype)
+        cache = {"C_shape": C.shape, "order": order, "per_width": {}}
+        col = 0
+        for w, count in self.widths:
+            arg = np.zeros((B, count), dtype=np.int32)
+            starts, cols, top = self._max_preactivations(C, order, last, w,
+                                                         arg)
+            out[order, col:col + count] = relu(top)
+            col += count
             # backward reads the preactivation only at the argmax, and only
             # its sign: the rectifier's gate there
-            cache["per_width"][w] = (cols, arg, top > 0.0)
+            cache["per_width"][w] = (starts, cols, arg, top > 0.0)
         self._cache = cache
-        return np.concatenate(pooled, axis=1)
+        return out
 
     def pool(self, C: np.ndarray) -> np.ndarray:
         """``forward``'s output, for scoring: nothing is cached for
         backward and no argmax is found."""
         C = self._checked(C)
-        B = C.shape[0]
-        pooled = []
+        order, last = self._order(C)
+        out = np.empty((C.shape[0], self.out_dim), dtype=self.dtype)
+        col = 0
         for w, count in self.widths:
-            _, pre_t = self._preactivations(C, w)
-            # each (filter, example) row of positions is one contiguous
-            # segment of the flat array; one reduceat over the segments
-            # takes under half the time of max(axis=2) over that short axis
-            P = pre_t.shape[2]
-            top = np.maximum.reduceat(pre_t.ravel(),
-                                      np.arange(0, pre_t.size, P))
-            top = top.reshape(count, B)
-            top += self.biases[w][:, None]
-            pooled.append(relu(top).T)
-        return np.concatenate(pooled, axis=1)
+            top = self._max_preactivations(C, order, last, w)[-1]
+            out[order, col:col + count] = relu(top)
+            col += count
+        return out
 
     def _checked(self, C: np.ndarray) -> np.ndarray:
         C = np.ascontiguousarray(C, dtype=self.dtype)
@@ -284,43 +290,79 @@ class ConvMaxPool:
             raise NumericError(f"expected row size {self.d_in}, got {d}")
         return C
 
-    def _preactivations(self, C: np.ndarray, w: int):
-        """The im2col columns of ``C`` for width ``w``, (batch, positions,
-        w * d), and the filter-major (count, batch, positions) products
-        with the filters, bias not added."""
+    @staticmethod
+    def _order(C: np.ndarray):
+        """The examples sorted stably by descending last distinct row, and
+        that row of each in this order."""
+        B, l, _ = C.shape
+        # same[:, i]: row i equals row i - 1; row 0 starts a run
+        same = np.zeros((B, l), dtype=bool)
+        np.all(C[:, 1:] == C[:, :-1], axis=2, out=same[:, 1:])
+        last = l - 1 - same[:, ::-1].argmin(axis=1)
+        order = np.argsort(-last, kind="stable")
+        return order, last[order]
+
+    def _max_preactivations(self, C: np.ndarray, order: np.ndarray,
+                            last: np.ndarray, w: int,
+                            arg: np.ndarray | None = None):
+        """Per example in ``order`` and filter of width ``w``, the largest
+        preactivation plus the bias, and the windows it was taken over:
+        where each position's block of windows starts, and the windows'
+        (rows, w * d) columns. ``arg``, if given, receives the first
+        position holding each max."""
         B, l, d = C.shape
-        # im2col: cols[b, p, k * d + j] = C[b, p + k, j], a view of C
-        windows = np.lib.stride_tricks.sliding_window_view(C, w, axis=1)
-        P = l - w + 1
-        cols = windows.swapaxes(2, 3).reshape(B, P, w * d)
+        windows = np.minimum(last, l - w) + 1  # descending
+        # at[p]: how many examples, a prefix, have a window at position p
+        at = np.searchsorted(-windows, -np.arange(windows.max(initial=0)))
+        starts = np.zeros(at.size + 1, dtype=np.intp)
+        np.cumsum(at, out=starts[1:])
+        positions = np.arange(at.size, dtype=np.int32)
+        rank = np.arange(starts[-1]) - np.repeat(starts[:-1], at)
+        src = order[rank] * l + np.repeat(positions, at)
+        cols = np.take(C.reshape(B * l, d), src[:, None] + np.arange(w),
+                       axis=0).reshape(-1, w * d)
         count = self.filters[w].shape[0]
-        H = self.filters[w].reshape(count, w * d)
-        # filter-major (count, B, P), so pooling reduces a contiguous axis
-        return cols, (H @ cols.reshape(B * P, w * d).T).reshape(count, B, P)
+        pre = cols @ self.filters[w].reshape(count, w * d).T
+        top = pre[:B]
+        for p in positions[1:]:
+            block = pre[starts[p]:starts[p + 1]]
+            head = top[:at[p]]
+            if arg is not None:
+                # p exceeds every earlier position, so this sets the
+                # argmax to p exactly where block beats the running max
+                np.maximum(arg[:at[p]], (block > head) * p, out=arg[:at[p]])
+            np.maximum(head, block, out=head)
+        top += self.biases[w]
+        return starts, cols, top
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         cache = self._cache
         B, l, d = cache["C_shape"]
-        dout = np.asarray(dout, dtype=self.dtype)
-        dC = np.zeros((B, l, d), dtype=self.dtype)
+        order = cache["order"]
+        # examples in the order forward sorted them
+        dout = np.asarray(dout, dtype=self.dtype)[order]
+        # position-major, like the windows: dC_t[j, b] is row j of example b
+        dC_t = np.zeros((l, B, d), dtype=self.dtype)
         col = 0
         for w, count in self.widths:
-            cols, arg, gate = cache["per_width"][w]
-            P = cols.shape[1]
-            # filter-major, as forward computed them
-            g = dout[:, col:col + count].T * gate
+            starts, cols, arg, gate = cache["per_width"][w]
+            g = dout[:, col:col + count] * gate
             col += count
-            # the pooled gradient lands on each filter's argmax position
-            G = np.zeros((count, B, P), dtype=self.dtype)
-            np.put_along_axis(G, arg[:, :, None], g[:, :, None], axis=2)
-            G = G.reshape(count, B * P)
+            # the pooled gradient lands on each filter's argmax window: the
+            # example's row in that position's block
+            G = np.zeros((count, cols.shape[0]), dtype=self.dtype)
+            np.put_along_axis(G, (starts[arg] + np.arange(B)[:, None]).T,
+                              g.T, axis=1)
             H = self.filters[w].reshape(count, w * d)
-            np.matmul(G, cols.reshape(B * P, w * d),
-                      out=self.grads[f"H{w}"].reshape(count, w * d))
-            np.sum(g, axis=1, out=self.grads[f"b{w}"])
-            dcols = (G.T @ H).reshape(B, P, w, d)
-            for k in range(w):
-                dC[:, k:k + P] += dcols[:, :, k]
+            np.matmul(G, cols, out=self.grads[f"H{w}"].reshape(count, w * d))
+            np.sum(g, axis=0, out=self.grads[f"b{w}"])
+            dcols = (G.T @ H).reshape(-1, w, d)
+            for p in range(starts.size - 1):
+                # window p of each example in the block covers rows p..p+w-1
+                block = dcols[starts[p]:starts[p + 1]]
+                dC_t[p:p + w, :block.shape[0]] += block.swapaxes(0, 1)
+        dC = np.empty((B, l, d), dtype=self.dtype)
+        dC[order] = dC_t.swapaxes(0, 1)
         return dC
 
 

@@ -23,11 +23,16 @@ level from the zero rows it built (zero on every training name is a
 ``DataError``), and ``calibrate_thresholds`` each type without dev
 positives. Scoring notes nothing.
 
-Scoring is batch-first: ``scores_for`` builds the frozen levels and runs the
-forward pass ``SCORE_BATCH`` instances at a time, and calibration and
-prediction both score all their entities through it in one call. It and
-the per-epoch dev pass score through ``score_rows``, where the CNN pools
-without its training pass (``nn.ConvMaxPool.pool``), to the same bits.
+Scoring is batch-first: ``scores_for`` builds the frozen levels and the
+character id rows (one array per chunk) and runs the forward pass
+``SCORE_BATCH`` instances at a time, and calibration and prediction both
+score all their entities through it in one call. It and the per-epoch dev
+pass score through ``score_rows``, where the CNN pools without its
+training pass (``nn.ConvMaxPool.pool``), to the same bits; either pass
+computes only each name's distinct windows, not those inside its padding.
+``predict_with_scores`` then picks every entity's types with one
+comparison of the score matrix against the thresholds, and orders them
+with one sort.
 
 The typer trains and scores in ``nn.DTYPE`` (float32): its parameters,
 the frozen level rows (cast once by ``frozen_matrix``) and every layer's
@@ -277,14 +282,21 @@ class TyperModel:
 def predict_with_scores(model: TyperModel, entities: Sequence[EntityRecord]
                         ) -> list[list[tuple[str, float]]]:
     """Per entity, scored by its first name, the (type, probability) pairs
-    above the type's threshold, by descending probability."""
+    above the type's threshold, by descending probability and then by type
+    name. One comparison picks the pairs of every entity, and one sort
+    orders them."""
     scores = model.scores_for([(e.id, e.names[0]) for e in entities])
     types = model.type_system.types
-    out = []
-    for p in scores:
-        chosen = [(types[i], float(p[i]))
-                  for i in np.flatnonzero(p > model.thresholds)]
-        out.append(sorted(chosen, key=lambda ts: (-ts[1], ts[0])))
+    rows, cols = np.nonzero(scores > model.thresholds)
+    picked = scores[rows, cols]
+    # each type's place in name order: the inverse of the sorting order
+    name_rank = np.argsort(sorted(range(len(types)), key=types.__getitem__))
+    # lexsort's last key sorts first: entity, then -probability, then name
+    order = np.lexsort((name_rank[cols], -picked, rows))
+    out = [[] for _ in entities]
+    for row, col, p in zip(rows[order].tolist(), cols[order].tolist(),
+                           picked[order].tolist()):
+        out[row].append((types[col], p))
     return out
 
 

@@ -224,3 +224,23 @@ def test_refine_closes_all_parts(ts, tmp_path):
     assert refined.train[0].gold_types == {"hospital", "building"}
     assert refined.dev[0].gold_types == {"politician", "person"}
     assert refined.test[0].gold_types == {"person"}
+
+
+def test_refine_checks_no_record_again(ts, monkeypatch):
+    """The records were checked when they were made: ``refine`` copies
+    them with closed types, fields otherwise equal, without running
+    ``EntityRecord.__post_init__`` again."""
+    records = [EntityRecord(id=f"m.{i}", names=("A", "B"),
+                            gold_types=frozenset({t}), corpus_frequency=i)
+               for i, t in enumerate(["hospital", "person", "hospital"])]
+    split = DatasetSplit(train=tuple(records), dev=(), test=())
+    checked = []
+    monkeypatch.setattr(EntityRecord, "__post_init__",
+                        lambda self: checked.append(self.id))
+    refined = refine(split, ts)
+    assert checked == []
+    assert refined.train == tuple(
+        EntityRecord(id=e.id, names=e.names, gold_types=closed,
+                     corpus_frequency=e.corpus_frequency)
+        for e, closed in zip(records, [{"hospital", "building"}, {"person"},
+                                       {"hospital", "building"}]))

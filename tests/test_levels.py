@@ -123,6 +123,23 @@ class TestClrEncoders:
             assert out.shape == (1, enc.out_dim)
             assert np.all(np.isfinite(out))
 
+    def test_ids_for_equals_the_per_name_rows(self):
+        """One array for the batch; each row is the name's own row,
+        whatever the lengths of the others: a truncated name, unknown
+        characters and the empty name."""
+        enc, vocab = self._encoder("clr-cnn", padded_len=6, char_dim=3,
+                                   widths=(1, 2), feature_maps=2)
+        names = ["abcdefgh", "aZ?", "", "h"]
+        ids = enc.ids_for(names)
+        assert ids.dtype == np.int64
+        S, E, P, U = vocab.START, vocab.END, vocab.PAD, vocab.UNK
+        a, b, c, d, h = (vocab.index[ch] for ch in "abcdh")
+        assert ids.tolist() == [[S, a, b, c, d, E], [S, a, U, U, E, P],
+                                [S, E, P, P, P, P], [S, h, E, P, P, P]]
+        for row, name in zip(ids, names):
+            np.testing.assert_array_equal(row, vocab.ids(name, 6))
+        assert enc.ids_for([]).shape == (0, 6)
+
     def test_identical_names_identical_outputs(self):
         enc, vocab = self._encoder("clr-cnn", padded_len=10, char_dim=4,
                                    widths=(2, 3), feature_maps=3)

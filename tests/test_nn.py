@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -99,9 +99,25 @@ class TestConvMaxPool:
         assert pre.shape == (1, 8, 2)  # l - w + 1
         # the layer's im2col columns hold one row per position, and it
         # pools over all of them
-        assert net._cache["per_width"][3][0].shape[:2] == (1, 8)
+        assert net._cache["per_width"][3][1].shape[0] == 8
         np.testing.assert_allclose(out, relu(pre.max(axis=1)), rtol=0,
                                    atol=1e-6)
+
+    def test_equal_trailing_rows_leave_r_plus_one_windows(self):
+        """Rows equal from row r on: each width computes only the r + 1
+        windows that start at or before r, and pools as over all of them."""
+        rng = np.random.default_rng(0)
+        net = ConvMaxPool([(1, 2), (3, 2), (5, 2)], d_in=4, rng=rng)
+        C = rng.normal(size=(1, 10, 4))
+        C[0, 4:] = C[0, 4]  # r = 4
+        out = net.forward(C)
+        for w in (1, 3, 5):
+            assert net._cache["per_width"][w][1].shape[0] == 5
+        pre = conv_preactivations(net, C)
+        expected = np.concatenate([relu(pre[w].max(axis=1))
+                                   for w in (1, 3, 5)], axis=1)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(net.pool(C), out)
 
     def test_zero_filter_zero_bias(self):
         rng = np.random.default_rng(0)
@@ -240,15 +256,33 @@ def conv_reference(net: ConvMaxPool, C: np.ndarray, dout: np.ndarray):
     return np.concatenate(pooled, axis=1), grads, dC
 
 
+# where each of the oracle cases' six names starts its padding: no padding
+# (9, the input length), all padding (0), and a name of one row (1)
+ORACLE_PADS = (5, 9, 1, 0, 7, 3)
+
+
+def pad_names(C: np.ndarray, row: np.ndarray,
+              pads: tuple[int, ...] = ORACLE_PADS) -> None:
+    """Set every row of name b from ``pads[b]`` on to ``row``."""
+    for name, pad in zip(C, pads):
+        name[pad:] = row
+
+
 class TestConvMaxPoolReference:
     @pytest.mark.usefixtures("float64_layers")
-    @pytest.mark.parametrize("case", ["random", "padded", "dead filters"])
+    @pytest.mark.parametrize("case", ["random", "padded", "repeated",
+                                      "dead filters"])
     def test_forward_and_backward_match_einsum_oracle(self, case):
         rng = np.random.default_rng(21)
         net = ConvMaxPool([(1, 3), (2, 4), (3, 2), (5, 3)], d_in=4, rng=rng)
         C = rng.normal(size=(6, 9, 4))
         if case == "padded":
-            C[:, 5:] = C[0, 0]  # identical trailing rows tie positions
+            pad_names(C, C[0, 0])  # identical trailing rows tie positions
+        if case == "repeated":
+            # equal rows inside each name: the tied windows before the
+            # padding are computed, and the first of them takes the gradient
+            C[:, 2:4] = C[:, 1:2]
+            pad_names(C, C[0, 0])
         if case == "dead filters":
             for w, _ in net.widths:
                 net.biases[w][0] = -50.0  # no positive preactivation
@@ -265,12 +299,16 @@ class TestConvMaxPoolReference:
 
     # float32 against the float64 oracle on the same parameter values and
     # input: outputs and gradients within 1e-6 (measured under 2e-7)
-    @pytest.mark.parametrize("case", ["random", "padded", "dead filters"])
+    @pytest.mark.parametrize("case", ["random", "padded", "repeated",
+                                      "dead filters"])
     def test_float32_matches_float64_oracle(self, case, layer_dtype):
         rng = np.random.default_rng(21)
         C = rng.normal(size=(6, 9, 4))
         if case == "padded":
-            C[:, 5:] = C[0, 0]
+            pad_names(C, C[0, 0])
+        if case == "repeated":
+            C[:, 2:4] = C[:, 1:2]
+            pad_names(C, C[0, 0])
         net, ref = float64_twin(
             lambda: ConvMaxPool([(1, 3), (2, 4), (3, 2), (5, 3)], d_in=4,
                                 rng=np.random.default_rng(21)), layer_dtype)
@@ -293,17 +331,18 @@ class TestConvMaxPoolReference:
 @st.composite
 def conv_inputs(draw):
     """The shape of a ``ConvMaxPool`` and of its input batch, and the seed
-    that draws both: 1-300 names of the widest filter's length to 45, whose
-    rows from ``pad`` on are one shared padding row (so the windows there
-    tie), and whether every preactivation is negative."""
+    that draws both: 1-300 names of the widest filter's length to 45, the
+    rows of each from its own ``pads`` entry on (0: all, the length: none)
+    one shared padding row (so the windows there tie), and whether every
+    preactivation is negative."""
     widths = draw(st.lists(st.integers(1, MAX_WIDTH), min_size=1,
                            max_size=4, unique=True))
     maps = draw(st.integers(1, 100))
     length = draw(st.integers(max(widths), 45))
     return dict(widths=[(w, maps) for w in widths],
-                batch=draw(st.integers(1, 300)), length=length,
-                d=draw(st.integers(1, 12)),
-                pad=draw(st.integers(1, length)),
+                pads=draw(st.lists(st.integers(0, length), min_size=1,
+                                   max_size=300)),
+                length=length, d=draw(st.integers(1, 12)),
                 negative=draw(st.booleans()),
                 seed=draw(st.integers(0, 2**32 - 1)))
 
@@ -311,13 +350,15 @@ def conv_inputs(draw):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=conv_inputs(), dtype=st.sampled_from([np.float32, np.float64]))
+@example(case=dict(widths=[(1, 3)], pads=[1, 0, 1], length=1, d=2,
+                   negative=False, seed=0), dtype=np.float32)
 def test_pool_equals_forward(case, dtype, layer_dtype):
     """The scoring pass against the training pass, bit for bit."""
     layer_dtype(dtype)
     rng = np.random.default_rng(case["seed"])
     net = ConvMaxPool(case["widths"], d_in=case["d"], rng=rng)
-    C = rng.normal(size=(case["batch"], case["length"], case["d"]))
-    C[:, case["pad"]:] = rng.normal(size=case["d"])
+    C = rng.normal(size=(len(case["pads"]), case["length"], case["d"]))
+    pad_names(C, rng.normal(size=case["d"]), case["pads"])
     if case["negative"]:
         for w, _ in net.widths:
             net.biases[w][...] = -50.0

@@ -955,6 +955,22 @@ class TestPredict:
         scored = predict_with_scores(model, [e, e])
         assert scored == [[("tb", 0.9), ("ta", 0.7)]] * 2
 
+    def test_ties_ordered_by_type_name_per_entity(self):
+        """Each entity keeps its own row, and equal probabilities are
+        ordered by type name, not by type index."""
+        model = self._model_with_scores([0.0] * 3, [0.5, 0.2, 0.5],
+                                        types=("tc", "ta", "tb"))
+        matrix = np.array([[0.7, 0.7, 0.7], [0.1, 0.3, 0.9],
+                           [0.6, 0.4, 0.6], [0.5, 0.2, 0.5]])
+        model.scores_for = lambda insts: matrix[:len(insts)]
+        entities = [EntityRecord(id=f"m.{i}", names=("x",),
+                                 gold_types=frozenset()) for i in range(4)]
+        assert predict_with_scores(model, entities) == [
+            [("ta", 0.7), ("tb", 0.7), ("tc", 0.7)],
+            [("tb", 0.9), ("ta", 0.3)],
+            [("tb", 0.6), ("tc", 0.6), ("ta", 0.4)],
+            []]
+
 
 class TestSerialization:
     def test_round_trip_same_predictions(self, tmp_path):
