@@ -5,11 +5,13 @@ with one output unit per type. ``W_in`` is held in two parts: a dense layer
 over the dense levels (with the character encoder's output in its hole),
 and a feature table with one row per ``bow``/``nsl`` feature, summed over
 the features a name has. Training minimizes binary cross entropy summed
-over types and averaged over the minibatch, with AdaGrad updates; each
-step updates only the table rows its batch touched, which AdaGrad makes
-exact. Word-, entity- and type-level inputs stay frozen; only the MLP and
-the character-level encoder receive gradients. After each epoch the dev
-micro F1 at threshold 0.5 decides the checkpoint to keep; training stops once
+over types and averaged over the minibatch, with AdaGrad updates. The
+table's forward sums each name's rows (``nn.SparseLinear``), and each step
+updates only the table rows its batch touched, in cache-sized blocks of
+rows (``AdaGrad.step_rows``), which AdaGrad makes exact. Word-, entity-
+and type-level inputs stay frozen; only the MLP and the character-level
+encoder receive gradients. After each epoch the dev micro F1 at
+threshold 0.5 decides the checkpoint to keep; training stops once
 ``patience`` epochs pass without a new best. Dev entities are required, for
 the checkpoint and for calibration: ``train`` without them is a
 ``DataError`` before the first epoch.

@@ -1,7 +1,9 @@
 import re
+import string
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mulr.corpus import build_subword_index, build_vocabulary
 from mulr.dataset import TypeSystem
@@ -273,6 +275,49 @@ class TestSparseFeatures:
                 base += sizes[kind]
             assert indptr.tolist() == [0, len(expected)]
             assert sorted(indices) == sorted(expected)
+
+
+# name words: case variants of one word, non-ASCII words, any printable
+# text, and runs of punctuation
+NAME_WORDS = st.one_of(
+    st.sampled_from(["Paris", "paris", "PARIS", "Über", "café", "東京",
+                     "Ωmega", "naïve", "42"]),
+    st.text(st.characters(exclude_categories=("Cs", "Cc", "Z")),
+            min_size=1, max_size=8),
+    st.text(string.punctuation, min_size=1, max_size=6))
+
+
+@st.composite
+def entity_names(draw) -> str:
+    """Drawn words with some of them repeated, or punctuation only."""
+    if draw(st.booleans()):
+        return draw(st.text(string.punctuation + " ", min_size=1,
+                            max_size=12))
+    words = draw(st.lists(NAME_WORDS, min_size=1, max_size=5))
+    words += draw(st.lists(st.sampled_from(words), max_size=3))
+    return " ".join(draw(st.permutations(words)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fitted=st.lists(entity_names(), min_size=1, max_size=5),
+       unseen=st.lists(entity_names(), max_size=3),
+       levels=st.sampled_from(["bow", "nsl", "bow,nsl"]))
+@example(fitted=["Paris paris Paris", "..."], unseen=["東京 東京 !"],
+         levels="bow,nsl")
+def test_feature_rows_hold_distinct_ids_in_range(fitted, unseen, levels):
+    """``nn.SparseLinear`` counts an id as often as a row lists it, so
+    each row of ``feature_rows`` must list distinct ids of the table."""
+    res = Resources(type_system=TypeSystem(types=("t",), parent={}))
+    asm = Assembler(RepresentationSpec.parse(levels), res).fit(fitted)
+    features = sum(dim for _, dim in asm.layout())
+    names = fitted + unseen
+    indptr, indices = asm.feature_rows([(f"m.{i}", name)
+                                        for i, name in enumerate(names)])
+    assert indptr.size == len(names) + 1 and indptr[-1] == indices.size
+    for lo, hi in zip(indptr[:-1], indptr[1:]):
+        row = indices[lo:hi]
+        assert np.unique(row).size == row.size
+        assert np.all((row >= 0) & (row < features))
 
 
 class TestAvgDes:

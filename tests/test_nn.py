@@ -49,6 +49,45 @@ class TestDense:
             layer.forward(np.ones((1, 4)))
 
 
+SPARSE_FEATURES = 10
+# CSR rows over a table of SPARSE_FEATURES rows, with distinct ids per row
+SPARSE_CASES = {
+    "shared ids": ([0, 3, 5, 8], [0, 4, 9, 4, 0, 9, 2, 4]),
+    "empty row": ([0, 2, 2, 4], [9, 1, 1, 0]),
+    "every row empty": ([0, 0, 0, 0], []),
+    "no rows": ([0], []),
+    "first and last id only": ([0, 1, 2, 4], [0, 9, 9, 0]),
+    "random": None,
+}
+
+
+def sparse_case(case: str, rng: np.random.Generator):
+    """The (indptr, indices) of ``SPARSE_CASES[case]``; "random" draws 40
+    rows of 0 to 6 distinct ids each."""
+    if SPARSE_CASES[case] is not None:
+        return tuple(np.array(a, dtype=np.int64) for a in SPARSE_CASES[case])
+    rows = [rng.choice(SPARSE_FEATURES, size=k, replace=False)
+            for k in rng.integers(0, 7, size=40)]
+    indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])])
+    return indptr, np.concatenate(rows).astype(np.int64)
+
+
+def one_hot(indptr: np.ndarray, indices: np.ndarray,
+            features: int) -> np.ndarray:
+    """The dense float64 0/1 matrix of CSR rows."""
+    X = np.zeros((indptr.size - 1, features))
+    X[np.repeat(np.arange(indptr.size - 1), np.diff(indptr)), indices] = 1.0
+    return X
+
+
+def assert_close_in(dtype, got: np.ndarray, want: np.ndarray) -> None:
+    """``got`` within 1e-12 of the float64 ``want``, or within 1e-6 times
+    its scale when ``got`` is float32."""
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    atol = 1e-12 if dtype == np.float64 else 1e-6 * scale
+    np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+
 class TestSparseLinear:
     def test_rows_sum_table_rows(self):
         W = np.arange(12.0).reshape(4, 3)
@@ -76,6 +115,27 @@ class TestSparseLinear:
         layer = SparseLinear(np.ones((3, 2)))
         with pytest.raises(NumericError):
             layer.forward(np.array([0, 1]), np.array([3]))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", SPARSE_CASES)
+    def test_matches_dense_one_hot(self, case, dtype):
+        """Forward is ``X @ W`` and backward ``X.T @ dy`` on the touched
+        rows, for the dense 0/1 matrix X of the rows: to 1e-12 in float64
+        and 1e-6 times the scale in float32."""
+        rng = np.random.default_rng(15)
+        indptr, indices = sparse_case(case, rng)
+        W = rng.normal(size=(SPARSE_FEATURES, 5)).astype(dtype)
+        dy = rng.normal(size=(indptr.size - 1, 5)).astype(dtype)
+        layer = SparseLinear(W)
+        out = layer.forward(indptr, indices)
+        layer.backward(dy)
+        X = one_hot(indptr, indices, SPARSE_FEATURES)
+        touched = np.unique(indices)
+        assert out.dtype == layer.grad.dtype == dtype
+        assert_close_in(dtype, out, X @ W.astype(np.float64))
+        np.testing.assert_array_equal(layer.rows, touched)
+        assert_close_in(dtype, layer.grad,
+                        (X.T @ dy.astype(np.float64))[touched])
 
     def test_csr_take_matches_row_loop(self):
         rng = np.random.default_rng(0)
@@ -536,6 +596,30 @@ class TestAdaGrad:
         for opt in (full, sparse):
             assert opt.acc["t"].dtype == opt._scratch.dtype == np.float32
         assert p_rows.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_step_rows_equals_step_across_blocks(self, dtype):
+        """Rows filling three ``STEP_BLOCK_BYTES`` blocks and part of a
+        fourth: the blocked row step is the full step, bit for bit."""
+        cols = 8
+        block = nn.STEP_BLOCK_BYTES // (cols * np.dtype(dtype).itemsize)
+        n_rows = 3 * block + block // 3
+        rng = np.random.default_rng(3)
+        p_full = rng.normal(size=(2 * n_rows, cols)).astype(dtype)
+        p_rows = p_full.copy()
+        full, sparse = AdaGrad(learning_rate=0.2), AdaGrad(learning_rate=0.2)
+        acc = rng.random(p_full.shape).astype(dtype)
+        full.acc["t"], sparse.acc["t"] = acc.copy(), acc.copy()
+        for _ in range(2):
+            rows = np.sort(rng.choice(2 * n_rows, size=n_rows, replace=False))
+            g = rng.normal(size=(n_rows, cols)).astype(dtype)
+            g_full = np.zeros_like(p_full)
+            g_full[rows] = g
+            full.step({"t": p_full}, {"t": g_full})
+            sparse.step_rows("t", p_rows, rows, g)
+            assert np.array_equal(p_rows, p_full)
+            assert np.array_equal(sparse.acc["t"], full.acc["t"])
+        assert p_rows.dtype == sparse.acc["t"].dtype == dtype
 
     def test_steps_non_increasing_for_constant_gradient(self):
         p = {"w": np.array([0.0])}
