@@ -9,27 +9,35 @@ Three trainers share one update loop:
   ngram vectors, so vectors can be composed for words never indexed.
 
 Pairs come ordered by center position, so within a minibatch a center's
-pairs form runs. A batch step composes one input vector per run, gathers each
-distinct output row once, scores every run against every such row in one
-product, and sums the pairs' gradients into one coefficient per (output
-row, run): each output row and each run's input rows get one update. The
-whole batch scores against the parameters as they stood at its start.
+pairs form runs. A batch step composes one input vector per run and
+gathers each pair's output rows (its context and its negatives), so its
+scores and its input gradients cost one product per pair row; the pairs'
+input gradients are summed per run. Only the output update sums the
+pairs' gradients into one coefficient per (distinct output row, run), as
+a row repeated in the batch must get one update. The whole batch scores
+against the parameters as they stood at its start.
+
+The loss is taken from the sigmoid the gradient needs: a pair row with
+error ``label - sigmoid(s)`` adds ``-log1p(-|error|)``, and where the
+error is within 2^-5 of 1 (the wrong side of ``|s| > 3.4``) the exact
+softplus of the score. It is summed in float64 and only reported.
 
 Parameters and stores are ``nn.DTYPE`` (float32, as in word2vec.c and
 fastText), read when training starts; the initial draws are float64
-rounded to it, and the loss is summed in float64. An ``EmbeddingStore``
-holds its matrix in ``nn.DTYPE`` however it was made: trained, read from a
-store or model file, or read from text.
+rounded to it. An ``EmbeddingStore`` holds its matrix in ``nn.DTYPE``
+however it was made: trained, read from a store or model file, or read
+from text.
 
 The settings are the five of word2vec.c, wang2vec and fastText: dimension,
 window, negatives, epochs and learning rate. As in those, each center's
 window shrinks to a uniform draw in [1, window]. Negative samples are drawn
-from the unigram distribution raised to 0.75 via a fixed table of
-``NEGATIVE_TABLE_SIZE`` entries, and a batch step takes ``BATCH_PAIRS``
-pairs. The learning rate decays linearly to 1e-4 of its initial value over
-all epochs. Single-threaded training is bit deterministic under a fixed
-seed; with more threads, sentence chunks update the shared parameters
-without synchronization and only statistical properties are reproducible.
+from the unigram distribution raised to 0.75 via a table of
+``TABLE_SLOTS_PER_TOKEN`` int32 slots per vocabulary token, at most
+``NEGATIVE_TABLE_SIZE``, and a batch step takes ``BATCH_PAIRS`` pairs.
+The learning rate decays linearly to 1e-4 of its initial value over all
+epochs. Single-threaded training is bit deterministic under a fixed seed;
+with more threads, sentence chunks update the shared parameters without
+synchronization and only statistical properties are reproducible.
 
 Embedding text format (``save_embeddings``, ``mulr embed --out``): first
 line ``count dim``, then one ``token v1 .. vd`` row per token; a subword
@@ -66,11 +74,16 @@ KIND_SSKIP = "sskip"
 KIND_SUBWORD = "subword"
 
 NEGATIVE_TABLE_SIZE = 1_000_000
-TABLE_BLOCK = 65_536  # targets per block while the table is built
+# table slots per vocabulary token, up to NEGATIVE_TABLE_SIZE: the
+# resolution word2vec.c's 1e8 slots give a vocabulary of about 1e6 words
+TABLE_SLOTS_PER_TOKEN = 100
+# an error |label - sigmoid(s)| above this keeps under 19 bits of its
+# distance from 1 in float32, so its loss is taken from the score
+SOFTPLUS_ABOVE = 1.0 - 2.0 ** -5
 # pairs vectorized per update; within a batch updates use the same stale
 # parameters and the updates of a row repeated in the batch are summed, so
-# keep it small relative to the vocabulary; the step's (distinct output
-# rows x center runs) coefficient matrix grows about with its square
+# keep it small relative to the vocabulary; the output update's (distinct
+# output rows x center runs) coefficient matrix grows about with its square
 BATCH_PAIRS = 256
 UNIGRAM_POWER = 0.75
 MIN_LR_FRACTION = 1e-4
@@ -281,27 +294,45 @@ def _unit_rows(m: np.ndarray) -> np.ndarray:
 
 
 def _unigram_table(vocab: Vocabulary) -> np.ndarray:
+    """The negative-sampling table: ``min(NEGATIVE_TABLE_SIZE,
+    TABLE_SLOTS_PER_TOKEN * |V|)`` int32 token ids, each token in about
+    its unigram^0.75 share of the slots."""
     tokens = vocab.tokens
     weights = np.array([vocab.counts[t] for t in tokens], dtype=float)
     weights **= UNIGRAM_POWER
     cumulative = np.cumsum(weights)
     cumulative /= cumulative[-1]
-    # int32, filled a block of targets at a time: the table is large, and
-    # a full-length float64 target array would set the peak memory of a
-    # training run
-    table = np.empty(NEGATIVE_TABLE_SIZE, dtype=np.int32)
-    for start in range(0, NEGATIVE_TABLE_SIZE, TABLE_BLOCK):
-        targets = np.arange(start, min(start + TABLE_BLOCK,
-                                       NEGATIVE_TABLE_SIZE), dtype=float)
-        targets += 0.5
-        targets /= NEGATIVE_TABLE_SIZE
-        table[start:start + targets.size] = np.searchsorted(cumulative,
-                                                            targets)
-    return table
+    size = min(NEGATIVE_TABLE_SIZE, TABLE_SLOTS_PER_TOKEN * len(tokens))
+    targets = np.arange(size, dtype=float)
+    targets += 0.5
+    targets /= size
+    return np.searchsorted(cumulative, targets).astype(np.int32)
 
 
-def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    return -np.logaddexp(0.0, -x)
+def _errors(s: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, float]:
+    """The errors ``mask * (label - sigmoid(s))`` of a batch's scores, the
+    positive context in column 0, and the batch's loss: the masked sum of
+    ``-log sigmoid(s)`` over positives and ``-log sigmoid(-s)`` over
+    negatives, summed in float64.
+
+    Each entry's loss is ``-log1p(-|error|)``. Where ``|error|`` exceeds
+    ``SOFTPLUS_ABOVE`` its distance from 1 keeps too few bits of a float32
+    sigmoid, and the loss is the softplus of the wrong-side score.
+    """
+    err = sigmoid(s)
+    np.negative(err, out=err)
+    err[:, 0] += 1.0
+    err *= mask
+    q = np.abs(err)
+    far = q > SOFTPLUS_ABOVE
+    q[far] = 0.0
+    loss = -np.log1p(-q).sum(dtype=np.float64)
+    if far.any():
+        # the wrong-side score: s of a negative, -s of a positive
+        wrong = s[far].astype(np.float64)
+        wrong *= -np.sign(err[far])
+        loss += np.logaddexp(0.0, wrong).sum()
+    return err, float(loss)
 
 
 class _Composer:
@@ -309,7 +340,9 @@ class _Composer:
 
     The trainer passes the center of each run of equal centers in a batch,
     so an ngram-averaged vector is composed once per run, and ``backward``
-    takes one gradient per run and spreads it over the run's ngram rows.
+    takes one gradient per run and spreads it over the run's ngram rows:
+    one product of a (distinct ngrams x runs) weight matrix, 1/len per
+    occurrence of an ngram in a run's word, with the runs' gradients.
     Ngram ids are in CSR layout: token ``t`` averages the ``w_in`` rows
     ``indices[indptr[t]:indptr[t + 1]]``. Callers pass only centers that
     have at least one ngram.
@@ -338,8 +371,14 @@ class _Composer:
             scatter_add(self.w_in, centers, dv)
             return
         flat, lengths = cache
-        scatter_add(self.w_in, flat,
-                    np.repeat(dv / lengths[:, None], lengths, axis=0))
+        # m[u, j]: the weight of run j's gradient on ngram row uniq[u], 1/len
+        # per occurrence of the ngram in the run's word
+        uniq, inv = np.unique(flat, return_inverse=True)
+        runs = lengths.size
+        m = np.bincount(inv * runs + np.repeat(np.arange(runs), lengths),
+                        weights=np.repeat(1.0 / lengths, lengths),
+                        minlength=uniq.size * runs)
+        self.w_in[uniq] += m.reshape(uniq.size, runs).astype(dv.dtype) @ dv
 
 
 class _SgnsState:
@@ -430,9 +469,6 @@ def _train_chunk(tok: np.ndarray, sent: np.ndarray, state: _SgnsState,
     table = state.table
     w_out = state.w_out
     vocab_size = state.vocab_size
-    # column 0 of each pair's output rows is its positive context
-    label = np.zeros(1 + cfg.negatives, dtype=w_out.dtype)
-    label[0] = 1.0
 
     # each center's window, drawn before the negatives and not held past
     # the pairs it selects
@@ -452,7 +488,7 @@ def _train_chunk(tok: np.ndarray, sent: np.ndarray, state: _SgnsState,
         progress = frac0 + (frac1 - frac0) * (start / total)
         lr = lr0 * max(MIN_LR_FRACTION, 1.0 - progress)
         batch = c.size
-        neg = table[rng.integers(0, len(table), size=(batch, cfg.negatives))]
+        neg = table[rng.integers(0, table.size, size=(batch, cfg.negatives))]
 
         # one input vector per run of equal centers
         head = np.empty(batch, dtype=bool)
@@ -462,28 +498,26 @@ def _train_chunk(tok: np.ndarray, sent: np.ndarray, state: _SgnsState,
         runs = c[head]
         v, cache = state.composer.forward(runs)
 
+        # each pair's output rows, the positive context in column 0
         rows = blk[:, None] * vocab_size + np.column_stack([t, neg])
-        uniq, inv = np.unique(rows.reshape(-1), return_inverse=True)
-        inv = inv.reshape(rows.shape)
-        wu = w_out[uniq]
-        s = (v @ wu.T)[run_of[:, None], inv]
+        wr = w_out.take(rows, axis=0)
+        s = np.matmul(wr, v[run_of][:, :, None])[:, :, 0]
         # a negative that hits the positive context does not count
         mask = rows != rows[:, :1]
         mask[:, 0] = True
-        loss_sum -= _log_sigmoid(s[:, 0]).sum(dtype=np.float64)
-        loss_sum -= (_log_sigmoid(-s[:, 1:]) * mask[:, 1:]).sum(
-            dtype=np.float64)
-
-        g = label - sigmoid(s)
+        g, loss = _errors(s, mask)
+        loss_sum += loss
         g *= lr
-        g *= mask
+        dv = np.add.reduceat(np.matmul(g[:, None, :], wr)[:, 0],
+                             np.flatnonzero(head), axis=0)
         # coef[u, j]: summed gradient of output row uniq[u] against run j
-        coef = np.bincount((inv * runs.size + run_of[:, None]).reshape(-1),
+        uniq, inv = np.unique(rows, return_inverse=True)
+        coef = np.bincount((inv.reshape(rows.shape) * runs.size
+                            + run_of[:, None]).reshape(-1),
                            weights=g.reshape(-1),
                            minlength=uniq.size * runs.size)
-        coef = coef.reshape(uniq.size, runs.size).astype(w_out.dtype)
-        dv = coef.T @ wu
-        w_out[uniq] += coef @ v
+        w_out[uniq] += coef.reshape(uniq.size, runs.size).astype(
+            w_out.dtype) @ v
         state.composer.backward(runs, dv, cache)
     losses.append(loss_sum)
 

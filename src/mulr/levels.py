@@ -360,25 +360,41 @@ class ClrEncoder:
 # word level
 
 
+def _usable_vector(word: str, store: EmbeddingStore) -> np.ndarray | None:
+    """The vector of ``word``, looked up verbatim and then lowercased, or
+    None if it has neither or its vector is zero."""
+    v = store.word_vector(word)
+    if v is None:
+        v = store.word_vector(word.lower())
+    return v if v is not None and np.any(v) else None
+
+
 def _usable_vectors(words, store: EmbeddingStore):
-    """The non-zero vectors of ``words`` in order, each looked up verbatim
-    and then lowercased; words with neither are skipped."""
+    """The usable vectors of ``words`` in order; words without one are
+    skipped."""
     for w in words:
-        v = store.word_vector(w)
-        if v is None:
-            v = store.word_vector(w.lower())
-        if v is not None and np.any(v):
+        v = _usable_vector(w, store)
+        if v is not None:
             yield v
 
 
-def wlr(name: str, store: EmbeddingStore) -> np.ndarray:
+def wlr(name: str, store: EmbeddingStore,
+        memo: dict[str, np.ndarray | None] | None = None) -> np.ndarray:
     """Mean of the available name-word vectors.
 
     Plain stores look words up verbatim with a lowercase fallback; subword
     stores compose out-of-vocabulary words from their ngrams. If no word
-    contributes, the zero vector is returned.
+    contributes, the zero vector is returned. ``memo`` maps words of
+    ``store`` to their usable vector or None; words missing from it are
+    looked up and added.
     """
-    vecs = list(_usable_vectors(name_words(name), store))
+    memo = {} if memo is None else memo
+    vecs = []
+    for w in name_words(name):
+        if w not in memo:
+            memo[w] = _usable_vector(w, store)
+        if memo[w] is not None:
+            vecs.append(memo[w])
     if not vecs:
         return np.zeros(store.dim)
     return np.mean(vecs, axis=0)
@@ -606,10 +622,11 @@ class Assembler:
             if lv.kind in ("elr", "tc"):
                 out[:, lo:hi] = self._entity_block(lv.kind, ids)
             else:
-                per_name.append((lv, lo, hi))
+                # each level composes a distinct name word once per call
+                per_name.append((lv, lo, hi, {}))
         for row, (eid, name) in enumerate(instances):
-            for lv, lo, hi in per_name:
-                out[row, lo:hi] = self._level_vector(lv, eid, name)
+            for lv, lo, hi, memo in per_name:
+                out[row, lo:hi] = self._level_vector(lv, eid, name, memo)
         return out
 
     def feature_rows(self, instances) -> tuple[np.ndarray, np.ndarray]:
@@ -643,11 +660,11 @@ class Assembler:
         return type_cosine_matrix(entity_ids, store,
                                   self.resources.type_system)
 
-    def _level_vector(self, lv: LevelSpec, entity_id: str,
-                      name: str) -> np.ndarray:
+    def _level_vector(self, lv: LevelSpec, entity_id: str, name: str,
+                      memo: dict) -> np.ndarray:
         store = self._store(lv.kind)
         if lv.kind != "avg-des":
-            return wlr(name, store)
+            return wlr(name, store, memo)
         res = self.resources
         desc = (res.descriptions or {}).get(entity_id)
         if desc is None:

@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mulr import cli, embeddings
-from mulr.corpus import build_subword_index, build_vocabulary
+from mulr.corpus import (Vocabulary, build_subword_index,
+                         build_three_copy_corpus, build_vocabulary)
 from mulr.dataset import TypeSystem
 from mulr.embeddings import (MIN_LR_FRACTION, STORE_MAGIC, EmbeddingStore,
-                             SgnsConfig, _epoch_pairs, _log_sigmoid,
-                             _SgnsState, cosine, iter_context_pairs,
+                             SgnsConfig, _epoch_pairs, _errors, _SgnsState,
+                             _unigram_table, cosine, iter_context_pairs,
                              load_embeddings, load_store, save_embeddings,
                              save_store, train_sgns, train_subword_sgns,
                              type_cosine_matrix)
 from mulr.errors import DataError, NumericError, ParseError
 from mulr.levels import Assembler, RepresentationSpec, Resources
 from mulr.nn import AdaGrad, Dense, csr_take, scatter_add, sigmoid
-from mulr.synthetic import generate_order_corpus
+from mulr.synthetic import generate, generate_order_corpus, preset_spec
 from mulr.typer import TyperModel, load_model, save_model
 
 
@@ -530,6 +531,11 @@ class TestSgnsTraining:
         assert train_sgns(stream, vocab, small_cfg()).kind == "skip"
 
 
+def _log_sigmoid(x):
+    """``log sigmoid(x)`` in the ``logaddexp`` form, exact for any ``x``."""
+    return -np.logaddexp(0.0, -x)
+
+
 def reference_train_chunk(tok, sent, state, cfg, seed, lr_span, losses,
                           trainable_mask):
     """``_train_chunk`` pair by pair: every pair composes its own center
@@ -766,6 +772,98 @@ class TestRunsMatchPerPairReference:
         np.testing.assert_allclose(a.matrix, b.matrix, rtol=0, atol=1e-12)
 
 
+def embed_style_stream():
+    """The embed benchmark's kind of stream at a small scale: the three
+    copies of a synthetic ``mixed`` corpus, one sentence per entity."""
+    spec = preset_spec("mixed", seed=1, n_types=5, entities_per_type=40)
+    spec.sentence_cap = 1
+    spec.suffix_signal = 1.0
+    data = generate(spec)
+    return build_three_copy_corpus(data.corpus, data.notable)
+
+
+def logaddexp_loss(s, mask) -> float:
+    """A batch's loss in the ``logaddexp`` form, in float64."""
+    s = s.astype(np.float64)
+    return float(-_log_sigmoid(s[:, 0]).sum()
+                 - (_log_sigmoid(-s[:, 1:]) * mask[:, 1:]).sum())
+
+
+class TestLossFromSigmoid:
+    """``_errors`` takes each pair's loss from the sigmoid the gradient
+    needs; it equals the ``logaddexp`` form to a relative 1e-6."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_with_masked_negatives_and_saturated_scores(self, dtype):
+        rng = np.random.default_rng(8)
+        s = np.concatenate([rng.normal(0.0, 3.0, size=(40, 6)),
+                            rng.uniform(-30.0, 30.0, size=(40, 6))])
+        s[0] = [-30.0, 30.0, 30.0, 17.0, -17.0, 0.0]
+        s[1] = [30.0, -30.0, -30.0, 4.0, -4.0, 3.0]
+        s = s.astype(dtype)
+        mask = rng.random(s.shape) > 0.2
+        mask[:, 0] = True
+        mask[0, 1] = False          # a masked negative scored 30 adds nothing
+        label = np.zeros(6, dtype=dtype)
+        label[0] = 1.0
+        err, loss = _errors(s, mask)
+        assert err.dtype == dtype
+        np.testing.assert_array_equal(err, (label - sigmoid(s)) * mask)
+        assert np.abs(err).max() > embeddings.SOFTPLUS_ABOVE
+        assert loss == pytest.approx(logaddexp_loss(s, mask), rel=1e-6)
+
+    def test_pair_scored_30_on_the_wrong_side_reports_30(self):
+        s = np.array([[-30.0, 30.0, 30.0]], dtype=np.float32)
+        mask = np.array([[True, True, False]])
+        assert _errors(s, mask)[1] == pytest.approx(60.0, rel=1e-6)
+
+    @pytest.mark.parametrize("kind", ["sskip", "subword"])
+    def test_epoch_loss_on_an_embed_style_stream(self, monkeypatch, kind):
+        stream = embed_style_stream()
+        vocab = build_vocabulary(stream, 2)
+        cfg = small_cfg(epochs=2, window=5, negatives=10, dim=32,
+                        positional=kind == "sskip")
+        reference, epochs = [], []
+        errors = embeddings._errors
+
+        def recording(s, mask):
+            reference.append(logaddexp_loss(s, mask))
+            return errors(s, mask)
+
+        def on_epoch_end(epoch, loss):
+            epochs.append((len(reference), loss))
+        monkeypatch.setattr(embeddings, "_errors", recording)
+        if kind == "subword":
+            index = build_subword_index(vocab, n_min=3, n_max=6, min_count=2)
+            train_subword_sgns(stream, vocab, index, cfg, on_epoch_end)
+        else:
+            train_sgns(stream, vocab, cfg, on_epoch_end)
+        assert len(reference) > 100
+        begin = 0
+        for end, loss in epochs:
+            assert loss == pytest.approx(sum(reference[begin:end]), rel=1e-6)
+            begin = end
+
+
+class TestUnigramTable:
+    @pytest.mark.parametrize("n_tokens", [1, 7, 1460, 12_000])
+    def test_vocabulary_sized_table_in_unigram_shares(self, n_tokens):
+        """int32, ``min(1e6, 100 |V|)`` slots, and each token's slot count
+        within 1 of its unigram^0.75 share of them."""
+        counts = np.random.default_rng(n_tokens).zipf(1.3, size=n_tokens)
+        vocab = Vocabulary(index={f"w{i}": i for i in range(n_tokens)},
+                           counts={f"w{i}": int(c)
+                                   for i, c in enumerate(counts)})
+        table = _unigram_table(vocab)
+        assert table.dtype == np.int32
+        assert table.size == min(1_000_000, 100 * n_tokens)
+        weights = np.array([vocab.counts[t] for t in vocab.tokens],
+                           dtype=float) ** 0.75
+        share = weights / weights.sum() * table.size
+        slots = np.bincount(table, minlength=n_tokens)
+        assert np.abs(slots - share).max() <= 1.0
+
+
 class TestScatterAdd:
     @staticmethod
     def _check(rows, dim=5):
@@ -865,6 +963,31 @@ class TestComposer:
 
     def test_float32_backward_matches_add_at_reference(self):
         self._check_backward(rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.usefixtures("float64_layers")
+    def test_backward_matches_scatter_add_on_repeated_ngrams(self):
+        """The (distinct ngrams x runs) product against ``scatter_add`` of
+        each run's gradient over its ngram rows; ``aaaa`` lists ``aa``
+        three times and ``aaa`` twice."""
+        stream = [["aaaa", "ab", "aaaa", "ba", "abab"]] * 3
+        vocab = build_vocabulary(stream, 1)
+        index = build_subword_index(vocab, n_min=2, n_max=3, min_count=1)
+        ids = index.ngram_ids("aaaa")
+        assert len(ids) - len(set(ids)) == 3
+        comp = _SgnsState(vocab, small_cfg(), index).composer
+        comp.w_in += np.random.default_rng(2).normal(size=comp.w_in.shape)
+        centers = np.array([vocab.index[t] for t in
+                            ("aaaa", "ab", "aaaa", "abab", "ba", "aaaa")])
+        dv = np.random.default_rng(5).normal(size=(centers.size,
+                                                   comp.w_in.shape[1]))
+        lists = [index.ngram_ids(vocab.tokens[c]) for c in centers]
+        lengths = np.array([len(x) for x in lists])
+        expected = comp.w_in.copy()
+        scatter_add(expected, np.concatenate(lists),
+                    np.repeat(dv / lengths[:, None], lengths, axis=0))
+        _, cache = comp.forward(centers)
+        comp.backward(centers, dv, cache)
+        np.testing.assert_allclose(comp.w_in, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.usefixtures("small_batches")
     def test_token_without_indexed_ngrams_stays_finite(self):

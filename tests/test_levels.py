@@ -391,6 +391,28 @@ class TestAssemble:
             Assembler(spec, res).frozen_matrix([("m.1", "alpha beta")])[0],
             wlr("alpha beta", res.main_store))
 
+    def test_word_levels_equal_per_name_wlr_on_shared_words(self):
+        """``frozen_matrix`` composes each distinct name word once per call
+        and level; its rows equal ``wlr`` of each name on its own. ``Lake``
+        is found only lowercased, and ``qqq`` has no indexed ngram."""
+        res = self._resources()
+        main = EmbeddingStore(
+            kind="sskip", dim=3, tokens=["alpha", "beta", "lake", "m.1"],
+            matrix=np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0],
+                             [0.0, 0.5, 2.0], [1.0, 0.0, 0.0]]))
+        sub = subword_store([["alpha", "beta"], ["lake", "alpha"]] * 10)
+        assert "Lake" not in main and not sub.subwords.ngram_ids("qqq")
+        res = Resources(type_system=res.type_system, main_store=main,
+                        subword_store=sub)
+        names = ["alpha Lake", "Lake beta alpha", "qqq", "qqq Lake",
+                 "alpha alpha", "beta"]
+        out = Assembler(RepresentationSpec.parse("wwlr,swlr"),
+                        res).frozen_matrix([("m.1", n) for n in names])
+        np.testing.assert_array_equal(out, [
+            np.concatenate([wlr(n, main), wlr(n, sub)]) for n in names])
+        np.testing.assert_allclose(out[0, :3], [0.5, 1.25, 1.0])
+        np.testing.assert_array_equal(out[2], np.zeros(3 + sub.dim))
+
     def test_word_and_entity_levels_read_the_main_store(self):
         res = self._resources()
         asm = Assembler(RepresentationSpec.parse("wwlr,elr,avg-des"), res)
