@@ -8,9 +8,8 @@ MLP and per-type decision thresholds.
 
 __version__ = "0.1.0"
 
-from .dataset import (DatasetSplit, EntityRecord, TypeSystem,
-                      close_under_parents, load_dataset, load_type_system,
-                      refine, slice_entities)
+from .dataset import (DatasetSplit, EntityRecord, TypeSystem, load_dataset,
+                      load_type_system, refine, slice_entities)
 from .corpus import (AnnotatedCorpus, Mention, SubwordIndex, Vocabulary,
                      build_subword_index, build_three_copy_corpus,
                      build_vocabulary, extract_subwords, tokenize)

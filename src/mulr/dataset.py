@@ -138,11 +138,6 @@ def _closure(e: EntityRecord, ts: TypeSystem) -> frozenset[str]:
     return frozenset(closed)
 
 
-def close_under_parents(e: EntityRecord, ts: TypeSystem) -> EntityRecord:
-    """The record with its gold types closed under the parent relation."""
-    return e.with_gold_types(_closure(e, ts))
-
-
 def refine(split: DatasetSplit, ts: TypeSystem) -> DatasetSplit:
     """Close every record's gold types under the parent relation, each
     distinct gold-type set once."""

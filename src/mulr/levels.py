@@ -21,7 +21,14 @@ none is given, and drops the rest.
 A representation is the concatenation of the requested levels in the given
 order; the layout (level, dimension) pairs are recorded so a classifier is
 never applied across layouts. ``Assembler.frozen_matrix`` builds the dense
-levels; the sparse levels' ids come from ``Assembler.feature_rows``.
+levels; the sparse levels' ids come from ``Assembler.feature_rows``, and
+``Assembler.fit_rows`` computes each training name's features once, for
+both the feature indexes and the training rows.
+
+The character encoders have one pass, ``ClrEncoder.forward(ids, train)``:
+with ``train`` set it keeps the ids and its networks' caches for
+``backward``; with ``train=False`` it computes the same bits and keeps
+nothing.
 
 Levels make no notes: a level with nothing to average returns the zero
 vector, and ``typer.train`` counts those rows per level (``frozen_slices``).
@@ -215,10 +222,6 @@ class CharVocab:
     def size(self) -> int:
         return 4 + len(self.chars)
 
-    def ids(self, name: str, padded_len: int) -> np.ndarray:
-        """The id row of one name (``id_rows``)."""
-        return self.id_rows([name], padded_len)[0]
-
     def id_rows(self, names: list[str], padded_len: int) -> np.ndarray:
         """Bracketed, right-truncated, padded character id rows, one per
         name, filled into one (names, ``padded_len``) array.
@@ -306,33 +309,20 @@ class ClrEncoder:
             out.update({f"back.{k}": v for k, v in self.net_back.grads.items()})
         return out
 
-    def forward(self, ids: np.ndarray) -> np.ndarray:
-        """Encode a batch of character id rows to (batch, out_dim), keeping
-        what ``backward`` reads."""
-        self._ids = ids
+    def forward(self, ids: np.ndarray, train: bool = True) -> np.ndarray:
+        """Encode a batch of character id rows to (batch, out_dim); training,
+        the ids and each network's cache are kept for ``backward``."""
+        self._ids = ids if train else None
         E = self.table[ids]  # (B, l, d_c)
-        if self.kind == "clr-cnn":
-            return self.net.forward(E)
-        return self._encode(E)
-
-    def score(self, ids: np.ndarray) -> np.ndarray:
-        """``forward``'s output, for scoring: the ids are not kept, and the
-        CNN pools without its training pass (``ConvMaxPool.pool``)."""
-        E = self.table[ids]
-        if self.kind == "clr-cnn":
-            return self.net.pool(E)
-        return self._encode(E)
-
-    def _encode(self, E: np.ndarray) -> np.ndarray:
-        """The non-CNN encoders on character rows E."""
         if self.kind == "clr-forward":
             return E.reshape(E.shape[0], -1)
+        if self.kind == "clr-cnn":
+            return self.net.forward(E, train)
+        _, h_fwd = self.net.forward(E, train=train)
         if self.kind == "clr-lstm":
-            _, h_last = self.net.forward(E)
-            return h_last
+            return h_fwd
         # bilstm: backward pass starts from the forward chain's last state
-        _, h_fwd = self.net.forward(E)
-        _, h_bwd = self.net_back.forward(E[:, ::-1], h0=h_fwd)
+        _, h_bwd = self.net_back.forward(E[:, ::-1], h0=h_fwd, train=train)
         return np.concatenate([h_fwd, h_bwd], axis=1)
 
     def backward(self, dout: np.ndarray) -> None:
@@ -555,9 +545,10 @@ class Assembler:
 
     The character level, if present, is a hole in the layout filled by the
     typer's trainable encoder. ``indexers`` maps each sparse level to its
-    ``feature_index``: ``fit`` builds them from the training names, in
-    sorted feature order, and ``feature_rows`` maps names through them.
-    The assembler is fitted once every sparse level has one.
+    ``feature_index``: ``fit_rows`` builds them from the training names, in
+    sorted feature order, and returns those names' rows; ``feature_rows``
+    maps names through them. The assembler is fitted once every sparse
+    level has one.
     """
 
     def __init__(self, spec: RepresentationSpec, resources: Resources,
@@ -567,12 +558,17 @@ class Assembler:
         self.indexers = dict(indexers or {})
 
     def fit(self, train_names: list[str]) -> "Assembler":
-        for kind in self.spec.kinds:
-            if kind in SPARSE_KINDS:
-                features = SPARSE_FEATURES[kind]
-                self.indexers[kind] = feature_index(sorted(
-                    {f for n in train_names for f in features(n)}))
+        self.fit_rows(train_names)
         return self
+
+    def fit_rows(self, train_names: list[str]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Fit the sparse levels on the training names and return their
+        ``feature_rows``, computing each name's features once."""
+        named = self._sparse_features(train_names)
+        for kind, per_name in named.items():
+            self.indexers[kind] = feature_index(sorted(set().union(*per_name)))
+        return self._rows(named, len(train_names))
 
     def _check_fitted(self) -> None:
         if any(k in SPARSE_KINDS and k not in self.indexers
@@ -638,16 +634,26 @@ class Assembler:
         number the sparse columns of the layout in order.
         """
         self._check_fitted()
+        names = [name for _, name in instances]
+        return self._rows(self._sparse_features(names), len(names))
+
+    def _sparse_features(self, names: list[str]) -> dict[str, list[dict]]:
+        """Per sparse level, in spec order, the features of each name."""
+        return {kind: [SPARSE_FEATURES[kind](n) for n in names]
+                for kind in self.spec.kinds if kind in SPARSE_KINDS}
+
+    def _rows(self, named: dict[str, list[dict]],
+              n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``feature_rows`` of ``n`` names from their features ``named``."""
         levels, offset = [], 0
-        for kind in self.spec.kinds:
-            if kind in SPARSE_KINDS:
-                index = self.indexers[kind]
-                levels.append((SPARSE_FEATURES[kind], index, offset))
-                offset += len(index)
+        for kind, per_name in named.items():
+            index = self.indexers[kind]
+            levels.append((per_name, index, offset))
+            offset += len(index)
         indptr, indices = [0], []
-        for _, name in instances:
-            for features, index, base in levels:
-                indices.extend(base + index[f] for f in features(name)
+        for row in range(n):
+            for per_name, index, base in levels:
+                indices.extend(base + index[f] for f in per_name[row]
                                if f in index)
             indptr.append(len(indices))
         return (np.array(indptr, dtype=np.int64),

@@ -1,11 +1,15 @@
 """Numeric kernels with hand-written backward passes.
 
 All kernels take batches only: every input has a leading batch axis,
-even for one example, and every output keeps it. Layers cache what their
-backward pass needs; backward overwrites the parameter gradients in
-``.grads``, writing into the arrays the layer allocated at construction,
-and returns the gradient with respect to the layer input, so a second
-backward after one forward gives the same gradients again.
+even for one example, and every output keeps it. Each layer has one
+forward pass, ``forward(..., train=True)``. With ``train`` set it caches
+what its backward pass needs; with ``train=False``, the scoring pass, it
+computes the same bits and drops any cache it held, so a scored layer
+keeps nothing for backward. Backward reads the cache of the last training
+forward; it overwrites the parameter gradients in ``.grads``, writing into
+the arrays the layer allocated at construction, and returns the gradient
+with respect to the layer input, so a second backward after one forward
+gives the same gradients again.
 Parameters initialize uniformly in [-0.05, 0.05] from the caller's
 generator.
 
@@ -124,12 +128,12 @@ class Dense:
     def params(self) -> dict[str, np.ndarray]:
         return {"W": self.W, "b": self.b}
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=self.W.dtype)
         if x.shape[-1] != self.in_dim:
             raise NumericError(f"dense expected input dim {self.in_dim}, "
                                f"got {x.shape[-1]}")
-        self._x = x
+        self._x = x if train else None
         return x @ self.W.T + self.b
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -161,7 +165,8 @@ class SparseLinear:
 
     Forward sums each row's table rows, ``W.take(ids, axis=0).sum(axis=0)``
     into a preallocated output, one row at a time, so a row's ~150 table
-    rows stay in cache; it caches only the CSR arrays it was given.
+    rows stay in cache; training, it caches only the CSR arrays it was
+    given.
     Backward sets the gradient of the batch's distinct features U only:
     ``rows`` holds U, sorted, and ``grad`` one gradient row per entry, into
     which each row's output gradient is added at its ids.
@@ -179,7 +184,8 @@ class SparseLinear:
         self._indptr = None
         self._indices = None
 
-    def forward(self, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    def forward(self, indptr: np.ndarray, indices: np.ndarray,
+                train: bool = True) -> np.ndarray:
         indices = np.asarray(indices)
         if indices.size and (indices.min() < 0
                              or indices.max() >= self.W.shape[0]):
@@ -189,7 +195,8 @@ class SparseLinear:
         out = np.empty((len(bounds) - 1, self.W.shape[1]), dtype=self.W.dtype)
         for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             self.W.take(indices[lo:hi], axis=0).sum(axis=0, out=out[b])
-        self._indptr, self._indices = indptr, indices
+        self._indptr, self._indices = ((indptr, indices) if train
+                                       else (None, None))
         return out
 
     def backward(self, dy: np.ndarray) -> None:
@@ -227,13 +234,14 @@ class ConvMaxPool:
     ``x + b`` is monotone in ``x``: ``max_p fl(pre_p + b) =
     fl(max_p pre_p + b)``. The output is put back in the input's order.
 
-    Two passes share that code, so they agree bit for bit in any dtype.
-    ``forward``, the training pass, also keeps per (example, filter) the
-    first position holding the max: a later position replaces it only if
-    its preactivation is strictly greater. It caches per width what
-    backward reads: the window columns, where each position's block of
-    them starts, the argmax and whether the rectifier passes the pooled
-    value. ``pool``, the scoring pass, caches nothing and finds no argmax.
+    Training, ``forward`` also keeps per (example, filter) the first
+    position holding the max: a later position replaces it only if its
+    preactivation is strictly greater. It caches per width what backward
+    reads: the window columns, where each position's block of them starts,
+    the argmax and whether the rectifier passes the pooled value. Scoring
+    (``train=False``) finds no argmax and caches nothing; it drops each
+    width's windows before the next width's are built. The argmax does not
+    touch the running max, so both give the same bits in any dtype.
     """
 
     def __init__(self, widths: list[tuple[int, int]], d_in: int,
@@ -270,36 +278,26 @@ class ConvMaxPool:
             out[f"b{w}"] = self.biases[w]
         return out
 
-    def forward(self, C: np.ndarray) -> np.ndarray:
+    def forward(self, C: np.ndarray, train: bool = True) -> np.ndarray:
         C = self._checked(C)
         order, last = self._order(C)
         B = C.shape[0]
         out = np.empty((B, self.out_dim), dtype=self.dtype)
-        cache = {"C_shape": C.shape, "order": order, "per_width": {}}
+        per_width = {}
         col = 0
         for w, count in self.widths:
-            arg = np.zeros((B, count), dtype=np.int32)
+            arg = np.zeros((B, count), dtype=np.int32) if train else None
             starts, cols, top = self._max_preactivations(C, order, last, w,
                                                          arg)
             out[order, col:col + count] = relu(top)
             col += count
-            # backward reads the preactivation only at the argmax, and only
-            # its sign: the rectifier's gate there
-            cache["per_width"][w] = (starts, cols, arg, top > 0.0)
-        self._cache = cache
-        return out
-
-    def pool(self, C: np.ndarray) -> np.ndarray:
-        """``forward``'s output, for scoring: nothing is cached for
-        backward and no argmax is found."""
-        C = self._checked(C)
-        order, last = self._order(C)
-        out = np.empty((C.shape[0], self.out_dim), dtype=self.dtype)
-        col = 0
-        for w, count in self.widths:
-            top = self._max_preactivations(C, order, last, w)[-1]
-            out[order, col:col + count] = relu(top)
-            col += count
+            if train:
+                # backward reads the preactivation only at the argmax, and
+                # only its sign: the rectifier's gate there
+                per_width[w] = (starts, cols, arg, top > 0.0)
+            del starts, cols, top
+        self._cache = ({"C_shape": C.shape, "order": order,
+                        "per_width": per_width} if train else None)
         return out
 
     def _checked(self, C: np.ndarray) -> np.ndarray:
@@ -418,11 +416,13 @@ class Lstm:
     def params(self) -> dict[str, np.ndarray]:
         return {"Wx": self.Wx, "Wh": self.Wh, "b": self.b}
 
-    def forward(self, xs: np.ndarray, h0: np.ndarray | None = None):
+    def forward(self, xs: np.ndarray, h0: np.ndarray | None = None,
+                train: bool = True):
         """Run the recurrence; returns (all hidden states, last state).
 
         ``xs`` has shape (batch, steps, in_dim); the state sequence has
         shape (batch, steps, hidden). The cell state starts at zero.
+        Training, each step's inputs, states and gates are cached.
         """
         dtype = self.Wx.dtype
         xs = np.asarray(xs, dtype=dtype)
@@ -446,10 +446,11 @@ class Lstm:
             c_new = f * c + i * g
             tanh_c = np.tanh(c_new)
             h_new = o * tanh_c
-            cache.append((xs[:, t], h, c, i, f, o, g, tanh_c))
+            if train:
+                cache.append((xs[:, t], h, c, i, f, o, g, tanh_c))
             h, c = h_new, c_new
             hs[:, t] = h
-        self._cache = cache
+        self._cache = cache if train else None
         return hs, h
 
     def backward(self, dh_last: np.ndarray):

@@ -25,16 +25,18 @@ level from the zero rows it built (zero on every training name is a
 ``DataError``), and ``calibrate_thresholds`` each type without dev
 positives. Scoring notes nothing.
 
-Scoring is batch-first: ``scores_for`` builds the frozen levels and the
-character id rows (one array per chunk) and runs the forward pass
-``SCORE_BATCH`` instances at a time, and calibration and prediction both
-score all their entities through it in one call. It and the per-epoch dev
-pass score through ``score_rows``, where the CNN pools without its
-training pass (``nn.ConvMaxPool.pool``), to the same bits; either pass
-computes only each name's distinct windows, not those inside its padding.
-``predict_with_scores`` then picks every entity's types with one
-comparison of the score matrix against the thresholds, and orders them
-with one sort.
+Every pass through the network is one ``TyperModel.forward``, which puts
+the character encoder's output into the layout's hole itself. The training
+step calls it with ``train=True``, the default, and each layer keeps what
+its backward pass reads; the per-epoch dev pass and ``scores_for`` call it
+with ``train=False``, which gives the same bits and leaves no layer cache
+behind. Scoring is batch-first: ``scores_for`` builds the frozen levels and
+the character id rows (one array per chunk) and scores ``SCORE_BATCH``
+instances at a time, and calibration and prediction both score all their
+entities through it in one call; the CNN computes only each name's
+distinct windows, not those inside its padding. ``predict_with_scores``
+then picks every entity's types with one comparison of the score matrix
+against the thresholds, and orders them with one sort.
 
 The typer trains and scores in ``nn.DTYPE`` (float32): its parameters,
 the frozen level rows (cast once by ``frozen_matrix``) and every layer's
@@ -197,27 +199,27 @@ class TyperModel:
 
     # -- forward -----------------------------------------------------------
 
-    def compose(self, frozen: np.ndarray, char_ids: np.ndarray | None) -> np.ndarray:
-        """Insert the encoder output into the frozen layout hole."""
-        if self.clr is None:
-            return frozen
-        return self._insert(frozen, self.clr.forward(char_ids))
-
-    def _insert(self, frozen: np.ndarray, clr_out: np.ndarray) -> np.ndarray:
-        pos = self.clr_offset
-        return np.concatenate([frozen[:, :pos], clr_out, frozen[:, pos:]],
-                              axis=1)
-
-    def forward(self, v: np.ndarray, feats=None) -> np.ndarray:
-        """One float64 probability row per row of composed dense levels
-        ``v``; ``feats`` holds the same rows' feature ids from
-        ``feature_rows``. The logits go up to float64 before the sigmoid,
-        so a confident float32 score does not round to a tie at 1.0."""
-        h_pre = self.w_in.forward(v)
+    def forward(self, frozen: np.ndarray, char_ids: np.ndarray | None = None,
+                feats=None, train: bool = True) -> np.ndarray:
+        """One float64 probability row per row of frozen dense levels
+        ``frozen``; ``char_ids`` holds the same rows' character ids, whose
+        encoding fills the layout hole, and ``feats`` their feature ids
+        from ``feature_rows``. Training, every layer keeps what
+        ``backward_from_probs`` reads; scoring (``train=False``) gives the
+        same bits and keeps nothing. The logits go up to float64 before the
+        sigmoid, so a confident float32 score does not round to a tie at
+        1.0."""
+        if self.clr is not None:
+            pos = self.clr_offset
+            frozen = np.concatenate([frozen[:, :pos],
+                                     self.clr.forward(char_ids, train),
+                                     frozen[:, pos:]], axis=1)
+        h_pre = self.w_in.forward(frozen, train)
         if self.features is not None:
-            h_pre += self.features.forward(*feats)
-        self._h_pre = h_pre
-        return sigmoid(self.w_out.forward(relu(h_pre)).astype(np.float64))
+            h_pre += self.features.forward(*feats, train)
+        self._h_pre = h_pre if train else None
+        logits = self.w_out.forward(relu(h_pre), train)
+        return sigmoid(logits.astype(np.float64))
 
     def backward_from_probs(self, p: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Gradient pass for mean-over-batch summed-over-types BCE."""
@@ -253,23 +255,15 @@ class TyperModel:
             return None
         return self.clr.ids_for([name for _, name in instances])
 
-    def score_rows(self, frozen: np.ndarray, char_ids: np.ndarray | None,
-                   feats=None) -> np.ndarray:
-        """``forward(compose(frozen, char_ids), feats)``, with the
-        character encoder's scoring pass (``ClrEncoder.score``)."""
-        if self.clr is not None:
-            frozen = self._insert(frozen, self.clr.score(char_ids))
-        return self.forward(frozen, feats)
-
     def scores_for(self, instances: list[tuple[str, str]]) -> np.ndarray:
-        """Probability rows for (entity id, name) instances, computed
-        ``SCORE_BATCH`` instances at a time by ``score_rows``."""
+        """Probability rows for (entity id, name) instances, scored
+        ``SCORE_BATCH`` instances at a time."""
         out = np.empty((len(instances), len(self.type_system)))
         for start in range(0, len(instances), SCORE_BATCH):
             chunk = instances[start:start + SCORE_BATCH]
-            out[start:start + len(chunk)] = self.score_rows(
+            out[start:start + len(chunk)] = self.forward(
                 self.frozen_matrix(chunk), self.char_matrix(chunk),
-                self.feature_rows(chunk))
+                self.feature_rows(chunk), train=False)
         return out
 
     def label_matrix(self, entities: Sequence[EntityRecord]) -> np.ndarray:
@@ -327,7 +321,8 @@ def train(split: DatasetSplit, spec: RepresentationSpec, resources: Resources,
     insts = train_instances(split)
     rng = np.random.default_rng(cfg.seed)
     train_names = [name for _, name in insts]
-    assembler = Assembler(spec, resources).fit(train_names)
+    assembler = Assembler(spec, resources)
+    train_rows = assembler.fit_rows(train_names)
     clr = None
     clr_level = spec.clr_level
     if clr_level is not None:
@@ -338,7 +333,7 @@ def train(split: DatasetSplit, spec: RepresentationSpec, resources: Resources,
 
     pairs = [(e.id, name) for e, name in insts]
     frozen = model.frozen_matrix(pairs)
-    feats = model.feature_rows(pairs)
+    feats = train_rows if model.features is not None else None
     char_ids = model.char_matrix(pairs)
     labels = model.label_matrix([e for e, _ in insts])
 
@@ -370,15 +365,14 @@ def train(split: DatasetSplit, spec: RepresentationSpec, resources: Resources,
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             rows = perm[start:start + cfg.batch_size]
-            x = model.compose(frozen[rows],
-                              None if char_ids is None else char_ids[rows])
-            p = model.forward(x, None if feats is None
-                              else csr_take(*feats, rows))
+            p = model.forward(
+                frozen[rows], None if char_ids is None else char_ids[rows],
+                None if feats is None else csr_take(*feats, rows))
             m = labels[rows]
             epoch_loss += bce_loss(p, m)
             model.backward_from_probs(p, m)
             model.step(opt)
-        dev_p = model.score_rows(dev_frozen, dev_ids, dev_feats)
+        dev_p = model.forward(dev_frozen, dev_ids, dev_feats, train=False)
         metric = threshold_f1(dev_p, dev_gold, PROVISIONAL_THRESHOLD)
         if on_epoch_end is not None:
             on_epoch_end(epoch, epoch_loss, metric)

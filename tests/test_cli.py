@@ -2,12 +2,17 @@ import contextlib
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mulr
 from mulr import cli, pipeline
 from mulr.corpus import load_corpus
 from mulr.dataset import load_dataset, load_type_system
@@ -148,6 +153,38 @@ def noted_model(synth, tmp_path_factory):
     assert load_model(model).flags == [note]
     assert err.getvalue() == f"mulr: note: {note}\n"
     return config, model
+
+
+def test_train_is_bit_deterministic_with_blas_pinned(synth, tmp_path):
+    """Two ``mulr train`` processes with one BLAS thread each write
+    byte-identical model files from one config. Each run has its own copy
+    of the inputs and its own cache, so neither reads the other's stores,
+    and its own hash seed, so no result may follow set or dict order of
+    hashed strings."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    src = str(Path(mulr.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    models = []
+    for run, hash_seed in (("a", "1"), ("b", "2")):
+        root = tmp_path / run
+        root.mkdir()
+        copy_inputs(synth, root)
+        config = write_config(root, "exp.ini", extra={
+            "[representation]": "feature_maps = 5\nwidths = 1-3"})
+        config.write_text(config.read_text().replace(
+            "elr,swlr,tc", "elr,swlr,clr-cnn,nsl,tc"))
+        model = root / "model.bin"
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from mulr.cli import main; sys.exit(main())",
+             "train", "--config", str(config), "--out", str(model)],
+            env={**env, "PYTHONHASHSEED": hash_seed}, capture_output=True,
+            text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
 
 
 class TestStages:

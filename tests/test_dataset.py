@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from mulr.dataset import (DatasetSplit, EntityRecord, TypeSystem,
-                          close_under_parents, load_dataset, load_type_system,
-                          refine, save_dataset, save_type_system,
-                          slice_entities)
+                          load_dataset, load_type_system, refine, save_dataset,
+                          save_type_system, slice_entities)
 from mulr.errors import DataError, ParseError
 
 
@@ -110,21 +109,22 @@ class TestLoadDataset:
         assert load_dataset(out, ts) == split
 
 
+def refined(gold, ts) -> EntityRecord:
+    """A record of gold types ``gold`` after ``refine``."""
+    e = EntityRecord(id="m.1", names=("X",), gold_types=frozenset(gold))
+    return refine(DatasetSplit(train=(e,), dev=(), test=()), ts).train[0]
+
+
 class TestParentClosure:
     def test_hospital_gains_building(self, ts):
-        e = EntityRecord(id="m.1", names=("X",),
-                         gold_types=frozenset({"hospital"}))
-        closed = close_under_parents(e, ts)
-        assert closed.gold_types == {"hospital", "building"}
+        assert refined({"hospital"}, ts).gold_types == {"hospital",
+                                                        "building"}
 
     def test_fixed_point(self, ts):
-        e = EntityRecord(id="m.1", names=("X",),
-                         gold_types=frozenset({"building"}))
-        assert close_under_parents(e, ts).gold_types == {"building"}
+        assert refined({"building"}, ts).gold_types == {"building"}
 
     def test_empty_set(self, ts):
-        e = EntityRecord(id="m.1", names=("X",), gold_types=frozenset())
-        assert close_under_parents(e, ts).gold_types == set()
+        assert refined((), ts).gold_types == set()
 
     def test_idempotent_and_monotone_on_random_forests(self):
         rng = np.random.default_rng(7)
@@ -138,9 +138,8 @@ class TestParentClosure:
             ts = make_ts(types, parent)
             k = int(rng.integers(0, n + 1))
             gold = frozenset(rng.choice(types, size=k, replace=False))
-            e = EntityRecord(id="m.1", names=("X",), gold_types=gold)
-            once = close_under_parents(e, ts)
-            twice = close_under_parents(once, ts)
+            once = refined(gold, ts)
+            twice = refined(once.gold_types, ts)
             assert once.gold_types == twice.gold_types
             assert gold <= once.gold_types
             # oracle: expand by one parent step until nothing changes

@@ -43,14 +43,14 @@ def subword_store(sentences, n=(2, 3)) -> EmbeddingStore:
 class TestCharMatrix:
     def test_bracketing_and_padding(self):
         vocab = CharVocab(chars=("a", "b"))
-        ids = vocab.ids("ab", 6)
+        ids = vocab.id_rows(["ab"], 6)[0]
         assert ids.tolist() == [vocab.START, vocab.index["a"],
                                 vocab.index["b"], vocab.END,
                                 vocab.PAD, vocab.PAD]
 
     def test_truncation_keeps_end_marker(self):
         vocab = CharVocab(chars=tuple("abcdef"))
-        ids = vocab.ids("abcdef", 5)
+        ids = vocab.id_rows(["abcdef"], 5)[0]
         assert ids[0] == vocab.START
         assert ids[-1] == vocab.END
         assert len(ids) == 5
@@ -58,12 +58,12 @@ class TestCharMatrix:
 
     def test_unknown_char_maps_to_unk(self):
         vocab = CharVocab(chars=("a",))
-        ids = vocab.ids("aZ", 5)
+        ids = vocab.id_rows(["aZ"], 5)[0]
         assert ids[2] == vocab.UNK
 
     def test_empty_name_valid(self):
         vocab = CharVocab(chars=("a",))
-        ids = vocab.ids("", 4)
+        ids = vocab.id_rows([""], 4)[0]
         assert ids.tolist() == [vocab.START, vocab.END, vocab.PAD, vocab.PAD]
 
     def test_char_vocab_min_count(self):
@@ -82,21 +82,21 @@ class TestClrEncoders:
 
     def test_forward_concatenates_rows(self):
         enc, vocab = self._encoder("clr-forward", padded_len=4, char_dim=3)
-        ids = vocab.ids("ab", 4)
-        out = enc.forward(ids[None])
+        ids = vocab.id_rows(["ab"], 4)
+        out = enc.forward(ids)
         assert out.shape == (1, 12)
-        np.testing.assert_array_equal(out[0], enc.table[ids].reshape(-1))
+        np.testing.assert_array_equal(out, enc.table[ids].reshape(1, -1))
 
     def test_forward_zero_table_zero_output(self):
         enc, vocab = self._encoder("clr-forward", padded_len=4, char_dim=3)
         enc.table[...] = 0.0
-        out = enc.forward(vocab.ids("ab", 4)[None])
+        out = enc.forward(vocab.id_rows(["ab"], 4))
         np.testing.assert_array_equal(out, np.zeros((1, 12)))
 
     def test_forward_order_sensitive(self):
         enc, vocab = self._encoder("clr-forward", padded_len=5, char_dim=3)
-        a = enc.forward(vocab.ids("ab", 5)[None])
-        b = enc.forward(vocab.ids("ba", 5)[None])
+        a = enc.forward(vocab.id_rows(["ab"], 5))
+        b = enc.forward(vocab.id_rows(["ba"], 5))
         assert not np.allclose(a, b)
 
     def test_cnn_output_length_matches_filter_count(self):
@@ -111,17 +111,17 @@ class TestClrEncoders:
     def test_lstm_and_bilstm_dims(self):
         enc, vocab = self._encoder("clr-lstm", padded_len=8, char_dim=4,
                                    hidden_dim=5)
-        assert enc.forward(vocab.ids("abc", 8)[None]).shape == (1, 5)
+        assert enc.forward(vocab.id_rows(["abc"], 8)).shape == (1, 5)
         enc, vocab = self._encoder("clr-bilstm", padded_len=8, char_dim=4,
                                    hidden_dim=50)
-        assert enc.forward(vocab.ids("abc", 8)[None]).shape == (1, 100)
+        assert enc.forward(vocab.id_rows(["abc"], 8)).shape == (1, 100)
 
     def test_single_character_name_all_encoders(self):
         for kind in ("clr-forward", "clr-cnn", "clr-lstm", "clr-bilstm"):
             enc, vocab = self._encoder(kind, padded_len=10, char_dim=4,
                                        hidden_dim=3, widths=(1, 2),
                                        feature_maps=2)
-            out = enc.forward(vocab.ids("a", 10)[None])
+            out = enc.forward(vocab.id_rows(["a"], 10))
             assert out.shape == (1, enc.out_dim)
             assert np.all(np.isfinite(out))
 
@@ -139,7 +139,7 @@ class TestClrEncoders:
         assert ids.tolist() == [[S, a, b, c, d, E], [S, a, U, U, E, P],
                                 [S, E, P, P, P, P], [S, h, E, P, P, P]]
         for row, name in zip(ids, names):
-            np.testing.assert_array_equal(row, vocab.ids(name, 6))
+            np.testing.assert_array_equal(row, vocab.id_rows([name], 6)[0])
         assert enc.ids_for([]).shape == (0, 6)
 
     def test_identical_names_identical_outputs(self):

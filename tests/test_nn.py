@@ -177,7 +177,7 @@ class TestConvMaxPool:
         expected = np.concatenate([relu(pre[w].max(axis=1))
                                    for w in (1, 3, 5)], axis=1)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-6)
-        np.testing.assert_array_equal(net.pool(C), out)
+        np.testing.assert_array_equal(net.forward(C, train=False), out)
 
     def test_zero_filter_zero_bias(self):
         rng = np.random.default_rng(0)
@@ -217,7 +217,7 @@ class TestConvMaxPool:
         with pytest.raises(NumericError, match="shorter"):
             net.forward(np.ones((1, 3, 2)))
         with pytest.raises(NumericError, match="shorter"):
-            net.pool(np.ones((1, 3, 2)))
+            net.forward(np.ones((1, 3, 2)), train=False)
 
 
 ENCODER_OPTIONS = {"padded_len": 6, "char_dim": 3, "hidden_dim": 4,
@@ -226,26 +226,60 @@ LAYERS = ["dense", "sparse", "conv", "lstm", "clr-forward", "clr-cnn",
           "clr-lstm", "clr-bilstm"]
 
 
-def forwarded_layer(name: str, rng: np.random.Generator):
-    """Layer ``name`` after one forward over a batch of 3, and an output
-    gradient to pass back."""
+def built_layer(name: str, rng: np.random.Generator):
+    """Layer ``name`` and a function that runs its forward pass over a
+    batch of 3, with ``train`` as given, and returns the output backward
+    takes the gradient of."""
     if name == "dense":
         layer = Dense.initialize(5, 4, rng)
-        out = layer.forward(rng.normal(size=(3, 5)))
-    elif name == "sparse":
+        x = rng.normal(size=(3, 5))
+        return layer, lambda train: layer.forward(x, train)
+    if name == "sparse":
         layer = SparseLinear(rng.normal(size=(6, 4)))
-        out = layer.forward(np.array([0, 2, 2, 5]), np.array([1, 4, 0, 4, 5]))
-    elif name == "conv":
+        rows = np.array([0, 2, 2, 5]), np.array([1, 4, 0, 4, 5])
+        return layer, lambda train: layer.forward(*rows, train)
+    if name == "conv":
         layer = ConvMaxPool([(2, 3), (3, 2)], d_in=4, rng=rng)
-        out = layer.forward(rng.normal(size=(3, 6, 4)))
-    elif name == "lstm":
+        C = rng.normal(size=(3, 6, 4))
+        return layer, lambda train: layer.forward(C, train)
+    if name == "lstm":
         layer = Lstm.initialize(3, 4, rng)
-        _, out = layer.forward(rng.normal(size=(3, 5, 3)))
-    else:
-        layer = ClrEncoder(LevelSpec(kind=name, options=ENCODER_OPTIONS),
-                           CharVocab(chars=tuple("abcdef")), rng)
-        out = layer.forward(layer.ids_for(["abc", "fed", "a"]))
-    return layer, rng.normal(size=out.shape)
+        xs = rng.normal(size=(3, 5, 3))
+        return layer, lambda train: layer.forward(xs, train=train)[1]
+    layer = ClrEncoder(LevelSpec(kind=name, options=ENCODER_OPTIONS),
+                       CharVocab(chars=tuple("abcdef")), rng)
+    ids = layer.ids_for(["abc", "fed", "a"])
+    return layer, lambda train: layer.forward(ids, train)
+
+
+def forwarded_layer(name: str, rng: np.random.Generator):
+    """Layer ``name`` after one training forward over a batch of 3, and an
+    output gradient to pass back."""
+    layer, run = built_layer(name, rng)
+    return layer, rng.normal(size=run(True).shape)
+
+
+def layer_caches(layer) -> list:
+    """Everything ``layer`` holds for its backward pass, an encoder's
+    networks' caches included."""
+    if isinstance(layer, ClrEncoder):
+        nets = [layer.net, getattr(layer, "net_back", None)]
+        return [layer._ids] + [cache for net in nets if net is not None
+                               for cache in layer_caches(net)]
+    names = {Dense: ("_x",), SparseLinear: ("_indptr", "_indices"),
+             ConvMaxPool: ("_cache",), Lstm: ("_cache",)}[type(layer)]
+    return [getattr(layer, n) for n in names]
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_scoring_forward_gives_the_training_bits_and_keeps_no_cache(name):
+    """``train=False`` computes what the training pass computes, bit for
+    bit, and drops every cache the training pass left."""
+    layer, run = built_layer(name, np.random.default_rng(0))
+    trained = run(True)
+    assert all(cache is not None for cache in layer_caches(layer))
+    np.testing.assert_array_equal(run(False), trained)
+    assert all(cache is None for cache in layer_caches(layer))
 
 
 def layer_grads(layer) -> dict[str, np.ndarray]:
@@ -412,7 +446,7 @@ def conv_inputs(draw):
 @given(case=conv_inputs(), dtype=st.sampled_from([np.float32, np.float64]))
 @example(case=dict(widths=[(1, 3)], pads=[1, 0, 1], length=1, d=2,
                    negative=False, seed=0), dtype=np.float32)
-def test_pool_equals_forward(case, dtype, layer_dtype):
+def test_scoring_conv_equals_training_conv(case, dtype, layer_dtype):
     """The scoring pass against the training pass, bit for bit."""
     layer_dtype(dtype)
     rng = np.random.default_rng(case["seed"])
@@ -422,8 +456,9 @@ def test_pool_equals_forward(case, dtype, layer_dtype):
     if case["negative"]:
         for w, _ in net.widths:
             net.biases[w][...] = -50.0
-    pooled = net.pool(C)
+    pooled = net.forward(C, train=False)
     assert pooled.dtype == dtype
+    assert net._cache is None
     np.testing.assert_array_equal(pooled, net.forward(C))
     if case["negative"]:
         assert not pooled.any()

@@ -1,7 +1,9 @@
 """The served path scores without the character CNN's training pass:
-``mulr calibrate`` and ``mulr predict`` on an ``elr,clr-cnn,tc`` model never
-call ``ConvMaxPool.forward`` or ``ClrEncoder.forward``, and they write the
-bytes they write when those are callable."""
+``mulr calibrate`` and ``mulr predict`` on an ``elr,clr-cnn,tc`` model call
+``ConvMaxPool.forward`` and ``ClrEncoder.forward`` only with
+``train=False``, and they write the bytes they write unguarded."""
+
+import inspect
 
 import pytest
 
@@ -58,15 +60,29 @@ def serve(root, config, model, out) -> dict[str, bytes]:
     return {"model": calibrated.read_bytes(), "preds": preds.read_bytes()}
 
 
+def scoring_only(forward, calls: list):
+    """``forward``, recording each call in ``calls`` and failing on a
+    training pass."""
+    signature = inspect.signature(forward)
+
+    def guarded(self, *args, **kwargs):
+        bound = signature.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        if bound.arguments["train"]:
+            raise AssertionError("the served path ran a training pass")
+        calls.append(forward.__qualname__)
+        return forward(self, *args, **kwargs)
+
+    return guarded
+
+
 def test_serving_never_runs_the_training_pass(served, tmp_path, monkeypatch,
                                               capsys):
     plain = serve(*served, tmp_path / "plain")
-
-    def training_pass(self, *args, **kwargs):
-        raise AssertionError("the served path ran a training pass")
-
-    monkeypatch.setattr(ConvMaxPool, "forward", training_pass)
-    monkeypatch.setattr(ClrEncoder, "forward", training_pass)
+    calls = []
+    for cls in (ConvMaxPool, ClrEncoder):
+        monkeypatch.setattr(cls, "forward", scoring_only(cls.forward, calls))
     guarded = serve(*served, tmp_path / "guarded")
     assert "Traceback" not in capsys.readouterr().err
+    assert set(calls) == {"ConvMaxPool.forward", "ClrEncoder.forward"}
     assert guarded == plain

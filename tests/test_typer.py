@@ -345,8 +345,8 @@ class TestScoresFor:
 
 def test_two_threads_score_one_loaded_model_alike(tmp_path):
     """Two threads scoring one loaded model at once each get the rows one
-    thread gets: every layer computes its output from locals, and its
-    cache write is only a side effect."""
+    thread gets: every layer computes its output from locals, and scoring
+    writes to a layer only to drop its cache."""
     split, res = indicator_problem()
     entities = split.all_entities()
     names = instance_names(2 * SCORE_BATCH + 21)
@@ -371,54 +371,69 @@ def test_two_threads_score_one_loaded_model_alike(tmp_path):
         np.testing.assert_array_equal(rows, expected)
 
 
-def scored_cnn_model():
-    """An untrained ``elr,clr-cnn,tc`` model, its split, and
-    ``SCORE_BATCH + 21`` instances: one full scoring chunk and one of 21."""
+def scored_model(levels="elr,clr-cnn,tc"):
+    """An untrained model on ``levels``, its split, and ``SCORE_BATCH +
+    21`` instances: one full scoring chunk and one of 21."""
     split, res = indicator_problem()
     entities = split.all_entities()
     names = instance_names(SCORE_BATCH + 21)
     insts = [(entities[i % len(entities)].id, name)
              for i, name in enumerate(names)]
-    model = untrained_model(
-        RepresentationSpec.parse("elr,clr-cnn,tc", CLR_OPTIONS), res, names)
+    model = untrained_model(RepresentationSpec.parse(levels, CLR_OPTIONS),
+                            res, names)
     return model, split, insts
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_scores_for_equals_the_training_pass(dtype, layer_dtype):
-    """``scores_for`` pools the CNN without its training pass and gives
-    what ``compose`` and ``forward`` give on the same chunks, bit for
-    bit."""
+    """``scores_for`` runs ``forward`` with ``train=False`` and gives what
+    the training pass gives on the same chunks, bit for bit."""
     layer_dtype(dtype)
-    model, _, insts = scored_cnn_model()
+    model, _, insts = scored_model()
     chunks = [insts[:SCORE_BATCH], insts[SCORE_BATCH:]]
-    expected = np.vstack([model.forward(model.compose(
-        model.frozen_matrix(chunk), model.char_matrix(chunk)))
-        for chunk in chunks])
+    expected = np.vstack([model.forward(model.frozen_matrix(chunk),
+                                        model.char_matrix(chunk))
+                          for chunk in chunks])
     np.testing.assert_array_equal(model.scores_for(insts), expected)
 
 
-def test_scoring_caches_no_conv_preactivations():
-    """Scoring writes no training cache of the character encoder: after
-    ``scores_for`` and after ``calibrate_thresholds`` the CNN's cache and
-    the encoder's ids are the objects they were before, None on a fresh
-    model and a training step's after one."""
-    model, split, insts = scored_cnn_model()
-    clr = model.clr
-    for stepped in (False, True):
-        if stepped:
-            rows = insts[:5]
-            p = model.forward(model.compose(model.frozen_matrix(rows),
-                                            model.char_matrix(rows)))
-            model.backward_from_probs(p, np.zeros_like(p))
-            model.step(AdaGrad(learning_rate=0.1))
-        cache, ids = clr.net._cache, clr._ids
-        assert (cache is None and ids is None) != stepped
-        for score in (lambda: model.scores_for(insts),
-                      lambda: calibrate_thresholds(model, list(split.dev))):
-            score()
-            assert clr.net._cache is cache
-            assert clr._ids is ids
+def layer_caches(model) -> dict:
+    """Every cache a layer of ``model`` keeps for its backward pass, by
+    the layer's name."""
+    caches = {"w_in._x": model.w_in._x, "w_out._x": model.w_out._x,
+              "_h_pre": model._h_pre}
+    if model.features is not None:
+        caches["features._indptr"] = model.features._indptr
+        caches["features._indices"] = model.features._indices
+    if model.clr is not None:
+        caches["clr._ids"] = model.clr._ids
+        for label in ("net", "net_back"):
+            net = getattr(model.clr, label, None)
+            if net is not None:
+                caches[f"clr.{label}._cache"] = net._cache
+    return caches
+
+
+# one model per character encoder, the CNN's with the feature table
+CACHE_SPECS = ["elr,clr-cnn,nsl,tc", "clr-lstm", "clr-bilstm", "clr-forward"]
+
+
+@pytest.mark.parametrize("levels", CACHE_SPECS)
+def test_scoring_leaves_no_layer_cache(levels):
+    """A training step leaves every layer's cache set; ``scores_for`` and
+    ``calibrate_thresholds`` after it leave none."""
+    model, split, insts = scored_model(levels)
+    rows = insts[:5]
+    for score in (lambda: model.scores_for(insts),
+                  lambda: calibrate_thresholds(model, list(split.dev))):
+        p = model.forward(model.frozen_matrix(rows), model.char_matrix(rows),
+                          model.feature_rows(rows))
+        model.backward_from_probs(p, np.zeros_like(p))
+        caches = layer_caches(model)
+        assert all(cache is not None for cache in caches.values())
+        score()
+        assert {name for name, cache in layer_caches(model).items()
+                if cache is not None} == set()
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +454,7 @@ def transform(indexer, features) -> np.ndarray:
 
 def dense_input(model, insts) -> np.ndarray:
     """Full-width input rows, every level in its layout columns."""
-    composed = model.compose(model.frozen_matrix(insts),
-                             model.char_matrix(insts))
+    frozen = model.frozen_matrix(insts)
     blocks, col = [], 0
     for kind, dim in model.layout:
         if kind in SPARSE_FEATURES:
@@ -448,8 +462,10 @@ def dense_input(model, insts) -> np.ndarray:
             blocks.append(np.array(
                 [transform(ix, SPARSE_FEATURES[kind](name))
                  for _, name in insts]).reshape(len(insts), dim))
+        elif model.clr is not None and kind == model.clr.kind:
+            blocks.append(model.clr.forward(model.char_matrix(insts)))
         else:
-            blocks.append(composed[:, col:col + dim])
+            blocks.append(frozen[:, col:col + dim])
             col += dim
     return np.concatenate(blocks, axis=1)
 
@@ -506,8 +522,7 @@ def table_grad(model) -> np.ndarray:
 def joined_grads(model, insts, labels) -> dict[str, np.ndarray]:
     """The gradients of one pass of the model, with the dense layer's and
     the table's gradients joined into one full-width ``w_in.W``."""
-    p = model.forward(model.compose(model.frozen_matrix(insts),
-                                    model.char_matrix(insts)),
+    p = model.forward(model.frozen_matrix(insts), model.char_matrix(insts),
                       model.feature_rows(insts))
     model.backward_from_probs(p, labels)
     sparse = sparse_columns(model)
@@ -593,7 +608,7 @@ class TestFeatureTable:
         empty = [("m.000", "")]
         indptr, indices = model.feature_rows(empty)
         assert indptr.tolist() == [0, 0] and indices.size == 0
-        model.forward(model.frozen_matrix(empty), (indptr, indices))
+        model.forward(model.frozen_matrix(empty), feats=(indptr, indices))
         np.testing.assert_array_equal(model._h_pre, model.w_in.b[None])
 
     def test_empty_batch(self):
@@ -735,12 +750,12 @@ class TestEndToEndGradient:
             labels = model.label_matrix(list(split.train[:3]))
 
             def loss_fn():
-                p = model.forward(model.compose(frozen, ids))
+                p = model.forward(frozen, ids)
                 q = np.clip(p, 1e-7, 1 - 1e-7)
                 return float(-np.sum(labels * np.log(q) + (1 - labels)
                                      * np.log(1 - q)) / len(insts))
 
-            p = model.forward(model.compose(frozen, ids))
+            p = model.forward(frozen, ids)
             if np.any(np.abs(model._h_pre) < 1e-3):
                 continue  # resample away from the rectifier kink
             if not _pool_margins_ok(model.clr.net, model.clr.table[ids]):
@@ -769,8 +784,7 @@ class TestEndToEndGradient:
         ref = untrained_model(spec, res, names)
         ref.restore(model.params())
         for net in (model, ref):
-            p = net.forward(net.compose(net.frozen_matrix(insts),
-                                        net.char_matrix(insts)))
+            p = net.forward(net.frozen_matrix(insts), net.char_matrix(insts))
             net.backward_from_probs(p, labels)
         expected, got = ref.grad_dict(), model.grad_dict()
         for name, g in expected.items():
@@ -1103,8 +1117,8 @@ GUARD_SPECS = ["clr-cnn,nsl", "elr,clr-lstm,tc", "clr-bilstm", "bow,nsl"]
 # layer methods whose first argument is a float array from the layer before
 SPIED = [(nn.Dense, "forward"), (nn.Dense, "backward"),
          (nn.SparseLinear, "backward"), (nn.ConvMaxPool, "forward"),
-         (nn.ConvMaxPool, "backward"), (nn.ConvMaxPool, "pool"),
-         (nn.Lstm, "forward"), (nn.Lstm, "backward"),
+         (nn.ConvMaxPool, "backward"), (nn.Lstm, "forward"),
+         (nn.Lstm, "backward"),
          (nn.AdaGrad, "step_rows")]
 
 
