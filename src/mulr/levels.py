@@ -318,11 +318,11 @@ class ClrEncoder:
             return E.reshape(E.shape[0], -1)
         if self.kind == "clr-cnn":
             return self.net.forward(E, train)
-        _, h_fwd = self.net.forward(E, train=train)
+        h_fwd = self.net.forward(E, train=train)
         if self.kind == "clr-lstm":
             return h_fwd
         # bilstm: backward pass starts from the forward chain's last state
-        _, h_bwd = self.net_back.forward(E[:, ::-1], h0=h_fwd, train=train)
+        h_bwd = self.net_back.forward(E[:, ::-1], h0=h_fwd, train=train)
         return np.concatenate([h_fwd, h_bwd], axis=1)
 
     def backward(self, dout: np.ndarray) -> None:
@@ -556,10 +556,6 @@ class Assembler:
         self.spec = spec
         self.resources = resources
         self.indexers = dict(indexers or {})
-
-    def fit(self, train_names: list[str]) -> "Assembler":
-        self.fit_rows(train_names)
-        return self
 
     def fit_rows(self, train_names: list[str]
                  ) -> tuple[np.ndarray, np.ndarray]:

@@ -418,11 +418,10 @@ class Lstm:
 
     def forward(self, xs: np.ndarray, h0: np.ndarray | None = None,
                 train: bool = True):
-        """Run the recurrence; returns (all hidden states, last state).
+        """Run the recurrence; returns the last state, (batch, hidden).
 
-        ``xs`` has shape (batch, steps, in_dim); the state sequence has
-        shape (batch, steps, hidden). The cell state starts at zero.
-        Training, each step's inputs, states and gates are cached.
+        ``xs`` has shape (batch, steps, in_dim). The cell state starts at
+        zero. Training, each step's inputs, states and gates are cached.
         """
         dtype = self.Wx.dtype
         xs = np.asarray(xs, dtype=dtype)
@@ -434,7 +433,6 @@ class Lstm:
         h = (np.zeros((B, self.hidden), dtype=dtype) if h0 is None
              else np.array(h0, dtype=dtype))
         c = np.zeros((B, self.hidden), dtype=dtype)
-        hs = np.zeros((B, steps, self.hidden), dtype=dtype)
         cache = []
         H = self.hidden
         for t in range(steps):
@@ -449,9 +447,8 @@ class Lstm:
             if train:
                 cache.append((xs[:, t], h, c, i, f, o, g, tanh_c))
             h, c = h_new, c_new
-            hs[:, t] = h
         self._cache = cache if train else None
-        return hs, h
+        return h
 
     def backward(self, dh_last: np.ndarray):
         """Backpropagate from the last state.

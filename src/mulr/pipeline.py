@@ -22,14 +22,18 @@ reads, so a change upstream reaches every key below it:
                                                model-*.bin
     preds   model key                          preds-*.tsv
 
-``PipelineRun._cached_stage`` runs each of these stages: it checks every
-output's sidecar ``.meta.json`` before it reads any input, loads on a hit,
-and on a miss writes the sidecars only after the build. Configurations
-sharing an output directory share their token and store caches. The report
-(report-*.tsv and .txt, by model key) is rebuilt on every run, without a
-sidecar. Free-form artifacts carry the config hash and seed in a header
-line. ``mulr build-corpus``, ``mulr embed`` and ``mulr train`` run their
-stages through ``PipelineRun`` from the same config.
+``PipelineRun._cached_stage`` runs each of these stages. The key is in
+each output's file name, so a stage is cached when all of its keyed files
+exist: it loads them on a hit, before it reads any input. On a miss the
+build writes each output under a name of its own process
+(``<name>.<pid>.part``), and each is renamed to its keyed name only once the
+build has returned, so a keyed file is always complete and a build that
+raises leaves no file behind. Configurations sharing an output directory
+share their token and store caches. The report (report-*.tsv and .txt, by
+model key) is rebuilt on every run. Free-form artifacts carry the config
+hash and seed in a header line. ``mulr build-corpus``, ``mulr embed`` and
+``mulr train`` run their stages through ``PipelineRun`` from the same
+config.
 
 Stores are cached as ``embeddings.save_store`` array files, from which a
 subword store rebuilds its ngram index (``ngram_bounds``) on a cache hit.
@@ -50,6 +54,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -238,24 +243,6 @@ def _key(*parts) -> str:
                            default=str).encode("utf-8"))[:12]
 
 
-def _meta_path(path: Path) -> Path:
-    return path.with_name(path.name + ".meta.json")
-
-
-def _write_meta(path: Path, key: str, seed: int) -> None:
-    _meta_path(path).write_text(
-        json.dumps({"key": key, "seed": seed}, sort_keys=True,
-                   separators=(",", ":")) + "\n", encoding="utf-8")
-
-
-def _cached(path: Path, key: str) -> bool:
-    try:
-        meta = _meta_path(path).read_text(encoding="utf-8")
-        return path.exists() and json.loads(meta).get("key") == key
-    except (ValueError, AttributeError, OSError):
-        return False
-
-
 def load_descriptions(path) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {}
     for line_no, line in text_lines(path, rows=True):
@@ -312,17 +299,29 @@ class PipelineRun:
             err.stage = name
             raise err from exc
 
-    def _cached_stage(self, name: str, key: str, outputs: dict, build, load):
-        """Stage ``name``: ``load()`` if every output's sidecar holds ``key``,
-        else ``build()`` and then the sidecars. The outputs are named in
-        ``artifacts`` on a hit and on a miss."""
+    def _cached_stage(self, name: str, outputs: dict, build, load):
+        """Stage ``name``: ``load()`` if every output (a keyed path) exists,
+        else ``build(*parts)`` with one temporary path per output, each
+        renamed to its output once ``build`` returns. The temporary files
+        are removed if it raises. The outputs are named in ``artifacts`` on
+        a hit and on a miss."""
         self.artifacts.update(outputs)
-        if all(_cached(path, key) for path in outputs.values()):
+        paths = list(outputs.values())
+        if all(path.exists() for path in paths):
             return self._run_stage(name, load)
-        result = self._run_stage(name, build)
-        for path in outputs.values():
-            _write_meta(path, key, self.cfg.train.seed)
-        return result
+        parts = [path.with_name(f"{path.name}.{os.getpid()}.part")
+                 for path in paths]
+
+        def build_and_commit():
+            result = build(*parts)
+            for part, path in zip(parts, paths):
+                os.replace(part, path)
+            return result
+        try:
+            return self._run_stage(name, build_and_commit)
+        finally:
+            for part in parts:
+                part.unlink(missing_ok=True)
 
     # corpus ---------------------------------------------------------------
 
@@ -336,11 +335,11 @@ class PipelineRun:
                    for name in ("tokens", "protected")}
         paths = tuple(outputs.values())
 
-        def build():
+        def build(*parts):
             write_tokens(corpus_mod.load_corpus(self.cfg.corpus_path),
-                         self.cfg.notable_path, self.split, *paths)
+                         self.cfg.notable_path, self.split, *parts)
             return paths
-        return self._cached_stage("build-corpus", key, outputs, build,
+        return self._cached_stage("build-corpus", outputs, build,
                                   lambda: paths)
 
     # embeddings -----------------------------------------------------------
@@ -356,33 +355,31 @@ class PipelineRun:
 
     def build_main_store(self) -> EmbeddingStore:
         cfg, kind = self.cfg, self.main_kind
-        key = self.main_store_key()
-        path = self.out / f"{kind}-{key}.store"
+        path = self.out / f"{kind}-{self.main_store_key()}.store"
 
-        def build():
+        def build(part):
             stream, vocab = read_vocabulary(*self.build_tokens(),
                                             cfg.main_min_count)
             store = train_sgns(stream, vocab, cfg.main)
-            save_store(store, path)
+            save_store(store, part)
             return store
-        return self._cached_stage("embed", key, {"embeddings": path}, build,
+        return self._cached_stage("embed", {"embeddings": path}, build,
                                   lambda: load_store(path, kind))
 
     def build_subword_store(self) -> EmbeddingStore:
         cfg = self.cfg
-        key = self.subword_store_key()
-        path = self.out / f"subword-{key}.store"
+        path = self.out / f"subword-{self.subword_store_key()}.store"
 
-        def build():
+        def build(part):
             min_count, n_min, n_max, ngram_min = cfg.subword_counts
             stream, vocab = read_vocabulary(*self.build_tokens(), min_count)
             index = build_subword_index(vocab, n_min=n_min, n_max=n_max,
                                         min_count=ngram_min)
             store = train_subword_sgns(stream, vocab, index, cfg.subword)
-            save_store(store, path)
+            save_store(store, part)
             return store
         return self._cached_stage(
-            "embed-subword", key, {"subword_embeddings": path}, build,
+            "embed-subword", {"subword_embeddings": path}, build,
             lambda: load_store(path, KIND_SUBWORD))
 
     # resources ------------------------------------------------------------
@@ -416,7 +413,7 @@ class PipelineRun:
     def train_model(self):
         key, path = self.model_key(), self.model_path()
 
-        def build():
+        def build(part):
             cfg = self.cfg
             check_split(self.split)  # before any store trains
             model = train(self.split, cfg.spec, self.build_resources(cfg.spec),
@@ -424,9 +421,9 @@ class PipelineRun:
             self._run_stage("calibrate", lambda: calibrate_thresholds(
                 model, list(self.split.dev)))
             model.config_hash, model.seed = key, cfg.train.seed
-            save_model(model, path)
+            save_model(model, part)
             return model
-        return self._cached_stage("train", key, {"model": path}, build,
+        return self._cached_stage("train", {"model": path}, build,
                                   lambda: load_model(path))
 
     # predictions ----------------------------------------------------------
@@ -437,13 +434,13 @@ class PipelineRun:
         # named, not loaded: a warm run needs only the predictions
         self.artifacts["model"] = self.model_path()
 
-        def build():
-            write_predictions(self.train_model(), self.split.test, path,
+        def build(part):
+            write_predictions(self.train_model(), self.split.test, part,
                               header=f"# config={key} "
                               f"seed={self.cfg.train.seed}\n")
             return path
-        return self._cached_stage("predict", key, {"predictions": path},
-                                  build, lambda: path)
+        return self._cached_stage("predict", {"predictions": path}, build,
+                                  lambda: path)
 
     # report ---------------------------------------------------------------
 

@@ -65,7 +65,10 @@ class SyntheticSpec:
         self.validate()
 
     def validate(self) -> None:
-        """``DataError`` unless every size and fraction is in range."""
+        """``DataError`` unless every size, fraction and the seed is in
+        range."""
+        if self.seed < 0:
+            raise DataError(f"seed {self.seed} is below 0")
         if self.n_types < 1 or self.entities_per_type < 1:
             raise DataError("need at least one type and one entity per type")
         if self.sentence_cap < 1:
@@ -338,6 +341,8 @@ def generate_order_corpus(n_per_class: int = 120, occurrences: int = 30,
 
     Returns (sentences, class-a ids, class-b ids).
     """
+    if seed < 0:
+        raise DataError(f"seed {seed} is below 0")
     rng = np.random.default_rng(seed)
     fillers = [f"f{i:03d}" for i in range(n_fillers)]
     a_ids = [f"ea{i:04d}" for i in range(n_per_class)]

@@ -136,7 +136,8 @@ def test_input_dim_counts_sparse_levels():
     their columns live in the feature table."""
     res = Resources(type_system=TypeSystem(types=("t",), parent={}))
     spec = RepresentationSpec.parse("nsl")
-    assembler = Assembler(spec, res).fit(["Alpha beta", "gamma"])
+    assembler = Assembler(spec, res)
+    assembler.fit_rows(["Alpha beta", "gamma"])
     model = TyperModel(spec, res, assembler, None, 4,
                        np.random.default_rng(0))
     assert model.input_dim == sum(d for _, d in model.layout)

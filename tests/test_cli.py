@@ -339,6 +339,13 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("preset", ["mixed", "order"])
+    def test_negative_synthetic_seed_exits_2(self, preset, tmp_path, capsys):
+        assert cli.main(["gen-synthetic", "--preset", preset, "--seed", "-1",
+                         "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "mulr: seed -1 is below 0\n"
+
     @pytest.mark.parametrize("fields,where", [
         ({"dim": "ten"}, "exp-bad.ini: embeddings.dim"),
         ({"threads": "one"}, "exp-bad.ini: run.threads"),
@@ -554,7 +561,8 @@ class TestExitCodes:
 
 class TestStageFailures:
     """A failure inside a stage names that stage once, exits 2 and leaves
-    no sidecar for the outputs it wrote, so the next run rebuilds it."""
+    neither its keyed outputs nor a temporary file, so the next run
+    rebuilds it."""
 
     # stage -> (pipeline function that fails after doing its work, prefix
     # of the outputs it writes)
@@ -597,12 +605,13 @@ class TestStageFailures:
         assert f"stage {stage}: injected failure" in err
         assert "Traceback" not in err
         assert calls == [stage]
-        assert not list(cache.glob(f"{prefix}*.meta.json"))
+        assert not list(cache.glob(f"{prefix}*"))
+        assert not list(cache.glob("*.part"))
         monkeypatch.setattr(pipeline, name, patched(fail=False))
         assert cli.main(["pipeline", config]) == 0
         assert calls == [stage, stage]
-        if stage != "evaluate":  # the report has no sidecar
-            assert list(cache.glob(f"{prefix}*.meta.json"))
+        assert list(cache.glob(f"{prefix}*"))
+        assert not list(cache.glob("*.part"))
 
 
 def _array_at(meta: dict, name: str) -> tuple[int, int, int]:

@@ -337,8 +337,9 @@ def elr_model(store: EmbeddingStore) -> TyperModel:
     res = Resources(type_system=TypeSystem(types=("t",), parent={}),
                     main_store=store)
     spec = RepresentationSpec.parse("elr")
-    return TyperModel(spec, res, Assembler(spec, res).fit(["ab"]), None, 2,
-                      np.random.default_rng(0))
+    asm = Assembler(spec, res)
+    asm.fit_rows(["ab"])
+    return TyperModel(spec, res, asm, None, 2, np.random.default_rng(0))
 
 
 @pytest.mark.usefixtures("small_batches")

@@ -249,7 +249,8 @@ class TestSparseFeatures:
 
     def test_indexer_ignores_unseen(self):
         res = Resources(type_system=TypeSystem(types=("t",), parent={}))
-        asm = Assembler(RepresentationSpec.parse("bow"), res).fit(["b a"])
+        asm = Assembler(RepresentationSpec.parse("bow"), res)
+        asm.fit_rows(["b a"])
         assert asm.indexers == {"bow": {"w=a": 0, "w=b": 1, "wl=a": 2,
                                         "wl=b": 3}}
         indptr, indices = asm.feature_rows([("m.1", "a z"), ("m.2", "z")])
@@ -263,7 +264,8 @@ class TestSparseFeatures:
         res = Resources(type_system=TypeSystem(types=("t",), parent={}))
         names = ["Alpha beta", "gamma"]
         for text in ("bow,nsl", "nsl,bow"):
-            asm = Assembler(RepresentationSpec.parse(text), res).fit(names)
+            asm = Assembler(RepresentationSpec.parse(text), res)
+            asm.fit_rows(names)
             indptr, indices = asm.feature_rows([("m.1", "Alpha beta")])
             sizes = dict(asm.layout())
             expected, base = [], 0
@@ -308,7 +310,8 @@ def test_feature_rows_hold_distinct_ids_in_range(fitted, unseen, levels):
     """``nn.SparseLinear`` counts an id as often as a row lists it, so
     each row of ``feature_rows`` must list distinct ids of the table."""
     res = Resources(type_system=TypeSystem(types=("t",), parent={}))
-    asm = Assembler(RepresentationSpec.parse(levels), res).fit(fitted)
+    asm = Assembler(RepresentationSpec.parse(levels), res)
+    asm.fit_rows(fitted)
     features = sum(dim for _, dim in asm.layout())
     names = fitted + unseen
     indptr, indices = asm.feature_rows([(f"m.{i}", name)
@@ -460,7 +463,8 @@ class TestAssemble:
         for r in range(1, len(kinds) + 1):
             for combo in itertools.combinations(kinds, r):
                 spec = RepresentationSpec.parse(",".join(combo))
-                asm = Assembler(spec, res).fit(names)
+                asm = Assembler(spec, res)
+                asm.fit_rows(names)
                 dims = dict(asm.layout())
                 v = asm.frozen_matrix([("m.1", "alpha beta")])
                 dense = sum(d for k, d in dims.items()
@@ -480,7 +484,8 @@ class TestAssemble:
     def test_frozen_slices_cover_the_dense_levels(self):
         res = self._resources()
         asm = Assembler(RepresentationSpec.parse("nsl,elr,clr-cnn,tc,wwlr"),
-                        res).fit(["alpha"])
+                        res)
+        asm.fit_rows(["alpha"])
         assert [(lv.kind, lo, hi) for lv, lo, hi in asm.frozen_slices()] \
             == [("elr", 0, 3), ("tc", 3, 5), ("wwlr", 5, 8)]
         assert asm.frozen_matrix([("m.1", "alpha")]).shape == (1, 8)

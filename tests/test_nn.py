@@ -245,7 +245,7 @@ def built_layer(name: str, rng: np.random.Generator):
     if name == "lstm":
         layer = Lstm.initialize(3, 4, rng)
         xs = rng.normal(size=(3, 5, 3))
-        return layer, lambda train: layer.forward(xs, train=train)[1]
+        return layer, lambda train: layer.forward(xs, train=train)
     layer = ClrEncoder(LevelSpec(kind=name, options=ENCODER_OPTIONS),
                        CharVocab(chars=tuple("abcdef")), rng)
     ids = layer.ids_for(["abc", "fed", "a"])
@@ -472,15 +472,21 @@ class TestLstm:
         b = np.zeros(4 * h)
         b[:h] = -40.0  # input gate shut
         cell = Lstm(Wx, Wh, b)
-        hs, last = cell.forward(np.ones((2, 6, 3)))
-        np.testing.assert_array_equal(hs, np.zeros((2, 6, h)))
-        np.testing.assert_array_equal(last, np.zeros((2, h)))
+        for steps in range(1, 7):
+            last = cell.forward(np.ones((2, steps, 3)))
+            np.testing.assert_array_equal(last, np.zeros((2, h)))
 
     def test_single_step_last_state(self):
+        """One step from zero states is ``o * tanh(i * g)``."""
         rng = np.random.default_rng(2)
         cell = Lstm.initialize(3, 5, rng)
-        hs, last = cell.forward(rng.normal(size=(1, 1, 3)))
-        np.testing.assert_array_equal(hs[:, 0], last)
+        x = rng.normal(size=(1, 1, 3))
+        last = cell.forward(x)
+        z = cell.Wx @ x[0, 0] + cell.b
+        i, _, o, g = np.split(z, 4)
+        expected = np.tanh(np.tanh(g) / (1 + np.exp(-i))) / (1 + np.exp(-o))
+        assert last.shape == (1, 5)
+        np.testing.assert_allclose(last[0], expected, rtol=1e-5)
 
     def test_empty_sequence_errors(self):
         rng = np.random.default_rng(2)
@@ -494,7 +500,7 @@ class TestLstm:
         d, h, steps = 4, 3, 6
         cell = Lstm.initialize(d, h, rng)
         xs = rng.normal(size=(steps, d))
-        _, last = cell.forward(xs[None])
+        last = cell.forward(xs[None])
 
         # independent re-implementation of the recurrence
         def sig(v):
@@ -517,11 +523,11 @@ class TestLstm:
         cell, ref = float64_twin(
             lambda: Lstm.initialize(4, 3, np.random.default_rng(3)),
             layer_dtype)
-        hs, last = cell.forward(xs)
-        ref_hs, ref_last = ref.forward(xs)
-        assert hs.dtype == last.dtype == np.float32
-        np.testing.assert_allclose(hs, ref_hs, rtol=0, atol=1e-6)
-        np.testing.assert_allclose(last, ref_last, rtol=0, atol=1e-6)
+        for steps in range(1, 7):
+            last = cell.forward(xs[:, :steps])
+            ref_last = ref.forward(xs[:, :steps])
+            assert last.dtype == np.float32
+            np.testing.assert_allclose(last, ref_last, rtol=0, atol=1e-6)
 
 
 class TestBce:
@@ -756,7 +762,7 @@ class TestGradCheck:
             params["xs"] = xs
 
             def loss_fn():
-                _, last = cell.forward(xs)
+                last = cell.forward(xs)
                 return float(np.sum(last * weights))
 
             loss_fn()
@@ -775,8 +781,8 @@ class TestGradCheck:
         weights = rng.normal(size=(2, 8))
 
         def loss_fn():
-            _, h_f = fwd.forward(xs)
-            _, h_b = bwd.forward(xs[:, ::-1], h0=h_f)
+            h_f = fwd.forward(xs)
+            h_b = bwd.forward(xs[:, ::-1], h0=h_f)
             return float(np.sum(np.concatenate([h_f, h_b], axis=1) * weights))
 
         loss_fn()

@@ -285,6 +285,18 @@ class TestRunPipeline:
         for name in ("model", "predictions", "report_tsv"):
             assert artifacts[name].exists()
 
+    def test_out_dir_holds_only_the_artifacts(self, experiment):
+        """The keyed files are the whole cache: after a cold and a warm run
+        the output directory holds the files the cold run named, no
+        sidecar and no temporary file. A warm run names a subset, since
+        the token files are not read when both stores hit."""
+        cfg = load_config(write_config(experiment))
+        _, cold = run_pipeline(cfg)
+        _, warm = run_pipeline(cfg)
+        files = set((experiment / "cache").iterdir())
+        assert files == set(cold.values())
+        assert set(warm.values()) <= files
+
     def test_avg_des_without_descriptions_is_data_error(self, experiment):
         cfg = load_config(write_config(experiment, levels="elr,avg-des"))
         cfg.descriptions_path = None

@@ -79,7 +79,8 @@ class TestForward:
     def _tiny_model(self):
         split, res = indicator_problem()
         spec = RepresentationSpec.parse("elr")
-        asm = Assembler(spec, res).fit(["x"])
+        asm = Assembler(spec, res)
+        asm.fit_rows(["x"])
         rng = np.random.default_rng(0)
         return TyperModel(spec, res, asm, None, 3, rng)
 
@@ -93,7 +94,8 @@ class TestForward:
     def test_hand_arithmetic_one_hidden_unit(self):
         split, res = indicator_problem(dim=2)
         spec = RepresentationSpec.parse("elr")
-        asm = Assembler(spec, res).fit(["x"])
+        asm = Assembler(spec, res)
+        asm.fit_rows(["x"])
         model = TyperModel(spec, res, asm, None, 1, np.random.default_rng(0))
         model.w_in.W[...] = [[0.3, -0.2]]
         model.w_in.b[...] = [0.1]
@@ -209,7 +211,8 @@ def subword_resources(res, names):
 
 def untrained_model(spec, res, names, hidden=7):
     rng = np.random.default_rng(3)
-    asm = Assembler(spec, res).fit(names)
+    asm = Assembler(spec, res)
+    asm.fit_rows(names)
     clr = None
     if spec.clr_level is not None:
         clr = ClrEncoder(spec.clr_level, build_char_vocab(names, 1), rng)
@@ -639,7 +642,8 @@ def dense_train(split, spec, res, cfg):
     insts = train_instances(split)
     rng = np.random.default_rng(cfg.seed)
     names = [name for _, name in insts]
-    assembler = Assembler(spec, res).fit(names)
+    assembler = Assembler(spec, res)
+    assembler.fit_rows(names)
     clr = ClrEncoder(spec.clr_level, build_char_vocab(names), rng)
     model = TyperModel(spec, res, assembler, clr, cfg.hidden_units, rng)
     w_in = dense_w_in(model)
@@ -739,7 +743,8 @@ class TestEndToEndGradient:
                 LevelSpec("tc"),
             ))
             rng = np.random.default_rng(seed + 1)
-            asm = Assembler(spec, res).fit(["abc"])
+            asm = Assembler(spec, res)
+            asm.fit_rows(["abc"])
             from mulr.levels import ClrEncoder, build_char_vocab
             vocab = build_char_vocab(["abcdef nm" * 5])
             clr = ClrEncoder(spec.clr_level, vocab, rng)
@@ -939,7 +944,8 @@ class TestPredict:
     def _model_with_scores(self, scores, thresholds, types=("ta", "tb")):
         split, res = indicator_problem(types=types)
         spec = RepresentationSpec.parse("elr")
-        asm = Assembler(spec, res).fit(["x"])
+        asm = Assembler(spec, res)
+        asm.fit_rows(["x"])
         model = TyperModel(spec, res, asm, None, 2, np.random.default_rng(0))
         model.thresholds = np.asarray(thresholds, dtype=float)
         model.scores_for = lambda insts: np.tile(
