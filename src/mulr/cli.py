@@ -35,10 +35,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_gen_synthetic(args) -> int:
+    # generate first: a rejected run leaves no --out behind
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.preset == "order":
         sentences, a_ids, b_ids = generate_order_corpus(seed=args.seed)
+        out.mkdir(parents=True, exist_ok=True)
         corpus_path = out / "order-corpus.txt"
         with corpus_path.open("w", encoding="utf-8") as fh:
             for sent in sentences:
@@ -55,6 +56,7 @@ def _cmd_gen_synthetic(args) -> int:
                        entities_per_type=args.entities_per_type,
                        n_types=args.types)
     data = generate(spec)
+    out.mkdir(parents=True, exist_ok=True)
     corpus_mod.save_corpus(data.corpus, out / "corpus.txt")
     dataset_mod.save_dataset(data.split, out / "dataset.tsv")
     dataset_mod.save_type_system(data.type_system, out / "hierarchy.tsv")

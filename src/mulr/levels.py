@@ -4,7 +4,10 @@ Levels
 ------
 * ``clr-forward`` / ``clr-cnn`` / ``clr-lstm`` / ``clr-bilstm``: neural
   encoders over the character matrix of the entity name; trained with the
-  typer, everything else below stays frozen.
+  typer, everything else below stays frozen. ``clr-cnn`` is a bank of
+  distinct filter widths with ``feature_maps`` filters each; the bank
+  (``nn.ConvMaxPool``) gathers a batch's windows once for every width and
+  takes all their preactivations from one GEMM.
 * ``wwlr`` / ``swlr``: average of name-word embeddings, whole-word lookup
   vs subword composition for out-of-vocabulary words.
 * ``elr``: the entity-id token's embedding.
@@ -66,7 +69,8 @@ KIND_DEFAULTS = {
 # each option's type
 LEVEL_OPTIONS = {name: type(value) for defaults in KIND_DEFAULTS.values()
                  for name, value in defaults.items()}
-# the least value of each integer option; each of ``widths`` is 1..MAX_WIDTH
+# the least value of each integer option; ``widths`` are distinct, each in
+# 1..MAX_WIDTH
 OPTION_MINIMA = {"padded_len": 3, "char_dim": 1, "feature_maps": 1,
                  "hidden_dim": 1, "top_k": 1}
 MAX_WIDTH = 10
@@ -128,6 +132,8 @@ def _check_options(options: dict) -> None:
     if not widths or not all(1 <= w <= MAX_WIDTH for w in widths):
         raise DataError(f"widths: {widths} is not one or more widths "
                         f"in 1..{MAX_WIDTH}")
+    if len(set(widths)) < len(widths):
+        raise DataError(f"widths: {widths} repeats a width")
 
 
 @dataclass
@@ -261,7 +267,7 @@ class ClrEncoder:
     """
 
     def __init__(self, level: LevelSpec, char_vocab: CharVocab,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         self.kind = level.kind
         self.char_vocab = char_vocab
         self.padded_len = level.options["padded_len"]

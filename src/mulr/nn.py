@@ -11,7 +11,8 @@ the arrays the layer allocated at construction, and returns the gradient
 with respect to the layer input, so a second backward after one forward
 gives the same gradients again.
 Parameters initialize uniformly in [-0.05, 0.05] from the caller's
-generator.
+generator, or to zeros if it passes None, as a model being loaded does
+before it reads its values.
 
 Dtype policy: ``init_uniform`` returns ``DTYPE`` (float32, the single
 precision word2vec and fastText compute in), rounding the same draws, so
@@ -87,7 +88,9 @@ def scatter_add(table: np.ndarray, rows: np.ndarray,
     table[uniq] += sums.reshape(-1, dim)
 
 
-def init_uniform(rng: np.random.Generator, shape) -> np.ndarray:
+def init_uniform(rng: np.random.Generator | None, shape) -> np.ndarray:
+    if rng is None:
+        return np.zeros(shape, dtype=DTYPE)
     return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(DTYPE)
 
 
@@ -113,7 +116,8 @@ class Dense:
         self._x = None
 
     @classmethod
-    def initialize(cls, in_dim: int, out_dim: int, rng: np.random.Generator):
+    def initialize(cls, in_dim: int, out_dim: int,
+                   rng: np.random.Generator | None):
         return cls(init_uniform(rng, (out_dim, in_dim)),
                    init_uniform(rng, (out_dim,)))
 
@@ -213,11 +217,11 @@ class SparseLinear:
 class ConvMaxPool:
     """Narrow 1-D convolution over a character matrix, max-pooled per filter.
 
-    ``widths`` maps window width w to a filter count; each width w keeps
-    filters of shape (count, w, d) applied to every length-w slice of the
-    (length, d) input, followed by the rectifier and a max over positions.
-    Outputs are concatenated in the declared width order, giving one value
-    per filter.
+    ``widths`` lists distinct window widths w with a filter count each;
+    width w keeps filters of shape (count, w, d) applied to every length-w
+    slice of the (length, d) input, followed by the rectifier and a max
+    over positions. Outputs are concatenated in the declared width order,
+    giving one value per filter.
 
     Only each example's distinct windows are computed. Its last distinct
     row r is the first row of its trailing run of equal rows (a name's
@@ -225,32 +229,61 @@ class ConvMaxPool:
     that run, so it equals window r, and the max over positions and the
     first position holding it are those over the windows at p <= r:
     ``min(r, l - w) + 1`` windows of width w instead of ``l - w + 1``.
-    The windows are laid out position-major, with the examples sorted
+
+    All widths share one window layout. Each batch gathers one column block
+    of r + 1 windows per example, position-major, with the examples sorted
     stably by descending r, so the examples that have a window at p are a
-    prefix of the batch. Per width one GEMM gives every window's
-    preactivation; an in-place ``np.maximum`` per position folds that
-    position's block into the running max of its prefix; the bias is
-    added after the max, which is exact, since float rounding of
-    ``x + b`` is monotone in ``x``: ``max_p fl(pre_p + b) =
-    fl(max_p pre_p + b)``. The output is put back in the input's order.
+    prefix of the batch. A row holds ``max_width`` input rows from its
+    example's row p on, read from the batch as one run of rows, so past the
+    example's last row it reads the next example's (and past the batch's
+    last row, that row again). Width w's windows are the block's leading
+    rows, those at p <= l - w, and its values their leading ``w * d``
+    columns: a read past the name's end lands only in the columns after
+    them. One GEMM takes the block against every filter, stacked into one
+    (``out_dim``, ``max_width * d``) matrix rebuilt on each call, with each
+    width's rows zero past its ``w * d`` columns. Those zeros add exact
+    zeros to each dot product after the width's own terms, so where BLAS
+    sums a dot product in column order, as OpenBLAS's blocked sgemm does at
+    the default bank's sizes, a width's preactivations have the bits of a
+    GEMM over its own ``w * d`` columns; a product that BLAS hands to
+    another kernel (a small one, or float64) may round differently in the
+    last place. A width's
+    preactivations at p > l - w, which only examples with r > l - w have,
+    are set to ``-inf``, so the max never takes them. One in-place
+    ``np.maximum`` per position folds that position's rows into the running
+    max of its prefix, for every filter at once; the bias is added after the
+    max, which is exact, since float rounding of ``x + b`` is monotone in
+    ``x``: ``max_p fl(pre_p + b) = fl(max_p pre_p + b)``. The output is put
+    back in the input's order.
 
     Training, ``forward`` also keeps per (example, filter) the first
     position holding the max: a later position replaces it only if its
-    preactivation is strictly greater. It caches per width what backward
-    reads: the window columns, where each position's block of them starts,
-    the argmax and whether the rectifier passes the pooled value. Scoring
-    (``train=False``) finds no argmax and caches nothing; it drops each
-    width's windows before the next width's are built. The argmax does not
-    touch the running max, so both give the same bits in any dtype.
+    preactivation is strictly greater. It caches what backward reads: the
+    column block, where each position's rows start, the argmax and whether
+    the rectifier passes the pooled value. Scoring (``train=False``) finds
+    no argmax and caches nothing. The argmax does not touch the running
+    max, so both give the same bits in any dtype.
+
+    Backward runs per width on views of the cached block: the pooled
+    gradient lands on each filter's argmax window, and two GEMMs give the
+    filter gradient and every window's gradient. Those are placed in a
+    dense (position, example) grid, zero where an example has no window,
+    and added to the input gradient in w shifted adds, k from w - 1 down to
+    0: each input row sums its windows' terms width by width in the
+    declared order and, within a width, by ascending position, the order
+    of a scatter position by position. An added zero changes nothing: a
+    sum that starts at +0 is never -0.
     """
 
     def __init__(self, widths: list[tuple[int, int]], d_in: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         for w, count in widths:
             if not (1 <= w <= 10):
                 raise NumericError(f"filter width {w} outside [1, 10]")
             if count < 1:
                 raise NumericError("filter count must be positive")
+        if len({w for w, _ in widths}) < len(widths):
+            raise NumericError(f"repeated filter width in {widths}")
         self.widths = list(widths)
         self.d_in = d_in
         self.filters = {w: init_uniform(rng, (count, w, d_in))
@@ -280,24 +313,35 @@ class ConvMaxPool:
 
     def forward(self, C: np.ndarray, train: bool = True) -> np.ndarray:
         C = self._checked(C)
-        order, last = self._order(C)
-        B = C.shape[0]
-        out = np.empty((B, self.out_dim), dtype=self.dtype)
-        per_width = {}
+        B, l, d = C.shape
+        order, starts, cols = self._windows(C)
+        pre = cols @ self._stacked_filters().T
+        positions = starts.size - 1
         col = 0
         for w, count in self.widths:
-            arg = np.zeros((B, count), dtype=np.int32) if train else None
-            starts, cols, top = self._max_preactivations(C, order, last, w,
-                                                         arg)
-            out[order, col:col + count] = relu(top)
+            # width w has no window past position l - w
+            pre[starts[min(l - w + 1, positions)]:, col:col + count] = -np.inf
             col += count
+        arg = np.zeros((B, self.out_dim), dtype=np.int32) if train else None
+        top = pre[:B]
+        bounds = starts.tolist()
+        for p in range(1, positions):
+            block = pre[bounds[p]:bounds[p + 1]]
+            n = block.shape[0]
+            head = top[:n]
             if train:
-                # backward reads the preactivation only at the argmax, and
-                # only its sign: the rectifier's gate there
-                per_width[w] = (starts, cols, arg, top > 0.0)
-            del starts, cols, top
-        self._cache = ({"C_shape": C.shape, "order": order,
-                        "per_width": per_width} if train else None)
+                # p exceeds every earlier position, so this sets the
+                # argmax to p exactly where block beats the running max
+                np.maximum(arg[:n], (block > head) * p, out=arg[:n])
+            np.maximum(head, block, out=head)
+        top += np.concatenate([self.biases[w] for w, _ in self.widths])
+        out = np.empty((B, self.out_dim), dtype=self.dtype)
+        out[order] = relu(top)
+        # backward reads the preactivation only at the argmax, and only its
+        # sign: the rectifier's gate there
+        self._cache = ({"C_shape": C.shape, "order": order, "starts": starts,
+                        "cols": cols, "arg": arg, "gate": top > 0.0}
+                       if train else None)
         return out
 
     def _checked(self, C: np.ndarray) -> np.ndarray:
@@ -310,77 +354,73 @@ class ConvMaxPool:
             raise NumericError(f"expected row size {self.d_in}, got {d}")
         return C
 
-    @staticmethod
-    def _order(C: np.ndarray):
-        """The examples sorted stably by descending last distinct row, and
-        that row of each in this order."""
-        B, l, _ = C.shape
+    def _windows(self, C: np.ndarray):
+        """The examples sorted stably by descending last distinct row r,
+        where each position's rows of the column block start, and the block:
+        the (rows, max_width * d) windows, r + 1 per example."""
+        B, l, d = C.shape
         # same[:, i]: row i equals row i - 1; row 0 starts a run
         same = np.zeros((B, l), dtype=bool)
         np.all(C[:, 1:] == C[:, :-1], axis=2, out=same[:, 1:])
         last = l - 1 - same[:, ::-1].argmin(axis=1)
         order = np.argsort(-last, kind="stable")
-        return order, last[order]
-
-    def _max_preactivations(self, C: np.ndarray, order: np.ndarray,
-                            last: np.ndarray, w: int,
-                            arg: np.ndarray | None = None):
-        """Per example in ``order`` and filter of width ``w``, the largest
-        preactivation plus the bias, and the windows it was taken over:
-        where each position's block of windows starts, and the windows'
-        (rows, w * d) columns. ``arg``, if given, receives the first
-        position holding each max."""
-        B, l, d = C.shape
-        windows = np.minimum(last, l - w) + 1  # descending
+        windows = last[order] + 1  # descending
         # at[p]: how many examples, a prefix, have a window at position p
         at = np.searchsorted(-windows, -np.arange(windows.max(initial=0)))
         starts = np.zeros(at.size + 1, dtype=np.intp)
         np.cumsum(at, out=starts[1:])
-        positions = np.arange(at.size, dtype=np.int32)
         rank = np.arange(starts[-1]) - np.repeat(starts[:-1], at)
-        src = order[rank] * l + np.repeat(positions, at)
-        cols = np.take(C.reshape(B * l, d), src[:, None] + np.arange(w),
-                       axis=0).reshape(-1, w * d)
-        count = self.filters[w].shape[0]
-        pre = cols @ self.filters[w].reshape(count, w * d).T
-        top = pre[:B]
-        for p in positions[1:]:
-            block = pre[starts[p]:starts[p + 1]]
-            head = top[:at[p]]
-            if arg is not None:
-                # p exceeds every earlier position, so this sets the
-                # argmax to p exactly where block beats the running max
-                np.maximum(arg[:at[p]], (block > head) * p, out=arg[:at[p]])
-            np.maximum(head, block, out=head)
-        top += self.biases[w]
-        return starts, cols, top
+        src = order[rank] * l + np.repeat(np.arange(at.size), at)
+        W = self.max_width
+        cols = np.take(C.reshape(B * l, d), src[:, None] + np.arange(W),
+                       axis=0, mode="clip").reshape(-1, W * d)
+        return order, starts, cols
+
+    def _stacked_filters(self) -> np.ndarray:
+        """Every filter as a row of ``max_width * d`` values, zero past its
+        own ``w * d``, in output order."""
+        d = self.d_in
+        H = np.zeros((self.out_dim, self.max_width * d), dtype=self.dtype)
+        col = 0
+        for w, count in self.widths:
+            H[col:col + count, :w * d] = self.filters[w].reshape(count, w * d)
+            col += count
+        return H
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         cache = self._cache
         B, l, d = cache["C_shape"]
-        order = cache["order"]
+        order, starts, cols = cache["order"], cache["starts"], cache["cols"]
         # examples in the order forward sorted them
         dout = np.asarray(dout, dtype=self.dtype)[order]
+        positions = starts.size - 1
+        # each window's slot in a dense (position, example) grid
+        slot = np.arange(starts[-1]) + np.repeat(
+            np.arange(positions) * B - starts[:-1], np.diff(starts))
         # position-major, like the windows: dC_t[j, b] is row j of example b
         dC_t = np.zeros((l, B, d), dtype=self.dtype)
         col = 0
         for w, count in self.widths:
-            starts, cols, arg, gate = cache["per_width"][w]
-            g = dout[:, col:col + count] * gate
+            arg = cache["arg"][:, col:col + count]
+            g = dout[:, col:col + count] * cache["gate"][:, col:col + count]
             col += count
+            n_pos = min(l - w + 1, positions)
+            n = starts[n_pos]
             # the pooled gradient lands on each filter's argmax window: the
             # example's row in that position's block
-            G = np.zeros((count, cols.shape[0]), dtype=self.dtype)
+            G = np.zeros((count, n), dtype=self.dtype)
             np.put_along_axis(G, (starts[arg] + np.arange(B)[:, None]).T,
                               g.T, axis=1)
             H = self.filters[w].reshape(count, w * d)
-            np.matmul(G, cols, out=self.grads[f"H{w}"].reshape(count, w * d))
+            np.matmul(G, cols[:n, :w * d],
+                      out=self.grads[f"H{w}"].reshape(count, w * d))
             np.sum(g, axis=0, out=self.grads[f"b{w}"])
-            dcols = (G.T @ H).reshape(-1, w, d)
-            for p in range(starts.size - 1):
-                # window p of each example in the block covers rows p..p+w-1
-                block = dcols[starts[p]:starts[p + 1]]
-                dC_t[p:p + w, :block.shape[0]] += block.swapaxes(0, 1)
+            grid = np.zeros((n_pos * B, w * d), dtype=self.dtype)
+            grid[slot[:n]] = G.T @ H
+            grid = grid.reshape(n_pos, B, w, d)
+            for k in range(w - 1, -1, -1):
+                # window p covers rows p..p+w-1; its row k is row p + k
+                dC_t[k:k + n_pos] += grid[:, :, k]
         dC = np.empty((B, l, d), dtype=self.dtype)
         dC[order] = dC_t.swapaxes(0, 1)
         return dC
@@ -404,7 +444,8 @@ class Lstm:
         self._cache = None
 
     @classmethod
-    def initialize(cls, in_dim: int, hidden: int, rng: np.random.Generator):
+    def initialize(cls, in_dim: int, hidden: int,
+                   rng: np.random.Generator | None):
         return cls(init_uniform(rng, (4 * hidden, in_dim)),
                    init_uniform(rng, (4 * hidden, hidden)),
                    init_uniform(rng, (4 * hidden,)))

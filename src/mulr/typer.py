@@ -34,7 +34,9 @@ behind. Scoring is batch-first: ``scores_for`` builds the frozen levels and
 the character id rows (one array per chunk) and scores ``SCORE_BATCH``
 instances at a time, and calibration and prediction both score all their
 entities through it in one call; the CNN computes only each name's
-distinct windows, not those inside its padding. ``predict_with_scores``
+distinct windows, not those inside its padding, gathering each batch's
+windows once for all its filter widths and taking every filter's
+preactivations from one GEMM (``nn.ConvMaxPool``). ``predict_with_scores``
 then picks every entity's types with one comparison of the score matrix
 against the thresholds, and orders them with one sort.
 
@@ -53,15 +55,16 @@ load resolved. Layout: magic line ``MULR-MODEL 4``, a JSON metadata line
 the dtype its manifest entry names (``fileio``): the parameters and stores
 in ``nn.DTYPE``, the thresholds in float64. A float64 parameter array loads
 narrowed to the parameter's dtype, and a value that overflows float32 is
-a ``DataError``. Each store the levels read (``stores_read``) is written
-once, as array ``store.main`` or ``store.subword`` and its ``store_meta``
-under that label in ``stores``. Files of earlier formats do not load:
-``MULR-MODEL 1`` held the main store twice, ``MULR-MODEL 2`` held
-float64-trained parameters, and ``MULR-MODEL 3`` held every array as
-float64 bytes and float64-trained stores. A spec with ``bow`` or ``nsl``
-stores the feature table as ``features.W``, of shape (features, hidden
-units), and ``w_in.W`` then covers the dense levels only; other specs have
-no ``features.W``.
+a ``DataError``. ``load_model`` builds the model with zero parameters,
+drawing nothing, and fills each from its array. Each store the levels
+read (``stores_read``) is written once, as array ``store.main`` or
+``store.subword`` and its ``store_meta`` under that label in ``stores``.
+Files of earlier formats do not load: ``MULR-MODEL 1`` held the main store
+twice, ``MULR-MODEL 2`` held float64-trained parameters, and
+``MULR-MODEL 3`` held every array as float64 bytes and float64-trained
+stores. A spec with ``bow`` or ``nsl`` stores the feature table as
+``features.W``, of shape (features, hidden units), and ``w_in.W`` then
+covers the dense levels only; other specs have no ``features.W``.
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ class TyperModel:
 
     def __init__(self, spec: RepresentationSpec, resources: Resources,
                  assembler: Assembler, clr: ClrEncoder | None,
-                 hidden_units: int, rng: np.random.Generator):
+                 hidden_units: int, rng: np.random.Generator | None):
         self.spec = spec
         self.resources = resources
         self.assembler = assembler
@@ -516,13 +519,13 @@ def _model_from_meta(meta: dict, arrays: dict[str, np.ndarray]) -> TyperModel:
         kind: feature_index(names)
         for kind, names in meta["indexers"].items()})
 
-    rng = np.random.default_rng(0)
+    # built with zero parameters, each overwritten by its saved array
     clr = None
     if meta["clr_kind"] is not None:
         char_vocab = CharVocab(chars=tuple(meta["char_vocab"]))
-        clr = ClrEncoder(spec.clr_level, char_vocab, rng)
+        clr = ClrEncoder(spec.clr_level, char_vocab, None)
     model = TyperModel(spec, resources, assembler, clr,
-                       meta["hidden_units"], rng)
+                       meta["hidden_units"], None)
     targets = {"thresholds": model.thresholds, **model.params()}
     for name, arr in targets.items():
         if name not in arrays:

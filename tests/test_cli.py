@@ -52,6 +52,7 @@ OUT_OF_RANGE = [
           ("widths = 0", "widths: (0,) is not"),
           ("widths = 12", "widths: (12,) is not"),
           ("widths = 3-1", "widths: () is not"),
+          ("widths = 3,3", "widths: (3, 3) repeats a width"),
           ("feature_maps = 0", "feature_maps: 0 is below 1"),
           ("char_dim = 0", "char_dim: 0 is below 1"),
           ("top_k = 0", "top_k: 0 is below 1"),
@@ -341,10 +342,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("preset", ["mixed", "order"])
     def test_negative_synthetic_seed_exits_2(self, preset, tmp_path, capsys):
+        """The seed is rejected before ``--out`` is made."""
+        out = tmp_path / "e"
         assert cli.main(["gen-synthetic", "--preset", preset, "--seed", "-1",
-                         "--out", str(tmp_path)]) == 2
+                         "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "mulr: seed -1 is below 0\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("fields,where", [
         ({"dim": "ten"}, "exp-bad.ini: embeddings.dim"),

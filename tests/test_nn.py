@@ -157,22 +157,23 @@ class TestConvMaxPool:
         out = net.forward(C)
         pre = conv_preactivations(net, C)[3]
         assert pre.shape == (1, 8, 2)  # l - w + 1
-        # the layer's im2col columns hold one row per position, and it
-        # pools over all of them
-        assert net._cache["per_width"][3][1].shape[0] == 8
+        # no padding, so r = 9: the column block holds r + 1 = 10 windows,
+        # of which width 3 pools over the 8 that fit
+        assert net._cache["cols"].shape == (10, 3 * 4)
+        np.testing.assert_array_equal(net._cache["starts"], np.arange(11))
         np.testing.assert_allclose(out, relu(pre.max(axis=1)), rtol=0,
                                    atol=1e-6)
 
     def test_equal_trailing_rows_leave_r_plus_one_windows(self):
-        """Rows equal from row r on: each width computes only the r + 1
-        windows that start at or before r, and pools as over all of them."""
+        """Rows equal from row r on: the widths share one column block of
+        the r + 1 windows that start at or before r, each as wide as the
+        widest filter, and each width pools as over all of its windows."""
         rng = np.random.default_rng(0)
         net = ConvMaxPool([(1, 2), (3, 2), (5, 2)], d_in=4, rng=rng)
         C = rng.normal(size=(1, 10, 4))
         C[0, 4:] = C[0, 4]  # r = 4
         out = net.forward(C)
-        for w in (1, 3, 5):
-            assert net._cache["per_width"][w][1].shape[0] == 5
+        assert net._cache["cols"].shape == (5, 5 * 4)
         pre = conv_preactivations(net, C)
         expected = np.concatenate([relu(pre[w].max(axis=1))
                                    for w in (1, 3, 5)], axis=1)
@@ -210,6 +211,11 @@ class TestConvMaxPool:
         rng = np.random.default_rng(0)
         with pytest.raises(NumericError):
             ConvMaxPool([(11, 1)], d_in=2, rng=rng)
+
+    def test_repeated_width_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(NumericError, match="repeated"):
+            ConvMaxPool([(3, 2), (1, 2), (3, 2)], d_in=2, rng=rng)
 
     def test_input_shorter_than_widest_filter(self):
         rng = np.random.default_rng(0)
@@ -362,6 +368,20 @@ def pad_names(C: np.ndarray, row: np.ndarray,
         name[pad:] = row
 
 
+def assert_matches_oracle(net: ConvMaxPool, C: np.ndarray,
+                          dout: np.ndarray) -> None:
+    """``net``'s forward and backward against ``conv_reference`` within
+    float64 rounding."""
+    ref_out, ref_grads, ref_dC = conv_reference(net, C, dout)
+    out = net.forward(C)
+    dC = net.backward(dout)
+    np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dC, ref_dC, rtol=0, atol=1e-12)
+    assert net.grads.keys() == ref_grads.keys()
+    for name, g in ref_grads.items():
+        np.testing.assert_allclose(net.grads[name], g, rtol=0, atol=1e-12)
+
+
 class TestConvMaxPoolReference:
     @pytest.mark.usefixtures("float64_layers")
     @pytest.mark.parametrize("case", ["random", "padded", "repeated",
@@ -380,16 +400,23 @@ class TestConvMaxPoolReference:
         if case == "dead filters":
             for w, _ in net.widths:
                 net.biases[w][0] = -50.0  # no positive preactivation
-        dout = rng.normal(size=(6, net.out_dim))
-        ref_out, ref_grads, ref_dC = conv_reference(net, C, dout)
-        out = net.forward(C)
-        dC = net.backward(dout)
-        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(dC, ref_dC, rtol=0, atol=1e-12)
-        for name, g in ref_grads.items():
-            np.testing.assert_allclose(net.grads[name], g, rtol=0,
-                                       atol=1e-12)
+        assert_matches_oracle(net, C, rng.normal(size=(6, net.out_dim)))
 
+    @pytest.mark.usefixtures("float64_layers")
+    @pytest.mark.parametrize("widths", [[(1, 3), (5, 2)],
+                                        [(5, 2), (1, 3), (3, 1)]],
+                             ids=["wide-width-tail",
+                                  "widths-out-of-order"])
+    def test_banks_match_einsum_oracle(self, widths):
+        """Names of length 9 whose r exceeds l - w = 4 for width 5 only
+        (``ORACLE_PADS`` 5, 7 and 9), so that width's windows past 4 are
+        masked while width 1 pools over all r + 1; and widths declared out
+        of order, whose outputs keep that order."""
+        rng = np.random.default_rng(22)
+        net = ConvMaxPool(widths, d_in=4, rng=rng)
+        C = rng.normal(size=(6, 9, 4))
+        pad_names(C, C[0, 0])
+        assert_matches_oracle(net, C, rng.normal(size=(6, net.out_dim)))
 
     # float32 against the float64 oracle on the same parameter values and
     # input: outputs and gradients within 1e-6 (measured under 2e-7)

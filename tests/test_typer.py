@@ -1096,6 +1096,26 @@ class TestSerialization:
             np.testing.assert_array_equal(value, model.params()[name])
         assert loaded.thresholds.dtype == np.float64
 
+    def test_load_draws_no_random_parameters(self, tmp_path, monkeypatch):
+        """The loaded model is built with zero parameters, not from a
+        generator, and every parameter and threshold is the saved one."""
+        model, insts, _ = sparse_fixture("clr-cnn,nsl")
+        path = tmp_path / "model.bin"
+        save_model(model, path, config_hash="h", seed=1)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load_model made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        loaded = load_model(path)
+        saved = {"thresholds": model.thresholds, **model.params()}
+        loaded_arrays = {"thresholds": loaded.thresholds, **loaded.params()}
+        assert loaded_arrays.keys() == saved.keys()
+        for name, value in loaded_arrays.items():
+            np.testing.assert_array_equal(value, saved[name], err_msg=name)
+        np.testing.assert_array_equal(loaded.scores_for(insts),
+                                      model.scores_for(insts))
+
     def test_value_outside_float32_range_is_a_data_error(self, tmp_path):
         """1e300 is finite in the file's float64 but inf as a float32
         parameter."""
