@@ -240,21 +240,21 @@ class ConvMaxPool:
     rows, those at p <= l - w, and its values their leading ``w * d``
     columns: a read past the name's end lands only in the columns after
     them. One GEMM takes the block against every filter, stacked into one
-    (``out_dim``, ``max_width * d``) matrix rebuilt on each call, with each
-    width's rows zero past its ``w * d`` columns. Those zeros add exact
-    zeros to each dot product after the width's own terms, so where BLAS
-    sums a dot product in column order, as OpenBLAS's blocked sgemm does at
-    the default bank's sizes, a width's preactivations have the bits of a
-    GEMM over its own ``w * d`` columns; a product that BLAS hands to
-    another kernel (a small one, or float64) may round differently in the
-    last place. A width's
-    preactivations at p > l - w, which only examples with r > l - w have,
-    are set to ``-inf``, so the max never takes them. One in-place
-    ``np.maximum`` per position folds that position's rows into the running
-    max of its prefix, for every filter at once; the bias is added after the
-    max, which is exact, since float rounding of ``x + b`` is monotone in
-    ``x``: ``max_p fl(pre_p + b) = fl(max_p pre_p + b)``. The output is put
-    back in the input's order.
+    (``out_dim``, ``max_width * d``) matrix rebuilt on each call, since the
+    optimizer updates the filters in place, with each width's rows zero
+    past its ``w * d`` columns. Those zeros add exact zeros to each dot
+    product after the width's own terms, so where BLAS sums a dot product
+    in column order, as OpenBLAS's blocked sgemm does at the default
+    bank's sizes, a width's preactivations have the bits of a GEMM over its
+    own ``w * d`` columns; a product that BLAS hands to another kernel (a
+    small one, or float64) may round differently in the last place. A
+    width's preactivations at p > l - w, which only examples with
+    r > l - w have, are set to ``-inf``, so the max never takes them. One
+    in-place ``np.maximum`` per position folds that position's rows into
+    the running max of its prefix, for every filter at once; the bias is
+    added after the max, which is exact, since float rounding of ``x + b``
+    is monotone in ``x``: ``max_p fl(pre_p + b) = fl(max_p pre_p + b)``.
+    The output is put back in the input's order.
 
     Training, ``forward`` also keeps per (example, filter) the first
     position holding the max: a later position replaces it only if its
