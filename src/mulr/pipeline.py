@@ -35,6 +35,21 @@ hash and seed in a header line. ``mulr build-corpus``, ``mulr embed`` and
 ``mulr train`` run their stages through ``PipelineRun`` from the same
 config.
 
+A run whose levels read both stores, neither cached, builds them at the
+same time: SGNS is most of a cold run, and its small numpy steps hold the
+GIL, so threads cannot overlap the two. ``build_resources`` does so where
+``os.fork`` exists, the process may use at least 2 CPUs and no other thread
+is alive. It builds the tokens, forks one worker that calls
+``build_subword_store`` and always leaves through ``os._exit``, builds the
+main store itself and then reaps the worker, also when its own build
+raises. The worker commits the store through ``_cached_stage`` under its
+own pid's temporary name, so the run's own ``build_subword_store`` call
+that follows is a cache hit. A worker that fails commits nothing and
+reports nothing: that call is then a miss, rebuilds the store in-process
+and raises the error a sequential run raises, with the same stage name. A
+fork that fails leaves the run sequential. Each store is seeded by its own
+``SgnsConfig``, so both ways write the same bytes.
+
 Stores are cached as ``embeddings.save_store`` array files, from which a
 subword store rebuilds its ngram index (``ngram_bounds``) on a cache hit.
 ``mulr embed --out`` also writes the store it built or loaded as word2vec
@@ -55,6 +70,7 @@ import configparser
 import hashlib
 import json
 import os
+import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -353,9 +369,14 @@ class PipelineRun:
         return _key("subword", STORE_MAGIC, self.tokens_key(),
                     *self.cfg.subword_counts, vars(self.cfg.subword))
 
+    def main_store_path(self) -> Path:
+        return self.out / f"{self.main_kind}-{self.main_store_key()}.store"
+
+    def subword_store_path(self) -> Path:
+        return self.out / f"subword-{self.subword_store_key()}.store"
+
     def build_main_store(self) -> EmbeddingStore:
-        cfg, kind = self.cfg, self.main_kind
-        path = self.out / f"{kind}-{self.main_store_key()}.store"
+        cfg, kind, path = self.cfg, self.main_kind, self.main_store_path()
 
         def build(part):
             stream, vocab = read_vocabulary(*self.build_tokens(),
@@ -367,8 +388,7 @@ class PipelineRun:
                                   lambda: load_store(path, kind))
 
     def build_subword_store(self) -> EmbeddingStore:
-        cfg = self.cfg
-        path = self.out / f"subword-{self.subword_store_key()}.store"
+        cfg, path = self.cfg, self.subword_store_path()
 
         def build(part):
             min_count, n_min, n_max, ngram_min = cfg.subword_counts
@@ -385,14 +405,48 @@ class PipelineRun:
     # resources ------------------------------------------------------------
 
     def build_resources(self, spec: RepresentationSpec) -> Resources:
-        builders = {"main": self.build_main_store,
-                    "subword": self.build_subword_store}
-        stores = {f"{label}_store": builders[label]()
-                  for label in stores_read(spec)}
+        labels = stores_read(spec)
+        worker = self._fork_subword_build(labels)
+        try:
+            stores = ({"main_store": self.build_main_store()}
+                      if "main" in labels else {})
+        finally:
+            if worker is not None:
+                os.waitpid(worker, 0)
+        if "subword" in labels:  # a hit once the worker has committed it
+            stores["subword_store"] = self.build_subword_store()
         if "avg-des" in spec.kinds and self.descriptions is None:
             raise DataError("avg-des level needs a descriptions file")
         return Resources(type_system=self.type_system,
                          descriptions=self.descriptions, **stores)
+
+    def _fork_subword_build(self, labels) -> int | None:
+        """The pid of a forked worker that builds and commits the subword
+        store while this process builds the main one, or None to build both
+        here: when ``labels`` lacks a store, either store is cached, the
+        process may use one CPU only, or another thread is alive (a fork
+        copies no thread but the caller's)."""
+        if (labels != ("main", "subword")
+                or not hasattr(os, "fork")
+                or not hasattr(os, "sched_getaffinity")
+                or len(os.sched_getaffinity(0)) < 2
+                or threading.active_count() > 1
+                or self.main_store_path().exists()
+                or self.subword_store_path().exists()):
+            return None
+        self.build_tokens()  # once, before both builders read it
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: build both here
+            return None
+        if pid:
+            return pid
+        status = 1
+        try:
+            self.build_subword_store()
+            status = 0
+        finally:  # never return into the caller's stack
+            os._exit(status)
 
     # model ----------------------------------------------------------------
 

@@ -5,7 +5,12 @@ run of one commit draws the same examples and a fuzz failure reproduces.
 dtype its tolerances were set for; ``layer_dtype(d)`` sets the dtype of the
 layers built after the call, for tests that build one model in each.
 ``sgns_batch(n)`` sets the pairs of an SGNS step, for tests whose corpora
-are too small to fill many batches of ``embeddings.BATCH_PAIRS``."""
+are too small to fill many batches of ``embeddings.BATCH_PAIRS``.
+
+Every test must leave no child process behind, running or unreaped: a
+pipeline run that forks a store builder reaps it before it returns."""
+
+import os
 
 import numpy as np
 import pytest
@@ -34,3 +39,14 @@ def sgns_batch(monkeypatch):
     def set_batch(pairs):
         monkeypatch.setattr(embeddings, "BATCH_PAIRS", pairs)
     return set_batch
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left a child process "
+                f"({pid or 'still running'})")

@@ -1,7 +1,9 @@
+import os
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mulr import pipeline, synthetic
+from mulr import cli, pipeline, synthetic
 from mulr.corpus import save_corpus, save_notable
 from mulr.dataset import save_dataset, save_type_system
 from mulr.errors import DataError
@@ -301,6 +303,122 @@ class TestRunPipeline:
         cfg = load_config(write_config(experiment, levels="elr,avg-des"))
         cfg.descriptions_path = None
         with pytest.raises(DataError, match="descriptions"):
+            run_pipeline(cfg)
+
+
+def _forks_counted(monkeypatch) -> list:
+    """``os.fork`` that records each call made by this process."""
+    forks, real = [], os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="the subword worker needs os.fork and at least 2 CPUs")
+
+
+class TestConcurrentStores:
+    """A cold run that reads both stores builds the subword store in one
+    forked worker while it builds the main store."""
+
+    @needs_fork
+    def test_artifacts_match_a_sequential_run(self, experiment, monkeypatch):
+        """The worker, not this process, trains the subword store, and the
+        artifacts are those of a run held to one CPU."""
+        trainers = experiment / "trainers.txt"
+        real = pipeline.train_subword_sgns
+
+        def train_subword_sgns(*args, **kwargs):
+            with trainers.open("a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args, **kwargs)
+        monkeypatch.setattr(pipeline, "train_subword_sgns",
+                            train_subword_sgns)
+        cfg = load_config(write_config(experiment))
+        forks = _forks_counted(monkeypatch)
+        run_pipeline(cfg)
+        assert forks == [os.getpid()]
+        _one_cpu(monkeypatch)
+        cfg.out_dir = experiment / "sequential"
+        run_pipeline(cfg)
+        assert len(forks) == 1
+        first, second = trainers.read_text(encoding="utf-8").split()
+        assert first != str(os.getpid()) and second == str(os.getpid())
+
+        def files(out):
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+        forked = files(experiment / "cache")
+        assert sum(name.endswith(".store") for name in forked) == 2
+        assert forked == files(experiment / "sequential")
+
+    @needs_fork
+    def test_failed_worker_fails_the_run_as_a_sequential_run(
+            self, experiment, monkeypatch, capsys):
+        """The worker inherits the patched trainer and fails; the run
+        rebuilds the store in-process and raises the sequential error."""
+        def no_vectors(*args, **kwargs):
+            raise DataError("no subword vectors")
+        monkeypatch.setattr(pipeline, "train_subword_sgns", no_vectors)
+        config = write_config(experiment)
+        forks = _forks_counted(monkeypatch)
+        with pytest.raises(DataError) as forked:
+            run_pipeline(load_config(config))
+        assert len(forks) == 1
+        assert forked.value.stage == "embed-subword"
+        assert str(forked.value) == "stage embed-subword: no subword vectors"
+        cache = experiment / "cache"
+        assert not list(cache.glob("subword-*")) and not list(
+            cache.glob("*.part"))
+        for store in cache.glob("*.store"):  # the main store, committed
+            store.unlink()
+        assert cli.main(["train", "--config", str(config)]) == 2
+        forked_err = capsys.readouterr().err
+        assert len(forks) == 2
+        _one_cpu(monkeypatch)
+        for store in cache.glob("*.store"):
+            store.unlink()
+        assert cli.main(["train", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == forked_err == (
+            "mulr: stage embed-subword: no subword vectors\n")
+        assert len(forks) == 2
+        assert not list(cache.glob("*.part"))
+
+    @needs_fork
+    def test_failed_fork_builds_both_stores_here(self, experiment,
+                                                 monkeypatch):
+        def no_process():
+            raise OSError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", no_process)
+        _, artifacts = run_pipeline(load_config(write_config(experiment)))
+        assert artifacts["embeddings"].exists()
+        assert artifacts["subword_embeddings"].exists()
+
+    def test_warm_and_one_store_runs_do_not_fork(self, experiment,
+                                                 monkeypatch):
+        """No worker for a warm run, a spec that reads one store or a run
+        that finds the main store cached."""
+        config = write_config(experiment)
+        run_pipeline(load_config(config))
+
+        def no_fork():
+            raise AssertionError("forked a store builder")
+        monkeypatch.setattr(os, "fork", no_fork)
+        run_pipeline(load_config(config))
+        for out, levels in (("main", "elr,tc"), ("main", "elr,swlr,tc"),
+                            ("subword", "swlr")):
+            cfg = load_config(write_config(experiment, levels=levels,
+                                           name="one.ini"))
+            cfg.out_dir = experiment / out
             run_pipeline(cfg)
 
 
