@@ -20,7 +20,8 @@ against the parameters as they stood at its start.
 The loss is taken from the sigmoid the gradient needs: a pair row with
 error ``label - sigmoid(s)`` adds ``-log1p(-|error|)``, and where the
 error is within 2^-5 of 1 (the wrong side of ``|s| > 3.4``) the exact
-softplus of the score. It is summed in float64 and only reported.
+softplus of the score. It is summed in float64 and reported per epoch;
+an epoch whose loss is not finite stops training with a ``NumericError``.
 
 Parameters and stores are ``nn.DTYPE`` (float32, as in word2vec.c and
 fastText), read when training starts; the initial draws are float64
@@ -572,8 +573,12 @@ def _run_training(stream, vocab: Vocabulary, cfg: SgnsConfig,
                 w.start()
             for w in workers:
                 w.join()
+        loss = float(sum(losses))
         if on_epoch_end is not None:
-            on_epoch_end(epoch, float(sum(losses)))
+            on_epoch_end(epoch, loss)
+        if not math.isfinite(loss):
+            raise NumericError(f"SGNS epoch {epoch + 1}: loss {loss} is not "
+                               f"finite")
     return state
 
 

@@ -415,11 +415,8 @@ class ConvMaxPool:
             np.matmul(G, cols[:n, :w * d],
                       out=self.grads[f"H{w}"].reshape(count, w * d))
             np.sum(g, axis=0, out=self.grads[f"b{w}"])
-            grid = G.T @ H
-            if n < n_pos * B:  # some example lacks a window: spread them
-                dense = np.zeros((n_pos * B, w * d), dtype=self.dtype)
-                dense[slot[:n]] = grid
-                grid = dense
+            grid = np.zeros((n_pos * B, w * d), dtype=self.dtype)
+            grid[slot[:n]] = G.T @ H
             grid = grid.reshape(n_pos, B, w, d)
             for k in range(w - 1, -1, -1):
                 # window p covers rows p..p+w-1; its row k is row p + k

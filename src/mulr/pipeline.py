@@ -41,14 +41,19 @@ GIL, so threads cannot overlap the two. ``build_resources`` does so where
 ``os.fork`` exists, the process may use at least 2 CPUs and no other thread
 is alive. It builds the tokens, forks one worker that calls
 ``build_subword_store`` and always leaves through ``os._exit``, builds the
-main store itself and then reaps the worker, also when its own build
-raises. The worker commits the store through ``_cached_stage`` under its
-own pid's temporary name, so the run's own ``build_subword_store`` call
-that follows is a cache hit. A worker that fails commits nothing and
-reports nothing: that call is then a miss, rebuilds the store in-process
-and raises the error a sequential run raises, with the same stage name. A
-fork that fails leaves the run sequential. Each store is seeded by its own
-``SgnsConfig``, so both ways write the same bytes.
+main store itself and then reaps the worker. If its own build raises, it
+first sends the worker SIGTERM, which the worker raises as
+``KeyboardInterrupt``, so its stage removes its temporary file and the
+failed run leaves no subword store. The worker commits the store through
+``_cached_stage`` under its own pid's temporary name, so the run's own
+``build_subword_store`` call that follows is a cache hit. A worker that
+fails commits nothing and reports nothing: that call is then a miss,
+rebuilds the store in-process and raises the error a sequential run
+raises, with the same stage name. A fork that fails leaves the run
+sequential. Each store is seeded by its own ``SgnsConfig``, so both ways
+write the same bytes. Two costs come with the overlap: both trainings are
+resident at once, in two processes, and a caller that wraps
+``train_subword_sgns`` to observe it sees no call when the worker made it.
 
 Stores are cached as ``embeddings.save_store`` array files, from which a
 subword store rebuilds its ngram index (``ngram_bounds``) on a cache hit.
@@ -70,6 +75,7 @@ import configparser
 import hashlib
 import json
 import os
+import signal
 import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -410,6 +416,10 @@ class PipelineRun:
         try:
             stores = ({"main_store": self.build_main_store()}
                       if "main" in labels else {})
+        except BaseException:
+            if worker is not None:  # the run fails: its store goes unused
+                os.kill(worker, signal.SIGTERM)
+            raise
         finally:
             if worker is not None:
                 os.waitpid(worker, 0)
@@ -443,6 +453,9 @@ class PipelineRun:
             return pid
         status = 1
         try:
+            # SIGTERM unwinds the build, whose stage removes its temporary
+            # file; before this line the worker has no file to remove
+            signal.signal(signal.SIGTERM, signal.default_int_handler)
             self.build_subword_store()
             status = 0
         finally:  # never return into the caller's stack

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -844,6 +845,29 @@ class TestLossFromSigmoid:
         for end, loss in epochs:
             assert loss == pytest.approx(sum(reference[begin:end]), rel=1e-6)
             begin = end
+
+    @pytest.mark.parametrize("kind", ["sskip", "subword"])
+    def test_non_finite_epoch_loss_stops_training(self, monkeypatch, kind):
+        """The epoch is reported, then training raises."""
+        stream = embed_style_stream()
+        vocab = build_vocabulary(stream, 2)
+        cfg = small_cfg(epochs=3, dim=8, positional=kind == "sskip")
+        errors, epochs = embeddings._errors, []
+
+        def nan_loss(s, mask):
+            return errors(s, mask)[0], math.nan
+        monkeypatch.setattr(embeddings, "_errors", nan_loss)
+        with pytest.raises(NumericError,
+                           match="SGNS epoch 1: loss nan is not finite"):
+            if kind == "subword":
+                index = build_subword_index(vocab, n_min=3, n_max=6,
+                                            min_count=2)
+                train_subword_sgns(stream, vocab, index, cfg,
+                                   lambda e, loss: epochs.append(loss))
+            else:
+                train_sgns(stream, vocab, cfg,
+                           lambda e, loss: epochs.append(loss))
+        assert len(epochs) == 1 and math.isnan(epochs[0])
 
 
 class TestUnigramTable:

@@ -1,9 +1,11 @@
+import math
 import os
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mulr import cli, pipeline, synthetic
+from mulr import cli, embeddings, pipeline, synthetic
 from mulr.corpus import save_corpus, save_notable
 from mulr.dataset import save_dataset, save_type_system
 from mulr.errors import DataError
@@ -392,6 +394,71 @@ class TestConcurrentStores:
             "mulr: stage embed-subword: no subword vectors\n")
         assert len(forks) == 2
         assert not list(cache.glob("*.part"))
+
+    @needs_fork
+    def test_non_finite_worker_loss_fails_the_run_as_a_sequential_run(
+            self, experiment, monkeypatch, capsys):
+        """An SGNS epoch with a NaN loss stops the worker's training; the
+        in-process rebuild stops the same way and ``mulr train`` exits 3."""
+        real = pipeline.train_subword_sgns
+
+        def nan_losses(*args, **kwargs):
+            errors = embeddings._errors
+            embeddings._errors = lambda s, mask: (errors(s, mask)[0],
+                                                  math.nan)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                embeddings._errors = errors
+        monkeypatch.setattr(pipeline, "train_subword_sgns", nan_losses)
+        config = write_config(experiment)
+        forks = _forks_counted(monkeypatch)
+        assert cli.main(["train", "--config", str(config)]) == 3
+        forked_err = capsys.readouterr().err
+        assert len(forks) == 1
+        cache = experiment / "cache"
+        for store in cache.glob("*.store"):
+            store.unlink()
+        _one_cpu(monkeypatch)
+        assert cli.main(["train", "--config", str(config)]) == 3
+        assert capsys.readouterr().err == forked_err == (
+            "mulr: numeric failure: stage embed-subword: SGNS epoch 1: "
+            "loss nan is not finite\n")
+        assert len(forks) == 1
+        assert not list(cache.glob("subword-*")) and not list(
+            cache.glob("*.part"))
+
+    @needs_fork
+    def test_failed_main_build_stops_the_worker(self, experiment,
+                                                monkeypatch):
+        """The main store's build raises while the worker is saving the
+        subword store: the worker is killed, its temporary file removed,
+        and the run fails at once with the sequential error."""
+        cache = experiment / "cache"
+        real_save, seen = pipeline.save_store, []
+
+        def slow_save(store, path):
+            real_save(store, path)
+            if path.name.startswith("subword-"):
+                time.sleep(60)  # the worker would commit after this
+        monkeypatch.setattr(pipeline, "save_store", slow_save)
+
+        def no_vectors(*args, **kwargs):
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and not seen:
+                seen.extend(cache.glob("subword-*.part"))
+                time.sleep(0.01)
+            raise DataError("no main vectors")
+        monkeypatch.setattr(pipeline, "train_sgns", no_vectors)
+        start = time.monotonic()
+        with pytest.raises(DataError) as failed:
+            run_pipeline(load_config(write_config(experiment)))
+        assert time.monotonic() - start < 30
+        assert seen, "the worker never began to save"
+        assert failed.value.stage == "embed"
+        assert str(failed.value) == "stage embed: no main vectors"
+        assert not list(cache.glob("*.store")) and not list(
+            cache.glob("*.part"))
 
     @needs_fork
     def test_failed_fork_builds_both_stores_here(self, experiment,
